@@ -8,10 +8,15 @@
 // perf trajectory across PRs.
 //
 // Every entry records the SIMD level ("isa") it ran at. The serving-shape
-// section additionally measures the same GEMM forced to the scalar tier and
-// through the int8 quantized path, deriving
+// section runs the GEMMs a 64-row model Predict runs (the LSTM gate GEMM
+// and the profile/head Linear layers, hidden size 15) forced to the scalar
+// tier, at the active tier and through the int8 quantized path, deriving
 // simd_gemm_speedup_vs_scalar_serving and int8_gemm_speedup_vs_fp32_simd
-// (worst case over the serving shapes).
+// (worst case over those shapes). The model-shape section times the LSTM
+// gate GEMM at 1 and N threads and the fused lstm_layer op (inference
+// forward, and forward+backward). The crossover sweep times GEMMs around
+// alt::kMinParallelWork inline against split into 32-row panels on the
+// compute pool, the measurement that sets that constant.
 //
 // Flags:
 //   --smoke       fast mode for CI: tiny rep counts, still checks parity.
@@ -29,6 +34,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "src/autograd/ops.h"
 #include "src/obs/memory_tracker.h"
 #include "src/obs/metrics.h"
 #include "src/tensor/cpu_features.h"
@@ -253,6 +259,103 @@ BenchResult BenchInt8Gemm(int64_t m, int64_t k, int64_t n, int threads,
   return r;
 }
 
+/// One GEMM inline on the calling thread (threads=1) against the same
+/// product cut into 32-row panels, the kernel's finest row grain, that the
+/// compute pool runs at `threads` threads. The panels of A and C are cut
+/// before timing, so the split run does the kernel's arithmetic plus only
+/// the pool hand-off.
+void BenchCrossover(int64_t m, int64_t k, int64_t n, int threads,
+                    double min_time, Rng* rng, Reporter* rep) {
+  constexpr int64_t kPanel = 32;
+  const Tensor a = Tensor::FromVector({m, k}, RandomVec(m * k, rng));
+  const Tensor b = Tensor::FromVector({k, n}, RandomVec(k * n, rng));
+  Tensor c({m, n});
+  std::vector<Tensor> a_panels;
+  std::vector<Tensor> c_panels;
+  for (int64_t i0 = 0; i0 < m; i0 += kPanel) {
+    const int64_t rows = std::min(kPanel, m - i0);
+    Tensor panel({rows, k});
+    std::copy(a.data() + i0 * k, a.data() + (i0 + rows) * k, panel.data());
+    a_panels.push_back(std::move(panel));
+    c_panels.emplace_back(std::vector<int64_t>{rows, n});
+  }
+  const std::string shape =
+      std::to_string(m) + "x" + std::to_string(k) + "x" + std::to_string(n);
+  const double flop = 2.0 * static_cast<double>(m) * k * n;
+
+  SetComputeThreads(1);
+  BenchResult inline_r;
+  inline_r.seconds = TimeBest(min_time, [&]() { MatMul(a, b, &c); });
+  inline_r.name = "gemm_crossover_inline";
+  inline_r.shape = shape;
+  inline_r.threads = 1;
+  inline_r.gflops = flop / inline_r.seconds * 1e-9;
+  inline_r.checksum = Checksum(c);
+
+  SetComputeThreads(threads);
+  BenchResult split_r;
+  const int64_t panels = static_cast<int64_t>(a_panels.size());
+  split_r.seconds = TimeBest(min_time, [&]() {
+    ParallelFor(0, panels, 1, [&](int64_t p0, int64_t p1) {
+      for (int64_t p = p0; p < p1; ++p) {
+        MatMul(a_panels[static_cast<size_t>(p)], b,
+               &c_panels[static_cast<size_t>(p)]);
+      }
+    });
+  });
+  SetComputeThreads(0);
+  split_r.name = "gemm_crossover_split32";
+  split_r.shape = shape;
+  split_r.threads = threads;
+  split_r.gflops = flop / split_r.seconds * 1e-9;
+  double checksum = 0.0;
+  for (const Tensor& panel : c_panels) checksum += Checksum(panel);
+  split_r.checksum = checksum;
+  rep->Add(inline_r);
+  rep->Add(split_r);
+}
+
+/// The fused LSTM layer at a model's shape (input = hidden = h, `seq`
+/// steps): the inference forward under an InferenceGuard, or a recorded
+/// forward plus backward into x and the weights. GFLOP/s counts
+/// ag::LstmLayerFlops for the forward and three times that for
+/// forward+backward (backward runs twice the forward's GEMMs).
+BenchResult BenchLstmLayer(bool backward, int64_t batch, int64_t seq,
+                           int64_t h, int threads, double min_time,
+                           Rng* rng) {
+  ag::Variable x = ag::Variable::Parameter(
+      Tensor::FromVector({batch, seq, h}, RandomVec(batch * seq * h, rng)));
+  ag::Variable w_x = ag::Variable::Parameter(
+      Tensor::FromVector({h, 4 * h}, RandomVec(4 * h * h, rng)));
+  ag::Variable w_h = ag::Variable::Parameter(
+      Tensor::FromVector({h, 4 * h}, RandomVec(4 * h * h, rng)));
+  ag::Variable bias = ag::Variable::Parameter(
+      Tensor::FromVector({4 * h}, RandomVec(4 * h, rng)));
+  Tensor out;
+  SetComputeThreads(threads);
+  BenchResult r;
+  r.seconds = TimeBest(min_time, [&]() {
+    if (backward) {
+      ag::Variable y = ag::LstmLayer(x, w_x, w_h, bias);
+      ag::SumAll(y).Backward();
+      out = y.value();
+    } else {
+      ag::InferenceGuard no_graph;
+      out = ag::LstmLayer(x, w_x, w_h, bias).value();
+    }
+  });
+  SetComputeThreads(0);
+  r.name = backward ? "lstm_layer_fwd_bwd" : "lstm_layer_fwd";
+  r.shape = std::to_string(batch) + "x" + std::to_string(seq) + "x" +
+            std::to_string(h);
+  r.threads = threads;
+  const double fwd_flop =
+      static_cast<double>(batch) * ag::LstmLayerFlops(h, h, seq);
+  r.gflops = (backward ? 3.0 : 1.0) * fwd_flop / r.seconds * 1e-9;
+  r.checksum = Checksum(out);
+  return r;
+}
+
 BenchResult BenchAxpy(int64_t n, int threads, double min_time, Rng* rng) {
   const std::vector<float> x = RandomVec(n, rng);
   std::vector<float> y = RandomVec(n, rng);
@@ -322,13 +425,49 @@ int Main(int argc, char** argv) {
   rep.Add(BenchAxpy(smoke ? (1 << 16) : (1 << 22), max_threads, min_time,
                     &rng));
 
-  // --- SIMD dispatch at serving shapes (small-m row panels, the online
-  // Predict profile): the same GEMM forced to the scalar tier, at the
-  // host's active tier, and through the int8 quantized serving path.
+  // --- Model shapes (hidden 15, sequence 16): the LSTM gate GEMM x_t·W_x
+  // (and h·W_h) for a 1-row and a 64-row Predict, and the fused LSTM layer.
+  for (int64_t rows : {int64_t{1}, int64_t{64}}) {
+    rep.Add(BenchGemm({"gemm_lstm_gate"}, rows, 15, 60, 1, min_time, &rng));
+    if (max_threads > 1) {
+      rep.Add(BenchGemm({"gemm_lstm_gate"}, rows, 15, 60, max_threads,
+                        min_time, &rng));
+    }
+  }
+  for (bool backward : {false, true}) {
+    for (int64_t batch : {int64_t{1}, int64_t{64}}) {
+      rep.Add(BenchLstmLayer(backward, batch, 16, 15, max_threads, min_time,
+                             &rng));
+    }
+  }
+
+  // --- Inline vs compute-pool crossover, ordered by FLOPs. The gate GEMM
+  // is far below it; 128^3 and 256x64x128 (4.2 MFLOP) sit at it.
+  struct CrossoverShape {
+    int64_t m, k, n;
+  };
+  const std::vector<CrossoverShape> crossover_shapes =
+      smoke ? std::vector<CrossoverShape>{{64, 15, 60}, {128, 128, 128}}
+            : std::vector<CrossoverShape>{
+                  {64, 15, 60},    {64, 64, 64},     {128, 64, 128},
+                  {128, 128, 128}, {256, 64, 128},   {256, 128, 128},
+                  {256, 256, 128}, {256, 256, 256}};
+  if (max_threads > 1) {
+    for (const auto& s : crossover_shapes) {
+      BenchCrossover(s.m, s.k, s.n, max_threads, min_time, &rng, &rep);
+    }
+  }
+
+  // --- SIMD dispatch at the GEMM shapes a 64-row Predict runs: the LSTM
+  // gate GEMM (fp32 in every deploy: int8 quantizes only Linear layers),
+  // the profile MLP's first Linear and the head's first Linear. Each is
+  // forced to the scalar tier, run at the host's active tier, and run
+  // through the int8 quantized serving path.
   struct ServingShape {
     int64_t m, k, n;
   };
-  const ServingShape serving_shapes[] = {{8, 256, 256}, {64, 256, 256}};
+  const ServingShape serving_shapes[] = {
+      {64, 15, 60}, {64, 16, 32}, {64, 31, 16}};
   std::vector<double> simd_speedups, int8_speedups;
   const SimdLevel active_level = ActiveSimdLevel();
   for (const auto& s : serving_shapes) {
@@ -407,6 +546,31 @@ int Main(int argc, char** argv) {
     derived["int8_gemm_speedup_vs_fp32_simd"] =
         *std::min_element(int8_speedups.begin(), int8_speedups.end());
   }
+  // The smallest swept GEMM (in MFLOP) from which the pool split beats
+  // running inline at every larger swept size; absent if it never does.
+  double crossover_mflop = -1.0;
+  for (auto it = crossover_shapes.rbegin(); it != crossover_shapes.rend();
+       ++it) {
+    const std::string shape = std::to_string(it->m) + "x" +
+                              std::to_string(it->k) + "x" +
+                              std::to_string(it->n);
+    const BenchResult* in = nullptr;
+    const BenchResult* split = nullptr;
+    for (const auto& r : rep.results()) {
+      if (r.shape != shape) continue;
+      if (r.name == "gemm_crossover_inline") in = &r;
+      if (r.name == "gemm_crossover_split32") split = &r;
+    }
+    if (in == nullptr || split == nullptr || split->seconds >= in->seconds) {
+      break;
+    }
+    crossover_mflop = 2.0 * static_cast<double>(it->m) * it->k * it->n * 1e-6;
+  }
+  if (crossover_mflop > 0.0) {
+    derived["gemm_split_wins_from_mflop"] = crossover_mflop;
+  }
+  derived["min_parallel_work_mflop"] =
+      static_cast<double>(kMinParallelWork) * 1e-6;
 
   Json::Array results;
   for (const auto& r : rep.results()) {

@@ -15,11 +15,34 @@ constexpr float kInvSqrt2 = 0.7071067811865476f;
 constexpr float kInvSqrt2Pi = 0.3989422804014327f;
 
 /// Estimated scalar ops per element for the elementwise / per-row hot paths
-/// below; ParallelForWork turns these into fixed-size chunks, so threading
-/// kicks in only above ~32K ops and results stay identical for any thread
-/// count (every chunk writes a disjoint slice).
+/// below; ParallelForWork turns these into fixed-size chunks of at least
+/// kMinParallelWork ops, so threading kicks in only above two such chunks
+/// and results stay identical for any thread count (every chunk writes a
+/// disjoint slice).
 constexpr int64_t kMapWork = 4;
 constexpr int64_t kTranscendentalWork = 16;
+
+/// Scalar activations and their derivatives in terms of the output y,
+/// shared by the elementwise ops and the fused LSTM layer so both compute
+/// the same bits.
+inline float SigmoidValue(float v) {
+  return v >= 0.0f ? 1.0f / (1.0f + std::exp(-v))
+                   : std::exp(v) / (1.0f + std::exp(v));
+}
+inline float SigmoidGrad(float y) { return y * (1.0f - y); }
+inline float TanhGrad(float y) { return 1.0f - y * y; }
+
+/// dst[B,C] = x[:, t, :] for x[B,T,C].
+void CopyTimeStep(const Tensor& x, int64_t t, Tensor* dst) {
+  const int64_t batch = x.size(0);
+  const int64_t seq = x.size(1);
+  const int64_t c = x.size(2);
+  for (int64_t b = 0; b < batch; ++b) {
+    const float* src = x.data() + (b * seq + t) * c;
+    float* d = dst->data() + b * c;
+    for (int64_t j = 0; j < c; ++j) d[j] = src[j];
+  }
+}
 
 void CheckSameShape(const Variable& a, const Variable& b) {
   ALT_CHECK(a.value().SameShape(b.value()))
@@ -422,11 +445,7 @@ Variable SelectTime(const Variable& x, int64_t t) {
   ALT_CHECK_GE(t, 0);
   ALT_CHECK_LT(t, seq);
   Tensor out({batch, c});
-  for (int64_t b = 0; b < batch; ++b) {
-    const float* src = xv.data() + (b * seq + t) * c;
-    float* dst = out.data() + b * c;
-    for (int64_t j = 0; j < c; ++j) dst[j] = src[j];
-  }
+  CopyTimeStep(xv, t, &out);
   auto xn = x.node();
   return MakeOpNode(std::move(out), {xn},
                     [xn, t, seq, c](Node* self) {
@@ -480,18 +499,14 @@ Variable StackTime(const std::vector<Variable>& xs) {
 
 Variable Sigmoid(const Variable& x) {
   return UnaryElementwise(
-      x, "sigmoid",
-      [](float v) {
-        return v >= 0.0f ? 1.0f / (1.0f + std::exp(-v))
-                         : std::exp(v) / (1.0f + std::exp(v));
-      },
-      [](float /*xv*/, float yv) { return yv * (1.0f - yv); });
+      x, "sigmoid", [](float v) { return SigmoidValue(v); },
+      [](float /*xv*/, float yv) { return SigmoidGrad(yv); });
 }
 
 Variable Tanh(const Variable& x) {
   return UnaryElementwise(
       x, "tanh", [](float v) { return std::tanh(v); },
-      [](float /*xv*/, float yv) { return 1.0f - yv * yv; });
+      [](float /*xv*/, float yv) { return TanhGrad(yv); });
 }
 
 Variable Relu(const Variable& x) {
@@ -869,6 +884,191 @@ Variable Dropout(const Variable& x, float p, Rng* rng, bool training) {
                       }
                     },
                     "dropout");
+}
+
+int64_t LstmLayerFlops(int64_t input_dim, int64_t hidden_dim,
+                       int64_t seq_len) {
+  // Per timestep: two matmuls into 4H gates plus ~10 elementwise ops per
+  // hidden unit (gate nonlinearities and cell updates).
+  const int64_t per_step = 2 * input_dim * 4 * hidden_dim +
+                           2 * hidden_dim * 4 * hidden_dim + 10 * hidden_dim;
+  return seq_len * per_step;
+}
+
+namespace {
+
+/// Backward of LstmLayer. `acts`, `cells` and `tanh_c` are the forward's
+/// saved [T,B,*] gate activations, cell states and tanh(c). Each formula is
+/// the composed graph's, term for term; a `0.0f +` marks a first write into
+/// what was a fresh (zeroed) gradient there, which turns -0 into +0.
+void LstmLayerBackward(Node* self, Node* xn, Node* wxn, Node* whn, Node* bn,
+                       const Tensor& acts, const Tensor& cells,
+                       const Tensor& tanh_c) {
+  const Tensor& xv = xn->value;
+  const Tensor& wx = wxn->value;
+  const Tensor& wh = whn->value;
+  const Tensor& out = self->value;
+  const Tensor& dout = self->grad;
+  const int64_t batch = xv.size(0);
+  const int64_t seq = xv.size(1);
+  const int64_t in = xv.size(2);
+  const int64_t h = wh.size(0);
+  const int64_t g4 = 4 * h;
+  if (xn->requires_grad) xn->EnsureGrad();
+  if (wxn->requires_grad) wxn->EnsureGrad();
+  if (whn->requires_grad) whn->EnsureGrad();
+  if (bn->requires_grad) bn->EnsureGrad();
+
+  Tensor dh({batch, h});       // dL/dh_t
+  Tensor dc_next({batch, h});  // dL/dc_t received from step t+1
+  Tensor dgates({batch, g4});  // dL/d(pre-activation gates_t)
+  Tensor h_prev({batch, h});
+  Tensor x_t({batch, in});
+  Tensor dx_t({batch, in});
+  for (int64_t t = seq - 1; t >= 0; --t) {
+    for (int64_t b = 0; b < batch; ++b) {
+      for (int64_t j = 0; j < h; ++j) {
+        dh[b * h + j] = 0.0f + dout[(b * seq + t) * h + j];
+      }
+    }
+    // dgates still holds step t+1's gradient here.
+    if (t + 1 < seq) MatMulTransBAcc(dgates, wh, &dh);
+    const float* act = acts.data() + t * batch * g4;
+    const float* cell_prev =
+        t > 0 ? cells.data() + (t - 1) * batch * h : nullptr;
+    const float* tc = tanh_c.data() + t * batch * h;
+    for (int64_t b = 0; b < batch; ++b) {
+      const float* a = act + b * g4;
+      float* dg = dgates.data() + b * g4;
+      for (int64_t j = 0; j < h; ++j) {
+        const int64_t k = b * h + j;
+        const float i = a[j];
+        const float f = a[h + j];
+        const float g = a[2 * h + j];
+        const float o = a[3 * h + j];
+        const float carry = t + 1 < seq ? dc_next[k] : 0.0f;
+        const float dc = carry + (dh[k] * o) * TanhGrad(tc[k]);
+        const float cp = cell_prev != nullptr ? cell_prev[k] : 0.0f;
+        dc_next[k] = 0.0f + dc * f;
+        dg[j] = 0.0f + (dc * g) * SigmoidGrad(i);
+        dg[h + j] = 0.0f + (dc * cp) * SigmoidGrad(f);
+        dg[2 * h + j] = 0.0f + (dc * i) * TanhGrad(g);
+        dg[3 * h + j] = 0.0f + (dh[k] * tc[k]) * SigmoidGrad(o);
+      }
+    }
+    if (bn->requires_grad) {
+      for (int64_t r = 0; r < batch; ++r) {
+        const float* row = dgates.data() + r * g4;
+        for (int64_t k = 0; k < g4; ++k) bn->grad[k] += row[k];
+      }
+    }
+    if (whn->requires_grad) {
+      // h_{t-1} is the output's previous slice; h_{-1} = 0 still takes its
+      // (zero) product, as the composed graph's first-step matmul did.
+      if (t > 0) {
+        CopyTimeStep(out, t - 1, &h_prev);
+      } else {
+        h_prev.SetZero();
+      }
+      MatMulTransAAcc(h_prev, dgates, &whn->grad);
+    }
+    if (wxn->requires_grad) {
+      CopyTimeStep(xv, t, &x_t);
+      MatMulTransAAcc(x_t, dgates, &wxn->grad);
+    }
+    if (xn->requires_grad) {
+      dx_t.SetZero();
+      MatMulTransBAcc(dgates, wx, &dx_t);
+      for (int64_t b = 0; b < batch; ++b) {
+        const float* src = dx_t.data() + b * in;
+        float* dst = xn->grad.data() + (b * seq + t) * in;
+        for (int64_t j = 0; j < in; ++j) dst[j] += src[j];
+      }
+    }
+  }
+}
+
+}  // namespace
+
+Variable LstmLayer(const Variable& x, const Variable& w_x,
+                   const Variable& w_h, const Variable& bias) {
+  const Tensor& xv = x.value();
+  const Tensor& wx = w_x.value();
+  const Tensor& wh = w_h.value();
+  const Tensor& bv = bias.value();
+  ALT_CHECK_EQ(xv.ndim(), 3);
+  ALT_CHECK_EQ(wx.ndim(), 2);
+  ALT_CHECK_EQ(wh.ndim(), 2);
+  ALT_CHECK_EQ(bv.ndim(), 1);
+  const int64_t batch = xv.size(0);
+  const int64_t seq = xv.size(1);
+  const int64_t in = xv.size(2);
+  const int64_t h = wh.size(0);
+  const int64_t g4 = 4 * h;
+  ALT_CHECK_GE(seq, 1);
+  ALT_CHECK_EQ(wx.size(0), in);
+  ALT_CHECK_EQ(wx.size(1), g4);
+  ALT_CHECK_EQ(wh.size(1), g4);
+  ALT_CHECK_EQ(bv.size(0), g4);
+
+  // MakeOpNode records a backward under exactly these conditions.
+  const bool record = !InferenceGuard::active() &&
+                      (x.requires_grad() || w_x.requires_grad() ||
+                       w_h.requires_grad() || bias.requires_grad());
+  const int64_t kept = record ? seq : 1;
+  Tensor acts({kept, batch, g4});  // i, f, g, o per step
+  Tensor cells({kept, batch, h});
+  Tensor tanh_c({kept, batch, h});
+  Tensor out({batch, seq, h});
+  Tensor x_t({batch, in});
+  Tensor gx({batch, g4});
+  Tensor gh({batch, g4});
+  Tensor h_prev({batch, h});
+  for (int64_t t = 0; t < seq; ++t) {
+    CopyTimeStep(xv, t, &x_t);
+    alt::MatMul(x_t, wx, &gx);
+    alt::MatMul(h_prev, wh, &gh);
+    const int64_t slot = record ? t : 0;
+    float* act = acts.data() + slot * batch * g4;
+    float* cell = cells.data() + slot * batch * h;
+    float* tc = tanh_c.data() + slot * batch * h;
+    // Without a backward, slot 0 holds c_{t-1} until it is overwritten.
+    const float* cell_prev =
+        t == 0 ? nullptr : cells.data() + (record ? t - 1 : 0) * batch * h;
+    for (int64_t b = 0; b < batch; ++b) {
+      float* a = act + b * g4;
+      const float* ax = gx.data() + b * g4;
+      const float* ah = gh.data() + b * g4;
+      for (int64_t k = 0; k < g4; ++k) a[k] = (ax[k] + ah[k]) + bv[k];
+      for (int64_t j = 0; j < h; ++j) {
+        a[j] = SigmoidValue(a[j]);
+        a[h + j] = SigmoidValue(a[h + j]);
+        a[2 * h + j] = std::tanh(a[2 * h + j]);
+        a[3 * h + j] = SigmoidValue(a[3 * h + j]);
+      }
+      for (int64_t j = 0; j < h; ++j) {
+        const int64_t k = b * h + j;
+        const float cp = cell_prev != nullptr ? cell_prev[k] : 0.0f;
+        cell[k] = a[h + j] * cp + a[j] * a[2 * h + j];
+        tc[k] = std::tanh(cell[k]);
+        h_prev[k] = a[3 * h + j] * tc[k];
+        out[(b * seq + t) * h + j] = h_prev[k];
+      }
+    }
+  }
+  const int64_t flops = batch * LstmLayerFlops(in, h, seq);
+  auto xn = x.node();
+  auto wxn = w_x.node();
+  auto whn = w_h.node();
+  auto bn = bias.node();
+  return MakeOpNode(
+      std::move(out), {xn, wxn, whn, bn},
+      [xn, wxn, whn, bn, acts = std::move(acts), cells = std::move(cells),
+       tanh_c = std::move(tanh_c)](Node* self) {
+        LstmLayerBackward(self, xn.get(), wxn.get(), whn.get(), bn.get(),
+                          acts, cells, tanh_c);
+      },
+      "lstm_layer", flops);
 }
 
 Variable BCEWithLogits(const Variable& logits, const Variable& targets) {

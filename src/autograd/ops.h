@@ -101,6 +101,26 @@ Variable LayerNorm(const Variable& x, const Variable& gamma,
 /// Inverted dropout. Identity when !training or p == 0.
 Variable Dropout(const Variable& x, float p, Rng* rng, bool training);
 
+/// One LSTM layer over a whole sequence as a single op:
+/// x[B,T,in], w_x[in,4H], w_h[H,4H], bias[4H] -> hidden states [B,T,H].
+/// Gate order is (input, forget, cell, output). Per step,
+///   gates = (x_t·w_x + h_{t-1}·w_h) + bias     (h_{-1} = c_{-1} = 0)
+///   c_t = f·c_{t-1} + i·g,   h_t = o·tanh(c_t)
+/// with the products and sums in exactly that order. Forward values and
+/// every gradient are bit-identical to composing the op from SelectTime,
+/// MatMul, Add, AddBias, SliceLastDim, Sigmoid/Tanh, Mul and StackTime:
+/// backward walks t = T-1..0, dh_t is the output's slice plus
+/// dgates_{t+1}·w_hᵀ, dc_t is dc_{t+1}·f_{t+1} plus the tanh path, and the
+/// w_x, w_h and bias gradients accumulate one step at a time in descending
+/// t. When the node records no backward (no input requires grad, or an
+/// InferenceGuard is open) only one step's h/c state is kept, rolling;
+/// otherwise the per-step activations are saved for backward.
+Variable LstmLayer(const Variable& x, const Variable& w_x,
+                   const Variable& w_h, const Variable& bias);
+/// Forward FLOPs of LstmLayer for one sample of length `seq_len`.
+int64_t LstmLayerFlops(int64_t input_dim, int64_t hidden_dim,
+                       int64_t seq_len);
+
 // ---------------------------------------------------------------------------
 // Losses
 // ---------------------------------------------------------------------------

@@ -21,6 +21,18 @@ Variable Variable::Constant(Tensor value) {
   return Variable(std::move(node));
 }
 
+namespace {
+thread_local bool tls_inference = false;
+}  // namespace
+
+InferenceGuard::InferenceGuard() : prev_(tls_inference) {
+  tls_inference = true;
+}
+
+InferenceGuard::~InferenceGuard() { tls_inference = prev_; }
+
+bool InferenceGuard::active() { return tls_inference; }
+
 Variable MakeOpNode(Tensor value, std::vector<std::shared_ptr<Node>> parents,
                     std::function<void(Node*)> backward_fn,
                     const char* op_name, int64_t flops) {
@@ -28,6 +40,7 @@ Variable MakeOpNode(Tensor value, std::vector<std::shared_ptr<Node>> parents,
   node->value = std::move(value);
   node->op_name = op_name;
   node->flops = flops == kFlopsElementwise ? node->value.numel() : flops;
+  if (tls_inference) return Variable(std::move(node));
   node->parents = std::move(parents);
   for (const auto& p : node->parents) {
     if (p->requires_grad) {

@@ -98,8 +98,29 @@ class Variable {
   std::shared_ptr<Node> node_;
 };
 
+/// Scoped, thread-local inference mode. While an InferenceGuard is open on a
+/// thread, every op built on that thread records neither parents nor a
+/// backward closure, so its result is a constant (requires_grad false) and
+/// the forward's intermediates die as soon as the next op has read them.
+/// Values are unchanged. Guards nest, restore the enclosing state when they
+/// close (exception unwind included), and never affect other threads.
+class InferenceGuard {
+ public:
+  InferenceGuard();
+  ~InferenceGuard();
+  InferenceGuard(const InferenceGuard&) = delete;
+  InferenceGuard& operator=(const InferenceGuard&) = delete;
+
+  /// True while a guard is open on the calling thread.
+  static bool active();
+
+ private:
+  bool prev_;
+};
+
 /// Creates an op node: `value` is the forward result, `parents` its inputs,
-/// `backward_fn` the gradient rule. requires_grad is inherited from parents.
+/// `backward_fn` the gradient rule. requires_grad is inherited from parents;
+/// under an InferenceGuard the node is a constant and keeps neither.
 /// `op_name` must be a static string naming the op; `flops` is the op's
 /// forward cost for the recorded shapes (kFlopsElementwise = one FLOP per
 /// output element, the default for elementwise ops).

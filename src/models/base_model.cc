@@ -51,6 +51,7 @@ ag::Variable BaseModel::Forward(const data::Batch& batch, Rng* dropout_rng) {
 }
 
 std::vector<float> BaseModel::PredictProbs(const data::Batch& batch) {
+  ag::InferenceGuard no_graph;
   const bool was_training = training();
   SetTraining(false);
   Tensor logits = Forward(batch).value();

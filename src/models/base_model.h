@@ -30,7 +30,10 @@ class BaseModel : public nn::Module {
   /// module is in training mode.
   ag::Variable Forward(const data::Batch& batch, Rng* dropout_rng = nullptr);
 
-  /// Eval-mode predicted probabilities for a batch.
+  /// Eval-mode predicted probabilities for a batch. The forward runs under
+  /// an ag::InferenceGuard, so no graph is kept: serving, train::EvaluateAuc,
+  /// distillation teachers, NAS evaluation and int8 calibration all go
+  /// through here.
   std::vector<float> PredictProbs(const data::Batch& batch);
 
   /// Approximate inference FLOPs for one sample (the paper's efficiency

@@ -77,6 +77,7 @@ ag::Variable MultiSequenceModel::Forward(const MultiSequenceBatch& batch,
 
 std::vector<float> MultiSequenceModel::PredictProbs(
     const MultiSequenceBatch& batch) {
+  ag::InferenceGuard no_graph;
   const bool was_training = training();
   SetTraining(false);
   Tensor logits = Forward(batch).value();

@@ -53,6 +53,8 @@ class MultiSequenceModel : public nn::Module {
   ag::Variable Forward(const MultiSequenceBatch& batch,
                        Rng* dropout_rng = nullptr);
 
+  /// Eval-mode probabilities; like BaseModel::PredictProbs, the forward
+  /// runs under an ag::InferenceGuard.
   std::vector<float> PredictProbs(const MultiSequenceBatch& batch);
 
   int64_t FlopsPerSample() const;

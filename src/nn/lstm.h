@@ -12,9 +12,11 @@
 namespace alt {
 namespace nn {
 
-/// A single LSTM layer. Gates are computed from one fused [in+hidden, 4H]
-/// projection per timestep; gate order is (input, forget, cell, output).
-/// The forget-gate bias is initialized to 1.
+/// A single LSTM layer, run as one fused autograd op (ag::LstmLayer). Per
+/// timestep the gates are (x_t·W_x + h_{t-1}·W_h) + bias: two separate
+/// projections, added, then the bias added, in that order, which the op's
+/// bit-identity with the per-op composition depends on. Gate order is
+/// (input, forget, cell, output). The forget-gate bias is initialized to 1.
 class LstmLayer : public Module {
  public:
   LstmLayer(int64_t input_dim, int64_t hidden_dim, Rng* rng);

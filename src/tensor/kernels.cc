@@ -18,18 +18,19 @@ namespace {
 
 /// Cache/register blocking parameters ----------------------------------------
 ///
-/// The GEMMs are structured as: parallel row panels (kRowGrain rows of C per
-/// ParallelFor chunk) x column blocks (kNC columns of B/C) x k blocks (kKC
-/// reduction steps), with a kMR-row register tile whose inner j loop is a
-/// branch-free multiply-add stream the compiler auto-vectorizes. The k
+/// The GEMMs are structured as: parallel row panels (GemmRowGrain rows of C
+/// per ParallelFor chunk) x column blocks (kNC columns of B/C) x k blocks
+/// (kKC reduction steps), with a kMR-row register tile whose inner j loop is
+/// a branch-free multiply-add stream the compiler auto-vectorizes. The k
 /// dimension is additionally unrolled by 4 inside the register tile so each
 /// load/store of a C row amortizes four fused multiply-adds.
 ///
 /// Determinism: every row of C accumulates its k products in exactly the same
 /// order (quads of k in pairwise order, then the k tail sequentially) no
 /// matter how rows are grouped into panels, and ParallelFor chunk boundaries
-/// are fixed multiples of the grain. Results are therefore bit-identical for
-/// any thread count. kRowGrain is a multiple of kMR so register-tile
+/// are fixed multiples of the grain, which depends on the shape alone.
+/// Results are therefore bit-identical for any thread count. Grains are
+/// multiples of kRowGrain, itself a multiple of kMR, so register-tile
 /// boundaries also never depend on the partition.
 constexpr int64_t kKC = 256;
 constexpr int64_t kNC = 1024;
@@ -40,6 +41,15 @@ static_assert(kKC % 4 == 0, "k blocks must preserve the quad unroll");
 
 /// Approximate scalar ops per C element per unit k, for grain derivation.
 constexpr int64_t kGemmWorkPerRow = 2;
+
+/// Rows of C per compute-pool chunk: enough that each chunk carries
+/// kMinParallelWork, rounded up to a multiple of kRowGrain. A GEMM smaller
+/// than two such chunks runs inline on the caller.
+int64_t GemmRowGrain(int64_t k, int64_t n) {
+  const int64_t per_row = std::max<int64_t>(1, kGemmWorkPerRow * k * n);
+  const int64_t rows = (kMinParallelWork + per_row - 1) / per_row;
+  return (rows + kRowGrain - 1) / kRowGrain * kRowGrain;
+}
 
 /// One relaxed atomic load; re-read per kernel call so SetSimdLevel (tests,
 /// benchmarks) takes effect immediately. The AVX-512 tier only replaces the
@@ -145,7 +155,7 @@ template <bool kTransA>
 void BlockedGemm(const float* a, int64_t lda, const float* b, int64_t ldb,
                  float* c, int64_t m, int64_t k, int64_t n) {
   const SimdLevel level = ActiveSimdLevel();
-  ParallelFor(0, m, kRowGrain, [&](int64_t i0, int64_t i1) {
+  ParallelFor(0, m, GemmRowGrain(k, n), [&](int64_t i0, int64_t i1) {
     for (int64_t j0 = 0; j0 < n; j0 += kNC) {
       const int64_t j1 = std::min<int64_t>(n, j0 + kNC);
       for (int64_t p0 = 0; p0 < k; p0 += kKC) {
@@ -368,9 +378,10 @@ void BatchedMatMul(const Tensor& a, bool trans_a, const Tensor& b,
   const int64_t a_stride = a.size(1) * a.size(2);
   const int64_t b_stride = b.size(1) * b.size(2);
   const int64_t c_stride = m * n;
-  // Parallel over the batch; with batch == 1 the outer loop collapses and
-  // the per-matrix GEMM parallelizes over row panels instead.
-  ParallelFor(0, batch, /*grain=*/1, [&](int64_t b0, int64_t b1) {
+  // Parallel over the batch when it holds at least two chunks of work;
+  // otherwise the outer loop collapses and each GEMM decides on its own.
+  ParallelForWork(batch, kGemmWorkPerRow * m * k * n,
+                  [&](int64_t b0, int64_t b1) {
     for (int64_t bi = b0; bi < b1; ++bi) {
       const float* ap = a.data() + bi * a_stride;
       const float* bp = b.data() + bi * b_stride;
@@ -437,7 +448,8 @@ void Conv1D(const Tensor& input, const Tensor& weight, const Tensor* bias,
     }
   }
 
-  ParallelFor(0, batch, /*grain=*/1, [&](int64_t b0, int64_t b1) {
+  ParallelForWork(batch, kGemmWorkPerRow * seq * cols * cout,
+                  [&](int64_t b0, int64_t b1) {
     ScratchFrame frame;
     float* x2 = frame.Floats(seq * cols);
     for (int64_t b = b0; b < b1; ++b) {

@@ -15,9 +15,6 @@ namespace alt {
 
 namespace {
 
-// Target scalar ops per task for ParallelForWork.
-constexpr int64_t kTargetTaskWork = int64_t{1} << 15;
-
 // > 0 while the current thread runs inside a parallel region body.
 thread_local int tls_parallel_depth = 0;
 
@@ -168,9 +165,8 @@ void ParallelFor(int64_t begin, int64_t end, int64_t grain,
 
 void ParallelForWork(int64_t n, int64_t work_per_item,
                      const std::function<void(int64_t, int64_t)>& body) {
-  const int64_t grain =
-      std::max<int64_t>(1, kTargetTaskWork / std::max<int64_t>(1, work_per_item));
-  ParallelFor(0, n, grain, body);
+  const int64_t per_item = std::max<int64_t>(1, work_per_item);
+  ParallelFor(0, n, (kMinParallelWork + per_item - 1) / per_item, body);
 }
 
 }  // namespace alt

@@ -69,11 +69,20 @@ using ParallelForObserver = void (*)(int64_t shards,
                                      double total_shard_seconds);
 void SetParallelForObserver(ParallelForObserver observer);
 
+/// The least work, in scalar ops (a multiply-add counts 2), that one chunk
+/// handed to the compute pool must carry: 2^22, ~4.2 MFLOP. It is the
+/// measured inline-vs-pool crossover (bench_kernels `gemm_crossover_*`;
+/// DESIGN.md "Compute-kernel layer"): below it a GEMM split over the pool
+/// loses to running inline, so no chunk smaller than it pays a hand-off.
+/// ParallelForWork and the GEMM, batched matmul and conv kernels size their
+/// chunks from this one constant.
+inline constexpr int64_t kMinParallelWork = int64_t{1} << 22;
+
 /// Convenience wrapper deriving the grain from the approximate number of
-/// scalar operations each item costs, so every task gets a meaningful amount
-/// of work (~32K scalar ops). The grain depends only on `work_per_item`,
-/// keeping chunk boundaries — and therefore results — independent of the
-/// thread count. Ranges cheaper than one grain run inline.
+/// scalar operations each item costs, so every chunk carries at least
+/// kMinParallelWork. The grain depends only on `work_per_item`, keeping
+/// chunk boundaries — and therefore results — independent of the thread
+/// count. Ranges cheaper than two chunks run inline.
 void ParallelForWork(int64_t n, int64_t work_per_item,
                      const std::function<void(int64_t, int64_t)>& body);
 

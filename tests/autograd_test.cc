@@ -1,6 +1,9 @@
 #include "src/autograd/ops.h"
 
+#include <atomic>
 #include <cmath>
+#include <stdexcept>
+#include <thread>
 
 #include "gtest/gtest.h"
 #include "src/autograd/variable.h"
@@ -221,6 +224,91 @@ TEST(OpsTest, ConstantGraphSkipsBackward) {
   Variable loss = SumAll(ScalarMul(a, 2.0f));
   EXPECT_FALSE(loss.requires_grad());
   loss.Backward();  // Must be a no-op, not a crash.
+}
+
+TEST(InferenceGuardTest, GuardedResultHasNoGraphAndBackwardIsNoOp) {
+  Variable w = Variable::Parameter(Tensor::FromVector({2}, {1.5f, -2.0f}));
+  Variable loss;
+  {
+    InferenceGuard no_graph;
+    EXPECT_TRUE(InferenceGuard::active());
+    loss = SumAll(Mul(w, w));
+  }
+  EXPECT_FALSE(InferenceGuard::active());
+  EXPECT_FLOAT_EQ(loss.value()[0], 6.25f);
+  EXPECT_FALSE(loss.requires_grad());
+  EXPECT_TRUE(loss.node()->parents.empty());
+  EXPECT_FALSE(loss.node()->backward_fn);
+  EXPECT_STREQ(loss.node()->op_name, "sum_all");
+  loss.Backward();
+  EXPECT_FALSE(w.has_grad());
+
+  // Outside the guard the same expression records again.
+  Variable recorded = SumAll(Mul(w, w));
+  EXPECT_TRUE(recorded.requires_grad());
+  EXPECT_EQ(recorded.node()->parents.size(), 1u);
+  recorded.Backward();
+  EXPECT_FLOAT_EQ(w.grad()[0], 3.0f);
+}
+
+TEST(InferenceGuardTest, ScopesNestAndRestoreOnUnwind) {
+  EXPECT_FALSE(InferenceGuard::active());
+  {
+    InferenceGuard outer;
+    {
+      InferenceGuard inner;
+      EXPECT_TRUE(InferenceGuard::active());
+    }
+    EXPECT_TRUE(InferenceGuard::active());  // inner restored outer's state
+  }
+  EXPECT_FALSE(InferenceGuard::active());
+  try {
+    InferenceGuard guard;
+    throw std::runtime_error("unwind");
+  } catch (const std::runtime_error&) {
+  }
+  EXPECT_FALSE(InferenceGuard::active());
+  Variable w = Variable::Parameter(Tensor::Scalar(2.0f));
+  EXPECT_TRUE(ScalarMul(w, 3.0f).requires_grad());
+}
+
+TEST(InferenceGuardTest, GuardOnOneThreadLeavesOthersRecording) {
+  // Both threads build graphs at the same time; only the guarded one drops
+  // them. The flag is thread-local, so TSan sees no shared state here.
+  Variable w =
+      Variable::Parameter(Tensor::FromVector({3}, {1.0f, 2.0f, 3.0f}));
+  std::atomic<int> ready{0};
+  std::atomic<int> guarded_with_parents{0};
+  std::atomic<int> recorded_without_parents{0};
+  constexpr int kIters = 200;
+  auto wait_for_both = [&ready]() {
+    ready.fetch_add(1);
+    while (ready.load() < 2) std::this_thread::yield();
+  };
+  std::thread guarded([&]() {
+    InferenceGuard no_graph;
+    wait_for_both();
+    for (int i = 0; i < kIters; ++i) {
+      Variable y = Tanh(ScalarMul(w, 0.5f));
+      if (!y.node()->parents.empty() || y.requires_grad()) {
+        guarded_with_parents.fetch_add(1);
+      }
+    }
+  });
+  std::thread recording([&]() {
+    wait_for_both();
+    for (int i = 0; i < kIters; ++i) {
+      Variable y = Tanh(ScalarMul(w, 0.5f));
+      if (y.node()->parents.size() != 1 || !y.requires_grad()) {
+        recorded_without_parents.fetch_add(1);
+      }
+    }
+  });
+  guarded.join();
+  recording.join();
+  EXPECT_EQ(guarded_with_parents.load(), 0);
+  EXPECT_EQ(recorded_without_parents.load(), 0);
+  EXPECT_FALSE(InferenceGuard::active());
 }
 
 }  // namespace

@@ -11,11 +11,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "src/obs/metrics.h"
 #include "src/tensor/cpu_features.h"
 #include "src/tensor/kernels_naive.h"
 #include "src/tensor/quant.h"
@@ -68,16 +70,21 @@ void ExpectBitIdentical(const Tensor& got, const Tensor& want,
       << what << " differs between 1 thread and " << threads << " threads";
 }
 
-// Shapes covering m/n/k == 1, sub-tile, non-tile-multiple, and
-// several-chunks-per-shard cases (register tile kMR=4, row grain 32).
+// Shapes covering m/n/k == 1, sub-tile and non-tile-multiple cases
+// (register tile kMR=4), plus both sides of the compute-pool cutoff: a
+// GEMM splits into row panels only when each carries kMinParallelWork
+// (2^22 scalar ops), so with k=128, n=256 a panel is 64 rows. {64, 128, 256}
+// is exactly one panel and runs inline; {129, 128, 256} splits into three,
+// the last one row, with m not a multiple of the row grain (32).
 struct GemmShape {
   int64_t m, k, n;
 };
 
 const GemmShape kGemmShapes[] = {
-    {1, 1, 1},  {1, 5, 3},   {7, 1, 9},    {5, 7, 1},   {4, 4, 4},
-    {3, 9, 2},  {33, 17, 9}, {31, 32, 33}, {64, 64, 64}, {65, 33, 129},
-    {97, 5, 7}, {128, 3, 1},
+    {1, 1, 1},      {1, 5, 3},       {7, 1, 9},    {5, 7, 1},
+    {4, 4, 4},      {3, 9, 2},       {33, 17, 9},  {31, 32, 33},
+    {64, 64, 64},   {65, 33, 129},   {97, 5, 7},   {128, 3, 1},
+    {64, 128, 256}, {129, 128, 256},
 };
 
 TEST(KernelParityTest, GemmMatchesNaive) {
@@ -232,44 +239,58 @@ TEST(KernelParityTest, GemmBitIdenticalAcrossThreadCounts) {
 TEST(KernelParityTest, GemmTransVariantsBitIdenticalAcrossThreadCounts) {
   ThreadOverrideGuard guard;
   Rng rng(22);
-  const int64_t m = 65, k = 37, n = 41;
-  Tensor at = RandTensor({k, m}, &rng);
-  Tensor bt = RandTensor({n, k}, &rng);
-  Tensor a = RandTensor({m, k}, &rng);
-  Tensor b = RandTensor({k, n}, &rng);
+  // Inline, and split into 96-row panels (the second: 96 + 33 rows).
+  for (const GemmShape& s :
+       {GemmShape{65, 37, 41}, GemmShape{129, 96, 256}}) {
+    const int64_t m = s.m, k = s.k, n = s.n;
+    Tensor at = RandTensor({k, m}, &rng);
+    Tensor bt = RandTensor({n, k}, &rng);
+    Tensor a = RandTensor({m, k}, &rng);
+    Tensor b = RandTensor({k, n}, &rng);
 
-  SetComputeThreads(1);
-  Tensor ref_ta({m, n}), ref_tb({m, n});
-  MatMulTransAAcc(at, b, &ref_ta);
-  MatMulTransBAcc(a, bt, &ref_tb);
-  for (int threads : TestThreadCounts()) {
-    SetComputeThreads(threads);
-    Tensor got_ta({m, n}), got_tb({m, n});
-    MatMulTransAAcc(at, b, &got_ta);
-    MatMulTransBAcc(a, bt, &got_tb);
-    ExpectBitIdentical(got_ta, ref_ta, "gemm_trans_a", threads);
-    ExpectBitIdentical(got_tb, ref_tb, "gemm_trans_b", threads);
+    SetComputeThreads(1);
+    Tensor ref_ta({m, n}), ref_tb({m, n});
+    MatMulTransAAcc(at, b, &ref_ta);
+    MatMulTransBAcc(a, bt, &ref_tb);
+    for (int threads : TestThreadCounts()) {
+      SetComputeThreads(threads);
+      Tensor got_ta({m, n}), got_tb({m, n});
+      MatMulTransAAcc(at, b, &got_ta);
+      MatMulTransBAcc(a, bt, &got_tb);
+      ExpectBitIdentical(got_ta, ref_ta, "gemm_trans_a", threads);
+      ExpectBitIdentical(got_tb, ref_tb, "gemm_trans_b", threads);
+    }
   }
 }
 
 TEST(KernelParityTest, BatchedMatMulBitIdenticalAcrossThreadCounts) {
   ThreadOverrideGuard guard;
   Rng rng(23);
-  for (bool trans_a : {false, true}) {
-    for (bool trans_b : {false, true}) {
-      const int64_t batch = 7, m = 13, k = 9, n = 17;
-      Tensor a = trans_a ? RandTensor({batch, k, m}, &rng)
-                         : RandTensor({batch, m, k}, &rng);
-      Tensor b = trans_b ? RandTensor({batch, n, k}, &rng)
-                         : RandTensor({batch, k, n}, &rng);
-      SetComputeThreads(1);
-      Tensor ref({batch, m, n});
-      BatchedMatMul(a, trans_a, b, trans_b, &ref, false);
-      for (int threads : TestThreadCounts()) {
-        SetComputeThreads(threads);
-        Tensor got({batch, m, n});
-        BatchedMatMul(a, trans_a, b, trans_b, &got, false);
-        ExpectBitIdentical(got, ref, "batched_matmul", threads);
+  // A batch too small to split; 130 32x32x32 products, which split over the
+  // batch in chunks of 64 (64 + 64 + 2); and one 200x128x256 product, which
+  // splits over its rows inside the single batch chunk.
+  struct BatchShape {
+    int64_t batch, m, k, n;
+  };
+  const BatchShape shapes[] = {{7, 13, 9, 17}, {130, 32, 32, 32},
+                               {1, 200, 128, 256}};
+  for (const BatchShape& s : shapes) {
+    for (bool trans_a : {false, true}) {
+      for (bool trans_b : {false, true}) {
+        const int64_t batch = s.batch, m = s.m, k = s.k, n = s.n;
+        Tensor a = trans_a ? RandTensor({batch, k, m}, &rng)
+                           : RandTensor({batch, m, k}, &rng);
+        Tensor b = trans_b ? RandTensor({batch, n, k}, &rng)
+                           : RandTensor({batch, k, n}, &rng);
+        SetComputeThreads(1);
+        Tensor ref({batch, m, n});
+        BatchedMatMul(a, trans_a, b, trans_b, &ref, false);
+        for (int threads : TestThreadCounts()) {
+          SetComputeThreads(threads);
+          Tensor got({batch, m, n});
+          BatchedMatMul(a, trans_a, b, trans_b, &got, false);
+          ExpectBitIdentical(got, ref, "batched_matmul", threads);
+        }
       }
     }
   }
@@ -278,24 +299,35 @@ TEST(KernelParityTest, BatchedMatMulBitIdenticalAcrossThreadCounts) {
 TEST(KernelParityTest, Conv1DBitIdenticalAcrossThreadCounts) {
   ThreadOverrideGuard guard;
   Rng rng(24);
-  Tensor input = RandTensor({6, 29, 7}, &rng);
-  Tensor weight = RandTensor({11, 3, 7}, &rng);
-  Tensor bias = RandTensor({11}, &rng);
-  SetComputeThreads(1);
-  Tensor ref({6, 29, 11});
-  Conv1D(input, weight, &bias, 1, &ref);
-  for (int threads : TestThreadCounts()) {
-    SetComputeThreads(threads);
-    Tensor got({6, 29, 11});
-    Conv1D(input, weight, &bias, 1, &got);
-    ExpectBitIdentical(got, ref, "conv1d", threads);
+  // {6, 29, 7} -> 11 runs inline; 50 sequences of [64, 16] -> 32 with
+  // kernel 3 carry 196608 ops each and split in chunks of 22 (22 + 22 + 6).
+  struct ConvShape {
+    int64_t batch, seq, cin, cout;
+  };
+  for (const ConvShape& s :
+       {ConvShape{6, 29, 7, 11}, ConvShape{50, 64, 16, 32}}) {
+    Tensor input = RandTensor({s.batch, s.seq, s.cin}, &rng);
+    Tensor weight = RandTensor({s.cout, 3, s.cin}, &rng);
+    Tensor bias = RandTensor({s.cout}, &rng);
+    SetComputeThreads(1);
+    Tensor ref({s.batch, s.seq, s.cout});
+    Conv1D(input, weight, &bias, 1, &ref);
+    for (int threads : TestThreadCounts()) {
+      SetComputeThreads(threads);
+      Tensor got({s.batch, s.seq, s.cout});
+      Conv1D(input, weight, &bias, 1, &got);
+      ExpectBitIdentical(got, ref, "conv1d", threads);
+    }
   }
 }
 
 TEST(KernelParityTest, VecAxpyBitIdenticalAcrossThreadCounts) {
   ThreadOverrideGuard guard;
   Rng rng(25);
-  const int64_t n = 100003;  // Prime: chunk boundaries never align with n.
+  // Two chunks of 2^21 elements (kMinParallelWork at 2 ops per element),
+  // the second a 17-element tail: the split path, with n not a multiple of
+  // the grain or of the 8-wide vector.
+  const int64_t n = (int64_t{1} << 21) + 17;
   std::vector<float> x(static_cast<size_t>(n));
   std::vector<float> y0(static_cast<size_t>(n));
   for (auto& v : x) v = static_cast<float>(rng.Uniform(-1.0, 1.0));
@@ -312,6 +344,56 @@ TEST(KernelParityTest, VecAxpyBitIdenticalAcrossThreadCounts) {
                              sizeof(float) * static_cast<size_t>(n)))
         << "vec_axpy differs at " << threads << " threads";
   }
+}
+
+TEST(KernelParityTest, PoolHandOffFollowsWorkCutoff) {
+  // The across-thread tests above cover split kernels only while their
+  // large shapes really split; the model-sized shapes must stay inline.
+  ThreadOverrideGuard guard;
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  if (!registry.enabled()) GTEST_SKIP() << "ALT_OBS=off";
+  SetComputeThreads(4);
+  auto regions = [&registry](const std::function<void()>& fn) {
+    const char* name = "util/parallel_for/regions_total";
+    const int64_t before = registry.counter_value(name);
+    fn();
+    return registry.counter_value(name) - before;
+  };
+  Rng rng(27);
+  auto gemm = [&](int64_t m, int64_t k, int64_t n) {
+    Tensor a = RandTensor({m, k}, &rng);
+    Tensor b = RandTensor({k, n}, &rng);
+    Tensor c({m, n});
+    return regions([&]() { MatMul(a, b, &c); });
+  };
+  EXPECT_EQ(gemm(1, 15, 60), 0);  // LSTM gate GEMMs (hidden 15)
+  EXPECT_EQ(gemm(64, 15, 60), 0);
+  EXPECT_EQ(gemm(64, 128, 256), 0);
+  EXPECT_EQ(gemm(129, 128, 256), 1);
+  auto bmm = [&](int64_t batch, int64_t m, int64_t k, int64_t n) {
+    Tensor a = RandTensor({batch, m, k}, &rng);
+    Tensor b = RandTensor({batch, k, n}, &rng);
+    Tensor c({batch, m, n});
+    return regions([&]() { BatchedMatMul(a, false, b, false, &c, false); });
+  };
+  EXPECT_EQ(bmm(7, 13, 9, 17), 0);
+  EXPECT_EQ(bmm(130, 32, 32, 32), 1);
+  EXPECT_EQ(bmm(1, 200, 128, 256), 1);  // the inner GEMM splits
+  auto conv = [&](int64_t batch, int64_t seq, int64_t cin, int64_t cout) {
+    Tensor input = RandTensor({batch, seq, cin}, &rng);
+    Tensor weight = RandTensor({cout, 3, cin}, &rng);
+    Tensor out({batch, seq, cout});
+    return regions([&]() { Conv1D(input, weight, nullptr, 1, &out); });
+  };
+  EXPECT_EQ(conv(6, 29, 7, 11), 0);
+  EXPECT_EQ(conv(50, 64, 16, 32), 1);
+  auto axpy = [&](int64_t n) {
+    std::vector<float> x(static_cast<size_t>(n), 1.0f);
+    std::vector<float> y(static_cast<size_t>(n), 0.0f);
+    return regions([&]() { VecAxpy(0.5f, x.data(), y.data(), n); });
+  };
+  EXPECT_EQ(axpy(100003), 0);
+  EXPECT_EQ(axpy((int64_t{1} << 21) + 17), 1);
 }
 
 TEST(KernelParityTest, VecAxpyAndScaleValues) {

@@ -1,6 +1,9 @@
+#include <cstring>
 #include <sstream>
+#include <vector>
 
 #include "gtest/gtest.h"
+#include "src/autograd/ops.h"
 #include "src/nn/attention.h"
 #include "src/nn/conv.h"
 #include "src/nn/embedding.h"
@@ -10,6 +13,8 @@
 #include "src/nn/mlp.h"
 #include "src/nn/serialize.h"
 #include "src/nn/transformer.h"
+#include "src/tensor/cpu_features.h"
+#include "src/util/parallel_for.h"
 
 namespace alt {
 namespace nn {
@@ -94,6 +99,146 @@ TEST(LstmTest, ForgetBiasInitializedToOne) {
   EXPECT_EQ(named[2].first, "bias");
   for (int64_t j = 0; j < 4; ++j) EXPECT_EQ(bias[j], 0.0f);
   for (int64_t j = 4; j < 8; ++j) EXPECT_EQ(bias[j], 1.0f);
+}
+
+/// One LSTM layer composed per timestep from elementary ops: the reference
+/// the fused ag::LstmLayer op must match bit for bit.
+ag::Variable ComposedLstmLayer(const ag::Variable& x, const ag::Variable& w_x,
+                               const ag::Variable& w_h,
+                               const ag::Variable& bias) {
+  const int64_t batch = x.value().size(0);
+  const int64_t seq = x.value().size(1);
+  const int64_t h = w_h.value().size(0);
+  ag::Variable h_prev = ag::Variable::Constant(Tensor::Zeros({batch, h}));
+  ag::Variable c_prev = ag::Variable::Constant(Tensor::Zeros({batch, h}));
+  std::vector<ag::Variable> outputs;
+  for (int64_t t = 0; t < seq; ++t) {
+    ag::Variable x_t = ag::SelectTime(x, t);
+    ag::Variable gates = ag::AddBias(
+        ag::Add(ag::MatMul(x_t, w_x), ag::MatMul(h_prev, w_h)), bias);
+    ag::Variable i_g = ag::Sigmoid(ag::SliceLastDim(gates, 0, h));
+    ag::Variable f_g = ag::Sigmoid(ag::SliceLastDim(gates, h, h));
+    ag::Variable g_g = ag::Tanh(ag::SliceLastDim(gates, 2 * h, h));
+    ag::Variable o_g = ag::Sigmoid(ag::SliceLastDim(gates, 3 * h, h));
+    ag::Variable c_t = ag::Add(ag::Mul(f_g, c_prev), ag::Mul(i_g, g_g));
+    ag::Variable h_t = ag::Mul(o_g, ag::Tanh(c_t));
+    outputs.push_back(h_t);
+    h_prev = h_t;
+    c_prev = c_t;
+  }
+  return ag::StackTime(outputs);
+}
+
+using LstmFn = ag::Variable (*)(const ag::Variable&, const ag::Variable&,
+                                const ag::Variable&, const ag::Variable&);
+
+/// Output and every gradient of a two-layer stack run twice, each time
+/// through a fresh graph: the second backward accumulates into the first's
+/// gradients. Layer 1's output also feeds the loss directly, so its
+/// gradient sums two consumers, as a residual or NAS mixed op does.
+std::vector<Tensor> RunTwoLayerStack(LstmFn layer, const Tensor& x0,
+                                     const std::vector<Tensor>& weights,
+                                     const Tensor& coeff1,
+                                     const Tensor& coeff2) {
+  ag::Variable x = ag::Variable::Parameter(x0);
+  std::vector<ag::Variable> w;
+  for (const Tensor& t : weights) w.push_back(ag::Variable::Parameter(t));
+  Tensor out;
+  for (int pass = 0; pass < 2; ++pass) {
+    ag::Variable y1 = layer(x, w[0], w[1], w[2]);
+    ag::Variable y2 = layer(y1, w[3], w[4], w[5]);
+    ag::Variable loss =
+        ag::Add(ag::SumAll(ag::Mul(y2, ag::Variable::Constant(coeff2))),
+                ag::SumAll(ag::Mul(y1, ag::Variable::Constant(coeff1))));
+    loss.Backward();
+    out = y2.value();
+  }
+  std::vector<Tensor> results = {out, x.grad()};
+  for (const ag::Variable& v : w) results.push_back(v.grad());
+  return results;
+}
+
+TEST(LstmTest, FusedLayerBitIdenticalToComposition) {
+  const SimdLevel saved_level = ActiveSimdLevel();
+  std::vector<SimdLevel> levels = {SimdLevel::kScalar};
+  if (SetSimdLevel(SimdLevel::kAvx2)) levels.push_back(SimdLevel::kAvx2);
+  if (SetSimdLevel(SimdLevel::kAvx512)) levels.push_back(SimdLevel::kAvx512);
+  const char* names[] = {"out", "dx", "dw_x1", "dw_h1", "dbias1",
+                         "dw_x2", "dw_h2", "dbias2"};
+  const int64_t in = 6;
+  const int64_t h = 15;
+  for (SimdLevel level : levels) {
+    ASSERT_TRUE(SetSimdLevel(level));
+    for (int threads : {1, 4}) {
+      SetComputeThreads(threads);
+      for (int64_t batch : {1, 3, 64}) {
+        for (int64_t seq : {1, 16}) {
+          Rng rng(static_cast<uint64_t>(1000 + batch * 31 + seq));
+          LstmLayer l1(in, h, &rng);
+          LstmLayer l2(h, h, &rng);
+          std::vector<Tensor> weights;
+          for (LstmLayer* l : {&l1, &l2}) {
+            for (auto& [name, v] : l->NamedParameters()) {
+              // Perturb the init so no bias entry is an exact 0 or 1.
+              Tensor t = v->value();
+              for (int64_t i = 0; i < t.numel(); ++i) {
+                t[i] += static_cast<float>(rng.Uniform(-0.3, 0.3));
+              }
+              weights.push_back(t);
+            }
+          }
+          const Tensor x0 = Tensor::Randn({batch, seq, in}, &rng);
+          const Tensor coeff1 = Tensor::Randn({batch, seq, h}, &rng);
+          const Tensor coeff2 = Tensor::Randn({batch, seq, h}, &rng);
+          const std::vector<Tensor> want = RunTwoLayerStack(
+              &ComposedLstmLayer, x0, weights, coeff1, coeff2);
+          const std::vector<Tensor> got = RunTwoLayerStack(
+              &ag::LstmLayer, x0, weights, coeff1, coeff2);
+          ASSERT_EQ(got.size(), want.size());
+          for (size_t r = 0; r < got.size(); ++r) {
+            ASSERT_TRUE(got[r].SameShape(want[r])) << names[r];
+            EXPECT_EQ(0, std::memcmp(got[r].data(), want[r].data(),
+                                     sizeof(float) * static_cast<size_t>(
+                                                         got[r].numel())))
+                << names[r] << " differs: level=" << SimdLevelName(level)
+                << " threads=" << threads << " B=" << batch << " T=" << seq;
+          }
+        }
+      }
+    }
+  }
+  SetComputeThreads(0);
+  SetSimdLevel(saved_level);
+}
+
+TEST(LstmTest, FusedNodeStampsNameAndFlops) {
+  Rng rng(12);
+  LstmLayer layer(6, 15, &rng);
+  ag::Variable x = ag::Variable::Constant(Tensor::Randn({3, 16, 6}, &rng));
+  ag::Variable y = layer.Forward(x);
+  EXPECT_STREQ(y.node()->op_name, "lstm_layer");
+  EXPECT_EQ(y.node()->flops, 3 * layer.Flops(16));
+  ASSERT_EQ(y.node()->parents.size(), 4u);
+  EXPECT_TRUE(y.requires_grad());
+}
+
+TEST(LstmTest, InferenceGuardKeepsValuesAndDropsGraph) {
+  Rng rng(13);
+  Lstm lstm(6, 15, 3, &rng);
+  ag::Variable x = ag::Variable::Constant(Tensor::Randn({5, 16, 6}, &rng));
+  const Tensor recorded = lstm.Forward(x).value();
+  ag::Variable guarded;
+  {
+    ag::InferenceGuard no_graph;
+    guarded = lstm.Forward(x);
+  }
+  EXPECT_FALSE(guarded.requires_grad());
+  EXPECT_TRUE(guarded.node()->parents.empty());
+  EXPECT_FALSE(guarded.node()->backward_fn);
+  ASSERT_TRUE(guarded.value().SameShape(recorded));
+  EXPECT_EQ(0, std::memcmp(guarded.value().data(), recorded.data(),
+                           sizeof(float) *
+                               static_cast<size_t>(recorded.numel())));
 }
 
 TEST(AttentionTest, OutputShapePreserved) {

@@ -219,12 +219,19 @@ TEST(ParallelForTest, ParallelForWorkCoversRange) {
 
 TEST(ParallelForTest, ParallelForWorkChunksIndependentOfThreads) {
   ThreadOverrideGuard guard;
-  const int64_t n = 4096, work = 64;
+  const int64_t n = 200000, work = 64;
   SetComputeThreads(1);
   std::set<std::pair<int64_t, int64_t>> reference;
   ParallelForWork(n, work, [&](int64_t lo, int64_t hi) {
     reference.insert({lo, hi});
   });
+  // Several chunks, and every chunk but the last carries the minimum work.
+  ASSERT_GT(reference.size(), 1u);
+  for (const auto& [lo, hi] : reference) {
+    if (hi < n) {
+      EXPECT_GE((hi - lo) * work, kMinParallelWork);
+    }
+  }
   SetComputeThreads(7);
   std::mutex mu;
   std::set<std::pair<int64_t, int64_t>> got;

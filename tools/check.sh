@@ -267,12 +267,15 @@ fi
 
 if wants tsan; then
   # TSan covers the compute-kernel layer (ParallelFor, the shared compute
-  # pool, and the parallel GEMM/conv/elementwise kernels) plus the
-  # observability layer (concurrent metric updates and trace spans). Only
-  # the threading-related targets are built and run: TSan slows everything
-  # ~10x and the rest of the suite is single-threaded.
+  # pool, and the parallel GEMM/conv/elementwise kernels), the observability
+  # layer (concurrent metric updates and trace spans), and the autograd
+  # inference guard with the fused LSTM op: shard dispatchers run
+  # PredictProbs under the thread-local guard while OnScenarioArrival trains
+  # on the main thread. Only the threading-related targets are built and
+  # run: TSan slows everything ~10x and the rest of the suite is
+  # single-threaded.
   TSAN_TARGETS=(parallel_for_test kernel_parity_test util_test hpo_test
-                obs_test obs_export_test)
+                obs_test obs_export_test autograd_test nn_test)
   echo "==> configuring build-tsan (-DALT_SANITIZE=thread -DALT_DCHECKS=ON)"
   cmake -B build-tsan -S . -DALT_SANITIZE=thread -DALT_DCHECKS=ON >/dev/null
   echo "==> building build-tsan (${TSAN_TARGETS[*]})"
