@@ -5,7 +5,7 @@
 // scenarios on >= 4 worker shards (replication 2, hot head scenarios at 3),
 // through the micro-batching EnqueuePredict path in bursts that preserve
 // coalescing. A third of the way in, one shard is killed: the run asserts
-// the breaker-driven rebalance fires (serving/rebalance_events >= 1) while
+// the rebalance on its death fires (serving/rebalance_events >= 1) while
 // replicas absorb its traffic. At two thirds, the shard warm re-joins
 // (models re-deployed from cached bundles, vnodes staged back onto the
 // ring): the run asserts the rejoined shard carries >= 90% of its pre-kill

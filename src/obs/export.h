@@ -18,8 +18,8 @@ namespace obs {
 /// Naming scheme. Registry names are hierarchical
 /// (`layer/component/metric[/instance...]`); exposition maps them to flat
 /// Prometheus names with an `alt_` prefix:
-///   serving/model_server/latency_ms/s3
-///     -> alt_serving_model_server_latency_ms{id="s3"}
+///   serving/request/latency_ms/s3
+///     -> alt_serving_request_latency_ms{id="s3"}
 /// The first three path segments form the family name (fewer segments: all
 /// of them); any remaining segments become the `id` label value, so
 /// per-scenario instances of one metric share a family (one HELP/TYPE
@@ -33,8 +33,8 @@ std::string RenderPrometheus(const MetricsRegistry::Snapshot& snapshot);
 std::string RenderPrometheus(MetricsRegistry* registry);
 
 /// The flat Prometheus family name of a registry metric name (no labels),
-/// e.g. "serving/model_server/latency_ms/s3" ->
-/// "alt_serving_model_server_latency_ms". Exposed for tests and tooling.
+/// e.g. "serving/request/latency_ms/s3" ->
+/// "alt_serving_request_latency_ms". Exposed for tests and tooling.
 std::string PrometheusFamilyName(const std::string& registry_name);
 
 /// Escapes a label value per the exposition format: `\` -> `\\`,

@@ -89,14 +89,6 @@ void CircuitBreaker::RecordFailure() {
   }
 }
 
-void CircuitBreaker::Reset() {
-  MutexLock lock(mu_);
-  consecutive_failures_ = 0;
-  half_open_successes_ = 0;
-  opened_at_ms_ = 0.0;
-  TransitionLocked(BreakerState::kClosed);
-}
-
 BreakerState CircuitBreaker::state() const {
   MutexLock lock(mu_);
   return state_;

@@ -58,12 +58,6 @@ class CircuitBreaker {
   void RecordSuccess();
   void RecordFailure();
 
-  /// Forces the breaker back to kClosed with all counters cleared, as if
-  /// freshly constructed. For supervised re-admission (a shard re-joining
-  /// the serving plane must not inherit the failure history that evicted
-  /// it); not for use on the request path.
-  void Reset();
-
   BreakerState state() const;
   const std::string& name() const { return name_; }
 

@@ -6,7 +6,6 @@
 #include "src/obs/memory_tracker.h"
 #include "src/obs/trace.h"
 #include "src/resilience/fault_injection.h"
-#include "src/serving/model_store.h"
 
 namespace alt {
 namespace serving {
@@ -14,10 +13,6 @@ namespace serving {
 ModelServer::ModelServer(obs::MetricsRegistry* registry)
     : registry_(registry != nullptr ? registry
                                     : &obs::MetricsRegistry::Global()) {}
-
-std::string ModelServer::LatencyMetricName(const std::string& scenario) {
-  return "serving/model_server/latency_ms/" + scenario;
-}
 
 Status ModelServer::Deploy(const std::string& scenario,
                            std::unique_ptr<models::BaseModel> model,
@@ -70,8 +65,6 @@ Status ModelServer::DeployAttempt(const std::string& scenario,
     auto it = deployments_.find(scenario);
     if (it == deployments_.end()) {
       deployment = std::make_shared<Deployment>();
-      deployment->latency_ms =
-          registry_->histogram(LatencyMetricName(scenario));
       deployments_[scenario] = deployment;
     } else {
       deployment = it->second;
@@ -80,54 +73,6 @@ Status ModelServer::DeployAttempt(const std::string& scenario,
   MutexLock model_lock(deployment->mu);
   deployment->model = std::move(*model);
   return Status::OK();
-}
-
-void ModelServer::ConfigureResilience(ServingResilienceOptions options,
-                                      resilience::Clock* clock) {
-  MutexLock lock(breakers_mu_);
-  resilience_ = std::move(options);
-  clock_ = clock != nullptr ? clock : resilience::RealClock();
-  fallbacks_total_ = registry_->counter("serving/fallbacks");
-  unknown_fallbacks_total_ =
-      registry_->counter("serving/unknown_scenario_fallbacks");
-  deadline_exceeded_total_ =
-      registry_->counter("serving/predict_deadline_exceeded");
-  breakers_.clear();
-  resilience_enabled_ = true;
-}
-
-Result<resilience::BreakerState> ModelServer::GetBreakerState(
-    const std::string& scenario) const {
-  MutexLock lock(breakers_mu_);
-  auto it = breakers_.find(scenario);
-  if (it == breakers_.end()) {
-    return Status::NotFound("no breaker for scenario " + scenario);
-  }
-  return it->second->state();
-}
-
-std::map<std::string, resilience::BreakerState> ModelServer::BreakerStates()
-    const {
-  MutexLock lock(breakers_mu_);
-  std::map<std::string, resilience::BreakerState> states;
-  for (const auto& [scenario, breaker] : breakers_) {
-    states.emplace(scenario, breaker->state());
-  }
-  return states;
-}
-
-resilience::CircuitBreaker* ModelServer::BreakerFor(
-    const std::string& scenario) {
-  MutexLock lock(breakers_mu_);
-  auto it = breakers_.find(scenario);
-  if (it == breakers_.end()) {
-    it = breakers_
-             .emplace(scenario, std::make_unique<resilience::CircuitBreaker>(
-                                    "serving/" + scenario, resilience_.breaker,
-                                    clock_, registry_))
-             .first;
-  }
-  return it->second.get();
 }
 
 Status ModelServer::Undeploy(const std::string& scenario) {
@@ -157,8 +102,12 @@ std::shared_ptr<ModelServer::Deployment> ModelServer::FindDeployment(
   return it == deployments_.end() ? nullptr : it->second;
 }
 
-Result<std::vector<float>> ModelServer::PredictOn(
-    const std::shared_ptr<Deployment>& deployment, const data::Batch& batch) {
+Result<std::vector<float>> ModelServer::Predict(const std::string& scenario,
+                                                const data::Batch& batch) {
+  std::shared_ptr<Deployment> deployment = FindDeployment(scenario);
+  if (deployment == nullptr) {
+    return Status::NotFound("scenario " + scenario + " not deployed");
+  }
   // Per-deployment lock: the model's forward pass mutates training-mode
   // state, so concurrent requests to one scenario serialize here.
   MutexLock model_lock(deployment->mu);
@@ -168,119 +117,18 @@ Result<std::vector<float>> ModelServer::PredictOn(
   ALT_FAULT_RETURN_IF("serving/predict");
   ALT_TRACE_SPAN(span, "serving/model_server/predict");
   obs::ScopedMemoryTag memory_tag("serving");
-  obs::ScopedTimerMs timer(deployment->latency_ms);
   return deployment->model->PredictProbs(batch);
-}
-
-Result<std::vector<float>> ModelServer::FallbackPredict(
-    const std::string& scenario, const data::Batch& batch) {
-  fallbacks_total_->Add(1);
-  if (!resilience_.fallback_scenario.empty() &&
-      resilience_.fallback_scenario != scenario) {
-    std::shared_ptr<Deployment> fallback =
-        FindDeployment(resilience_.fallback_scenario);
-    if (fallback != nullptr) {
-      Result<std::vector<float>> result = PredictOn(fallback, batch);
-      if (result.ok()) return result;
-      // The heavy model failed too (possibly an injected fault); degrade
-      // one more step to the constant prior rather than surface an error.
-    }
-  }
-  return std::vector<float>(static_cast<size_t>(batch.batch_size),
-                            resilience_.fallback_prior);
-}
-
-Result<std::vector<float>> ModelServer::Predict(const std::string& scenario,
-                                                const data::Batch& batch) {
-  std::shared_ptr<Deployment> deployment = FindDeployment(scenario);
-  std::string target = scenario;
-  if (deployment == nullptr && resilience_enabled_ &&
-      !resilience_.default_scenario.empty() &&
-      scenario != resilience_.default_scenario) {
-    deployment = FindDeployment(resilience_.default_scenario);
-    if (deployment != nullptr) {
-      unknown_fallbacks_total_->Add(1);
-      target = resilience_.default_scenario;
-    }
-  }
-  if (deployment == nullptr) {
-    return Status::NotFound("scenario " + scenario + " not deployed");
-  }
-  if (!resilience_enabled_) return PredictOn(deployment, batch);
-
-  resilience::CircuitBreaker* breaker = BreakerFor(target);
-  if (!breaker->AllowRequest()) return FallbackPredict(target, batch);
-  const double start_ms = clock_->NowMs();
-  Result<std::vector<float>> result = PredictOn(deployment, batch);
-  const double elapsed_ms = clock_->NowMs() - start_ms;
-  bool healthy = result.ok();
-  if (healthy && resilience_.predict_deadline_ms > 0.0 &&
-      elapsed_ms > resilience_.predict_deadline_ms) {
-    deadline_exceeded_total_->Add(1);
-    healthy = false;
-  }
-  if (healthy) {
-    breaker->RecordSuccess();
-    return result;
-  }
-  breaker->RecordFailure();
-  return FallbackPredict(target, batch);
-}
-
-Result<LatencyStats> ModelServer::GetLatencyStats(
-    const std::string& scenario) const {
-  {
-    MutexLock lock(registry_mu_);
-    if (deployments_.find(scenario) == deployments_.end()) {
-      return Status::NotFound("scenario " + scenario);
-    }
-  }
-  const obs::HistogramSummary summary =
-      registry_->histogram_summary(LatencyMetricName(scenario));
-  LatencyStats stats;
-  stats.num_requests = summary.count;
-  stats.mean_ms = summary.mean;
-  stats.p50_ms = summary.p50;
-  stats.p95_ms = summary.p95;
-  stats.p99_ms = summary.p99;
-  stats.max_ms = summary.max;
-  return stats;
 }
 
 Result<int64_t> ModelServer::FlopsPerSample(
     const std::string& scenario) const {
-  std::shared_ptr<Deployment> deployment;
-  {
-    MutexLock lock(registry_mu_);
-    auto it = deployments_.find(scenario);
-    if (it == deployments_.end()) {
-      return Status::NotFound("scenario " + scenario);
-    }
-    deployment = it->second;
-  }
+  std::shared_ptr<Deployment> deployment = FindDeployment(scenario);
+  if (deployment == nullptr) return Status::NotFound("scenario " + scenario);
   MutexLock model_lock(deployment->mu);
   if (deployment->model == nullptr) {
     return Status::NotFound("scenario " + scenario + " has no model");
   }
   return deployment->model->FlopsPerSample();
-}
-
-Status ModelServer::ExportBundle(const std::string& scenario,
-                                 const std::string& path) const {
-  std::shared_ptr<Deployment> deployment;
-  {
-    MutexLock lock(registry_mu_);
-    auto it = deployments_.find(scenario);
-    if (it == deployments_.end()) {
-      return Status::NotFound("scenario " + scenario);
-    }
-    deployment = it->second;
-  }
-  MutexLock model_lock(deployment->mu);
-  if (deployment->model == nullptr) {
-    return Status::NotFound("scenario " + scenario + " has no model");
-  }
-  return SaveModelBundleToFile(deployment->model.get(), path);
 }
 
 }  // namespace serving

@@ -10,7 +10,6 @@
 #include "src/models/base_model.h"
 #include "src/obs/metrics.h"
 #include "src/obs/slo.h"
-#include "src/resilience/circuit_breaker.h"
 #include "src/resilience/retry.h"
 #include "src/util/mutex.h"
 #include "src/util/status.h"
@@ -18,44 +17,6 @@
 
 namespace alt {
 namespace serving {
-
-/// Online latency distribution of one deployed model. Since ISSUE 3 this is
-/// a thin read-view computed from the obs::MetricsRegistry histogram
-/// `serving/model_server/latency_ms/<scenario>` — the registry is the
-/// single source of truth; no serving-side latency buffers exist.
-struct LatencyStats {  // alt_lint: allow(L007): read-view over obs::MetricsRegistry, not an ad-hoc store
-  int64_t num_requests = 0;
-  double mean_ms = 0.0;
-  double p50_ms = 0.0;
-  double p95_ms = 0.0;
-  double p99_ms = 0.0;
-  double max_ms = 0.0;
-};
-
-/// Graceful-degradation policy for Predict. Off by default; enable with
-/// ModelServer::ConfigureResilience (or, at the public API layer,
-/// ServingClient::EnableResilience). With it on, each scenario gets a circuit
-/// breaker over its Predict outcomes: while the breaker is open — or when a
-/// call fails or overruns `predict_deadline_ms` — the answer comes from the
-/// fallback path (the scenario-agnostic f0 deployment named by
-/// `fallback_scenario`, else the constant `fallback_prior` score) instead
-/// of propagating the error to the caller.
-struct ServingResilienceOptions {
-  resilience::CircuitBreakerOptions breaker;
-  /// When > 0, a Predict slower than this counts as a breaker failure and
-  /// the fallback answer is served in its place.
-  double predict_deadline_ms = 0.0;
-  /// Deployed scenario that serves degraded traffic (conventionally "f0",
-  /// the meta-learner's scenario-agnostic snapshot). Empty: skip straight
-  /// to the constant prior.
-  std::string fallback_scenario;
-  /// Score served when no fallback deployment is available.
-  float fallback_prior = 0.5f;
-  /// When non-empty, Predict on an unknown scenario degrades to this
-  /// deployed scenario (counted in serving/unknown_scenario_fallbacks)
-  /// instead of returning NotFound.
-  std::string default_scenario;
-};
 
 /// Per-deploy configuration (plain Deploy == all defaults).
 struct DeployOptions {
@@ -88,14 +49,15 @@ struct DeployOptions {
   obs::SloObjective slo;
 };
 
-/// The Model Serving module (Sec. IV-E): per-scenario model registry with
-/// thread-safe prediction and per-scenario latency accounting. Deploys are
-/// atomic swaps, so scenarios can be re-deployed while serving.
+/// The Model Serving module (Sec. IV-E): the per-scenario model registry
+/// of one serving engine, with thread-safe prediction. Deploys are atomic
+/// swaps, so scenarios can be re-deployed while serving. Each WorkerShard
+/// owns one; degradation (breakers, deadlines, fallbacks) and per-request
+/// latency belong to ServingClient, not to the engine.
 ///
-/// Observability: every Predict records into `registry()` (default: the
-/// process-global obs::MetricsRegistry) under
-/// `serving/model_server/latency_ms/<scenario>`. With ALT_OBS=off nothing
-/// is recorded and GetLatencyStats reports zeros.
+/// Observability: quantized deploys count into the constructor's registry
+/// as `serving/quantized_deploys` and
+/// `serving/quantization/max_prob_delta/<scenario>`.
 class ModelServer {
  public:
   /// `registry == nullptr` selects obs::MetricsRegistry::Global(). Tests
@@ -110,55 +72,25 @@ class ModelServer {
                 std::unique_ptr<models::BaseModel> model,
                 const DeployOptions& options = {});
 
-  /// Enables graceful degradation for Predict. `clock == nullptr` selects
-  /// resilience::RealClock(); tests inject a FakeClock to drive deadlines
-  /// and breaker cooldowns. Internal wiring: ServingClient::Options /
-  /// ServingClient::EnableResilience is the public way to configure
-  /// resilience; the sharded plane calls this on every shard engine.
-  void ConfigureResilience(ServingResilienceOptions options,
-                           resilience::Clock* clock = nullptr);
-
-  /// Breaker state of a scenario that has served resilient traffic;
-  /// NotFound before its first Predict or with resilience off.
-  Result<resilience::BreakerState> GetBreakerState(
-      const std::string& scenario) const;
-
-  /// Breaker states of every scenario that has served resilient traffic
-  /// (empty with resilience off). Drives the telemetry /healthz probe.
-  std::map<std::string, resilience::BreakerState> BreakerStates() const;
-
   Status Undeploy(const std::string& scenario);
   bool IsDeployed(const std::string& scenario) const;
   std::vector<std::string> Scenarios() const;
 
   /// Scores a request batch with `scenario`'s model. Thread-safe; requests
-  /// to the same scenario are serialized on that scenario's lock.
+  /// to the same scenario are serialized on that scenario's lock. Hosts the
+  /// `serving/predict` fault point.
   Result<std::vector<float>> Predict(const std::string& scenario,
                                      const data::Batch& batch);
 
-  /// Latency distribution of past Predict calls (per request, not per
-  /// sample), computed from the metrics registry histogram.
-  Result<LatencyStats> GetLatencyStats(const std::string& scenario) const;
-
   /// Inference FLOPs per sample of the deployed model.
   Result<int64_t> FlopsPerSample(const std::string& scenario) const;
-
-  /// Writes the deployed model as a self-contained serving bundle.
-  Status ExportBundle(const std::string& scenario,
-                      const std::string& path) const;
-
-  obs::MetricsRegistry* registry() const { return registry_; }
-
-  /// Registry name of the per-scenario request latency histogram.
-  static std::string LatencyMetricName(const std::string& scenario);
 
  private:
   struct Deployment {
     Mutex mu;
     /// The serving model; swapped atomically by Deploy, serialized per
-    /// scenario by PredictOn.
+    /// scenario by Predict.
     std::unique_ptr<models::BaseModel> model ALT_GUARDED_BY(mu);
-    obs::Histogram* latency_ms = nullptr;  // Owned by the registry.
   };
 
   std::shared_ptr<Deployment> FindDeployment(const std::string& scenario) const;
@@ -167,20 +99,6 @@ class ModelServer {
   Status DeployAttempt(const std::string& scenario,
                        std::unique_ptr<models::BaseModel>* model,
                        const DeployOptions& options);
-  /// The primary (non-degraded) Predict path; hosts the serving/predict
-  /// fault point.
-  Result<std::vector<float>> PredictOn(
-      const std::shared_ptr<Deployment>& deployment, const data::Batch& batch);
-  /// Degraded answer for `scenario`: the fallback deployment's prediction
-  /// when available, else a constant-prior vector. Always counts
-  /// serving/fallbacks.
-  Result<std::vector<float>> FallbackPredict(const std::string& scenario,
-                                             const data::Batch& batch);
-  /// Lazily creates the scenario's breaker (callers must not hold
-  /// registry_mu_: breaker construction registers metrics, and the two
-  /// locks must never nest).
-  resilience::CircuitBreaker* BreakerFor(const std::string& scenario)
-      ALT_EXCLUDES(registry_mu_, breakers_mu_);
 
   /// Deployments are shared_ptrs so an in-flight Predict keeps its
   /// deployment alive across a concurrent Undeploy.
@@ -188,20 +106,6 @@ class ModelServer {
   mutable Mutex registry_mu_;
   std::map<std::string, std::shared_ptr<Deployment>> deployments_
       ALT_GUARDED_BY(registry_mu_);
-
-  // Resilience configuration (resilience_enabled_, resilience_, clock_ and
-  // the counter handles below) is written once by ConfigureResilience before the
-  // server takes resilient traffic, then read without locking on the
-  // Predict path; it is deliberately not lock-guarded.
-  bool resilience_enabled_ = false;
-  ServingResilienceOptions resilience_;
-  resilience::Clock* clock_ = nullptr;
-  mutable Mutex breakers_mu_;
-  std::map<std::string, std::unique_ptr<resilience::CircuitBreaker>> breakers_
-      ALT_GUARDED_BY(breakers_mu_);
-  obs::Counter* fallbacks_total_ = nullptr;         // Owned by the registry.
-  obs::Counter* unknown_fallbacks_total_ = nullptr; // Owned by the registry.
-  obs::Counter* deadline_exceeded_total_ = nullptr; // Owned by the registry.
 };
 
 }  // namespace serving

@@ -19,7 +19,6 @@ shard::CoordinatorOptions ToCoordinatorOptions(
   out.vnodes_per_shard = options.vnodes_per_shard;
   out.replication = options.replication;
   out.hot_replication = options.hot_replication;
-  out.shard_breaker = options.shard_breaker;
   out.max_queue_depth_per_shard = options.max_queue_depth_per_shard;
   out.shed_high_watermark = options.shed_high_watermark;
   out.shed_low_watermark = options.shed_low_watermark;
@@ -48,6 +47,19 @@ obs::SloTracker::Options ToSloOptions(const ServingClient::Options& options,
   return out;
 }
 
+std::string RequestLatencyName(const std::string& scenario) {
+  return "serving/request/latency_ms/" + scenario;
+}
+
+/// Plane statuses: the plane, not the model, failed the call (no live
+/// replica, every replica shedding, or the scenario is gone). They reach
+/// the caller as they are and never count against a scenario's breaker.
+bool IsPlaneStatus(StatusCode code) {
+  return code == StatusCode::kUnavailable ||
+         code == StatusCode::kResourceExhausted ||
+         code == StatusCode::kNotFound;
+}
+
 }  // namespace
 
 ServingClient::ServingClient(Options options, obs::MetricsRegistry* registry)
@@ -58,23 +70,15 @@ ServingClient::ServingClient(Options options, obs::MetricsRegistry* registry)
           ToTracerOptions(options_, registry_))),
       slo_(std::make_unique<obs::SloTracker>(
           ToSloOptions(options_, registry_))),
+      fallbacks_(registry_->counter("serving/fallbacks")),
+      unknown_fallbacks_(
+          registry_->counter("serving/unknown_scenario_fallbacks")),
+      deadline_exceeded_(
+          registry_->counter("serving/predict_deadline_exceeded")),
       coordinator_(ToCoordinatorOptions(options_), registry_) {
-  {
-    MutexLock lock(batchers_mu_);
-    for (const std::string& id : coordinator_.ShardIds()) {
-      // Per-shard batchers keep micro-batch locality; the preferred-shard
-      // flush path falls back to replicas when the shard dies.
-      batchers_[id] = std::make_unique<BatchPredictor>(
-          [this, id](const std::string& scenario, const data::Batch& batch,
-                     const obs::RequestContext& ctx) {
-            return coordinator_.PredictPreferring(id, scenario, batch, ctx);
-          },
-          options_.batching, registry_);
-      WireBatcher(batchers_[id].get());
-    }
-  }
+  for (const std::string& id : coordinator_.ShardIds()) EnsureBatcher(id);
   if (options_.enable_resilience) {
-    coordinator_.EnableResilience(options_.resilience, options_.clock);
+    EnableResilience(options_.resilience, options_.clock);
   }
   if (options_.enable_supervisor) {
     shard::SupervisorOptions supervisor = options_.supervisor;
@@ -121,20 +125,98 @@ std::vector<std::string> ServingClient::Scenarios() const {
 Result<std::vector<float>> ServingClient::Predict(const std::string& scenario,
                                                   const data::Batch& batch) {
   const obs::RequestContext ctx = tracer_->StartRequest(scenario);
-  Result<std::vector<float>> result = coordinator_.Predict(scenario, batch, ctx);
+  Result<std::vector<float>> result = PlanePredict("", scenario, batch, ctx);
   const double total_ms = tracer_->CompleteRequest(ctx, result.status());
   RecordOutcome(scenario, total_ms, result.status());
   return result;
+}
+
+Result<std::vector<float>> ServingClient::PlanePredict(
+    const std::string& preferred_shard, const std::string& scenario,
+    const data::Batch& batch, const obs::RequestContext& ctx) {
+  std::shared_ptr<Degradation> policy;
+  {
+    MutexLock lock(resilience_mu_);
+    policy = degradation_;
+  }
+  if (policy == nullptr) {
+    return coordinator_.PredictPreferring(preferred_shard, scenario, batch,
+                                          ctx);
+  }
+  const ServingResilienceOptions& options = policy->options;
+  std::string target = scenario;
+  if (!coordinator_.IsDeployed(scenario)) {
+    // Checked before any breaker exists, so unknown names never get one.
+    if (options.default_scenario.empty() ||
+        !coordinator_.IsDeployed(options.default_scenario)) {
+      return coordinator_.PredictPreferring(preferred_shard, scenario, batch,
+                                            ctx);
+    }
+    unknown_fallbacks_->Add(1);
+    target = options.default_scenario;
+  }
+  resilience::CircuitBreaker* breaker = BreakerFor(policy.get(), target);
+  if (!breaker->AllowRequest()) {
+    return FallbackPredict(*policy, preferred_shard, target, batch, ctx);
+  }
+  const bool timed = options.predict_deadline_ms > 0.0;
+  const double start_ms = timed ? policy->clock->NowMs() : 0.0;
+  Result<std::vector<float>> result =
+      coordinator_.PredictPreferring(preferred_shard, target, batch, ctx);
+  if (result.ok()) {
+    if (!timed ||
+        policy->clock->NowMs() - start_ms <= options.predict_deadline_ms) {
+      breaker->RecordSuccess();
+      return result;
+    }
+    deadline_exceeded_->Add(1);
+  } else if (IsPlaneStatus(result.status().code())) {
+    return result;
+  }
+  breaker->RecordFailure();
+  return FallbackPredict(*policy, preferred_shard, target, batch, ctx);
+}
+
+Result<std::vector<float>> ServingClient::FallbackPredict(
+    const Degradation& policy, const std::string& preferred_shard,
+    const std::string& target, const data::Batch& batch,
+    const obs::RequestContext& ctx) {
+  fallbacks_->Add(1);
+  const std::string& fallback = policy.options.fallback_scenario;
+  if (!fallback.empty() && fallback != target) {
+    Result<std::vector<float>> result =
+        coordinator_.PredictPreferring(preferred_shard, fallback, batch, ctx);
+    if (result.ok()) return result;
+    // The fallback failed too (possibly an injected fault); degrade one
+    // more step to the constant prior rather than surface an error.
+  }
+  return std::vector<float>(static_cast<size_t>(batch.batch_size),
+                            policy.options.fallback_prior);
+}
+
+resilience::CircuitBreaker* ServingClient::BreakerFor(
+    Degradation* policy, const std::string& scenario) const {
+  MutexLock lock(policy->mu);
+  std::unique_ptr<resilience::CircuitBreaker>& breaker =
+      policy->breakers[scenario];
+  if (breaker == nullptr) {
+    breaker = std::make_unique<resilience::CircuitBreaker>(
+        "serving/" + scenario, policy->options.breaker, policy->clock,
+        registry_);
+  }
+  return breaker.get();
 }
 
 void ServingClient::EnsureBatcher(const std::string& shard_id) {
   MutexLock lock(batchers_mu_);
   auto it = batchers_.find(shard_id);
   if (it != batchers_.end()) return;
+  // Per-shard batchers keep micro-batch locality; the preferred-shard flush
+  // falls back to replicas when the shard dies.
   batchers_[shard_id] = std::make_unique<BatchPredictor>(
       [this, shard_id](const std::string& scenario, const data::Batch& batch,
                        const obs::RequestContext& ctx) {
-        return coordinator_.PredictPreferring(shard_id, scenario, batch, ctx);
+        return PlanePredict(shard_id, scenario, batch, ctx);
       },
       options_.batching, registry_);
   WireBatcher(batchers_[shard_id].get());
@@ -199,12 +281,27 @@ void ServingClient::DrainBatchQueues() const {
 
 void ServingClient::EnableResilience(const ServingResilienceOptions& options,
                                      resilience::Clock* clock) {
-  coordinator_.EnableResilience(options, clock);
+  auto policy = std::make_shared<Degradation>();
+  policy->options = options;
+  policy->clock = clock != nullptr ? clock : resilience::RealClock();
+  MutexLock lock(resilience_mu_);
+  degradation_ = std::move(policy);
 }
 
 std::map<std::string, resilience::BreakerState> ServingClient::BreakerStates()
     const {
-  return coordinator_.BreakerStates();
+  std::shared_ptr<Degradation> policy;
+  {
+    MutexLock lock(resilience_mu_);
+    policy = degradation_;
+  }
+  std::map<std::string, resilience::BreakerState> states;
+  if (policy == nullptr) return states;
+  MutexLock lock(policy->mu);
+  for (const auto& [scenario, breaker] : policy->breakers) {
+    states.emplace(scenario, breaker->state());
+  }
+  return states;
 }
 
 ServingClient::Stats ServingClient::GetStats() const {
@@ -234,8 +331,8 @@ obs::Histogram* ServingClient::LatencyHistogramFor(
   auto it = latency_hists_.find(scenario);
   if (it == latency_hists_.end()) {
     it = latency_hists_
-             .emplace(scenario, registry_->histogram(
-                                    "serving/request/latency_ms/" + scenario))
+             .emplace(scenario,
+                      registry_->histogram(RequestLatencyName(scenario)))
              .first;
   }
   return it->second;
@@ -251,7 +348,19 @@ void ServingClient::RecordOutcome(const std::string& scenario,
 
 Result<LatencyStats> ServingClient::GetLatencyStats(
     const std::string& scenario) const {
-  return coordinator_.GetLatencyStats(scenario);
+  if (!coordinator_.IsDeployed(scenario)) {
+    return Status::NotFound("scenario " + scenario + " not deployed");
+  }
+  const obs::HistogramSummary summary =
+      registry_->histogram_summary(RequestLatencyName(scenario));
+  LatencyStats stats;
+  stats.num_requests = summary.count;
+  stats.mean_ms = summary.mean;
+  stats.p50_ms = summary.p50;
+  stats.p95_ms = summary.p95;
+  stats.p99_ms = summary.p99;
+  stats.max_ms = summary.max;
+  return stats;
 }
 
 Result<int64_t> ServingClient::FlopsPerSample(

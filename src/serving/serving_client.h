@@ -25,6 +25,46 @@
 namespace alt {
 namespace serving {
 
+/// Latency distribution of one scenario's requests, as its callers saw
+/// them: a read-view of the registry histogram
+/// `serving/request/latency_ms/<scenario>`, which both predict paths record
+/// once per request (a coalesced flush or a fallback answer is still one
+/// request). With ALT_OBS=off nothing is recorded and the view reads zeros.
+struct LatencyStats {  // alt_lint: allow(L007): read-view over obs::MetricsRegistry, not an ad-hoc store
+  int64_t num_requests = 0;
+  double mean_ms = 0.0;
+  double p50_ms = 0.0;
+  double p95_ms = 0.0;
+  double p99_ms = 0.0;
+  double max_ms = 0.0;
+};
+
+/// Graceful-degradation policy of ServingClient. Off by default; enable
+/// with Options::enable_resilience or ServingClient::EnableResilience. With
+/// it on, each scenario gets one circuit breaker over its plane calls:
+/// while the breaker is open — or when a call fails in the model or
+/// overruns `predict_deadline_ms` — the answer comes from the fallback path
+/// (the scenario-agnostic f0 deployment named by `fallback_scenario`, asked
+/// through the plane, else the constant `fallback_prior` score) instead of
+/// propagating the error to the caller.
+struct ServingResilienceOptions {
+  resilience::CircuitBreakerOptions breaker;
+  /// When > 0, a plane call slower than this (on the resilience clock)
+  /// counts as a breaker failure and the fallback answer is served in its
+  /// place.
+  double predict_deadline_ms = 0.0;
+  /// Deployed scenario that serves degraded traffic (conventionally "f0",
+  /// the meta-learner's scenario-agnostic snapshot, deployed everywhere).
+  /// Empty: skip straight to the constant prior.
+  std::string fallback_scenario;
+  /// Score served when no fallback deployment answers.
+  float fallback_prior = 0.5f;
+  /// When non-empty, a predict on an unknown scenario routes to this
+  /// deployed scenario (counted in serving/unknown_scenario_fallbacks)
+  /// instead of returning NotFound.
+  std::string default_scenario;
+};
+
 /// The public serving API: one facade over the sharded serving plane for
 /// deploy, predict, batch-predict, undeploy, elasticity, and stats.
 /// Subsumes direct ModelServer / BatchPredictor use (their deprecated shims
@@ -33,8 +73,8 @@ namespace serving {
 /// Topology: `Options::num_shards` WorkerShards (each a ModelServer on its
 /// own thread) behind a ShardCoordinator — consistent-hash routing with
 /// virtual nodes, replica groups (power-of-two-choices balancing, wider
-/// groups for DeployOptions::hot scenarios), breaker-driven rebalancing on
-/// shard failure, and version-gated deploy broadcast. `num_shards = 1`
+/// groups for DeployOptions::hot scenarios), rebalancing when a shard
+/// dies, and version-gated deploy broadcast. `num_shards = 1`
 /// (the default) reproduces the classic single-server layout through the
 /// same API.
 ///
@@ -43,6 +83,17 @@ namespace serving {
 /// while a vanished shard's queued requests fail over to replicas instead
 /// of being lost; only when no replica remains do they fail with
 /// Status kUnavailable (counted in serving/shard_unavailable).
+///
+/// Failure ownership: the coordinator fails over only when a shard is gone
+/// (dead flag or kUnavailable), the ShardSupervisor alone judges a
+/// live-looking shard dead, and this client alone degrades a scenario
+/// (breaker, deadline, fallback, default routing). Both predict paths share
+/// that one degradation step. Obs (client registry):
+///   serving/request/latency_ms/<scenario>   histogram, once per request
+///   serving/fallbacks                       counter: degraded answers
+///   serving/unknown_scenario_fallbacks      counter: default-routed calls
+///   serving/predict_deadline_exceeded       counter: deadline overruns
+///   resilience/circuit_breaker/*/serving/<scenario>   breaker state/opens
 class ServingClient {
  public:
   struct Options {
@@ -53,10 +104,6 @@ class ServingClient {
     /// Replicas per scenario; hot scenarios get `hot_replication`.
     int replication = 1;
     int hot_replication = 2;
-    /// Shard-health breakers watched by the coordinator; an open breaker
-    /// (or a dead shard) triggers the rebalance.
-    resilience::CircuitBreakerOptions shard_breaker =
-        shard::CoordinatorOptions::DefaultShardBreaker();
     /// SubmitPredict backpressure per shard; 0 = unbounded.
     int64_t max_queue_depth_per_shard = 0;
     /// Soft load-shedding watermarks per shard (hysteresis): a shard whose
@@ -83,10 +130,9 @@ class ServingClient {
     resilience::Clock* clock = nullptr;
     /// Micro-batching knobs of the EnqueuePredict path.
     BatchPredictor::Options batching;
-    /// Graceful degradation (breakers + fallback predictions) on every
-    /// shard engine, enabled at construction. EnableResilience() turns it
-    /// on later (e.g. with a test clock). This is where the old
-    /// ServingResilienceOptions plumbing now lives.
+    /// Graceful degradation (per-scenario breakers + fallback answers),
+    /// enabled at construction on `clock`. EnableResilience() turns it on
+    /// later (e.g. with a test clock).
     bool enable_resilience = false;
     ServingResilienceOptions resilience;
     /// Request-scoped tracing: every Predict/EnqueuePredict ticks the
@@ -151,9 +197,9 @@ class ServingClient {
   std::vector<std::string> Scenarios() const;
 
   /// Synchronous batch predict: routed to the scenario's replica group with
-  /// load balancing and failover. Starts a request trace (sampled at the
-  /// tracer's rate) and records the outcome against the scenario's latency
-  /// histogram and SLO.
+  /// load balancing and failover, degraded per the resilience policy.
+  /// Starts a request trace (sampled at the tracer's rate) and records the
+  /// outcome against the scenario's latency histogram and SLO.
   Result<std::vector<float>> Predict(const std::string& scenario,
                                      const data::Batch& batch);
 
@@ -166,19 +212,24 @@ class ServingClient {
   /// Blocks until every enqueued batch request has resolved.
   void DrainBatchQueues() const;
 
-  /// Enables graceful degradation on every shard engine and deploys
-  /// nothing — pair with DeployEverywhere for the fallback scenario.
-  /// `clock == nullptr` selects the real clock.
+  /// Enables graceful degradation and deploys nothing — pair with
+  /// DeployEverywhere for the fallback scenario. `clock == nullptr` selects
+  /// the real clock; it drives breaker cooldowns and the predict deadline.
+  /// A later call replaces the policy and starts every breaker afresh.
   void EnableResilience(const ServingResilienceOptions& options,
-                        resilience::Clock* clock = nullptr);
+                        resilience::Clock* clock = nullptr)
+      ALT_EXCLUDES(resilience_mu_);
 
-  /// Shard-health breakers ("shard:<id>") plus worst per-scenario engine
-  /// breaker — drives the telemetry /healthz probe.
-  std::map<std::string, resilience::BreakerState> BreakerStates() const;
+  /// State of each scenario breaker that has gated traffic (one per
+  /// scenario; empty with resilience off). Reported in the /healthz body.
+  std::map<std::string, resilience::BreakerState> BreakerStates() const
+      ALT_EXCLUDES(resilience_mu_);
 
   Stats GetStats() const;
+  /// NotFound unless `scenario` is deployed.
   Result<LatencyStats> GetLatencyStats(const std::string& scenario) const;
   Result<int64_t> FlopsPerSample(const std::string& scenario) const;
+  /// Writes the scenario's current bundle to `path`, crash-safely.
   Status ExportBundle(const std::string& scenario,
                       const std::string& path) const;
 
@@ -228,6 +279,35 @@ class ServingClient {
   const Options& options() const { return options_; }
 
  private:
+  /// The degradation policy of one EnableResilience call, with the
+  /// breakers it created. Requests hold it by shared_ptr, so a later
+  /// EnableResilience never pulls a breaker from under an in-flight call.
+  struct Degradation {
+    ServingResilienceOptions options;
+    resilience::Clock* clock = nullptr;
+    Mutex mu;
+    std::map<std::string, std::unique_ptr<resilience::CircuitBreaker>>
+        breakers ALT_GUARDED_BY(mu);
+  };
+
+  /// The one predict step of both paths (direct Predict with no preferred
+  /// shard, each batcher flush with its own shard): a plane call, degraded
+  /// per the resilience policy when one is enabled.
+  Result<std::vector<float>> PlanePredict(const std::string& preferred_shard,
+                                          const std::string& scenario,
+                                          const data::Batch& batch,
+                                          const obs::RequestContext& ctx)
+      ALT_EXCLUDES(resilience_mu_);
+  /// Degraded answer for `target`: the fallback scenario through the plane
+  /// on the same preferred shard, else the constant prior. Counts
+  /// serving/fallbacks.
+  Result<std::vector<float>> FallbackPredict(
+      const Degradation& policy, const std::string& preferred_shard,
+      const std::string& target, const data::Batch& batch,
+      const obs::RequestContext& ctx);
+  /// The scenario's breaker in `policy`, created on first use.
+  resilience::CircuitBreaker* BreakerFor(Degradation* policy,
+                                         const std::string& scenario) const;
   BatchPredictor* BatcherFor(const std::string& scenario)
       ALT_EXCLUDES(batchers_mu_);
   /// Creates the shard's batcher if absent (runtime AddShard path).
@@ -235,7 +315,7 @@ class ServingClient {
   /// Points a freshly created batcher at the tracer + completion hook.
   void WireBatcher(BatchPredictor* batcher);
   /// Per-scenario request-latency histogram
-  /// (`serving/request_latency_ms/<scenario>` → the exporter renders it as
+  /// (`serving/request/latency_ms/<scenario>` → the exporter renders it as
   /// alt_serving_request_latency_ms{id="<scenario>"}), cached per scenario.
   obs::Histogram* LatencyHistogramFor(const std::string& scenario)
       ALT_EXCLUDES(latency_mu_);
@@ -254,6 +334,12 @@ class ServingClient {
   mutable Mutex latency_mu_;
   std::map<std::string, obs::Histogram*> latency_hists_
       ALT_GUARDED_BY(latency_mu_);
+  /// Null until EnableResilience; read by every batcher dispatcher thread.
+  mutable Mutex resilience_mu_;
+  std::shared_ptr<Degradation> degradation_ ALT_GUARDED_BY(resilience_mu_);
+  obs::Counter* fallbacks_;          // Owned by the registry.
+  obs::Counter* unknown_fallbacks_;  // Owned by the registry.
+  obs::Counter* deadline_exceeded_;  // Owned by the registry.
   shard::ShardCoordinator coordinator_;
   /// One batcher per shard id; declared after the coordinator so their
   /// dispatcher threads shut down first. Guarded: AddShard grows the map

@@ -1,11 +1,11 @@
 #include "src/serving/shard/coordinator.h"
 
 #include <algorithm>
-#include <fstream>
 #include <sstream>
 #include <utility>
 
 #include "src/serving/model_store.h"
+#include "src/util/atomic_file.h"
 #include "src/util/logging.h"
 
 namespace alt {
@@ -63,8 +63,6 @@ ShardCoordinator::ShardCoordinator(CoordinatorOptions options,
     ConfigureWorker(worker.get());
     shards_by_id_[id] = worker.get();
     shards_.push_back(std::move(worker));
-    breakers_[id] = std::make_unique<resilience::CircuitBreaker>(
-        "shard:" + id, options_.shard_breaker, /*clock=*/nullptr, registry_);
     ring_.AddShard(id);  // alt_lint: allow(L008): void HashRing::AddShard
   }
   PublishImbalanceLocked();
@@ -87,13 +85,6 @@ WorkerShard* ShardCoordinator::FindShard(const std::string& shard_id) const {
 WorkerShard* ShardCoordinator::LiveShard(const std::string& shard_id) const {
   WorkerShard* worker = FindShard(shard_id);
   return (worker == nullptr || worker->dead()) ? nullptr : worker;
-}
-
-resilience::CircuitBreaker* ShardCoordinator::BreakerOf(
-    const std::string& shard_id) const {
-  MutexLock state(state_mu_);
-  auto it = breakers_.find(shard_id);
-  return it == breakers_.end() ? nullptr : it->second.get();
 }
 
 Status ShardCoordinator::Deploy(const std::string& scenario,
@@ -260,10 +251,6 @@ ShardCoordinator::RouteDecision ShardCoordinator::RankedReplicas(
       if (it->second.everywhere || it->second.options.hot) {
         decision.admission = Admission::kCritical;
       }
-    } else if (resilience_enabled_ && !resilience_.default_scenario.empty()) {
-      // Unknown scenario under resilience: route by ring hash anyway so the
-      // shard engine's default-scenario degradation answers.
-      candidates = ring_.RouteReplicas(scenario, options_.replication);
     }
     if (candidates.size() >= 2) {
       const uint64_t ticket =
@@ -331,40 +318,30 @@ Result<std::vector<float>> ShardCoordinator::PredictPreferring(
         attempt.RecordAs(obs::segment::kFailover);
         continue;
       }
-      resilience::CircuitBreaker* breaker = BreakerOf(id);
-      if (breaker != nullptr && !breaker->AllowRequest()) {
-        last = Status::Unavailable("shard " + id + " breaker open");
-        attempt.RecordAs(obs::segment::kFailover);
-        continue;
-      }
       Result<std::vector<float>> result =
           worker->SubmitPredict(scenario, batch, decision.admission, rctx)
               .get();
       if (result.ok()) {
-        if (breaker != nullptr) breaker->RecordSuccess();
         admission_accepted_->Add(1);
         return result;
       }
-      const Status status = result.status();
-      if (status.code() == StatusCode::kNotFound) {
-        // Deploy-state error, identical on every replica — not a shard
-        // health signal, and failing over would only repeat it.
-        return result;
-      }
-      if (status.code() == StatusCode::kResourceExhausted) {
+      last = result.status();
+      if (last.code() == StatusCode::kResourceExhausted) {
         // Admission shed: the shard is alive but over capacity. Another
         // replica may still have headroom, so keep trying the group — but
-        // this is load, not failure: no breaker damage, no rebalance.
-        last = status;
+        // this is load, not failure: no rebalance.
         attempt.RecordAs(obs::segment::kShedRequeue);
         continue;
       }
-      if (breaker != nullptr) breaker->RecordFailure();
+      if (last.code() != StatusCode::kUnavailable && !worker->dead()) {
+        // A live shard answered with a model fault or a deploy-state error.
+        // Every replica holds the same model, so failing over would only
+        // repeat it, and it says nothing about the shard's health.
+        attempt.RecordAs(obs::segment::kFailover);
+        return result;
+      }
       failovers_->Add(1);
-      last = status;
-      if (worker->dead() ||
-          (breaker != nullptr &&
-           breaker->state() == resilience::BreakerState::kOpen)) {
+      if (worker->dead()) {
         HandleShardDeath(id);
         rebalanced = true;
       }
@@ -382,24 +359,6 @@ Result<std::vector<float>> ShardCoordinator::PredictPreferring(
     no_replica_available_->Add(1);
   }
   return last;
-}
-
-void ShardCoordinator::EnableResilience(
-    const ServingResilienceOptions& options, resilience::Clock* clock) {
-  MutexLock control(control_mu_);
-  std::vector<WorkerShard*> workers;
-  {
-    MutexLock state(state_mu_);
-    workers.reserve(shards_.size());
-    for (auto& worker : shards_) workers.push_back(worker.get());
-  }
-  for (WorkerShard* worker : workers) {
-    worker->engine()->ConfigureResilience(options, clock);
-  }
-  MutexLock state(state_mu_);
-  resilience_ = options;
-  resilience_enabled_ = true;
-  resilience_clock_ = clock;
 }
 
 Status ShardCoordinator::KillShard(const std::string& shard_id) {
@@ -462,9 +421,9 @@ void ShardCoordinator::HandleShardDeathLocked(const std::string& shard_id) {
   }
   rebalance_events_->Add(1);
   // The shard is leaving the ring (until a supervisor-driven RejoinShard
-  // re-admits it), so park its worker even when the trigger was an open
-  // breaker rather than an explicit Kill: queued requests drain with
-  // Unavailable and fail over.
+  // re-admits it), so park its worker even when the trigger was a
+  // supervisor eviction rather than an explicit Kill: queued requests drain
+  // with Unavailable and fail over.
   WorkerShard* victim = FindShard(shard_id);
   if (victim != nullptr) victim->Kill();
   // Re-deploys run outside state_mu_ so routing stays readable; control_mu_
@@ -535,31 +494,16 @@ Status ShardCoordinator::AddShard(const std::string& shard_id) {
   auto owned = std::make_unique<WorkerShard>(shard_id, registry_);
   WorkerShard* worker = owned.get();
   ConfigureWorker(worker);
-  bool configure_resilience = false;
-  ServingResilienceOptions resilience;
-  resilience::Clock* resilience_clock = nullptr;
   {
     MutexLock state(state_mu_);
     shards_by_id_[shard_id] = worker;
     shards_.push_back(std::move(owned));
-    breakers_[shard_id] = std::make_unique<resilience::CircuitBreaker>(
-        "shard:" + shard_id, options_.shard_breaker, /*clock=*/nullptr,
-        registry_);
-    configure_resilience = resilience_enabled_;
-    resilience = resilience_;
-    resilience_clock = resilience_clock_;
-  }
-  if (configure_resilience) {
-    worker->engine()->ConfigureResilience(resilience, resilience_clock);
   }
   return AdmitShardLocked(worker);
 }
 
 Status ShardCoordinator::AdmitShardLocked(WorkerShard* worker) {
   const std::string& id = worker->id();
-  resilience::CircuitBreaker* breaker = BreakerOf(id);
-  // The shard must not inherit the failure streak that evicted it.
-  if (breaker != nullptr) breaker->Reset();
   // Final assignment: every scenario the fully-admitted ring will place on
   // this shard (plus all everywhere deployments). Computed on a ring COPY —
   // the live ring is untouched until the models are in place.
@@ -699,35 +643,6 @@ uint64_t ShardCoordinator::VersionOf(const std::string& scenario) const {
   return it == table_.end() ? 0 : it->second.version;
 }
 
-std::map<std::string, resilience::BreakerState>
-ShardCoordinator::BreakerStates() const {
-  std::map<std::string, resilience::CircuitBreaker*> breakers;
-  std::vector<WorkerShard*> workers;
-  {
-    MutexLock state(state_mu_);
-    for (const auto& [id, breaker] : breakers_) {
-      breakers[id] = breaker.get();
-    }
-    workers.reserve(shards_.size());
-    for (const auto& worker : shards_) workers.push_back(worker.get());
-  }
-  std::map<std::string, resilience::BreakerState> out;
-  for (const auto& [id, breaker] : breakers) {
-    out["shard:" + id] = breaker->state();
-  }
-  for (WorkerShard* worker : workers) {
-    for (const auto& [scenario, state] : worker->engine()->BreakerStates()) {
-      auto it = out.find(scenario);
-      // Worst state wins across shards (kOpen > kHalfOpen > kClosed).
-      if (it == out.end() ||
-          static_cast<int>(state) > static_cast<int>(it->second)) {
-        out[scenario] = state;
-      }
-    }
-  }
-  return out;
-}
-
 double ShardCoordinator::ImbalanceLocked() const {
   if (ring_.NumShards() == 0) return 1.0;
   std::map<std::string, int64_t> owned;
@@ -760,28 +675,6 @@ double ShardCoordinator::RoutingImbalance() const {
   return ImbalanceLocked();
 }
 
-Result<LatencyStats> ShardCoordinator::GetLatencyStats(
-    const std::string& scenario) const {
-  {
-    MutexLock state(state_mu_);
-    if (table_.count(scenario) == 0) {
-      return Status::NotFound("scenario " + scenario + " not deployed");
-    }
-  }
-  // All shard engines share the coordinator registry, so the per-scenario
-  // histogram already aggregates latencies across the whole fleet.
-  const obs::HistogramSummary summary = registry_->histogram_summary(
-      ModelServer::LatencyMetricName(scenario));
-  LatencyStats stats;
-  stats.num_requests = summary.count;
-  stats.mean_ms = summary.mean;
-  stats.p50_ms = summary.p50;
-  stats.p95_ms = summary.p95;
-  stats.p99_ms = summary.p99;
-  stats.max_ms = summary.max;
-  return stats;
-}
-
 Result<int64_t> ShardCoordinator::FlopsPerSample(
     const std::string& scenario) const {
   for (const std::string& id : ReplicasOf(scenario)) {
@@ -806,13 +699,8 @@ Status ShardCoordinator::ExportBundle(const std::string& scenario,
     bundle = it->second.bundle;
   }
   // The cached broadcast bundle is byte-identical to SaveModelBundleToFile
-  // output (same serializer), so exporting is a plain write.
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IOError("cannot open " + path);
-  out.write(bundle.data(), static_cast<std::streamsize>(bundle.size()));
-  out.flush();
-  if (!out) return Status::IOError("short write to " + path);
-  return Status::OK();
+  // output (same serializer), and is written the same crash-safe way.
+  return AtomicWriteFile(path, bundle);
 }
 
 }  // namespace shard

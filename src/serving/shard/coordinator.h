@@ -11,7 +11,7 @@
 #include "src/data/dataset.h"
 #include "src/models/base_model.h"
 #include "src/obs/metrics.h"
-#include "src/resilience/circuit_breaker.h"
+#include "src/resilience/clock.h"
 #include "src/serving/model_server.h"
 #include "src/serving/shard/hash_ring.h"
 #include "src/serving/shard/shard.h"
@@ -34,19 +34,6 @@ struct CoordinatorOptions {
   /// Replicas for scenarios deployed with DeployOptions::hot — head
   /// scenarios whose traffic justifies wider fan-out.
   int hot_replication = 2;
-  /// Shard-health breakers: predict outcomes against each shard feed a
-  /// resilience::CircuitBreaker; an open breaker (or a dead shard) triggers
-  /// the rebalance path. The serving default is deliberately twitchier than
-  /// the library default — a dead shard fails every request, so three
-  /// consecutive failures is already a strong signal.
-  static resilience::CircuitBreakerOptions DefaultShardBreaker() {
-    resilience::CircuitBreakerOptions breaker;
-    breaker.failure_threshold = 3;
-    breaker.open_cooldown_ms = 1000.0;
-    breaker.close_successes = 2;
-    return breaker;
-  }
-  resilience::CircuitBreakerOptions shard_breaker = DefaultShardBreaker();
   /// SubmitPredict backpressure per shard; 0 = unbounded.
   int64_t max_queue_depth_per_shard = 0;
   /// Soft load-shedding watermarks per shard, with hysteresis: once a
@@ -80,12 +67,15 @@ struct CoordinatorOptions {
 /// whole by one replica, and each replica swaps atomically).
 ///
 /// Predict balances over the scenario's live replicas with
-/// power-of-two-choices on shard queue depth, records per-shard breaker
-/// outcomes, and fails over to the remaining replicas on shard errors. A
-/// dead shard (Kill, or breaker forced open by consecutive failures)
-/// triggers HandleShardDeath: the shard leaves the ring and its scenarios
-/// re-deploy from cached bundles onto their new ring owners — only keys the
-/// ring moved, which is the consistent-hash minimal-disruption guarantee.
+/// power-of-two-choices on shard queue depth and fails over to the
+/// remaining replicas only when a shard is gone: its dead flag is set, or
+/// it answered kUnavailable. Any other error from a live shard (a model
+/// fault, an undeployed scenario) is the same on every replica and returns
+/// at once; it says nothing about the shard's health. A dead shard (Kill,
+/// or a ShardSupervisor eviction) triggers HandleShardDeath: the shard
+/// leaves the ring and its scenarios re-deploy from cached bundles onto
+/// their new ring owners — only keys the ring moved, which is the
+/// consistent-hash minimal-disruption guarantee.
 ///
 /// Locking: `control_mu_` serializes control-plane operations
 /// (Deploy/Undeploy/rebalance) and is never held while scoring; `state_mu_`
@@ -104,8 +94,7 @@ struct CoordinatorOptions {
 ///                                               after admission
 ///   serving/coordinator/routing_imbalance       gauge: max/mean owner share
 ///   serving/coordinator/broadcast_ms            histogram: deploy fan-out
-///   (plus per-shard queue depth / request counters from WorkerShard and
-///   breaker state gauges from resilience/circuit_breaker/state/shard:<id>)
+///   (plus per-shard queue depth / request counters from WorkerShard)
 class ShardCoordinator {
  public:
   explicit ShardCoordinator(CoordinatorOptions options = {},
@@ -134,13 +123,13 @@ class ShardCoordinator {
   std::vector<std::string> Scenarios() const;
 
   /// Routes to the scenario's replica group (power-of-two-choices over
-  /// queue depth), failing over on shard errors. With resilience enabled an
-  /// unknown scenario still routes by ring hash so the shard engine's
-  /// default-scenario degradation applies.
+  /// queue depth), failing over while shards turn out to be gone. An
+  /// unknown scenario is NotFound (ServingClient owns default routing).
   ///
   /// A sampled `ctx` gets its wall time attributed along the way: `route`
   /// for replica ranking, `failover` for failed attempts (including any
-  /// rebalance they trigger), `shed_requeue` for attempts rejected with
+  /// rebalance they trigger, and the final attempt of a request that ends
+  /// in a model error), `shed_requeue` for attempts rejected with
   /// kResourceExhausted; the successful attempt's time lands as
   /// queue_wait + compute on the shard side.
   Result<std::vector<float>> Predict(
@@ -155,26 +144,19 @@ class ShardCoordinator {
       const data::Batch& batch,
       const obs::RequestContext& ctx = obs::RequestContext());
 
-  /// Configures graceful degradation on every shard engine. The caller is
-  /// responsible for deploying `options.fallback_scenario` /
-  /// `options.default_scenario` via DeployEverywhere.
-  void EnableResilience(const ServingResilienceOptions& options,
-                        resilience::Clock* clock = nullptr);
-
   /// Chaos hook: kills the worker (its queue drains with Unavailable and
   /// in-flight callers fail over). The rebalance itself triggers on the
   /// next predicts against the dead shard, exactly as a real crash would.
   Status KillShard(const std::string& shard_id);
 
   /// Proactively evicts a shard from the ring (kill + rebalance) without
-  /// waiting for data-plane traffic to trip its breaker — the
-  /// ShardSupervisor's teardown path once probes declare a shard dead.
-  /// Idempotent; NotFound for unknown ids.
+  /// waiting for data-plane traffic to find it dead — the ShardSupervisor's
+  /// teardown path once probes declare a shard dead. Idempotent; NotFound
+  /// for unknown ids.
   Status EvictShard(const std::string& shard_id);
 
   /// Warm re-join of a previously killed/evicted shard: revives the worker
-  /// (clearing stale serving state), resets its health breaker, re-deploys
-  /// every scenario the fully-admitted ring will assign to it from the
+  /// (clearing stale serving state), re-deploys every scenario the fully-admitted ring will assign to it from the
   /// cached bundles at current versions, and only then re-adds its virtual
   /// nodes in `rejoin_stages` staged batches — routing shifts at most ~2/N
   /// of the key space across the whole re-join, replica tables are
@@ -184,7 +166,7 @@ class ShardCoordinator {
   Status RejoinShard(const std::string& shard_id);
 
   /// Elastic scale-up: creates a brand-new WorkerShard (with the plane's
-  /// queue/admission configuration and resilience policy) and admits it
+  /// queue/admission configuration) and admits it
   /// through the same warm staged protocol as RejoinShard. AlreadyExists
   /// when the id is taken.
   Status AddShard(const std::string& shard_id);
@@ -203,17 +185,14 @@ class ShardCoordinator {
   /// The scenario's broadcast version; 0 when unknown.
   uint64_t VersionOf(const std::string& scenario) const;
 
-  /// Shard-health breakers ("shard:<id>") plus the worst per-scenario
-  /// engine breaker state across shards — the telemetry /healthz view.
-  std::map<std::string, resilience::BreakerState> BreakerStates() const;
-
   /// max/mean share of ring ownership over live shards (1.0 = perfectly
   /// uniform), sampled over the deployed scenarios; also published to the
   /// routing_imbalance gauge.
   double RoutingImbalance() const;
 
-  Result<LatencyStats> GetLatencyStats(const std::string& scenario) const;
   Result<int64_t> FlopsPerSample(const std::string& scenario) const;
+  /// Writes the scenario's cached bundle to `path` atomically
+  /// (util::AtomicWriteFile): a crash mid-export leaves the previous file.
   Status ExportBundle(const std::string& scenario,
                       const std::string& path) const;
 
@@ -246,12 +225,10 @@ class ShardCoordinator {
   /// AddShard.
   WorkerShard* FindShard(const std::string& shard_id) const
       ALT_EXCLUDES(state_mu_);
-  resilience::CircuitBreaker* BreakerOf(const std::string& shard_id) const
-      ALT_EXCLUDES(state_mu_);
   /// The scenario's candidate replica ids in failover order: the
   /// least-loaded of two sampled candidates first (power-of-two-choices on
   /// queue depth). Dead shards stay in the list so the predict loop can
-  /// detect them and trigger the rebalance. Hot / everywhere scenarios are
+  /// detect them and trigger the rebalance. Empty for unknown scenarios. Hot / everywhere scenarios are
   /// marked kCritical so shards shed them last.
   RouteDecision RankedReplicas(const std::string& scenario)
       ALT_EXCLUDES(state_mu_);
@@ -261,9 +238,9 @@ class ShardCoordinator {
       ALT_EXCLUDES(control_mu_, state_mu_);
   void HandleShardDeathLocked(const std::string& shard_id)
       ALT_REQUIRES(control_mu_) ALT_EXCLUDES(state_mu_);
-  /// The shared warm-admission protocol of RejoinShard/AddShard: breaker
-  /// reset, pre-deploy of the final assignment from cached bundles, then
-  /// staged vnode admission with per-stage replica-table recompute.
+  /// The shared warm-admission protocol of RejoinShard/AddShard: pre-deploy
+  /// of the final assignment from cached bundles, then staged vnode
+  /// admission with per-stage replica-table recompute.
   Status AdmitShardLocked(WorkerShard* worker)
       ALT_REQUIRES(control_mu_) ALT_EXCLUDES(state_mu_);
   /// Applies the plane's per-shard configuration (queue cap, shed
@@ -294,14 +271,8 @@ class ShardCoordinator {
   /// and safe to use outside the lock.
   std::vector<std::unique_ptr<WorkerShard>> shards_ ALT_GUARDED_BY(state_mu_);
   std::map<std::string, WorkerShard*> shards_by_id_ ALT_GUARDED_BY(state_mu_);
-  /// Shard-health breakers, one per shard.
-  std::map<std::string, std::unique_ptr<resilience::CircuitBreaker>> breakers_
-      ALT_GUARDED_BY(state_mu_);
   HashRing ring_ ALT_GUARDED_BY(state_mu_);
   std::map<std::string, ScenarioEntry> table_ ALT_GUARDED_BY(state_mu_);
-  bool resilience_enabled_ ALT_GUARDED_BY(state_mu_) = false;
-  ServingResilienceOptions resilience_ ALT_GUARDED_BY(state_mu_);
-  resilience::Clock* resilience_clock_ ALT_GUARDED_BY(state_mu_) = nullptr;
 
   std::atomic<uint64_t> pick_counter_{0};
 

@@ -146,10 +146,9 @@ class WorkerShard {
     max_queue_depth_.store(depth, std::memory_order_relaxed);
   }
 
-  /// The shard-local engine. Exposed for control-plane wiring only
-  /// (ConfigureResilience, breaker states, bundle export) — predictions go
-  /// through SubmitPredict so they run on the shard's thread.
-  ModelServer* engine() { return &engine_; }
+  /// The shard-local engine. Exposed for control-plane reads only
+  /// (FlopsPerSample) — predictions go through SubmitPredict so they run on
+  /// the shard's thread.
   const ModelServer* engine() const { return &engine_; }
 
  private:

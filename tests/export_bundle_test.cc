@@ -1,8 +1,11 @@
-// Coverage for the deployment export path and mixed-scenario batching
-// behavior of the async predictor.
+// Coverage for the deployment export path (ServingClient::ExportBundle,
+// the one AltSystem::SaveState uses) and mixed-scenario batching behavior
+// of the async predictor.
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 
 #include "gtest/gtest.h"
 #include "src/data/synthetic.h"
@@ -10,6 +13,7 @@
 #include "src/serving/batch_predictor.h"
 #include "src/serving/model_server.h"
 #include "src/serving/model_store.h"
+#include "src/serving/serving_client.h"
 
 namespace alt {
 namespace serving {
@@ -36,16 +40,29 @@ data::Batch OneSample(uint64_t seed) {
   return batch;
 }
 
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
 TEST(ExportBundleTest, ExportedBundleServesIdentically) {
-  ModelServer server;
-  ASSERT_TRUE(server.Deploy("bank", TinyModel(1)).ok());
+  obs::MetricsRegistry registry;
+  ServingClient client(ServingClient::Options{}, &registry);
+  ASSERT_TRUE(client.Deploy("bank", TinyModel(1)).ok());
   const std::string path = ::testing::TempDir() + "/alt_export_test.altm";
-  ASSERT_TRUE(server.ExportBundle("bank", path).ok());
+  {
+    // A stale file at the path is replaced whole.
+    std::ofstream stale(path, std::ios::binary | std::ios::trunc);
+    stale << "stale bytes from an earlier save";
+  }
+  ASSERT_TRUE(client.ExportBundle("bank", path).ok());
 
   auto reloaded = LoadModelBundleFromFile(path);
   ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
   data::Batch probe = OneSample(2);
-  auto direct = server.Predict("bank", probe);
+  auto direct = client.Predict("bank", probe);
   ASSERT_TRUE(direct.ok());
   auto from_bundle = reloaded.value()->PredictProbs(probe);
   EXPECT_FLOAT_EQ(direct.value()[0], from_bundle[0]);
@@ -53,11 +70,23 @@ TEST(ExportBundleTest, ExportedBundleServesIdentically) {
 }
 
 TEST(ExportBundleTest, ExportErrors) {
-  ModelServer server;
-  EXPECT_FALSE(server.ExportBundle("ghost", "/tmp/x.altm").ok());
-  ASSERT_TRUE(server.Deploy("bank", TinyModel(3)).ok());
-  EXPECT_FALSE(
-      server.ExportBundle("bank", "/nonexistent/dir/x.altm").ok());
+  obs::MetricsRegistry registry;
+  ServingClient client(ServingClient::Options{}, &registry);
+  const std::string path = ::testing::TempDir() + "/alt_export_errors.altm";
+  {
+    std::ofstream previous(path, std::ios::binary | std::ios::trunc);
+    previous << "previous export";
+  }
+  // Unknown scenario: NotFound, and the file at the path is untouched.
+  EXPECT_EQ(client.ExportBundle("ghost", path).code(), StatusCode::kNotFound);
+  EXPECT_EQ(ReadFile(path), "previous export");
+  std::remove(path.c_str());
+
+  // Unwritable directory: an error status, and no file appears.
+  ASSERT_TRUE(client.Deploy("bank", TinyModel(3)).ok());
+  const std::string unwritable = "/nonexistent/dir/x.altm";
+  EXPECT_FALSE(client.ExportBundle("bank", unwritable).ok());
+  EXPECT_FALSE(std::filesystem::exists(unwritable));
 }
 
 TEST(BatchPredictorTest, MixedScenariosAreRoutedCorrectly) {

@@ -2,9 +2,9 @@
 // memory_tracker.h): Prometheus text-format grammar (HELP/TYPE blocks,
 // monotone cumulative buckets, label escaping, the +Inf bucket invariant),
 // the endpoint handlers, an end-to-end socket round trip during a small
-// training run (alt_memory_peak_bytes must be live and positive), and the
+// training run (alt_memory_peak_bytes must be live and positive), and a
 // /healthz probe flipping unhealthy when injected serving faults open a
-// circuit breaker.
+// ServingClient circuit breaker.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -27,7 +27,8 @@
 #include "src/obs/request_trace.h"
 #include "src/obs/slo.h"
 #include "src/resilience/fault_injection.h"
-#include "src/serving/model_server.h"
+#include "src/resilience/clock.h"
+#include "src/serving/serving_client.h"
 #include "src/train/trainer.h"
 #include "src/util/json.h"
 #include "src/util/rng.h"
@@ -455,20 +456,23 @@ TEST(TelemetryServerTest, HealthzFlipsWhenBreakerOpens) {
   }
 
   MetricsRegistry registry;
-  serving::ModelServer model_server(&registry);
-  ASSERT_TRUE(model_server.Deploy("s0", TinyModel(3)).ok());
+  serving::ServingClient client(serving::ServingClient::Options{}, &registry);
+  ASSERT_TRUE(client.Deploy("s0", TinyModel(3)).ok());
   serving::ServingResilienceOptions resilience_options;
   resilience_options.breaker.failure_threshold = 3;
-  model_server.ConfigureResilience(resilience_options);
+  resilience::FakeClock clock;
+  client.EnableResilience(resilience_options, &clock);
 
-  // Health probe wired exactly like core::AltSystem: unhealthy while any
-  // serving breaker is open.
+  // This test's own health probe: unhealthy while any serving breaker is
+  // open. (core::AltSystem's /healthz is 503 only when a deployed scenario
+  // has no live replica; it lists breakers in the body but is not judged
+  // by them.)
   TelemetryServer::Options options;
   options.registry = &registry;
-  options.health_fn = [&model_server]() {
+  options.health_fn = [&client]() {
     Json body = Json::Object{};
     bool healthy = true;
-    for (const auto& [scenario, state] : model_server.BreakerStates()) {
+    for (const auto& [scenario, state] : client.BreakerStates()) {
       if (state == resilience::BreakerState::kOpen) healthy = false;
     }
     body["healthy"] = healthy;
@@ -485,19 +489,19 @@ TEST(TelemetryServerTest, HealthzFlipsWhenBreakerOpens) {
   const data::ScenarioData data = TinyScenario();
   data::Batch probe = data::MakeBatch(data, {0});
   for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(model_server.Predict("s0", probe).ok());
+    ASSERT_TRUE(client.Predict("s0", probe).ok());
   }
-  auto state = model_server.GetBreakerState("s0");
-  ASSERT_TRUE(state.ok());
-  ASSERT_EQ(state.value(), resilience::BreakerState::kOpen);
+  const auto states = client.BreakerStates();
+  ASSERT_EQ(states.count("s0"), 1u);
+  ASSERT_EQ(states.at("s0"), resilience::BreakerState::kOpen);
 
   int status = 0;
   HttpGet(server.value()->port(), "/healthz", &status);
   EXPECT_EQ(status, 503) << "open breaker must surface on /healthz";
 
   faults.Reset();
-  // Breaker closed again after cooldown is not tested here (clock-driven);
-  // the flip to unhealthy is the contract this probe exists for.
+  // Breaker recovery after the cooldown is ServingResilienceTest's; the
+  // flip to unhealthy is the contract this probe exists for.
   server.value()->Stop();
 }
 

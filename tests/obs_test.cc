@@ -1,7 +1,7 @@
 // Tests for the observability layer (src/obs): metrics registry exactness
 // under concurrency, percentile math on known distributions, trace span
 // nesting and Chrome trace_event export, disabled-mode zero recording, and
-// the wiring through ModelServer / BatchPredictor / ParallelFor.
+// the wiring through ServingClient / BatchPredictor / ParallelFor.
 
 #include <chrono>
 #include <memory>
@@ -15,8 +15,11 @@
 #include "src/obs/metrics.h"
 #include "src/obs/request_trace.h"
 #include "src/obs/trace.h"
+#include "src/resilience/clock.h"
+#include "src/resilience/fault_injection.h"
 #include "src/serving/batch_predictor.h"
 #include "src/serving/model_server.h"
+#include "src/serving/serving_client.h"
 #include "src/util/json.h"
 #include "src/util/parallel_for.h"
 #include "src/util/rng.h"
@@ -421,25 +424,60 @@ data::Batch OneSample(uint64_t seed) {
   return batch;
 }
 
-TEST(WiringTest, ModelServerLatencyStatsViewsRegistryHistogram) {
+TEST(WiringTest, ServingClientLatencyStatsViewsRequestHistogram) {
   MetricsRegistry registry;
-  serving::ModelServer server(&registry);
-  ASSERT_TRUE(server.Deploy("shop", TinyModel(11)).ok());
-  data::Batch batch = OneSample(12);
-  ASSERT_TRUE(server.Predict("shop", batch).ok());
-  ASSERT_TRUE(server.Predict("shop", batch).ok());
+  serving::ServingClient::Options topology;
+  topology.num_shards = 2;
+  topology.batching.max_batch_size = 4;
+  topology.batching.max_delay_ms = 1.0;
+  serving::ServingClient client(topology, &registry);
+  ASSERT_TRUE(client.Deploy("shop", TinyModel(11)).ok());
+  ASSERT_TRUE(client.DeployEverywhere("f0", TinyModel(13)).ok());
+  serving::ServingResilienceOptions resilience_options;
+  resilience_options.fallback_scenario = "f0";
+  resilience::FakeClock clock;
+  client.EnableResilience(resilience_options, &clock);
 
-  auto stats = server.GetLatencyStats("shop");
+  // Two direct requests and two batched ones, which may share one flush.
+  const data::Batch batch = OneSample(12);
+  ASSERT_TRUE(client.Predict("shop", batch).ok());
+  ASSERT_TRUE(client.Predict("shop", batch).ok());
+  auto first = client.EnqueuePredict("shop", batch.profiles, batch.behaviors);
+  auto second = client.EnqueuePredict("shop", batch.profiles, batch.behaviors);
+  ASSERT_TRUE(first.get().ok());
+  ASSERT_TRUE(second.get().ok());
+  int64_t requests = 4;
+#if !defined(ALT_FAULTS_DISABLED)
+  // Every second model call faults: the direct request's primary call (2)
+  // and the batched one's (4) fail, and f0 answers each through a second
+  // plane call (3, 5). Each is still one request.
+  resilience::FaultInjector& faults = resilience::FaultInjector::Global();
+  faults.Reset();
+  resilience::FaultRule every_other;
+  every_other.every_nth = 2;
+  faults.Arm("serving/predict", every_other);
+  ASSERT_TRUE(client.Predict("shop", batch).ok());
+  ASSERT_TRUE(client.Predict("shop", batch).ok());
+  ASSERT_TRUE(
+      client.EnqueuePredict("shop", batch.profiles, batch.behaviors).get().ok());
+  faults.Reset();
+  EXPECT_EQ(registry.counter_value("serving/fallbacks"), 2);
+  requests += 3;
+#endif
+
+  auto stats = client.GetLatencyStats("shop");
   ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats.value().num_requests, 2);
+  EXPECT_EQ(stats.value().num_requests, requests);
   EXPECT_GT(stats.value().mean_ms, 0.0);
 
-  // The stats are literally the registry histogram's summary.
-  const HistogramSummary s = registry.histogram_summary(
-      serving::ModelServer::LatencyMetricName("shop"));
-  EXPECT_EQ(s.count, 2);
+  // The stats are literally the per-request histogram's summary.
+  const HistogramSummary s =
+      registry.histogram_summary("serving/request/latency_ms/shop");
+  EXPECT_EQ(s.count, requests);
   EXPECT_DOUBLE_EQ(stats.value().mean_ms, s.mean);
   EXPECT_DOUBLE_EQ(stats.value().p99_ms, s.p99);
+  EXPECT_DOUBLE_EQ(stats.value().max_ms, s.max);
+  EXPECT_FALSE(client.GetLatencyStats("ghost").ok());
 }
 
 TEST(WiringTest, BatchPredictorCreateValidatesOptions) {

@@ -16,6 +16,7 @@
 #include "src/resilience/fault_injection.h"
 #include "src/resilience/retry.h"
 #include "src/serving/model_server.h"
+#include "src/serving/serving_client.h"
 #include "src/train/trainer.h"
 #include "src/util/atomic_file.h"
 
@@ -430,7 +431,7 @@ TEST(CheckpointTest, GarbageFileIsRejected) {
 }
 
 // ---------------------------------------------------------------------------
-// ModelServer graceful degradation
+// ServingClient graceful degradation (and ModelServer deploy retries)
 // ---------------------------------------------------------------------------
 
 data::SyntheticConfig SmallDataConfig() {
@@ -473,11 +474,11 @@ serving::ServingResilienceOptions SmallResilience() {
 #if !defined(ALT_FAULTS_DISABLED)
 TEST(ServingResilienceTest, PredictDegradesAndBreakerRecovers) {
   obs::MetricsRegistry registry;
-  serving::ModelServer server(&registry);
-  ASSERT_TRUE(server.Deploy("s1", SmallModel(1)).ok());
-  ASSERT_TRUE(server.Deploy("f0", SmallModel(2)).ok());
+  serving::ServingClient client(serving::ServingClient::Options{}, &registry);
+  ASSERT_TRUE(client.Deploy("s1", SmallModel(1)).ok());
+  ASSERT_TRUE(client.DeployEverywhere("f0", SmallModel(2)).ok());
   FakeClock clock;
-  server.ConfigureResilience(SmallResilience(), &clock);
+  client.EnableResilience(SmallResilience(), &clock);
   data::SyntheticGenerator gen(SmallDataConfig());
   const data::Batch batch = MakeFullBatch(gen.GenerateScenario(0));
 
@@ -490,26 +491,26 @@ TEST(ServingResilienceTest, PredictDegradesAndBreakerRecovers) {
   // Both the primary and the f0 fallback fault, so the degraded answer is
   // the constant prior — but the caller still gets a full, valid response.
   for (int call = 0; call < 3; ++call) {
-    auto scores = server.Predict("s1", batch);
+    auto scores = client.Predict("s1", batch);
     ASSERT_TRUE(scores.ok()) << scores.status().ToString();
     ASSERT_EQ(scores.value().size(), static_cast<size_t>(batch.batch_size));
     for (float score : scores.value()) EXPECT_FLOAT_EQ(score, 0.25f);
   }
   // failure_threshold = 2: the third call already found the breaker open.
-  auto state = server.GetBreakerState("s1");
-  ASSERT_TRUE(state.ok());
-  EXPECT_EQ(state.value(), BreakerState::kOpen);
+  auto states = client.BreakerStates();
+  ASSERT_EQ(states.count("s1"), 1u);
+  EXPECT_EQ(states.at("s1"), BreakerState::kOpen);
   EXPECT_EQ(registry.counter_value("serving/fallbacks"), 3);
 
   // Faults cleared + cooldown elapsed: the half-open probe succeeds and the
   // breaker closes again, serving real model predictions.
   faults.Reset();
   clock.Advance(60.0);
-  auto recovered = server.Predict("s1", batch);
+  auto recovered = client.Predict("s1", batch);
   ASSERT_TRUE(recovered.ok());
-  state = server.GetBreakerState("s1");
-  ASSERT_TRUE(state.ok());
-  EXPECT_EQ(state.value(), BreakerState::kClosed);
+  states = client.BreakerStates();
+  ASSERT_EQ(states.count("s1"), 1u);
+  EXPECT_EQ(states.at("s1"), BreakerState::kClosed);
   const std::vector<float> expected = SmallModel(1)->PredictProbs(batch);
   ASSERT_EQ(recovered.value().size(), expected.size());
   for (size_t i = 0; i < expected.size(); ++i) {
@@ -541,19 +542,19 @@ TEST(ServingResilienceTest, DeployRetriesTransientFaults) {
 
 TEST(ServingResilienceTest, UnknownScenarioFallsBackToDefault) {
   obs::MetricsRegistry registry;
-  serving::ModelServer server(&registry);
-  ASSERT_TRUE(server.Deploy("f0", SmallModel(2)).ok());
+  serving::ServingClient client(serving::ServingClient::Options{}, &registry);
+  ASSERT_TRUE(client.DeployEverywhere("f0", SmallModel(2)).ok());
   data::SyntheticGenerator gen(SmallDataConfig());
   const data::Batch batch = MakeFullBatch(gen.GenerateScenario(0));
   // Resilience off: unknown scenarios are an error.
-  EXPECT_EQ(server.Predict("nope", batch).status().code(),
+  EXPECT_EQ(client.Predict("nope", batch).status().code(),
             StatusCode::kNotFound);
 
   serving::ServingResilienceOptions options = SmallResilience();
   options.default_scenario = "f0";
   FakeClock clock;
-  server.ConfigureResilience(options, &clock);
-  auto scores = server.Predict("nope", batch);
+  client.EnableResilience(options, &clock);
+  auto scores = client.Predict("nope", batch);
   ASSERT_TRUE(scores.ok()) << scores.status().ToString();
   EXPECT_EQ(scores.value().size(), static_cast<size_t>(batch.batch_size));
   EXPECT_EQ(registry.counter_value("serving/unknown_scenario_fallbacks"), 1);
@@ -561,17 +562,17 @@ TEST(ServingResilienceTest, UnknownScenarioFallsBackToDefault) {
 
 TEST(ServingResilienceTest, PredictDeadlineCountsAndDegrades) {
   obs::MetricsRegistry registry;
-  serving::ModelServer server(&registry);
-  ASSERT_TRUE(server.Deploy("s1", SmallModel(1)).ok());
+  serving::ServingClient client(serving::ServingClient::Options{}, &registry);
+  ASSERT_TRUE(client.Deploy("s1", SmallModel(1)).ok());
   serving::ServingResilienceOptions options = SmallResilience();
   options.fallback_scenario.clear();  // Straight to the constant prior.
   options.predict_deadline_ms = 5.0;
   FakeClock clock;
-  server.ConfigureResilience(options, &clock);
+  client.EnableResilience(options, &clock);
   clock.set_auto_advance_ms(10.0);  // Every Predict appears to take 10ms.
   data::SyntheticGenerator gen(SmallDataConfig());
   const data::Batch batch = MakeFullBatch(gen.GenerateScenario(0));
-  auto scores = server.Predict("s1", batch);
+  auto scores = client.Predict("s1", batch);
   ASSERT_TRUE(scores.ok());
   for (float score : scores.value()) EXPECT_FLOAT_EQ(score, 0.25f);
   EXPECT_EQ(registry.counter_value("serving/predict_deadline_exceeded"), 1);

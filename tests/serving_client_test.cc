@@ -8,6 +8,8 @@
 
 #include "gtest/gtest.h"
 #include "src/obs/metrics.h"
+#include "src/resilience/clock.h"
+#include "src/resilience/fault_injection.h"
 #include "src/serving/model_store.h"
 #include "src/serving/serving_client.h"
 
@@ -161,13 +163,80 @@ TEST(ServingClientTest, ResilienceDegradesUnknownScenarios) {
   ASSERT_TRUE(client.DeployEverywhere("f0", TinyModel(12)).ok());
 
   const data::Batch batch = OneSample(13);
-  // Unknown scenario: ring-routed, answered by the engine's f0 default.
+  // Unknown scenario: routed by the client to its f0 default.
   auto scores = client.Predict("brand_new_scenario", batch);
   ASSERT_TRUE(scores.ok()) << scores.status().ToString();
+  // Only the scenario that served gets a breaker; unknown names never do.
   auto states = client.BreakerStates();
-  EXPECT_EQ(states.count("shard:shard-0"), 1u);
-  EXPECT_EQ(states.count("shard:shard-1"), 1u);
+  EXPECT_EQ(states.count("f0"), 1u);
+  EXPECT_EQ(states.count("brand_new_scenario"), 0u);
 }
+
+#if !defined(ALT_FAULTS_DISABLED)
+TEST(ServingClientTest, ModelFaultsNeverEvictHealthyShards) {
+  // A model fault is the same on every replica and says nothing about the
+  // shard that ran it: with resilience off it reaches the caller, no
+  // replica is tried in its place, and every shard stays on the ring.
+  resilience::FaultInjector& faults = resilience::FaultInjector::Global();
+  faults.Reset();
+  obs::MetricsRegistry registry;
+  ServingClient client(SmallTopology(3, 2), &registry);
+  ASSERT_TRUE(client.Deploy("s", TinyModel(21)).ok());
+  resilience::FaultRule always;
+  always.every_nth = 1;
+  faults.Arm("serving/predict", always);
+
+  const data::Batch batch = OneSample(22);
+  for (int i = 0; i < 6; ++i) {
+    EXPECT_EQ(client.Predict("s", batch).status().code(),
+              StatusCode::kInternal);
+  }
+  faults.Reset();
+  EXPECT_EQ(registry.counter_value("serving/coordinator/failovers"), 0);
+  EXPECT_EQ(registry.counter_value("serving/rebalance_events"), 0);
+  EXPECT_EQ(registry.counter_value("serving/coordinator/no_replica_available"),
+            0);
+  EXPECT_EQ(client.NumLiveShards(), 3);
+  EXPECT_EQ(client.coordinator()->ReplicasOf("s").size(), 2u);
+  // The faults stop and the same plane answers.
+  EXPECT_TRUE(client.Predict("s", batch).ok());
+}
+
+TEST(ServingClientTest, OneBreakerPerScenarioAcrossReplicas) {
+  resilience::FaultInjector& faults = resilience::FaultInjector::Global();
+  faults.Reset();
+  obs::MetricsRegistry registry;
+  ServingClient client(SmallTopology(3, 2), &registry);
+  ASSERT_TRUE(client.Deploy("s", TinyModel(23)).ok());
+  ASSERT_TRUE(client.DeployEverywhere("f0", TinyModel(24)).ok());
+  ServingResilienceOptions resilience;
+  resilience.breaker.failure_threshold = 3;
+  resilience.fallback_scenario = "f0";
+  resilience::FakeClock clock;
+  client.EnableResilience(resilience, &clock);
+  resilience::FaultRule always;
+  always.every_nth = 1;
+  faults.Arm("serving/predict", always);
+
+  // Whichever replica of "s" each request lands on, the faults count
+  // against the scenario's one breaker, which opens at the threshold.
+  const data::Batch batch = OneSample(25);
+  for (int i = 0; i < 2; ++i) ASSERT_TRUE(client.Predict("s", batch).ok());
+  EXPECT_EQ(client.BreakerStates().at("s"), resilience::BreakerState::kClosed);
+  ASSERT_TRUE(client.Predict("s", batch).ok());
+  faults.Reset();
+  const auto states = client.BreakerStates();
+  ASSERT_EQ(states.size(), 1u);
+  EXPECT_EQ(states.at("s"), resilience::BreakerState::kOpen);
+  EXPECT_EQ(
+      registry.counter_value("resilience/circuit_breaker/opens/serving/s"), 1);
+  EXPECT_EQ(
+      registry.gauge_value("resilience/circuit_breaker/state/serving/s"),
+      static_cast<double>(resilience::BreakerState::kOpen));
+  EXPECT_EQ(registry.counter_value("serving/fallbacks"), 3);
+  EXPECT_EQ(client.NumLiveShards(), 3);
+}
+#endif  // !ALT_FAULTS_DISABLED
 
 TEST(ServingClientTest, ExportBundleWritesServableArtifact) {
   obs::MetricsRegistry registry;

@@ -104,8 +104,6 @@ TEST(ModelStoreTest, GarbageRejected) {
 // ---------------------------------------------------------------------------
 
 TEST(ModelServerTest, DeployPredictUndeploy) {
-  // Private registry so latency counts are exact regardless of what other
-  // tests in this binary record into the global one.
   obs::MetricsRegistry registry;
   ModelServer server(&registry);
   ASSERT_TRUE(server.Deploy("bank_a", MakeModel(5)).ok());
@@ -117,11 +115,6 @@ TEST(ModelServerTest, DeployPredictUndeploy) {
   auto probs = server.Predict("bank_a", batch);
   ASSERT_TRUE(probs.ok());
   EXPECT_EQ(probs.value().size(), static_cast<size_t>(batch.batch_size));
-
-  auto stats = server.GetLatencyStats("bank_a");
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats.value().num_requests, 1);
-  EXPECT_GT(stats.value().mean_ms, 0.0);
   EXPECT_GT(server.FlopsPerSample("bank_a").value(), 0);
 
   ASSERT_TRUE(server.Undeploy("bank_a").ok());
@@ -134,7 +127,6 @@ TEST(ModelServerTest, UnknownScenarioErrors) {
   data::Batch batch;
   EXPECT_FALSE(server.Predict("ghost", batch).ok());
   EXPECT_FALSE(server.Undeploy("ghost").ok());
-  EXPECT_FALSE(server.GetLatencyStats("ghost").ok());
   EXPECT_FALSE(server.Deploy("x", nullptr).ok());
 }
 
@@ -169,7 +161,6 @@ TEST(ModelServerTest, ConcurrentPredictsAreSafe) {
   }
   for (auto& f : futures) f.get();
   EXPECT_EQ(ok_count.load(), 32);
-  EXPECT_EQ(server.GetLatencyStats("s").value().num_requests, 32);
 }
 
 // ---------------------------------------------------------------------------

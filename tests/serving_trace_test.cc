@@ -1,9 +1,9 @@
 // Tests of request-scoped tracing and per-scenario SLOs across the sharded
 // serving plane: deterministic sampling, segment attribution on the direct /
 // failover / batched paths, the slow-trace ring, SLO burn-rate windows on a
-// FakeClock, and a concurrent traced chaos section (the TSan target of
-// check.sh's request-trace stage — the request context crosses the
-// coordinator, shard dispatcher, and batch flush threads).
+// FakeClock, and a concurrent traced chaos section (run under TSan by
+// check.sh's tsan stage — the request context crosses the coordinator,
+// shard dispatcher, and batch flush threads).
 
 #include <atomic>
 #include <chrono>

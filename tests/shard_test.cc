@@ -1,7 +1,7 @@
 // Tests of the sharded serving plane's building blocks: the consistent-hash
 // ring (uniformity, minimal disruption, determinism), the version-gated
 // worker shard, and the ShardCoordinator (broadcast deploys, replica
-// failover, breaker-driven rebalance with zero lost requests).
+// failover, rebalance on shard death with zero lost requests).
 
 #include <future>
 #include <map>
@@ -289,7 +289,7 @@ TEST(ShardCoordinatorTest, NotFoundIsTerminalNotAFailover) {
   auto result = coordinator.Predict("ghost", batch);
   EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
   // An unknown scenario is a deploy-state error, not a shard health signal:
-  // no failover, no breaker damage, no rebalance.
+  // no failover, no rebalance.
   EXPECT_EQ(registry.counter_value("serving/coordinator/failovers"), 0);
   EXPECT_EQ(registry.counter_value("serving/rebalance_events"), 0);
   EXPECT_EQ(coordinator.NumLiveShards(), 3);
@@ -322,18 +322,6 @@ TEST(ShardCoordinatorTest, AllReplicasDeadReportsUnavailable) {
   EXPECT_EQ(coordinator.NumLiveShards(), 0);
   EXPECT_GE(registry.counter_value("serving/coordinator/no_replica_available"),
             1);
-}
-
-TEST(ShardCoordinatorTest, BreakerStatesCoverShardsAndScenarios) {
-  obs::MetricsRegistry registry;
-  ShardCoordinator coordinator(SmallCoordinator(2, 1), &registry);
-  ASSERT_TRUE(coordinator.Deploy("s", TinyModel(4)).ok());
-  auto states = coordinator.BreakerStates();
-  EXPECT_EQ(states.count("shard:shard-0"), 1u);
-  EXPECT_EQ(states.count("shard:shard-1"), 1u);
-  for (const auto& [name, state] : states) {
-    EXPECT_EQ(state, resilience::BreakerState::kClosed) << name;
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -487,10 +475,8 @@ TEST(ShardCoordinatorTest, ShedsWithResourceExhaustedAndRecovers) {
   ASSERT_FALSE(shed.ok());
   EXPECT_EQ(shed.status().code(), StatusCode::kResourceExhausted);
   EXPECT_GE(registry.counter_value("serving/admission/shed"), 1);
-  // Shedding is not failure: breakers stay closed and nobody rebalances.
-  for (const auto& [name, state] : coordinator.BreakerStates()) {
-    EXPECT_EQ(state, resilience::BreakerState::kClosed) << name;
-  }
+  // Shedding is not failure: nobody fails over and nobody rebalances.
+  EXPECT_EQ(registry.counter_value("serving/coordinator/failovers"), 0);
   EXPECT_EQ(registry.counter_value("serving/rebalance_events"), 0);
 
   // Hot scenarios map to critical admission and bypass the soft watermark.

@@ -40,8 +40,9 @@
 //   L012  shard lifecycle mutation outside src/serving/shard: direct
 //         member calls to WorkerShard::Kill or the ring mutators
 //         (AddShardVnodes / RemoveShard), and direct HashRing construction,
-//         bypass the coordinator/supervisor — replica tables, breaker
-//         state, and the staged-rejoin ownership invariants all go stale.
+//         bypass the coordinator/supervisor — replica tables, the
+//         supervisor's health states, and the staged-rejoin ownership
+//         invariants all go stale.
 //         Kill/rejoin/grow through ShardCoordinator (KillShard /
 //         RejoinShard / AddShard) or the ServingClient facade. Bare
 //         `AddShard(` member calls are deliberately not flagged: that name
@@ -467,8 +468,8 @@ void FindDirectShardLifecycleMutation(const std::string& stripped,
       {"Kill",
        "direct WorkerShard::Kill outside src/serving/shard; tear shards "
        "down through ShardCoordinator::KillShard (or "
-       "ServingClient::KillShard) so routing, breakers and rebalancing "
-       "stay consistent"},
+       "ServingClient::KillShard) so routing and rebalancing stay "
+       "consistent"},
       {"AddShardVnodes",
        "direct ring mutation outside src/serving/shard; membership changes "
        "go through ShardCoordinator::AddShard/RejoinShard so the replica "

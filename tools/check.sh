@@ -24,16 +24,13 @@
 #   serving-elastic  shard lifecycle suite in the ASan tree: supervisor
 #                state machine, warm kill->rejoin with zero lost requests,
 #                staged ring admission bounds, and shed/recover hysteresis
-#   request-trace  traced-serving suite: serving_trace_test (request-context
-#                propagation, segment attribution, SLO burn windows, traced
-#                chaos) under TSan, then a traced bench_serving_scale smoke
-#                pair through bench_compare (the run itself asserts a
-#                failover-segment slow trace and bounded tracing overhead)
 #   simd-parity  kernel/parity/quant tests rerun with ALT_SIMD=off (the
 #                guaranteed scalar contract) in the release tree
-#   telemetry    /healthz flips to 503 under injected serving faults
+#   telemetry    a breaker-driven /healthz probe flips to 503 under injected
+#                serving faults
 #   ubsan        Release + -fsanitize=undefined + ALT_DCHECKS=ON, full ctest
 #   tsan         Release + -fsanitize=thread, threading-related targets only
+#                (kernels, obs, autograd, and the whole serving plane)
 #
 # ALT_SIMD set in the environment is inherited by every stage (including the
 # asan/tsan ctest runs), so e.g. `ALT_SIMD=off tools/check.sh asan` sweeps
@@ -46,7 +43,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 ALL_STAGES=(release lint analyze tidy asan chaos bench serving-scale
-            serving-elastic request-trace simd-parity telemetry ubsan tsan)
+            serving-elastic simd-parity telemetry ubsan tsan)
 
 SELECTED=()
 for arg in "$@"; do
@@ -57,7 +54,7 @@ for arg in "$@"; do
       done
       ;;
     -h|--help)
-      sed -n '2,34p' "$0" | sed 's/^# \{0,1\}//'
+      sed -n '2,40p' "$0" | sed 's/^# \{0,1\}//'
       exit 0
       ;;
     -*)
@@ -216,26 +213,6 @@ if wants serving-elastic; then
 '*KillRejoin*:*AddShardGrows*:*GetHealthReflects*'
 fi
 
-if wants request-trace; then
-  ensure_release_build
-  # Request-trace stage: the traced serving chaos suite under TSan (the
-  # request context crosses the coordinator, shard dispatcher, and batch
-  # flush threads — exactly the handoffs TSan can falsify), then two traced
-  # smoke runs of the scale bench gated on throughput. Each bench run
-  # asserts the /trace/slow contract: a retained slow trace with a failover
-  # segment whose decomposition sums to its end-to-end latency.
-  echo "==> request-trace stage (serving_trace_test under TSan)"
-  # Reconfigure unconditionally: a build-tsan tree left by an earlier run
-  # may predate this test target, and a no-op reconfigure is cheap.
-  cmake -B build-tsan -S . -DALT_SANITIZE=thread -DALT_DCHECKS=ON >/dev/null
-  cmake --build build-tsan -j --target serving_trace_test >/dev/null
-  ./build-tsan/tests/serving_trace_test
-  echo "==> request-trace stage (traced bench_serving_scale --smoke x2)"
-  ./build/bench/bench_serving_scale --smoke --trace_sample=0.01     --out=build/BENCH_serving_traced_base.json >/dev/null
-  ./build/bench/bench_serving_scale --smoke --trace_sample=0.01     --out=build/BENCH_serving_traced_head.json >/dev/null
-  ./build/tools/bench_compare --baseline=build/BENCH_serving_traced_base.json     --head=build/BENCH_serving_traced_head.json --metric=throughput_rps     --threshold=0.5
-fi
-
 if wants simd-parity; then
   ensure_release_build
   # SIMD-parity stage: rerun the kernel-layer tests with the dispatcher
@@ -251,9 +228,10 @@ fi
 
 if wants telemetry; then
   ensure_asan_build
-  # Telemetry stage: /healthz must flip to 503 when injected serving faults
-  # open a circuit breaker. The test honors an external ALT_FAULTS, so this
-  # exercises the same env-driven arming path operators use.
+  # Telemetry stage: a /healthz probe judged by the ServingClient breakers
+  # must flip to 503 when injected serving faults open one. The test honors
+  # an external ALT_FAULTS, so this exercises the same env-driven arming
+  # path operators use.
   echo "==> telemetry stage (build-asan, ALT_FAULTS opens a serving breaker)"
   ALT_FAULTS="serving/predict=1" \
   ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1}" \
@@ -268,14 +246,18 @@ fi
 if wants tsan; then
   # TSan covers the compute-kernel layer (ParallelFor, the shared compute
   # pool, and the parallel GEMM/conv/elementwise kernels), the observability
-  # layer (concurrent metric updates and trace spans), and the autograd
-  # inference guard with the fused LSTM op: shard dispatchers run
+  # layer (concurrent metric updates and trace spans), the autograd
+  # inference guard with the fused LSTM op (shard dispatchers run
   # PredictProbs under the thread-local guard while OnScenarioArrival trains
-  # on the main thread. Only the threading-related targets are built and
-  # run: TSan slows everything ~10x and the rest of the suite is
-  # single-threaded.
+  # on the main thread), and the serving plane: shard dispatcher threads,
+  # batcher flush threads sharing the client's breaker map, kill/rejoin
+  # under load, and the request context crossing all of them in the traced
+  # chaos suite. Only the threading-related targets are built and run: TSan
+  # slows everything ~10x and the rest of the suite is single-threaded.
   TSAN_TARGETS=(parallel_for_test kernel_parity_test util_test hpo_test
-                obs_test obs_export_test autograd_test nn_test)
+                obs_test obs_export_test autograd_test nn_test
+                shard_test serving_client_test serving_test
+                serving_trace_test)
   echo "==> configuring build-tsan (-DALT_SANITIZE=thread -DALT_DCHECKS=ON)"
   cmake -B build-tsan -S . -DALT_SANITIZE=thread -DALT_DCHECKS=ON >/dev/null
   echo "==> building build-tsan (${TSAN_TARGETS[*]})"
