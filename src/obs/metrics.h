@@ -21,7 +21,7 @@ namespace obs {
 /// One canonical instrumentation API for every subsystem (ISSUE 3): named
 /// counters, gauges, and fixed-bucket histograms registered in a
 /// `MetricsRegistry`. Metric names follow the `layer/component/metric`
-/// scheme (e.g. `serving/batch_predictor/request_latency_ms`); per-instance
+/// scheme (e.g. `serving/coordinator/broadcast_ms`); per-instance
 /// metrics append an instance segment (`serving/request/latency_ms/<scenario>`).
 ///
 /// Concurrency model:

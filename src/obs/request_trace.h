@@ -29,20 +29,19 @@ namespace obs {
 ///   - a bounded ring of the N slowest completed request traces, served at
 ///     `/trace/slow`.
 /// The context propagates by value through ServingClient → ShardCoordinator
-/// → WorkerShard → BatchPredictor; an unsampled context costs zero clock
-/// reads anywhere along that path.
+/// → WorkerShard; an unsampled context costs zero clock reads anywhere
+/// along that path.
 
 /// Canonical segment taxonomy of the serving path. Segment sums are designed
 /// to account for a request's end-to-end latency:
-///   direct path : route + [failover|shed_requeue]* + queue_wait + compute
-///   batched path: batch_wait + (the flush's decomposition, attributed to
-///                 the representative request; other sampled co-batched
-///                 requests see the whole flush as `compute`)
+///   route + [failover|shed_requeue]* + queue_wait + compute
+/// Every request books its own segments, also when the shard worker merged
+/// it with others into one engine call: its queue_wait ends where that call
+/// starts, and the call is its compute.
 namespace segment {
 inline constexpr const char* kRoute = "route";          // p2c replica ranking
-inline constexpr const char* kQueueWait = "queue_wait";  // shard dispatch queue
-inline constexpr const char* kBatchWait = "batch_wait";  // micro-batch coalesce
-inline constexpr const char* kCompute = "compute";       // engine Predict
+inline constexpr const char* kQueueWait = "queue_wait";  // shard queue
+inline constexpr const char* kCompute = "compute";       // engine call
 inline constexpr const char* kRetryBackoff = "retry_backoff";  // retry sleeps
 inline constexpr const char* kFailover = "failover";  // failed attempts + rebalance
 inline constexpr const char* kShedRequeue = "shed_requeue";  // shed attempts

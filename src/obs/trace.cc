@@ -49,6 +49,13 @@ uint64_t NextSpanId(uint64_t parent_span_id) {
   return id == 0 ? 1 : id;
 }
 
+RequestContext ChildContext(const RequestContext& parent) {
+  RequestContext child = parent;
+  child.parent_span_id = parent.span_id;
+  child.span_id = NextSpanId(parent.span_id);
+  return child;
+}
+
 double MonotonicMicros() {
   static const std::chrono::steady_clock::time_point epoch =
       std::chrono::steady_clock::now();
@@ -107,6 +114,19 @@ void TraceRecorder::Record(TraceEvent event) {
     return;
   }
   buffer->events.push_back(std::move(event));
+}
+
+void TraceRecorder::RecordSpan(std::string name, const RequestContext& span,
+                               double start_us) {
+  if (!enabled()) return;
+  TraceEvent event;
+  event.name = std::move(name);
+  event.ts_us = start_us;
+  event.dur_us = NowMicros() - start_us;
+  event.trace_id = span.trace_id;
+  event.span_id = span.span_id;
+  event.parent_span_id = span.parent_span_id;
+  Record(std::move(event));
 }
 
 size_t TraceRecorder::event_count() const {

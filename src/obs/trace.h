@@ -69,6 +69,12 @@ struct RequestContext {
 /// for a deterministic span sequence. Never returns 0 (0 = "no span").
 uint64_t NextSpanId(uint64_t parent_span_id);
 
+/// The context of a new request-linked span under `parent`: a fresh span id
+/// parented on parent.span_id, as TraceSpan::context() hands downstream.
+/// For spans that begin and end on different threads; record them with
+/// TraceRecorder::RecordSpan.
+RequestContext ChildContext(const RequestContext& parent);
+
 /// Microseconds on the process steady clock (arbitrary but fixed epoch).
 /// Segment timing helper for serving code, which must not read raw chrono
 /// clocks (lint L006).
@@ -93,6 +99,13 @@ class TraceRecorder {
 
   /// Appends one completed event to the calling thread's buffer.
   void Record(TraceEvent event);
+
+  /// Records request-linked span `span` (from ChildContext) as one event
+  /// from `start_us` (NowMicros) to now: the explicit form of a
+  /// request-linked TraceSpan, for work that crosses threads. No-op when
+  /// disabled.
+  void RecordSpan(std::string name, const RequestContext& span,
+                  double start_us);
 
   /// Total events currently buffered / dropped over the cap.
   size_t event_count() const;

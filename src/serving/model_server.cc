@@ -10,6 +10,70 @@
 namespace alt {
 namespace serving {
 
+namespace {
+
+/// A serving request against the model that will score it: the checks
+/// BaseModel::Forward and the embedding lookup would otherwise abort on.
+Status CheckRequest(models::BaseModel* model, const data::Batch& batch) {
+  const models::ModelConfig& config = model->config();
+  const Tensor& profiles = batch.profiles;
+  if (profiles.ndim() != 2 || profiles.size(0) != batch.batch_size ||
+      profiles.size(1) != config.profile_dim) {
+    return Status::InvalidArgument(
+        "profiles " + ShapeToString(profiles.shape()) + " for batch_size " +
+        std::to_string(batch.batch_size) + ", model wants profile width " +
+        std::to_string(config.profile_dim));
+  }
+  if (model->behavior_encoder() == nullptr) return Status::OK();
+  if (batch.seq_len != config.seq_len) {
+    return Status::InvalidArgument(
+        "seq_len " + std::to_string(batch.seq_len) + ", model wants " +
+        std::to_string(config.seq_len));
+  }
+  if (static_cast<int64_t>(batch.behaviors.size()) !=
+      batch.batch_size * batch.seq_len) {
+    return Status::InvalidArgument(
+        std::to_string(batch.behaviors.size()) + " behaviour ids for " +
+        std::to_string(batch.batch_size) + " x " +
+        std::to_string(batch.seq_len));
+  }
+  for (int64_t id : batch.behaviors) {
+    if (id < 0 || id >= config.vocab_size) {
+      return Status::InvalidArgument(
+          "behaviour id " + std::to_string(id) + " outside [0, " +
+          std::to_string(config.vocab_size) + ")");
+    }
+  }
+  return Status::OK();
+}
+
+/// The rows of `requests` stacked into one batch (same model, so the same
+/// profile width and seq_len).
+data::Batch MergeRows(const std::vector<const data::Batch*>& requests,
+                      bool with_behaviors) {
+  data::Batch merged;
+  const int64_t width = requests.front()->profiles.size(1);
+  merged.seq_len = requests.front()->seq_len;
+  for (const data::Batch* request : requests) {
+    merged.batch_size += request->batch_size;
+  }
+  merged.profiles = Tensor({merged.batch_size, width});
+  float* row = merged.profiles.data();
+  for (const data::Batch* request : requests) {
+    const int64_t n = request->profiles.numel();
+    std::copy(request->profiles.data(), request->profiles.data() + n, row);
+    row += n;
+    if (with_behaviors) {
+      merged.behaviors.insert(merged.behaviors.end(),
+                              request->behaviors.begin(),
+                              request->behaviors.end());
+    }
+  }
+  return merged;
+}
+
+}  // namespace
+
 ModelServer::ModelServer(obs::MetricsRegistry* registry)
     : registry_(registry != nullptr ? registry
                                     : &obs::MetricsRegistry::Global()) {}
@@ -104,20 +168,56 @@ std::shared_ptr<ModelServer::Deployment> ModelServer::FindDeployment(
 
 Result<std::vector<float>> ModelServer::Predict(const std::string& scenario,
                                                 const data::Batch& batch) {
+  return std::move(PredictEach(scenario, {&batch}).front());
+}
+
+std::vector<Result<std::vector<float>>> ModelServer::PredictEach(
+    const std::string& scenario,
+    const std::vector<const data::Batch*>& requests) {
+  std::vector<Result<std::vector<float>>> results(
+      requests.size(), Status::NotFound("scenario " + scenario +
+                                        " not deployed"));
   std::shared_ptr<Deployment> deployment = FindDeployment(scenario);
-  if (deployment == nullptr) {
-    return Status::NotFound("scenario " + scenario + " not deployed");
-  }
+  if (deployment == nullptr) return results;
   // Per-deployment lock: the model's forward pass mutates training-mode
   // state, so concurrent requests to one scenario serialize here.
   MutexLock model_lock(deployment->mu);
-  if (deployment->model == nullptr) {
-    return Status::NotFound("deployment has no model");
+  models::BaseModel* model = deployment->model.get();
+  if (model == nullptr) return results;
+  std::vector<size_t> valid;
+  std::vector<const data::Batch*> batches;
+  for (size_t i = 0; i < requests.size(); ++i) {
+    Status status = CheckRequest(model, *requests[i]);
+    if (status.ok()) {
+      valid.push_back(i);
+      batches.push_back(requests[i]);
+    } else {
+      results[i] = std::move(status);
+    }
   }
-  ALT_FAULT_RETURN_IF("serving/predict");
+  if (valid.empty()) return results;
+  const Status fault = ALT_FAULT_POINT("serving/predict");
+  if (!fault.ok()) {
+    for (size_t i : valid) results[i] = fault;
+    return results;
+  }
   ALT_TRACE_SPAN(span, "serving/model_server/predict");
   obs::ScopedMemoryTag memory_tag("serving");
-  return deployment->model->PredictProbs(batch);
+  // A row's probability does not depend on the other rows of its batch, so
+  // each request gets exactly the scores it would get alone.
+  if (batches.size() == 1) {
+    results[valid.front()] = model->PredictProbs(*batches.front());
+    return results;
+  }
+  const std::vector<float> probs = model->PredictProbs(
+      MergeRows(batches, model->behavior_encoder() != nullptr));
+  auto row = probs.begin();
+  for (size_t i : valid) {
+    const int64_t n = requests[i]->batch_size;
+    results[i] = std::vector<float>(row, row + n);
+    row += n;
+  }
+  return results;
 }
 
 Result<int64_t> ModelServer::FlopsPerSample(

@@ -78,9 +78,20 @@ class ModelServer {
 
   /// Scores a request batch with `scenario`'s model. Thread-safe; requests
   /// to the same scenario are serialized on that scenario's lock. Hosts the
-  /// `serving/predict` fault point.
+  /// `serving/predict` fault point. A request whose shape or ids do not fit
+  /// the model is InvalidArgument: requests are outside input, and the
+  /// model's own checks abort.
   Result<std::vector<float>> Predict(const std::string& scenario,
                                      const data::Batch& batch);
+
+  /// Predict for several requests of one scenario in one forward pass: each
+  /// request is checked against the model on its own, so a malformed one
+  /// fails alone, and the valid ones are merged row-wise and scored
+  /// together. Returns one result per request, in order, each with that
+  /// request's rows. A model fault fails every valid request.
+  std::vector<Result<std::vector<float>>> PredictEach(
+      const std::string& scenario,
+      const std::vector<const data::Batch*>& requests);
 
   /// Inference FLOPs per sample of the deployed model.
   Result<int64_t> FlopsPerSample(const std::string& scenario) const;

@@ -1,11 +1,11 @@
 #include "src/serving/serving_client.h"
 
+#include <algorithm>
 #include <chrono>
+#include <future>
 #include <thread>
 #include <utility>
-
-#include "src/serving/shard/hash_ring.h"
-#include "src/util/logging.h"
+#include <variant>
 
 namespace alt {
 namespace serving {
@@ -51,16 +51,45 @@ std::string RequestLatencyName(const std::string& scenario) {
   return "serving/request/latency_ms/" + scenario;
 }
 
-/// Plane statuses: the plane, not the model, failed the call (no live
-/// replica, every replica shedding, or the scenario is gone). They reach
-/// the caller as they are and never count against a scenario's breaker.
-bool IsPlaneStatus(StatusCode code) {
+/// Statuses that say nothing about the scenario's model: the plane failed
+/// the call (no live replica, every replica shedding, or the scenario is
+/// gone), or the caller sent a malformed request. They reach the caller as
+/// they are, never count against a scenario's breaker, and are never
+/// answered with a fallback.
+bool IsNotModelFault(StatusCode code) {
   return code == StatusCode::kUnavailable ||
          code == StatusCode::kResourceExhausted ||
-         code == StatusCode::kNotFound;
+         code == StatusCode::kNotFound ||
+         code == StatusCode::kInvalidArgument;
 }
 
 }  // namespace
+
+/// One request through the plane. It owns EnqueuePredict's one-row batch
+/// and lives, shared by its continuations, until the last of them has run.
+struct ServingClient::Call {
+  ServingClient* client = nullptr;
+  std::string scenario;  // As asked: keys the latency histogram and SLO.
+  data::Batch owned;     // EnqueuePredict's one-row batch.
+  const data::Batch* batch = nullptr;  // `owned`, or Predict's batch.
+  obs::RequestContext ctx;
+  /// The caller's future: every row for Predict, the one row for
+  /// EnqueuePredict.
+  std::variant<std::monostate, std::promise<Result<std::vector<float>>>,
+               std::promise<Result<float>>>
+      answer;
+  std::string target;  // The scenario that serves, after default routing.
+  /// The plane calls, embedded so a request allocates once: the target's,
+  /// then the fallback scenario's when the call is degraded.
+  shard::ShardCoordinator::Request plane;
+  shard::ShardCoordinator::Request fallback_plane;
+  /// The resilience policy that degrades this call (null when none
+  /// applies), the target's breaker, and the policy-clock time of the plane
+  /// call when a deadline applies.
+  std::shared_ptr<Degradation> policy;
+  resilience::CircuitBreaker* breaker = nullptr;
+  double start_ms = 0.0;
+};
 
 ServingClient::ServingClient(Options options, obs::MetricsRegistry* registry)
     : options_(std::move(options)),
@@ -76,7 +105,6 @@ ServingClient::ServingClient(Options options, obs::MetricsRegistry* registry)
       deadline_exceeded_(
           registry_->counter("serving/predict_deadline_exceeded")),
       coordinator_(ToCoordinatorOptions(options_), registry_) {
-  for (const std::string& id : coordinator_.ShardIds()) EnsureBatcher(id);
   if (options_.enable_resilience) {
     EnableResilience(options_.resilience, options_.clock);
   }
@@ -91,7 +119,10 @@ ServingClient::ServingClient(Options options, obs::MetricsRegistry* registry)
 
 ServingClient::ServingClient() : ServingClient(Options()) {}
 
-ServingClient::~ServingClient() = default;
+ServingClient::~ServingClient() {
+  supervisor_.reset();
+  coordinator_.Shutdown();
+}
 
 Status ServingClient::Deploy(const std::string& scenario,
                              std::unique_ptr<models::BaseModel> model,
@@ -124,74 +155,146 @@ std::vector<std::string> ServingClient::Scenarios() const {
 
 Result<std::vector<float>> ServingClient::Predict(const std::string& scenario,
                                                   const data::Batch& batch) {
-  const obs::RequestContext ctx = tracer_->StartRequest(scenario);
-  Result<std::vector<float>> result = PlanePredict("", scenario, batch, ctx);
-  const double total_ms = tracer_->CompleteRequest(ctx, result.status());
-  RecordOutcome(scenario, total_ms, result.status());
-  return result;
+  auto call = std::make_shared<Call>();
+  call->scenario = scenario;
+  call->batch = &batch;
+  std::future<Result<std::vector<float>>> future =
+      call->answer.emplace<1>().get_future();
+  Submit(std::move(call));
+  return future.get();
 }
 
-Result<std::vector<float>> ServingClient::PlanePredict(
-    const std::string& preferred_shard, const std::string& scenario,
-    const data::Batch& batch, const obs::RequestContext& ctx) {
-  std::shared_ptr<Degradation> policy;
+std::future<Result<float>> ServingClient::EnqueuePredict(
+    const std::string& scenario, Tensor profile,
+    std::vector<int64_t> behavior) {
+  auto call = std::make_shared<Call>();
+  call->scenario = scenario;
+  call->owned.batch_size = 1;
+  call->owned.seq_len = static_cast<int64_t>(behavior.size());
+  call->owned.profiles = profile.ndim() == 2
+                             ? std::move(profile)
+                             : profile.Reshape({1, profile.numel()});
+  call->owned.behaviors = std::move(behavior);
+  call->batch = &call->owned;
+  std::future<Result<float>> future = call->answer.emplace<2>().get_future();
+  Submit(std::move(call));
+  return future;
+}
+
+void ServingClient::Submit(std::shared_ptr<Call> call) {
+  pending_.fetch_add(1, std::memory_order_relaxed);
+  call->client = this;
+  call->ctx = tracer_->StartRequest(call->scenario);
   {
     MutexLock lock(resilience_mu_);
-    policy = degradation_;
+    call->policy = degradation_;
   }
-  if (policy == nullptr) {
-    return coordinator_.PredictPreferring(preferred_shard, scenario, batch,
-                                          ctx);
-  }
-  const ServingResilienceOptions& options = policy->options;
-  std::string target = scenario;
-  if (!coordinator_.IsDeployed(scenario)) {
+  call->target = call->scenario;
+  if (call->policy != nullptr && !coordinator_.IsDeployed(call->scenario)) {
     // Checked before any breaker exists, so unknown names never get one.
-    if (options.default_scenario.empty() ||
-        !coordinator_.IsDeployed(options.default_scenario)) {
-      return coordinator_.PredictPreferring(preferred_shard, scenario, batch,
-                                            ctx);
+    const std::string& default_scenario =
+        call->policy->options.default_scenario;
+    if (!default_scenario.empty() &&
+        coordinator_.IsDeployed(default_scenario)) {
+      unknown_fallbacks_->Add(1);
+      call->target = default_scenario;
+    } else {
+      call->policy = nullptr;  // The plane's NotFound is the answer.
     }
-    unknown_fallbacks_->Add(1);
-    target = options.default_scenario;
   }
-  resilience::CircuitBreaker* breaker = BreakerFor(policy.get(), target);
-  if (!breaker->AllowRequest()) {
-    return FallbackPredict(*policy, preferred_shard, target, batch, ctx);
+  if (call->policy == nullptr) {
+    SubmitPlane(call, &call->plane, call->target,
+                [call](Result<std::vector<float>> result) {
+                  call->client->Finish(call.get(), std::move(result));
+                });
+    return;
   }
-  const bool timed = options.predict_deadline_ms > 0.0;
-  const double start_ms = timed ? policy->clock->NowMs() : 0.0;
-  Result<std::vector<float>> result =
-      coordinator_.PredictPreferring(preferred_shard, target, batch, ctx);
-  if (result.ok()) {
-    if (!timed ||
-        policy->clock->NowMs() - start_ms <= options.predict_deadline_ms) {
-      breaker->RecordSuccess();
-      return result;
-    }
-    deadline_exceeded_->Add(1);
-  } else if (IsPlaneStatus(result.status().code())) {
-    return result;
+  call->breaker = BreakerFor(call->policy.get(), call->target);
+  if (!call->breaker->AllowRequest()) {
+    Fallback(std::move(call));
+    return;
   }
-  breaker->RecordFailure();
-  return FallbackPredict(*policy, preferred_shard, target, batch, ctx);
+  if (call->policy->options.predict_deadline_ms > 0.0) {
+    call->start_ms = call->policy->clock->NowMs();
+  }
+  SubmitPlane(call, &call->plane, call->target,
+              [call](Result<std::vector<float>> result) {
+                call->client->OnPlaneAnswer(call, std::move(result));
+              });
 }
 
-Result<std::vector<float>> ServingClient::FallbackPredict(
-    const Degradation& policy, const std::string& preferred_shard,
-    const std::string& target, const data::Batch& batch,
-    const obs::RequestContext& ctx) {
-  fallbacks_->Add(1);
-  const std::string& fallback = policy.options.fallback_scenario;
-  if (!fallback.empty() && fallback != target) {
-    Result<std::vector<float>> result =
-        coordinator_.PredictPreferring(preferred_shard, fallback, batch, ctx);
-    if (result.ok()) return result;
-    // The fallback failed too (possibly an injected fault); degrade one
-    // more step to the constant prior rather than surface an error.
+void ServingClient::SubmitPlane(const std::shared_ptr<Call>& call,
+                                shard::ShardCoordinator::Request* plane,
+                                const std::string& scenario,
+                                shard::PredictDone done) {
+  plane->scenario = scenario;
+  plane->batch = call->batch;
+  plane->ctx = call->ctx;
+  plane->done = std::move(done);
+  coordinator_.Submit(
+      std::shared_ptr<shard::ShardCoordinator::Request>(call, plane));
+}
+
+void ServingClient::OnPlaneAnswer(std::shared_ptr<Call> call,
+                                  Result<std::vector<float>> result) {
+  const Degradation& policy = *call->policy;
+  const double deadline_ms = policy.options.predict_deadline_ms;
+  if (result.ok()) {
+    if (deadline_ms <= 0.0 ||
+        policy.clock->NowMs() - call->start_ms <= deadline_ms) {
+      call->breaker->RecordSuccess();
+      Finish(call.get(), std::move(result));
+      return;
+    }
+    deadline_exceeded_->Add(1);
+  } else if (IsNotModelFault(result.status().code())) {
+    Finish(call.get(), std::move(result));
+    return;
   }
-  return std::vector<float>(static_cast<size_t>(batch.batch_size),
-                            policy.options.fallback_prior);
+  call->breaker->RecordFailure();
+  Fallback(std::move(call));
+}
+
+void ServingClient::Fallback(std::shared_ptr<Call> call) {
+  fallbacks_->Add(1);
+  const std::string& fallback = call->policy->options.fallback_scenario;
+  if (fallback.empty() || fallback == call->target) {
+    Finish(call.get(), PriorAnswer(*call));
+    return;
+  }
+  SubmitPlane(
+      call, &call->fallback_plane, fallback,
+      [call](Result<std::vector<float>> result) {
+        // The fallback failed too (possibly an injected fault); degrade one
+        // more step to the constant prior rather than surface an error —
+        // unless the request itself is malformed.
+        if (!result.ok() &&
+            result.status().code() != StatusCode::kInvalidArgument) {
+          result = PriorAnswer(*call);
+        }
+        call->client->Finish(call.get(), std::move(result));
+      });
+}
+
+std::vector<float> ServingClient::PriorAnswer(const Call& call) {
+  const int64_t rows = std::max<int64_t>(0, call.batch->batch_size);
+  return std::vector<float>(static_cast<size_t>(rows),
+                            call.policy->options.fallback_prior);
+}
+
+void ServingClient::Finish(Call* call, Result<std::vector<float>> result) {
+  const double total_ms = tracer_->CompleteRequest(call->ctx, result.status());
+  RecordOutcome(call->scenario, total_ms, result.status());
+  // Before the reply: a caller whose future is ready sees the request as
+  // no longer pending.
+  pending_.fetch_sub(1, std::memory_order_release);
+  if (auto* rows = std::get_if<1>(&call->answer)) {
+    rows->set_value(std::move(result));
+  } else if (result.ok()) {
+    std::get<2>(call->answer).set_value(result.value().front());
+  } else {
+    std::get<2>(call->answer).set_value(result.status());
+  }
 }
 
 resilience::CircuitBreaker* ServingClient::BreakerFor(
@@ -207,75 +310,9 @@ resilience::CircuitBreaker* ServingClient::BreakerFor(
   return breaker.get();
 }
 
-void ServingClient::EnsureBatcher(const std::string& shard_id) {
-  MutexLock lock(batchers_mu_);
-  auto it = batchers_.find(shard_id);
-  if (it != batchers_.end()) return;
-  // Per-shard batchers keep micro-batch locality; the preferred-shard flush
-  // falls back to replicas when the shard dies.
-  batchers_[shard_id] = std::make_unique<BatchPredictor>(
-      [this, shard_id](const std::string& scenario, const data::Batch& batch,
-                       const obs::RequestContext& ctx) {
-        return PlanePredict(shard_id, scenario, batch, ctx);
-      },
-      options_.batching, registry_);
-  WireBatcher(batchers_[shard_id].get());
-}
-
-void ServingClient::WireBatcher(BatchPredictor* batcher) {
-  batcher->set_tracer(tracer_.get());
-  batcher->set_completion_hook(
-      [this](const std::string& scenario, double latency_ms,
-             const Status& status) {
-        RecordOutcome(scenario, latency_ms, status);
-      });
-}
-
-BatchPredictor* ServingClient::BatcherFor(const std::string& scenario) {
-  // Owner-shard affinity keeps one scenario's requests coalescing in one
-  // queue; unknown scenarios hash deterministically so resilience-default
-  // traffic still batches.
-  std::vector<std::string> replicas = coordinator_.ReplicasOf(scenario);
-  MutexLock lock(batchers_mu_);
-  std::string id;
-  if (!replicas.empty()) {
-    id = replicas.front();
-  } else {
-    const uint64_t hash = shard::HashRing::KeyHash(scenario);
-    id = "shard-" +
-         std::to_string(hash % static_cast<uint64_t>(batchers_.size()));
-  }
-  auto it = batchers_.find(id);
-  ALT_CHECK(it != batchers_.end());
-  return it->second.get();
-}
-
-std::future<Result<float>> ServingClient::EnqueuePredict(
-    const std::string& scenario, Tensor profile,
-    std::vector<int64_t> behavior) {
-  // The batcher's resolve path completes the trace and fires the completion
-  // hook once the flushed prediction lands, so the enqueue only mints the
-  // context here.
-  const obs::RequestContext ctx = tracer_->StartRequest(scenario);
-  return BatcherFor(scenario)->Enqueue(scenario, std::move(profile),
-                                       std::move(behavior), ctx);
-}
-
-void ServingClient::DrainBatchQueues() const {
-  // Snapshot under the lock, poll outside it: batchers are never destroyed
-  // once created, so the pointers stay valid while we wait.
-  std::vector<BatchPredictor*> batchers;
-  {
-    MutexLock lock(batchers_mu_);
-    batchers.reserve(batchers_.size());
-    for (const auto& [id, batcher] : batchers_) {
-      batchers.push_back(batcher.get());
-    }
-  }
-  for (BatchPredictor* batcher : batchers) {
-    while (batcher->PendingRequests() > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
+void ServingClient::DrainRequests() const {
+  while (pending_.load(std::memory_order_acquire) > 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
 }
 
@@ -313,12 +350,7 @@ ServingClient::Stats ServingClient::GetStats() const {
     const shard::WorkerShard* worker = coordinator_.shard(id);
     if (worker != nullptr) stats.requests_served += worker->RequestsServed();
   }
-  {
-    MutexLock lock(batchers_mu_);
-    for (const auto& [id, batcher] : batchers_) {
-      stats.pending_batch_requests += batcher->PendingRequests();
-    }
-  }
+  stats.pending_requests = pending_.load(std::memory_order_relaxed);
   stats.traced_requests = tracer_->traced_requests();
   stats.slowest_request_ms = tracer_->slowest_ms();
   stats.scenarios_burning = static_cast<int>(slo_->Burning().size());
@@ -386,15 +418,10 @@ Status ServingClient::KillShard(const std::string& shard_id) {
 }
 
 Status ServingClient::RejoinShard(const std::string& shard_id) {
-  ALT_RETURN_IF_ERROR(coordinator_.RejoinShard(shard_id));
-  EnsureBatcher(shard_id);  // Original-topology shards already have one.
-  return Status::OK();
+  return coordinator_.RejoinShard(shard_id);
 }
 
 Status ServingClient::AddShard(const std::string& shard_id) {
-  // The batcher exists before the shard's vnodes can enter the ring, so a
-  // concurrent EnqueuePredict routed at the newcomer always finds a queue.
-  EnsureBatcher(shard_id);
   return coordinator_.AddShard(shard_id);
 }
 

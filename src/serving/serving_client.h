@@ -1,6 +1,7 @@
 #ifndef ALT_SRC_SERVING_SERVING_CLIENT_H_
 #define ALT_SRC_SERVING_SERVING_CLIENT_H_
 
+#include <atomic>
 #include <cstdint>
 #include <future>
 #include <map>
@@ -14,7 +15,6 @@
 #include "src/obs/request_trace.h"
 #include "src/obs/slo.h"
 #include "src/resilience/circuit_breaker.h"
-#include "src/serving/batch_predictor.h"
 #include "src/serving/model_server.h"
 #include "src/serving/shard/coordinator.h"
 #include "src/serving/shard/supervisor.h"
@@ -27,8 +27,8 @@ namespace serving {
 
 /// Latency distribution of one scenario's requests, as its callers saw
 /// them: a read-view of the registry histogram
-/// `serving/request/latency_ms/<scenario>`, which both predict paths record
-/// once per request (a coalesced flush or a fallback answer is still one
+/// `serving/request/latency_ms/<scenario>`, which both predict calls record
+/// once per request (a merged engine call or a fallback answer is still one
 /// request). With ALT_OBS=off nothing is recorded and the view reads zeros.
 struct LatencyStats {  // alt_lint: allow(L007): read-view over obs::MetricsRegistry, not an ad-hoc store
   int64_t num_requests = 0;
@@ -67,8 +67,7 @@ struct ServingResilienceOptions {
 
 /// The public serving API: one facade over the sharded serving plane for
 /// deploy, predict, batch-predict, undeploy, elasticity, and stats.
-/// Subsumes direct ModelServer / BatchPredictor use (their deprecated shims
-/// were removed after one release, per the PR 8 schedule).
+/// Subsumes direct ModelServer use.
 ///
 /// Topology: `Options::num_shards` WorkerShards (each a ModelServer on its
 /// own thread) behind a ShardCoordinator — consistent-hash routing with
@@ -78,17 +77,22 @@ struct ServingResilienceOptions {
 /// (the default) reproduces the classic single-server layout through the
 /// same API.
 ///
-/// Batch path: one BatchPredictor per shard, each flushing through the
-/// coordinator with that shard preferred — micro-batching locality is kept
-/// while a vanished shard's queued requests fail over to replicas instead
-/// of being lost; only when no replica remains do they fail with
-/// Status kUnavailable (counted in serving/shard_unavailable).
+/// Batching happens where the model runs: every request, from Predict or
+/// EnqueuePredict, takes one path — p2c routing onto a replica's shard
+/// queue, whose worker merges queued requests of one scenario into a single
+/// engine call (see shard::WorkerShard). A vanished shard's queued requests
+/// fail over to replicas instead of being lost; only when no replica
+/// remains do they fail with Status kUnavailable (counted in
+/// serving/coordinator/no_replica_available).
 ///
 /// Failure ownership: the coordinator fails over only when a shard is gone
 /// (dead flag or kUnavailable), the ShardSupervisor alone judges a
 /// live-looking shard dead, and this client alone degrades a scenario
-/// (breaker, deadline, fallback, default routing). Both predict paths share
-/// that one degradation step. Obs (client registry):
+/// (breaker, deadline, fallback, default routing). Degradation is the
+/// continuation of the plane call, so it runs on the shard worker that
+/// answered; Predict just waits for it. A malformed request
+/// (kInvalidArgument) is the caller's error: it is returned as it is and
+/// never counts against a breaker. Obs (client registry):
 ///   serving/request/latency_ms/<scenario>   histogram, once per request
 ///   serving/fallbacks                       counter: degraded answers
 ///   serving/unknown_scenario_fallbacks      counter: default-routed calls
@@ -128,8 +132,6 @@ class ServingClient {
     /// Clock for re-join pacing (and the supervisor, unless its own clock
     /// is set); nullptr = real clock.
     resilience::Clock* clock = nullptr;
-    /// Micro-batching knobs of the EnqueuePredict path.
-    BatchPredictor::Options batching;
     /// Graceful degradation (per-scenario breakers + fallback answers),
     /// enabled at construction on `clock`. EnableResilience() turns it on
     /// later (e.g. with a test clock).
@@ -156,8 +158,8 @@ class ServingClient {
     /// max/mean scenario-ownership share across live shards (1.0 = even).
     double routing_imbalance = 1.0;
     int64_t requests_served = 0;
-    /// Batch-path requests enqueued but not yet resolved.
-    int64_t pending_batch_requests = 0;
+    /// Requests submitted but not yet answered.
+    int64_t pending_requests = 0;
     /// Sampled requests completed by the request tracer.
     int64_t traced_requests = 0;
     /// Slowest completed traced request retained in the slow-trace ring.
@@ -167,13 +169,15 @@ class ServingClient {
   };
 
   /// `registry == nullptr` selects the process-global registry; all shards
-  /// and batchers share it, so per-scenario metrics aggregate fleet-wide.
+  /// share it, so per-scenario metrics aggregate fleet-wide.
   explicit ServingClient(Options options,
                          obs::MetricsRegistry* registry = nullptr);
   /// Default topology: one shard, global registry. (A separate constructor
   /// because a `= {}` default argument cannot name the nested Options
   /// before its member initializers are parsed.)
   ServingClient();
+  /// Stops the supervisor, then every shard: queued requests (on paused
+  /// shards too) are answered before any member they use goes away.
   ~ServingClient();
 
   ServingClient(const ServingClient&) = delete;
@@ -199,18 +203,22 @@ class ServingClient {
   /// Synchronous batch predict: routed to the scenario's replica group with
   /// load balancing and failover, degraded per the resilience policy.
   /// Starts a request trace (sampled at the tracer's rate) and records the
-  /// outcome against the scenario's latency histogram and SLO.
+  /// outcome against the scenario's latency histogram and SLO. The same
+  /// asynchronous path as EnqueuePredict; this call waits for its answer.
   Result<std::vector<float>> Predict(const std::string& scenario,
                                      const data::Batch& batch);
 
-  /// Asynchronous single-request predict: coalesced into micro-batches on
-  /// the scenario's owner shard, flushed through the coordinator.
+  /// Asynchronous single-row predict: `profile` holds the row's profile
+  /// features and `behavior` its seq_len behaviour ids. The request queues
+  /// on a replica's shard, where it may share an engine call with other
+  /// queued requests of its scenario.
   std::future<Result<float>> EnqueuePredict(const std::string& scenario,
                                             Tensor profile,
                                             std::vector<int64_t> behavior);
 
-  /// Blocks until every enqueued batch request has resolved.
-  void DrainBatchQueues() const;
+  /// Blocks until every submitted request has been answered: its outcome
+  /// is recorded, and its future is set right after.
+  void DrainRequests() const;
 
   /// Enables graceful degradation and deploys nothing — pair with
   /// DeployEverywhere for the fallback scenario. `clock == nullptr` selects
@@ -245,7 +253,7 @@ class ServingClient {
   Status RejoinShard(const std::string& shard_id);
 
   /// Elastic scale-up: adds a brand-new shard through the same warm staged
-  /// admission, and gives it a batching front-end.
+  /// admission.
   Status AddShard(const std::string& shard_id);
 
   /// Shard-state health report, the /healthz / /readyz source of truth.
@@ -290,63 +298,59 @@ class ServingClient {
         breakers ALT_GUARDED_BY(mu);
   };
 
-  /// The one predict step of both paths (direct Predict with no preferred
-  /// shard, each batcher flush with its own shard): a plane call, degraded
-  /// per the resilience policy when one is enabled.
-  Result<std::vector<float>> PlanePredict(const std::string& preferred_shard,
-                                          const std::string& scenario,
-                                          const data::Batch& batch,
-                                          const obs::RequestContext& ctx)
-      ALT_EXCLUDES(resilience_mu_);
-  /// Degraded answer for `target`: the fallback scenario through the plane
-  /// on the same preferred shard, else the constant prior. Counts
-  /// serving/fallbacks.
-  Result<std::vector<float>> FallbackPredict(
-      const Degradation& policy, const std::string& preferred_shard,
-      const std::string& target, const data::Batch& batch,
-      const obs::RequestContext& ctx);
+  /// One request through the plane (see the .cc file).
+  struct Call;
+
+  /// Starts `call`: default routing, the breaker gate, then the plane call.
+  void Submit(std::shared_ptr<Call> call) ALT_EXCLUDES(resilience_mu_);
+  /// Sends `call`'s batch to `scenario` through the coordinator, using the
+  /// request `plane` embedded in `call`; `done` receives the answer.
+  void SubmitPlane(const std::shared_ptr<Call>& call,
+                   shard::ShardCoordinator::Request* plane,
+                   const std::string& scenario, shard::PredictDone done);
+  /// Continuation of the plane call under a resilience policy: the
+  /// deadline, the breaker's verdict, and the fallback on a model error.
+  void OnPlaneAnswer(std::shared_ptr<Call> call,
+                     Result<std::vector<float>> result);
+  /// Degraded answer for the call's target: the fallback scenario through
+  /// the plane, else the constant prior. Counts serving/fallbacks.
+  void Fallback(std::shared_ptr<Call> call);
+  /// The constant fallback_prior score for each row of the call.
+  static std::vector<float> PriorAnswer(const Call& call);
+  /// Terminal step of every request: trace, latency histogram, SLO, reply.
+  void Finish(Call* call, Result<std::vector<float>> result);
   /// The scenario's breaker in `policy`, created on first use.
   resilience::CircuitBreaker* BreakerFor(Degradation* policy,
                                          const std::string& scenario) const;
-  BatchPredictor* BatcherFor(const std::string& scenario)
-      ALT_EXCLUDES(batchers_mu_);
-  /// Creates the shard's batcher if absent (runtime AddShard path).
-  void EnsureBatcher(const std::string& shard_id) ALT_EXCLUDES(batchers_mu_);
-  /// Points a freshly created batcher at the tracer + completion hook.
-  void WireBatcher(BatchPredictor* batcher);
   /// Per-scenario request-latency histogram
   /// (`serving/request/latency_ms/<scenario>` → the exporter renders it as
   /// alt_serving_request_latency_ms{id="<scenario>"}), cached per scenario.
   obs::Histogram* LatencyHistogramFor(const std::string& scenario)
       ALT_EXCLUDES(latency_mu_);
-  /// Terminal accounting for every request (direct or batched): scenario
-  /// latency histogram + SLO outcome.
+  /// Terminal accounting for every request: scenario latency histogram +
+  /// SLO outcome.
   void RecordOutcome(const std::string& scenario, double latency_ms,
                      const Status& status);
 
   Options options_;
   obs::MetricsRegistry* registry_;
-  /// Declared before the coordinator/batchers: batcher dispatcher threads
-  /// call into the tracer and SLO tracker until they join, so these must be
-  /// destroyed after them.
+  /// Declared before the coordinator: request continuations run on shard
+  /// worker threads and use the tracer, SLO tracker, breakers and counters
+  /// until the destructor has stopped every shard.
   std::unique_ptr<obs::RequestTracer> tracer_;
   std::unique_ptr<obs::SloTracker> slo_;
   mutable Mutex latency_mu_;
   std::map<std::string, obs::Histogram*> latency_hists_
       ALT_GUARDED_BY(latency_mu_);
-  /// Null until EnableResilience; read by every batcher dispatcher thread.
+  /// Null until EnableResilience; read by every request.
   mutable Mutex resilience_mu_;
   std::shared_ptr<Degradation> degradation_ ALT_GUARDED_BY(resilience_mu_);
   obs::Counter* fallbacks_;          // Owned by the registry.
   obs::Counter* unknown_fallbacks_;  // Owned by the registry.
   obs::Counter* deadline_exceeded_;  // Owned by the registry.
+  /// Requests submitted, not yet answered.
+  std::atomic<int64_t> pending_{0};
   shard::ShardCoordinator coordinator_;
-  /// One batcher per shard id; declared after the coordinator so their
-  /// dispatcher threads shut down first. Guarded: AddShard grows the map
-  /// at runtime.
-  mutable Mutex batchers_mu_;
-  std::map<std::string, std::unique_ptr<BatchPredictor>> batchers_
-      ALT_GUARDED_BY(batchers_mu_);
   /// Declared last so its probe thread stops before anything it watches.
   std::unique_ptr<shard::ShardSupervisor> supervisor_;
 };

@@ -1,6 +1,7 @@
 #include "src/serving/shard/coordinator.h"
 
 #include <algorithm>
+#include <future>
 #include <sstream>
 #include <utility>
 
@@ -25,6 +26,14 @@ uint64_t Mix64(uint64_t x) {
 
 bool Contains(const std::vector<std::string>& v, const std::string& s) {
   return std::find(v.begin(), v.end(), s) != v.end();
+}
+
+/// Attributes a sampled request's current attempt, from its start to now,
+/// to `segment`.
+void BookAttempt(const obs::RequestContext& ctx, double attempt_us,
+                 const char* segment) {
+  if (!ctx.sampled()) return;
+  ctx.trace->AddSegment(segment, (obs::MonotonicMicros() - attempt_us) / 1e3);
 }
 
 }  // namespace
@@ -59,7 +68,8 @@ ShardCoordinator::ShardCoordinator(CoordinatorOptions options,
   MutexLock state(state_mu_);
   for (int i = 0; i < options_.num_shards; ++i) {
     const std::string id = "shard-" + std::to_string(i);
-    auto worker = std::make_unique<WorkerShard>(id, registry_);
+    auto worker = std::make_unique<WorkerShard>(
+        id, registry_, [this, id] { HandleShardDeath(id); });
     ConfigureWorker(worker.get());
     shards_by_id_[id] = worker.get();
     shards_.push_back(std::move(worker));
@@ -68,7 +78,7 @@ ShardCoordinator::ShardCoordinator(CoordinatorOptions options,
   PublishImbalanceLocked();
 }
 
-ShardCoordinator::~ShardCoordinator() = default;
+ShardCoordinator::~ShardCoordinator() { Shutdown(); }
 
 void ShardCoordinator::ConfigureWorker(WorkerShard* worker) const {
   worker->set_max_queue_depth(options_.max_queue_depth_per_shard);
@@ -238,127 +248,190 @@ std::vector<std::string> ShardCoordinator::Scenarios() const {
 ShardCoordinator::RouteDecision ShardCoordinator::RankedReplicas(
     const std::string& scenario) {
   RouteDecision decision;
-  std::vector<std::string>& candidates = decision.candidates;
-  {
-    MutexLock state(state_mu_);
-    auto it = table_.find(scenario);
-    if (it != table_.end()) {
-      candidates =
-          it->second.everywhere ? ring_.Shards() : it->second.replicas;
-      // Hot and everywhere-deployed scenarios (the resilience fallback /
-      // default paths among them) are the last traffic a loaded shard
-      // should drop: they bypass the soft shed watermark.
-      if (it->second.everywhere || it->second.options.hot) {
-        decision.admission = Admission::kCritical;
-      }
-    }
-    if (candidates.size() >= 2) {
-      const uint64_t ticket =
-          pick_counter_.fetch_add(1, std::memory_order_relaxed);
-      const size_t n = candidates.size();
-      size_t a = static_cast<size_t>(Mix64(ticket) % n);
-      size_t b =
-          static_cast<size_t>(Mix64(ticket ^ 0x5851f42d4c957f2dull) % n);
-      if (a == b) b = (b + 1) % n;
-      const WorkerShard* sa = shards_by_id_.at(candidates[a]);
-      const WorkerShard* sb = shards_by_id_.at(candidates[b]);
-      const size_t best = sa->QueueDepth() <= sb->QueueDepth() ? a : b;
-      std::swap(candidates[0], candidates[best]);
-    }
+  MutexLock state(state_mu_);
+  auto it = table_.find(scenario);
+  if (it == table_.end()) return decision;
+  const ScenarioEntry& entry = it->second;
+  std::vector<std::string> everywhere;
+  if (entry.everywhere) everywhere = ring_.Shards();
+  // Both branches are lvalues, so the replica list is not copied.
+  const std::vector<std::string>& ids =
+      entry.everywhere ? everywhere : entry.replicas;
+  decision.replicas.reserve(ids.size());
+  for (const std::string& id : ids) {
+    decision.replicas.push_back(shards_by_id_.at(id));
+  }
+  // Hot and everywhere-deployed scenarios (the resilience fallback /
+  // default paths among them) are the last traffic a loaded shard should
+  // drop: they bypass the soft shed watermark.
+  if (entry.everywhere || entry.options.hot) {
+    decision.admission = Admission::kCritical;
+  }
+  std::vector<WorkerShard*>& replicas = decision.replicas;
+  if (replicas.size() >= 2) {
+    const uint64_t ticket =
+        pick_counter_.fetch_add(1, std::memory_order_relaxed);
+    const size_t n = replicas.size();
+    size_t a = static_cast<size_t>(Mix64(ticket) % n);
+    size_t b = static_cast<size_t>(Mix64(ticket ^ 0x5851f42d4c957f2dull) % n);
+    if (a == b) b = (b + 1) % n;
+    if (b < a) std::swap(a, b);
+    // The shorter queue wins; a tie goes to the replica earlier in ring
+    // order (the owner, when sampled), so an idle plane keeps a scenario's
+    // requests together.
+    const size_t best =
+        replicas[b]->QueueDepth() < replicas[a]->QueueDepth() ? b : a;
+    std::swap(replicas[0], replicas[best]);
   }
   return decision;
+}
+
+void ShardCoordinator::Submit(std::shared_ptr<Request> request) {
+  Request* r = request.get();
+  r->coordinator = this;
+  r->span_start_us = 0.0;
+  r->decision = RouteDecision();
+  r->next = 0;
+  r->rounds = 0;
+  r->rebalanced = false;
+  r->last = Status::OK();
+  // Request-linked span for sampled requests; its context parents the
+  // per-shard dispatch spans so Perfetto shows one causal lane per request.
+  obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
+  if (r->ctx.sampled() && recorder.enabled()) {
+    r->ctx = obs::ChildContext(r->ctx);
+    r->span_start_us = recorder.NowMicros();
+  }
+  TryReplicas(std::move(request));
 }
 
 Result<std::vector<float>> ShardCoordinator::Predict(
     const std::string& scenario, const data::Batch& batch,
     const obs::RequestContext& ctx) {
-  return PredictPreferring("", scenario, batch, ctx);
+  auto answer = std::make_shared<std::promise<Result<std::vector<float>>>>();
+  std::future<Result<std::vector<float>>> future = answer->get_future();
+  auto request = std::make_shared<Request>();
+  request->scenario = scenario;
+  request->batch = &batch;
+  request->ctx = ctx;
+  request->done = [answer](Result<std::vector<float>> result) {
+    answer->set_value(std::move(result));
+  };
+  Submit(std::move(request));
+  return future.get();
 }
 
-Result<std::vector<float>> ShardCoordinator::PredictPreferring(
-    const std::string& preferred_shard, const std::string& scenario,
-    const data::Batch& batch, const obs::RequestContext& ctx) {
-  // Request-linked span for sampled requests; rctx parents the per-shard
-  // dispatch spans under it so Perfetto shows one causal lane per request.
-  obs::TraceSpan request_span("serving/coordinator/predict", ctx);
-  const obs::RequestContext rctx = request_span.context();
-  Status last = Status::NotFound("scenario " + scenario + " not deployed");
-  // Each extra round is only taken after a rebalance (a shard left the
-  // ring), so num_shards rounds bound the loop while guaranteeing a request
-  // that keeps finding dead shards still reaches the re-routed replicas —
-  // the zero-lost-requests contract of the scale bench.
-  for (int round = 0; round <= options_.num_shards; ++round) {
-    RouteDecision decision;
-    {
-      obs::SegmentTimer route_timer(rctx, obs::segment::kRoute);
-      decision = RankedReplicas(scenario);
+void ShardCoordinator::TryReplicas(std::shared_ptr<Request> request) {
+  Request* r = request.get();
+  for (;;) {
+    if (r->next == r->decision.replicas.size()) {
+      // Each extra round is only taken after a rebalance (a shard left the
+      // ring), so num_shards rounds bound the loop while guaranteeing a
+      // request that keeps finding dead shards still reaches the re-routed
+      // replicas — the zero-lost-requests contract of the scale bench.
+      // Without a rebalance the candidate set cannot change.
+      if (r->rounds > options_.num_shards ||
+          (r->rounds > 0 && !r->rebalanced)) {
+        break;
+      }
+      {
+        obs::SegmentTimer route_timer(r->ctx, obs::segment::kRoute);
+        r->decision = RankedReplicas(r->scenario);
+      }
+      r->next = 0;
+      r->rebalanced = false;
+      ++r->rounds;
+      if (r->decision.replicas.empty()) break;
     }
-    std::vector<std::string>& candidates = decision.candidates;
-    if (!preferred_shard.empty()) {
-      // Shard affinity (BatchPredictor locality): only honored while the
-      // preferred shard is still in the replica group — after a rebalance
-      // it may no longer hold the model.
-      auto it = std::find(candidates.begin(), candidates.end(),
-                          preferred_shard);
-      if (it != candidates.end()) std::swap(candidates.front(), *it);
+    WorkerShard* worker = r->decision.replicas[r->next++];
+    if (r->ctx.sampled()) r->attempt_us = obs::MonotonicMicros();
+    // Once accepted, the answer continues the loop on the shard's worker
+    // thread (OnAnswer), so nothing here touches `r` afterwards. The
+    // callback captures only `request`, which keeps it allocation-free. A
+    // dead shard accepts too: its own worker rebalances the plane around it
+    // (HandleShardDeath), then answers Unavailable, and the request fails
+    // over; this thread never runs or blocks on the rebalance.
+    r->worker = worker;
+    const Status status = worker->SubmitPredict(
+        r->scenario, *r->batch, r->decision.admission, r->ctx,
+        [request](Result<std::vector<float>> result) {
+          request->coordinator->OnAnswer(request, std::move(result));
+        });
+    if (status.ok()) return;
+    if (!FailOver(r, worker, status)) {
+      Finish(r, status);
+      return;
     }
-    if (candidates.empty()) break;
-    bool rebalanced = false;
-    for (const std::string& id : candidates) {
-      // Meters this attempt; failed attempts are claimed as failover /
-      // shed_requeue below, the successful one is left for the shard to
-      // attribute as queue_wait + compute (the timer then discards it).
-      obs::SegmentTimer attempt(rctx);
-      WorkerShard* worker = FindShard(id);
-      if (worker == nullptr) continue;
-      if (worker->dead()) {
-        HandleShardDeath(id);
-        rebalanced = true;
-        last = Status::Unavailable("shard " + id + " is dead");
-        attempt.RecordAs(obs::segment::kFailover);
-        continue;
-      }
-      Result<std::vector<float>> result =
-          worker->SubmitPredict(scenario, batch, decision.admission, rctx)
-              .get();
-      if (result.ok()) {
-        admission_accepted_->Add(1);
-        return result;
-      }
-      last = result.status();
-      if (last.code() == StatusCode::kResourceExhausted) {
-        // Admission shed: the shard is alive but over capacity. Another
-        // replica may still have headroom, so keep trying the group — but
-        // this is load, not failure: no rebalance.
-        attempt.RecordAs(obs::segment::kShedRequeue);
-        continue;
-      }
-      if (last.code() != StatusCode::kUnavailable && !worker->dead()) {
-        // A live shard answered with a model fault or a deploy-state error.
-        // Every replica holds the same model, so failing over would only
-        // repeat it, and it says nothing about the shard's health.
-        attempt.RecordAs(obs::segment::kFailover);
-        return result;
-      }
-      failovers_->Add(1);
-      if (worker->dead()) {
-        HandleShardDeath(id);
-        rebalanced = true;
-      }
-      attempt.RecordAs(obs::segment::kFailover);
-    }
-    // Without a rebalance the candidate set cannot change; with one, the
-    // next round re-routes against the shrunken ring.
-    if (!rebalanced) break;
   }
-  if (last.code() == StatusCode::kResourceExhausted) {
+  if (r->last.ok()) {
+    r->last = Status::NotFound("scenario " + r->scenario + " not deployed");
+  } else if (r->last.code() == StatusCode::kResourceExhausted) {
     // Every live replica shed the request: reject it loudly (the caller
     // sees kResourceExhausted, never a silent drop) and count it.
     admission_shed_->Add(1);
-  } else if (last.code() != StatusCode::kNotFound) {
+  } else if (r->last.code() != StatusCode::kNotFound) {
     no_replica_available_->Add(1);
   }
-  return last;
+  Finish(r, r->last);
+}
+
+void ShardCoordinator::OnAnswer(const std::shared_ptr<Request>& request,
+                                Result<std::vector<float>> result) {
+  if (result.ok()) {
+    admission_accepted_->Add(1);
+    Finish(request.get(), std::move(result));
+    return;
+  }
+  if (!FailOver(request.get(), request->worker, result.status())) {
+    Finish(request.get(), std::move(result));
+    return;
+  }
+  TryReplicas(request);
+}
+
+bool ShardCoordinator::FailOver(Request* r, WorkerShard* worker,
+                                const Status& status) {
+  r->last = status;
+  if (status.code() == StatusCode::kResourceExhausted) {
+    // Admission shed: the shard is alive but over capacity. Another replica
+    // may still have headroom, so keep trying the group — but this is load,
+    // not failure: no rebalance.
+    BookAttempt(r->ctx, r->attempt_us, obs::segment::kShedRequeue);
+    return true;
+  }
+  const bool dead = worker->dead();
+  if (status.code() != StatusCode::kUnavailable && !dead) {
+    // A live shard answered with a model fault, a deploy-state error or a
+    // malformed request. Every replica holds the same model, so failing over
+    // would only repeat it, and it says nothing about the shard's health.
+    BookAttempt(r->ctx, r->attempt_us, obs::segment::kFailover);
+    return false;
+  }
+  failovers_->Add(1);
+  // A dead shard answers only once its worker has rebalanced the plane, so
+  // a new ranking sees the replica groups without it.
+  if (dead) r->rebalanced = true;
+  BookAttempt(r->ctx, r->attempt_us, obs::segment::kFailover);
+  return true;
+}
+
+void ShardCoordinator::Finish(Request* r, Result<std::vector<float>> result) {
+  if (r->span_start_us > 0.0) {
+    obs::TraceRecorder::Global().RecordSpan("serving/coordinator/predict",
+                                            r->ctx, r->span_start_us);
+  }
+  // Moved out first: `done` may own the state that embeds `r`.
+  PredictDone done = std::move(r->done);
+  done(std::move(result));
+}
+
+void ShardCoordinator::Shutdown() {
+  std::vector<WorkerShard*> workers;
+  {
+    MutexLock state(state_mu_);
+    for (const auto& worker : shards_) workers.push_back(worker.get());
+  }
+  for (WorkerShard* worker : workers) worker->Stop();
 }
 
 Status ShardCoordinator::KillShard(const std::string& shard_id) {
@@ -374,15 +447,19 @@ Status ShardCoordinator::EvictShard(const std::string& shard_id) {
   if (FindShard(shard_id) == nullptr) {
     return Status::NotFound("unknown shard " + shard_id);
   }
-  // HandleShardDeath kills the worker and is idempotent, so a supervisor
-  // eviction and a data-plane-triggered rebalance can race harmlessly.
-  HandleShardDeath(shard_id);
+  // HandleShardDeathLocked kills the worker and is idempotent, so this
+  // eviction and the rebalance the dead worker then runs race harmlessly.
+  MutexLock control(control_mu_);
+  HandleShardDeathLocked(shard_id);
   return Status::OK();
 }
 
 void ShardCoordinator::HandleShardDeath(const std::string& shard_id) {
   MutexLock control(control_mu_);
-  HandleShardDeathLocked(shard_id);
+  // RejoinShard revives under control_mu_: a shard it brought back while
+  // this waited keeps its place on the ring.
+  WorkerShard* worker = FindShard(shard_id);
+  if (worker != nullptr && worker->dead()) HandleShardDeathLocked(shard_id);
 }
 
 void ShardCoordinator::HandleShardDeathLocked(const std::string& shard_id) {
@@ -421,9 +498,10 @@ void ShardCoordinator::HandleShardDeathLocked(const std::string& shard_id) {
   }
   rebalance_events_->Add(1);
   // The shard is leaving the ring (until a supervisor-driven RejoinShard
-  // re-admits it), so park its worker even when the trigger was a
-  // supervisor eviction rather than an explicit Kill: queued requests drain
-  // with Unavailable and fail over.
+  // re-admits it), so kill it even when the trigger was a supervisor
+  // eviction rather than an explicit Kill: its worker drains the queued
+  // requests with Unavailable and they fail over. Kill runs none of their
+  // continuations itself, so none re-enters control_mu_ on this thread.
   WorkerShard* victim = FindShard(shard_id);
   if (victim != nullptr) victim->Kill();
   // Re-deploys run outside state_mu_ so routing stays readable; control_mu_
@@ -491,7 +569,8 @@ Status ShardCoordinator::AddShard(const std::string& shard_id) {
   if (FindShard(shard_id) != nullptr) {
     return Status::AlreadyExists("shard " + shard_id + " already exists");
   }
-  auto owned = std::make_unique<WorkerShard>(shard_id, registry_);
+  auto owned = std::make_unique<WorkerShard>(
+      shard_id, registry_, [this, shard_id] { HandleShardDeath(shard_id); });
   WorkerShard* worker = owned.get();
   ConfigureWorker(worker);
   {

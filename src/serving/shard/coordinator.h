@@ -70,12 +70,17 @@ struct CoordinatorOptions {
 /// power-of-two-choices on shard queue depth and fails over to the
 /// remaining replicas only when a shard is gone: its dead flag is set, or
 /// it answered kUnavailable. Any other error from a live shard (a model
-/// fault, an undeployed scenario) is the same on every replica and returns
-/// at once; it says nothing about the shard's health. A dead shard (Kill,
-/// or a ShardSupervisor eviction) triggers HandleShardDeath: the shard
-/// leaves the ring and its scenarios re-deploy from cached bundles onto
-/// their new ring owners — only keys the ring moved, which is the
-/// consistent-hash minimal-disruption guarantee.
+/// fault, an undeployed scenario, a malformed request) is the same on every
+/// replica and returns at once; it says nothing about the shard's health.
+/// The failover loop is the continuation of each attempt, so it runs on the
+/// worker thread that answered. The first requests that reach a dead shard
+/// (Kill, or a ShardSupervisor eviction) make its own worker thread
+/// rebalance the plane (HandleShardDeath) before it answers them
+/// Unavailable: the shard leaves the ring and its scenarios re-deploy from
+/// cached bundles onto their new ring owners — only keys the ring moved,
+/// which is the consistent-hash minimal-disruption guarantee. So no
+/// caller's thread and no live shard's worker runs a rebalance or blocks on
+/// one; only the requests that reached the dead shard wait for it.
 ///
 /// Locking: `control_mu_` serializes control-plane operations
 /// (Deploy/Undeploy/rebalance) and is never held while scoring; `state_mu_`
@@ -96,7 +101,43 @@ struct CoordinatorOptions {
 ///   serving/coordinator/broadcast_ms            histogram: deploy fan-out
 ///   (plus per-shard queue depth / request counters from WorkerShard)
 class ShardCoordinator {
+ private:
+  /// Routing decision for one scenario: the candidate replicas in
+  /// failover order plus the admission class its traffic submits with.
+  struct RouteDecision {
+    std::vector<WorkerShard*> replicas;
+    Admission admission = Admission::kNormal;
+  };
+
  public:
+  /// One request through the failover loop: the caller fills the public
+  /// fields and hands it to Submit, which owns it until `done` has run and
+  /// allocates nothing more per request. A caller that already allocates
+  /// per-request state can embed the Request there and pass it with
+  /// std::shared_ptr's aliasing constructor. Submit moves `done` out before
+  /// running it, so `done` may hold a reference to its own enclosing state.
+  /// A sampled `ctx` is replaced by the coordinator span's context.
+  class Request {
+   public:
+    std::string scenario;
+    /// Must stay alive until `done` has run.
+    const data::Batch* batch = nullptr;
+    obs::RequestContext ctx;
+    PredictDone done;
+
+   private:
+    friend class ShardCoordinator;
+    ShardCoordinator* coordinator = nullptr;
+    double span_start_us = 0.0;  // Recorder time; 0 = span not recorded.
+    RouteDecision decision;
+    size_t next = 0;          // Next candidate of `decision` to try.
+    int rounds = 0;           // Rankings so far.
+    bool rebalanced = false;  // A shard left the ring this round.
+    Status last;              // The last failed attempt's; OK before any.
+    WorkerShard* worker = nullptr;  // The shard of the current attempt.
+    double attempt_us = 0.0;  // MonotonicMicros at this attempt's start.
+  };
+
   explicit ShardCoordinator(CoordinatorOptions options = {},
                             obs::MetricsRegistry* registry = nullptr);
   ~ShardCoordinator();
@@ -122,31 +163,37 @@ class ShardCoordinator {
   bool IsDeployed(const std::string& scenario) const;
   std::vector<std::string> Scenarios() const;
 
-  /// Routes to the scenario's replica group (power-of-two-choices over
-  /// queue depth), failing over while shards turn out to be gone. An
-  /// unknown scenario is NotFound (ServingClient owns default routing).
+  /// Routes the request to its scenario's replica group
+  /// (power-of-two-choices over queue depth), failing over while shards turn
+  /// out to be gone, and runs its `done` once with the answer — on the
+  /// worker thread that answered, or on this thread when no shard accepted
+  /// the request; never under a coordinator or shard lock. An unknown
+  /// scenario is NotFound (ServingClient owns default routing).
   ///
   /// A sampled `ctx` gets its wall time attributed along the way: `route`
   /// for replica ranking, `failover` for failed attempts (including any
   /// rebalance they trigger, and the final attempt of a request that ends
   /// in a model error), `shed_requeue` for attempts rejected with
-  /// kResourceExhausted; the successful attempt's time lands as
-  /// queue_wait + compute on the shard side.
+  /// kResourceExhausted; each attempt is timed from its submit to its
+  /// answer, and the successful one's time lands as queue_wait + compute on
+  /// the shard side.
+  void Submit(std::shared_ptr<Request> request);
+
+  /// Submit, then wait for the answer.
   Result<std::vector<float>> Predict(
       const std::string& scenario, const data::Batch& batch,
       const obs::RequestContext& ctx = obs::RequestContext());
 
-  /// Predict with shard affinity: tries `preferred_shard` first (the
-  /// BatchPredictor keeps per-shard queues to preserve batching locality),
-  /// failing over to the normal replica path when it is gone.
-  Result<std::vector<float>> PredictPreferring(
-      const std::string& preferred_shard, const std::string& scenario,
-      const data::Batch& batch,
-      const obs::RequestContext& ctx = obs::RequestContext());
+  /// Stops every shard: each serves what it has queued (paused or not) and
+  /// fails later submits with Unavailable. Answers still in flight may fail
+  /// over between shards until all have stopped, so no shard is destroyed
+  /// before this returns. Idempotent; the destructor calls it.
+  void Shutdown();
 
-  /// Chaos hook: kills the worker (its queue drains with Unavailable and
-  /// in-flight callers fail over). The rebalance itself triggers on the
-  /// next predicts against the dead shard, exactly as a real crash would.
+  /// Chaos hook: kills the worker. The rebalance triggers on the next
+  /// predicts against the dead shard, exactly as a real crash would, and
+  /// runs on the dead shard's own thread before it answers them (and its
+  /// queued requests) Unavailable, so they fail over.
   Status KillShard(const std::string& shard_id);
 
   /// Proactively evicts a shard from the ring (kill + rebalance) without
@@ -211,12 +258,17 @@ class ShardCoordinator {
     std::vector<std::string> replicas;
   };
 
-  /// Routing decision for one scenario: the candidate replica ids in
-  /// failover order plus the admission class its traffic submits with.
-  struct RouteDecision {
-    std::vector<std::string> candidates;
-    Admission admission = Admission::kNormal;
-  };
+  /// Tries the request's remaining candidates, re-ranking after a
+  /// rebalance, until a shard accepts it or the loop ends.
+  void TryReplicas(std::shared_ptr<Request> request);
+  /// Continuation of the request's accepted attempt.
+  void OnAnswer(const std::shared_ptr<Request>& request,
+                Result<std::vector<float>> result);
+  /// Books a failed attempt on `worker` and returns whether the request
+  /// moves on to the next candidate (else it ends with `status`).
+  bool FailOver(Request* request, WorkerShard* worker, const Status& status);
+  /// Runs the request's `done` with its answer.
+  void Finish(Request* request, Result<std::vector<float>> result);
 
   WorkerShard* LiveShard(const std::string& shard_id) const
       ALT_EXCLUDES(state_mu_);
@@ -225,17 +277,19 @@ class ShardCoordinator {
   /// AddShard.
   WorkerShard* FindShard(const std::string& shard_id) const
       ALT_EXCLUDES(state_mu_);
-  /// The scenario's candidate replica ids in failover order: the
-  /// least-loaded of two sampled candidates first (power-of-two-choices on
-  /// queue depth). Dead shards stay in the list so the predict loop can
-  /// detect them and trigger the rebalance. Empty for unknown scenarios. Hot / everywhere scenarios are
+  /// The scenario's candidate replicas in failover order, first the pick
+  /// of power-of-two-choices on queue depth (see the .cc file). Dead shards
+  /// stay in the list so the predict loop can detect them and trigger the
+  /// rebalance. Empty for unknown scenarios. Hot / everywhere scenarios are
   /// marked kCritical so shards shed them last.
   RouteDecision RankedReplicas(const std::string& scenario)
       ALT_EXCLUDES(state_mu_);
-  /// Removes a failed shard from the ring and re-deploys its scenarios onto
-  /// their new owners. Idempotent; serialized by control_mu_.
+  /// The death hook of every worker, run on the dead shard's own thread:
+  /// HandleShardDeathLocked, unless the shard was revived meanwhile.
   void HandleShardDeath(const std::string& shard_id)
       ALT_EXCLUDES(control_mu_, state_mu_);
+  /// Removes a failed shard from the ring and re-deploys its scenarios onto
+  /// their new owners. Idempotent.
   void HandleShardDeathLocked(const std::string& shard_id)
       ALT_REQUIRES(control_mu_) ALT_EXCLUDES(state_mu_);
   /// The shared warm-admission protocol of RejoinShard/AddShard: pre-deploy

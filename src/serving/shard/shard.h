@@ -4,9 +4,10 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <future>
+#include <functional>
 #include <map>
 #include <memory>
+#include <memory_resource>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,6 +31,14 @@ namespace shard {
 /// applies); everything else is kNormal and sheds first under pressure.
 enum class Admission { kNormal = 0, kCritical = 1 };
 
+/// Completion of one accepted SubmitPredict: runs exactly once, on the
+/// shard's worker thread, with the request's own scores (one per row) or its
+/// error. No shard or coordinator lock is held while it runs.
+using PredictDone = std::function<void(Result<std::vector<float>>)>;
+
+/// Rows one engine call may merge. A request of more rows runs alone.
+inline constexpr int64_t kMaxMergedRows = 16;
+
 /// One worker of the sharded serving plane: a ModelServer engine owned by a
 /// dedicated serving thread. The coordinator talks to a shard through two
 /// planes:
@@ -37,15 +46,23 @@ enum class Admission { kNormal = 0, kCritical = 1 };
 ///     (a rebalance racing a newer Deploy) can never overwrite a newer
 ///     model — the swap itself is the engine's per-scenario atomic swap, so
 ///     readers see the old model or the new one, never a torn mix;
-///   - data plane: SubmitPredict enqueues onto the shard's queue; the worker
-///     thread scores batches in arrival order on its own engine.
+///   - data plane: SubmitPredict enqueues onto the shard's queue. The worker
+///     thread is the plane's only batcher: as soon as it is free it takes
+///     the front request plus every later queued request of the same
+///     scenario, in queue order, while the merged rows stay within
+///     kMaxMergedRows, scores them in one engine call and completes each
+///     request with its own rows. It never waits for more work.
 ///
-/// Kill() simulates shard failure for chaos tests and the scale bench: the
-/// queue drains with Status::Unavailable (callers fail over to replicas —
-/// no request is silently lost) and every later submit fails fast. Revive()
-/// undoes a Kill for warm re-join: the worker thread (which parks rather
-/// than exit on Kill) resumes, with all serving state cleared so the
-/// coordinator can re-deploy current versions from its cached bundles.
+/// Kill() simulates shard failure for chaos tests and the scale bench. The
+/// worker thread keeps running and answers every request queued at the kill
+/// or submitted since with Status::Unavailable, even while dispatch is
+/// paused, so callers fail over and no request is silently lost. Before the
+/// first of those answers it runs the `on_death` hook (the coordinator's
+/// rebalance), so they fail over to a plane that already routes around this
+/// shard. Kill() itself runs neither, so it is safe to call under the
+/// coordinator's locks. Revive() undoes a Kill for warm re-join: the worker
+/// serves again, with all serving state cleared so the coordinator can
+/// re-deploy current versions from its cached bundles.
 ///
 /// Admission control: beyond the hard `max_queue_depth` cap, the shard
 /// sheds load between a high/low watermark pair with hysteresis — once the
@@ -58,14 +75,19 @@ enum class Admission { kNormal = 0, kCritical = 1 };
 ///
 /// Obs (shared registry, instance-labelled by shard id):
 ///   serving/shard/queue_depth/<id>   gauge: requests queued + in flight
-///   serving/shard/requests/<id>      counter: requests served by the engine
+///   serving/shard/requests/<id>      counter: requests run by the engine
 ///   serving/shard/pressure/<id>      gauge: queue depth / high watermark
+///   serving/batch_predictor/batch_size  histogram: requests per engine
+///                                    call (the name altbench reads)
 class WorkerShard {
  public:
   /// `registry == nullptr` selects the process-global registry. All shards
   /// of one coordinator share a registry, so per-scenario latency
-  /// histograms aggregate across the fleet for free.
-  WorkerShard(std::string id, obs::MetricsRegistry* registry = nullptr);
+  /// histograms aggregate across the fleet for free. `on_death`, when set,
+  /// runs on this shard's worker thread once after each Kill(), before the
+  /// worker answers the first request with Unavailable.
+  WorkerShard(std::string id, obs::MetricsRegistry* registry = nullptr,
+              std::function<void()> on_death = nullptr);
   ~WorkerShard();
 
   WorkerShard(const WorkerShard&) = delete;
@@ -86,24 +108,25 @@ class WorkerShard {
   /// The scenario's deployed version on this shard; 0 when never deployed.
   uint64_t DeployedVersion(const std::string& scenario) const;
 
-  /// Enqueues a predict for the worker thread. `batch` must stay alive until
-  /// the future resolves (the coordinator blocks on it). A dead shard
-  /// resolves immediately with Status::Unavailable; an over-watermark queue
-  /// (soft shed, kNormal only) or a full queue (`max_queue_depth` > 0)
-  /// resolves immediately with Status::ResourceExhausted — rejected at
-  /// admission, never enqueued.
+  /// Enqueues a predict for the worker thread and returns OK; `done` then
+  /// runs once on the worker thread, and `batch` must stay alive until it
+  /// has. A dead shard accepts it too, and its worker answers Unavailable
+  /// once `on_death` has run. Otherwise returns the rejection and never runs
+  /// `done`: a stopped shard is Status::Unavailable; an over-watermark queue
+  /// (soft shed, kNormal only) or a full queue (`max_queue_depth` > 0) is
+  /// Status::ResourceExhausted — rejected at admission, never enqueued.
   ///
-  /// A sampled `ctx` rides the task across the dispatcher queue: the worker
-  /// thread attributes queue_wait + compute segments to the request (on
-  /// success — a failed attempt's wall time is the coordinator's to claim as
-  /// failover) and records a request-linked dispatch span.
-  std::future<Result<std::vector<float>>> SubmitPredict(
-      const std::string& scenario, const data::Batch& batch,
-      Admission admission = Admission::kNormal,
-      const obs::RequestContext& ctx = obs::RequestContext());
+  /// A sampled `ctx` rides the task across the queue: the worker thread
+  /// attributes queue_wait + compute segments to the request (on success — a
+  /// failed attempt's wall time is the coordinator's to claim as failover)
+  /// and records a request-linked dispatch span.
+  Status SubmitPredict(const std::string& scenario, const data::Batch& batch,
+                       Admission admission, const obs::RequestContext& ctx,
+                       PredictDone done);
 
-  /// Marks the shard dead: pending queue entries resolve with Unavailable,
-  /// later submits fail fast, the worker thread parks. Idempotent.
+  /// Marks the shard dead: the worker answers the queued requests, and every
+  /// later one, with Unavailable, running `on_death` before the first of
+  /// them. Idempotent.
   void Kill();
   bool dead() const { return dead_.load(std::memory_order_acquire); }
 
@@ -120,14 +143,21 @@ class WorkerShard {
   void set_shed_watermarks(int64_t high, int64_t low) {
     shed_high_watermark_.store(high, std::memory_order_relaxed);
     shed_low_watermark_.store(low, std::memory_order_relaxed);
+    if (high <= 0) pressure_gauge_->Set(0.0);
   }
 
   /// True while the shard is between watermarks shedding kNormal load.
   bool shedding() const { return shedding_.load(std::memory_order_relaxed); }
 
+  /// Stops the worker thread once it has served everything queued (paused
+  /// or not); later submits fail with Unavailable. Idempotent. Completions
+  /// may submit to other shards, so a plane stops every shard before it
+  /// destroys any.
+  void Stop();
+
   /// Test hook: while paused the worker thread stops dequeuing, so tests
   /// can build exact queue depths; admission behaves as in production.
-  /// Kill() and destruction still drain normally.
+  /// Kill() and Stop() still drain normally.
   void PauseDispatchForTesting(bool paused);
 
   /// Requests queued or in flight — the load signal the coordinator's
@@ -135,6 +165,7 @@ class WorkerShard {
   int64_t QueueDepth() const {
     return queue_depth_.load(std::memory_order_relaxed);
   }
+  /// Requests the engine has run, each counted once however it was merged.
   int64_t RequestsServed() const {
     return requests_served_.load(std::memory_order_relaxed);
   }
@@ -153,14 +184,29 @@ class WorkerShard {
 
  private:
   struct Task {
+    /// Queued; taken into the worker's current engine call, which reads it
+    /// in place outside mu_; or a hole (served, or orphaned by Kill) that
+    /// the worker pops once it reaches the front of queue_.
+    enum class State { kQueued, kTaken, kHole };
     std::string scenario;
     const data::Batch* batch = nullptr;
-    std::promise<Result<std::vector<float>>> promise;
-    obs::RequestContext ctx;    // Sampled requests only; default = inert.
-    double enqueue_us = 0.0;    // MonotonicMicros at enqueue, when sampled.
+    int64_t rows = 1;  // Its weight against kMaxMergedRows: >= 1.
+    PredictDone done;
+    obs::RequestContext ctx;  // Sampled requests only; default = inert.
+    double enqueue_us = 0.0;  // MonotonicMicros at enqueue, when sampled.
+    State state = State::kQueued;
   };
 
   void WorkerLoop();
+  /// Takes the front request and the later queued requests of its scenario
+  /// into `tasks`, in queue order, while the merged rows fit within
+  /// kMaxMergedRows. Only pointers move under mu_: the requests stay in
+  /// queue_ until the worker has served them.
+  void TakeMergedLocked(std::vector<Task*>* tasks) ALT_REQUIRES(mu_);
+  /// Scores `tasks` (one scenario) in one engine call and completes each.
+  void Dispatch(const std::vector<Task*>& tasks);
+  /// Releases `n` requests from the queue-depth accounting.
+  void Release(int64_t n);
 
   /// Advances the hysteresis state machine for a queue at `depth` and
   /// returns whether kNormal admissions are currently shed. Also refreshes
@@ -169,6 +215,7 @@ class WorkerShard {
 
   const std::string id_;
   obs::MetricsRegistry* registry_;
+  const std::function<void()> on_death_;
   ModelServer engine_;
 
   std::atomic<bool> dead_{false};
@@ -181,17 +228,31 @@ class WorkerShard {
   obs::Gauge* queue_depth_gauge_ = nullptr;  // Owned by the registry.
   obs::Gauge* pressure_gauge_ = nullptr;     // Owned by the registry.
   obs::Counter* requests_total_ = nullptr;   // Owned by the registry.
+  obs::Histogram* batch_size_ = nullptr;     // Owned by the registry.
 
   mutable Mutex mu_;
   CondVar cv_;
-  std::deque<Task> queue_ ALT_GUARDED_BY(mu_);
+  /// Recycles queue_'s blocks (each holds a few requests), so neither the
+  /// submitting threads nor the worker call malloc or free while holding
+  /// the lock the other side needs.
+  std::pmr::unsynchronized_pool_resource queue_memory_ ALT_GUARDED_BY(mu_);
+  /// Requests in arrival order. Only its ends change, so the worker's
+  /// pointers into it stay valid.
+  std::pmr::deque<Task> queue_ ALT_GUARDED_BY(mu_){&queue_memory_};
+  /// Requests queued before the last Kill() or submitted while dead: the
+  /// worker fails them with Unavailable, paused or not, so a Revive() never
+  /// serves them.
+  std::deque<Task> orphans_ ALT_GUARDED_BY(mu_);
+  /// Set by Kill(): the worker runs on_death_ before failing the next
+  /// orphans.
+  bool death_pending_ ALT_GUARDED_BY(mu_) = false;
   bool stopping_ ALT_GUARDED_BY(mu_) = false;
   bool paused_ ALT_GUARDED_BY(mu_) = false;
 
   mutable Mutex versions_mu_;
   std::map<std::string, uint64_t> versions_ ALT_GUARDED_BY(versions_mu_);
 
-  std::thread worker_;  // Last member: joins in ~WorkerShard after state.
+  std::thread worker_;  // Last member: joined by Stop() / ~WorkerShard.
 };
 
 }  // namespace shard

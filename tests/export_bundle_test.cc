@@ -1,6 +1,5 @@
 // Coverage for the deployment export path (ServingClient::ExportBundle,
-// the one AltSystem::SaveState uses) and mixed-scenario batching behavior
-// of the async predictor.
+// the one AltSystem::SaveState uses).
 
 #include <cstdio>
 #include <filesystem>
@@ -10,8 +9,6 @@
 #include "gtest/gtest.h"
 #include "src/data/synthetic.h"
 #include "src/obs/metrics.h"
-#include "src/serving/batch_predictor.h"
-#include "src/serving/model_server.h"
 #include "src/serving/model_store.h"
 #include "src/serving/serving_client.h"
 
@@ -87,76 +84,6 @@ TEST(ExportBundleTest, ExportErrors) {
   const std::string unwritable = "/nonexistent/dir/x.altm";
   EXPECT_FALSE(client.ExportBundle("bank", unwritable).ok());
   EXPECT_FALSE(std::filesystem::exists(unwritable));
-}
-
-TEST(BatchPredictorTest, MixedScenariosAreRoutedCorrectly) {
-  // Two deployed scenarios with different weights; interleaved requests
-  // must each be scored by their own model.
-  ModelServer server;
-  ASSERT_TRUE(server.Deploy("a", TinyModel(10)).ok());
-  ASSERT_TRUE(server.Deploy("b", TinyModel(777)).ok());
-  BatchPredictor::Options options;
-  options.max_batch_size = 4;
-  options.max_delay_ms = 5.0;
-  BatchPredictor predictor(
-      [&server](const std::string& s, const data::Batch& b,
-                const obs::RequestContext&) {
-        return server.Predict(s, b);
-      },
-      options);
-
-  Rng rng(4);
-  Tensor profile = Tensor::Randn({1, 4}, &rng);
-  std::vector<int64_t> behavior = {0, 1, 2, 3, 4};
-  auto fa = predictor.Enqueue("a", profile, behavior);
-  auto fb = predictor.Enqueue("b", profile, behavior);
-  auto fa2 = predictor.Enqueue("a", profile, behavior);
-
-  Result<float> ra = fa.get();
-  Result<float> rb = fb.get();
-  Result<float> ra2 = fa2.get();
-  ASSERT_TRUE(ra.ok() && rb.ok() && ra2.ok());
-  EXPECT_FLOAT_EQ(ra.value(), ra2.value());
-  EXPECT_NE(ra.value(), rb.value());  // Different models, different scores.
-
-  data::Batch probe = OneSample(4);
-  probe.profiles = profile;
-  probe.behaviors = behavior;
-  EXPECT_NEAR(ra.value(), server.Predict("a", probe).value()[0], 1e-5f);
-  EXPECT_NEAR(rb.value(), server.Predict("b", probe).value()[0], 1e-5f);
-}
-
-TEST(BatchPredictorTest, HighVolumeDrainsCompletely) {
-  // Private registry: QueueDepth/BatchesDispatched are registry views, so
-  // counts must not leak in from other tests in this binary.
-  obs::MetricsRegistry registry;
-  ModelServer server(&registry);
-  ASSERT_TRUE(server.Deploy("s", TinyModel(5)).ok());
-  BatchPredictor::Options options;
-  options.max_batch_size = 16;
-  options.max_delay_ms = 1.0;
-  BatchPredictor predictor(
-      [&server](const std::string& s, const data::Batch& b,
-                const obs::RequestContext&) {
-        return server.Predict(s, b);
-      },
-      options, &registry);
-  Rng rng(6);
-  std::vector<std::future<Result<float>>> futures;
-  for (int i = 0; i < 200; ++i) {
-    std::vector<int64_t> behavior(5);
-    for (auto& id : behavior) id = rng.UniformInt(0, 7);
-    futures.push_back(
-        predictor.Enqueue("s", Tensor::Randn({1, 4}, &rng), behavior));
-  }
-  int ok_count = 0;
-  for (auto& f : futures) {
-    if (f.get().ok()) ++ok_count;
-  }
-  EXPECT_EQ(ok_count, 200);
-  EXPECT_EQ(predictor.QueueDepth(), 0u);
-  // Batching actually happened.
-  EXPECT_LT(predictor.BatchesDispatched(), 200);
 }
 
 }  // namespace

@@ -1,6 +1,5 @@
 // Tests of the production extensions: CMA-ES tuner internals, AdamW,
-// learning-rate schedules, the batching async predictor, and AltSystem
-// state persistence.
+// learning-rate schedules, and AltSystem state persistence.
 
 #include <cstdio>
 #include <filesystem>
@@ -13,7 +12,6 @@
 #include "src/obs/metrics.h"
 #include "src/opt/lr_schedule.h"
 #include "src/opt/optimizer.h"
-#include "src/serving/batch_predictor.h"
 
 namespace alt {
 namespace {
@@ -157,102 +155,6 @@ TEST(LrScheduleTest, CosineMonotoneDecreaseToFloor) {
   }
   EXPECT_NEAR(schedule.LearningRate(100), 0.1f, 1e-5f);
   EXPECT_NEAR(schedule.LearningRate(500), 0.1f, 1e-5f);
-}
-
-// ---------------------------------------------------------------------------
-// BatchPredictor
-// ---------------------------------------------------------------------------
-
-std::unique_ptr<models::BaseModel> SmallServingModel() {
-  Rng rng(3);
-  models::ModelConfig config = models::ModelConfig::Light(
-      models::EncoderKind::kLstm, 4, 5, 8);
-  config.encoder_layers = 1;
-  auto model = models::BuildBaseModel(config, &rng);
-  EXPECT_TRUE(model.ok());
-  return std::move(model).value();
-}
-
-TEST(BatchPredictorTest, CoalescesAndMatchesDirectPredict) {
-  // Private registry: BatchesDispatched is a registry view and must count
-  // only this test's batches.
-  obs::MetricsRegistry registry;
-  serving::ModelServer server(&registry);
-  ASSERT_TRUE(server.Deploy("s", SmallServingModel()).ok());
-  serving::BatchPredictor::Options options;
-  options.max_batch_size = 8;
-  options.max_delay_ms = 20.0;
-  serving::BatchPredictor predictor(
-      [&server](const std::string& scenario, const data::Batch& batch,
-                const obs::RequestContext&) {
-        return server.Predict(scenario, batch);
-      },
-      options, &registry);
-
-  Rng rng(4);
-  std::vector<std::future<Result<float>>> futures;
-  std::vector<Tensor> profiles;
-  std::vector<std::vector<int64_t>> behaviors;
-  for (int i = 0; i < 8; ++i) {
-    profiles.push_back(Tensor::Randn({1, 4}, &rng));
-    std::vector<int64_t> seq(5);
-    for (auto& id : seq) id = rng.UniformInt(0, 7);
-    behaviors.push_back(seq);
-    futures.push_back(predictor.Enqueue("s", profiles.back(), seq));
-  }
-  for (int i = 0; i < 8; ++i) {
-    Result<float> result = futures[static_cast<size_t>(i)].get();
-    ASSERT_TRUE(result.ok());
-    // Cross-check against a direct single-sample Predict.
-    data::Batch one;
-    one.batch_size = 1;
-    one.seq_len = 5;
-    one.profiles = profiles[static_cast<size_t>(i)];
-    one.behaviors = behaviors[static_cast<size_t>(i)];
-    one.labels = Tensor({1, 1});
-    auto direct = server.Predict("s", one);
-    ASSERT_TRUE(direct.ok());
-    EXPECT_NEAR(result.value(), direct.value()[0], 1e-5f);
-  }
-  // Coalescing must have used fewer model calls than requests (8 enqueues
-  // + 8 direct calls above; the batched portion is <= 8).
-  EXPECT_LE(predictor.BatchesDispatched(), 8);
-}
-
-TEST(BatchPredictorTest, UnknownScenarioErrorsThroughFuture) {
-  serving::ModelServer server;
-  serving::BatchPredictor predictor(
-      [&server](const std::string& scenario, const data::Batch& batch,
-                const obs::RequestContext&) {
-        return server.Predict(scenario, batch);
-      },
-      serving::BatchPredictor::Options{});
-  auto future = predictor.Enqueue("ghost", Tensor::Zeros({1, 4}),
-                                  {0, 0, 0, 0, 0});
-  Result<float> result = future.get();
-  EXPECT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
-}
-
-TEST(BatchPredictorTest, ShapeMismatchRejectedPerRequest) {
-  serving::ModelServer server;
-  ASSERT_TRUE(server.Deploy("s", SmallServingModel()).ok());
-  serving::BatchPredictor::Options options;
-  options.max_batch_size = 2;
-  options.max_delay_ms = 5.0;
-  serving::BatchPredictor predictor(
-      [&server](const std::string& scenario, const data::Batch& batch,
-                const obs::RequestContext&) {
-        return server.Predict(scenario, batch);
-      },
-      options);
-  Rng rng(5);
-  auto good = predictor.Enqueue("s", Tensor::Randn({1, 4}, &rng),
-                                {0, 1, 2, 3, 4});
-  auto bad = predictor.Enqueue("s", Tensor::Randn({1, 7}, &rng),
-                               {0, 1, 2, 3, 4});
-  EXPECT_TRUE(good.get().ok());
-  EXPECT_FALSE(bad.get().ok());
 }
 
 // ---------------------------------------------------------------------------

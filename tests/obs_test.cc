@@ -1,7 +1,7 @@
 // Tests for the observability layer (src/obs): metrics registry exactness
 // under concurrency, percentile math on known distributions, trace span
 // nesting and Chrome trace_event export, disabled-mode zero recording, and
-// the wiring through ServingClient / BatchPredictor / ParallelFor.
+// the wiring through ServingClient / ParallelFor.
 
 #include <chrono>
 #include <memory>
@@ -17,7 +17,6 @@
 #include "src/obs/trace.h"
 #include "src/resilience/clock.h"
 #include "src/resilience/fault_injection.h"
-#include "src/serving/batch_predictor.h"
 #include "src/serving/model_server.h"
 #include "src/serving/serving_client.h"
 #include "src/util/json.h"
@@ -400,7 +399,7 @@ TEST(TraceTest, NextSpanIdIsNonZeroAndDistinct) {
 }
 
 // ---------------------------------------------------------------------------
-// Wiring: ModelServer / BatchPredictor / ParallelFor
+// Wiring: ServingClient / ParallelFor
 // ---------------------------------------------------------------------------
 
 std::unique_ptr<models::BaseModel> TinyModel(uint64_t seed) {
@@ -428,8 +427,6 @@ TEST(WiringTest, ServingClientLatencyStatsViewsRequestHistogram) {
   MetricsRegistry registry;
   serving::ServingClient::Options topology;
   topology.num_shards = 2;
-  topology.batching.max_batch_size = 4;
-  topology.batching.max_delay_ms = 1.0;
   serving::ServingClient client(topology, &registry);
   ASSERT_TRUE(client.Deploy("shop", TinyModel(11)).ok());
   ASSERT_TRUE(client.DeployEverywhere("f0", TinyModel(13)).ok());
@@ -438,7 +435,8 @@ TEST(WiringTest, ServingClientLatencyStatsViewsRequestHistogram) {
   resilience::FakeClock clock;
   client.EnableResilience(resilience_options, &clock);
 
-  // Two direct requests and two batched ones, which may share one flush.
+  // Two direct requests and two enqueued ones, which may share one engine
+  // call.
   const data::Batch batch = OneSample(12);
   ASSERT_TRUE(client.Predict("shop", batch).ok());
   ASSERT_TRUE(client.Predict("shop", batch).ok());
@@ -449,7 +447,7 @@ TEST(WiringTest, ServingClientLatencyStatsViewsRequestHistogram) {
   int64_t requests = 4;
 #if !defined(ALT_FAULTS_DISABLED)
   // Every second model call faults: the direct request's primary call (2)
-  // and the batched one's (4) fail, and f0 answers each through a second
+  // and the enqueued one's (4) fail, and f0 answers each through a second
   // plane call (3, 5). Each is still one request.
   resilience::FaultInjector& faults = resilience::FaultInjector::Global();
   faults.Reset();
@@ -480,98 +478,63 @@ TEST(WiringTest, ServingClientLatencyStatsViewsRequestHistogram) {
   EXPECT_FALSE(client.GetLatencyStats("ghost").ok());
 }
 
-TEST(WiringTest, BatchPredictorCreateValidatesOptions) {
+TEST(WiringTest, EngineCallsReportThroughRegistryAndTraces) {
   MetricsRegistry registry;
-  serving::ModelServer server(&registry);
-  serving::BatchPredictor::PredictFn predict =
-      [&server](const std::string& scenario, const data::Batch& batch,
-                const obs::RequestContext&) {
-        return server.Predict(scenario, batch);
-      };
-  serving::BatchPredictor::Options options;
-
-  EXPECT_FALSE(serving::BatchPredictor::Create(
-                   serving::BatchPredictor::PredictFn(), options)
-                   .ok());
-  options.max_batch_size = 0;
-  EXPECT_FALSE(serving::BatchPredictor::Create(predict, options).ok());
-  options.max_batch_size = 4;
-  options.max_delay_ms = -1.0;
-  EXPECT_FALSE(serving::BatchPredictor::Create(predict, options).ok());
-  options.max_delay_ms = 1.0;
-  auto predictor =
-      serving::BatchPredictor::Create(predict, options, &registry);
-  ASSERT_TRUE(predictor.ok());
-  EXPECT_NE(predictor.value().get(), nullptr);
-  EXPECT_EQ(predictor.value()->registry(), &registry);
-}
-
-TEST(WiringTest, BatchPredictorReportsThroughRegistryAndTraces) {
-  MetricsRegistry registry;
-  serving::ModelServer server(&registry);
-  ASSERT_TRUE(server.Deploy("shop", TinyModel(21)).ok());
-  serving::BatchPredictor::Options options;
-  options.max_batch_size = 8;
-  options.max_delay_ms = 1.0;
-
   TraceRecorder& global_trace = TraceRecorder::Global();
   if (global_trace.enabled()) global_trace.Clear();
 
   constexpr int kRequests = 32;
   {
-    serving::BatchPredictor predictor(
-        [&server](const std::string& scenario, const data::Batch& batch,
-                  const obs::RequestContext&) {
-          return server.Predict(scenario, batch);
-        },
-        options, &registry);
+    serving::ServingClient client(serving::ServingClient::Options{},
+                                  &registry);
+    ASSERT_TRUE(client.Deploy("shop", TinyModel(21)).ok());
     Rng rng(22);
     std::vector<std::future<Result<float>>> futures;
     for (int i = 0; i < kRequests; ++i) {
       std::vector<int64_t> behavior(5);
       for (auto& id : behavior) id = rng.UniformInt(0, 7);
       futures.push_back(
-          predictor.Enqueue("shop", Tensor::Randn({1, 4}, &rng), behavior));
+          client.EnqueuePredict("shop", Tensor::Randn({1, 4}, &rng), behavior));
     }
     int ok_count = 0;
     for (auto& f : futures) {
       if (f.get().ok()) ++ok_count;
     }
     EXPECT_EQ(ok_count, kRequests);
-    EXPECT_EQ(predictor.QueueDepth(), 0u);
-    EXPECT_GE(predictor.BatchesDispatched(), 1);
+    EXPECT_EQ(registry.gauge_value("serving/shard/queue_depth/shard-0"), 0.0);
 
-    const int64_t batches =
-        registry.counter_value("serving/batch_predictor/batches_dispatched");
-    EXPECT_EQ(predictor.BatchesDispatched(), batches);
-    EXPECT_EQ(
-        registry.histogram_summary("serving/batch_predictor/batch_size").count,
-        batches);
-    // Every request's enqueue→reply latency was observed exactly once.
-    EXPECT_EQ(registry
-                  .histogram_summary("serving/batch_predictor/request_latency_ms")
-                  .count,
+    // One observation per engine call, each of the requests it merged; every
+    // request counted once however it was merged.
+    const HistogramSummary calls =
+        registry.histogram_summary("serving/batch_predictor/batch_size");
+    EXPECT_GE(calls.count, 1);
+    EXPECT_EQ(calls.sum, static_cast<double>(kRequests));
+    EXPECT_EQ(registry.counter_value("serving/shard/requests/shard-0"),
               kRequests);
+    // Every request's end-to-end latency was observed exactly once.
+    EXPECT_EQ(
+        registry.histogram_summary("serving/request/latency_ms/shop").count,
+        kRequests);
   }
 
   // A real run's trace exports as valid Chrome trace_event JSON containing
-  // the flush spans (dispatcher thread) recorded via the global recorder.
+  // the engine spans (shard worker thread) recorded via the global recorder.
   if (global_trace.enabled()) {
     auto parsed = Json::Parse(global_trace.ToChromeJson().Dump());
     ASSERT_TRUE(parsed.ok());
     const Json::Array& events = parsed.value().at("traceEvents").as_array();
-    bool saw_flush = false;
+    bool saw_predict = false;
     for (const Json& e : events) {
       EXPECT_EQ(e.at("ph").as_string(), "X");
       EXPECT_TRUE(e.contains("ts"));
       EXPECT_TRUE(e.contains("dur"));
       EXPECT_TRUE(e.contains("pid"));
       EXPECT_TRUE(e.contains("tid"));
-      if (e.at("name").as_string() == "serving/batch_predictor/flush") {
-        saw_flush = true;
+      if (e.at("name").as_string() == "serving/model_server/predict") {
+        saw_predict = true;
       }
     }
-    EXPECT_TRUE(saw_flush);
+    EXPECT_TRUE(saw_predict);
   }
 }
 

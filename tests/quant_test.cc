@@ -1,7 +1,7 @@
 // End-to-end tests for the int8 quantized serving path: quantized Linear
 // accuracy against the analytic quantization error bound, model-level AUC
 // parity with fp32, the ModelServer deploy option with its calibration
-// telemetry, and BatchPredictor over a quantized deployment.
+// telemetry, and merged single-row requests over a quantized deployment.
 
 #include "src/tensor/quant.h"
 
@@ -15,8 +15,8 @@
 #include "src/data/synthetic.h"
 #include "src/nn/linear.h"
 #include "src/obs/metrics.h"
-#include "src/serving/batch_predictor.h"
 #include "src/serving/model_server.h"
+#include "src/serving/serving_client.h"
 #include "src/tensor/cpu_features.h"
 #include "src/train/trainer.h"
 
@@ -243,31 +243,23 @@ TEST(QuantTest, DeployWithoutCalibrationStillQuantizes) {
   }
 }
 
-TEST(QuantTest, BatchPredictorServesQuantizedDeployment) {
+TEST(QuantTest, EnqueuePredictServesQuantizedDeployment) {
   data::SyntheticGenerator gen(QuantDataConfig());
   const data::ScenarioData scenario = gen.GenerateScenario(0);
   data::Batch batch = MakeFullBatch(scenario);
 
   obs::MetricsRegistry registry;
-  serving::ModelServer server(&registry);
+  serving::ServingClient client(serving::ServingClient::Options{}, &registry);
   serving::DeployOptions options;
   options.quantize_int8 = true;
   options.calibration = &batch;
   ASSERT_TRUE(
-      server.Deploy("tail_c", MakeTrainedModel(scenario, 25), options).ok());
-  const auto full = server.Predict("tail_c", batch);
+      client.Deploy("tail_c", MakeTrainedModel(scenario, 25), options).ok());
+  const auto full = client.Predict("tail_c", batch);
   ASSERT_TRUE(full.ok());
 
-  serving::BatchPredictor::Options popts;
-  popts.max_batch_size = 4;
-  popts.max_delay_ms = 1.0;
-  serving::BatchPredictor predictor(
-      [&server](const std::string& s, const data::Batch& b,
-                const obs::RequestContext&) {
-        return server.Predict(s, b);
-      },
-      popts, &registry);
-
+  // Queued on a paused shard, the rows merge into one engine call.
+  client.coordinator()->shard("shard-0")->PauseDispatchForTesting(true);
   const int64_t probe = std::min<int64_t>(batch.batch_size, 12);
   std::vector<std::future<Result<float>>> futures;
   for (int64_t i = 0; i < probe; ++i) {
@@ -278,17 +270,21 @@ TEST(QuantTest, BatchPredictorServesQuantizedDeployment) {
     std::vector<int64_t> behavior(
         batch.behaviors.begin() + i * batch.seq_len,
         batch.behaviors.begin() + (i + 1) * batch.seq_len);
-    futures.push_back(
-        predictor.Enqueue("tail_c", std::move(profile), std::move(behavior)));
+    futures.push_back(client.EnqueuePredict("tail_c", std::move(profile),
+                                            std::move(behavior)));
   }
+  client.coordinator()->shard("shard-0")->PauseDispatchForTesting(false);
   for (int64_t i = 0; i < probe; ++i) {
     auto result = futures[static_cast<size_t>(i)].get();
     ASSERT_TRUE(result.ok()) << "request " << i;
     // Per-row dynamic activation scales make each row's int8 result
-    // independent of how the predictor micro-batched it.
+    // independent of the other rows of its engine call.
     EXPECT_NEAR(result.value(), full.value()[static_cast<size_t>(i)], 1e-4)
         << "request " << i;
   }
+  EXPECT_EQ(
+      registry.histogram_summary("serving/batch_predictor/batch_size").max,
+      static_cast<double>(probe));
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 // Tests of the ServingClient facade — the public serving API over the
-// sharded plane — including the elastic lifecycle surface (warm re-join,
-// runtime AddShard, the shard-state HealthReport).
+// sharded plane — including the shard worker's request merging, malformed
+// requests, shutdown with queued work, and the elastic lifecycle surface
+// (warm re-join, runtime AddShard, the shard-state HealthReport).
 
+#include <chrono>
 #include <future>
 #include <string>
 #include <vector>
@@ -43,9 +45,18 @@ ServingClient::Options SmallTopology(int shards, int replication) {
   options.num_shards = shards;
   options.replication = replication;
   options.vnodes_per_shard = 64;
-  options.batching.max_batch_size = 4;
-  options.batching.max_delay_ms = 1.0;
   return options;
+}
+
+/// A well-formed single row for TinyModel: 4 profile features, 5 ids < 8.
+data::Batch RandomRow(Rng* rng) {
+  data::Batch batch;
+  batch.batch_size = 1;
+  batch.seq_len = 5;
+  batch.profiles = Tensor::Randn({1, 4}, rng);
+  for (int t = 0; t < 5; ++t) batch.behaviors.push_back(rng->UniformInt(0, 7));
+  batch.labels = Tensor({1, 1});
+  return batch;
 }
 
 TEST(ServingClientTest, DeployPredictUndeployRoundTrip) {
@@ -82,7 +93,7 @@ TEST(ServingClientTest, SingleShardDefaultMatchesClassicServing) {
   EXPECT_EQ(stats.num_shards, 1);
   EXPECT_EQ(stats.live_shards, 1);
   EXPECT_GE(stats.requests_served, 1);
-  EXPECT_EQ(stats.pending_batch_requests, 0);
+  EXPECT_EQ(stats.pending_requests, 0);
 }
 
 TEST(ServingClientTest, EnqueuePredictCoalescesAndMatchesSyncPath) {
@@ -108,14 +119,224 @@ TEST(ServingClientTest, EnqueuePredictCoalescesAndMatchesSyncPath) {
     ASSERT_TRUE(direct.ok());
     EXPECT_NEAR(result.value(), direct.value()[0], 1e-5f);
   }
-  client.DrainBatchQueues();
-  EXPECT_EQ(client.GetStats().pending_batch_requests, 0);
+  client.DrainRequests();
+  EXPECT_EQ(client.GetStats().pending_requests, 0);
+}
+
+TEST(ServingClientTest, ShardWorkerMergesEveryQueuedRequestOfAScenario) {
+  // The shard worker is the batcher: once free, it takes the front request
+  // and every queued request of the same scenario, wherever it sits in the
+  // queue, so interleaved traffic still coalesces.
+  obs::MetricsRegistry registry;
+  ServingClient client(SmallTopology(1, 1), &registry);
+  ASSERT_TRUE(client.Deploy("a", TinyModel(31)).ok());
+  ASSERT_TRUE(client.Deploy("b", TinyModel(32)).ok());
+  shard::WorkerShard* worker = client.coordinator()->shard("shard-0");
+  worker->PauseDispatchForTesting(true);
+
+  Rng rng(33);
+  std::vector<data::Batch> rows;
+  std::vector<std::future<Result<float>>> futures;
+  for (int i = 0; i < 16; ++i) {
+    rows.push_back(RandomRow(&rng));
+    futures.push_back(client.EnqueuePredict(i % 2 == 0 ? "a" : "b",
+                                            rows.back().profiles,
+                                            rows.back().behaviors));
+  }
+  EXPECT_EQ(worker->QueueDepth(), 16);
+  worker->PauseDispatchForTesting(false);
+
+  auto model_a = TinyModel(31);
+  auto model_b = TinyModel(32);
+  for (int i = 0; i < 16; ++i) {
+    Result<float> result = futures[static_cast<size_t>(i)].get();
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    models::BaseModel* model = i % 2 == 0 ? model_a.get() : model_b.get();
+    // Bit for bit the request's own 1-row score: merging never moves a row.
+    EXPECT_EQ(result.value(),
+              model->PredictProbs(rows[static_cast<size_t>(i)])[0])
+        << "request " << i;
+  }
+  const obs::HistogramSummary calls =
+      registry.histogram_summary("serving/batch_predictor/batch_size");
+  EXPECT_EQ(calls.count, 2);
+  EXPECT_EQ(calls.sum, 16.0);
+  EXPECT_EQ(worker->RequestsServed(), 16);
+  EXPECT_EQ(registry.counter_value("serving/shard/requests/shard-0"), 16);
+}
+
+TEST(ServingClientTest, EnqueueMixedScenariosAreRoutedCorrectly) {
+  // Two deployed scenarios with different weights; interleaved requests
+  // must each be scored by their own model.
+  obs::MetricsRegistry registry;
+  ServingClient client(SmallTopology(1, 1), &registry);
+  ASSERT_TRUE(client.Deploy("a", TinyModel(10)).ok());
+  ASSERT_TRUE(client.Deploy("b", TinyModel(777)).ok());
+
+  Rng rng(4);
+  const data::Batch row = RandomRow(&rng);
+  auto fa = client.EnqueuePredict("a", row.profiles, row.behaviors);
+  auto fb = client.EnqueuePredict("b", row.profiles, row.behaviors);
+  auto fa2 = client.EnqueuePredict("a", row.profiles, row.behaviors);
+  Result<float> ra = fa.get();
+  Result<float> rb = fb.get();
+  Result<float> ra2 = fa2.get();
+  ASSERT_TRUE(ra.ok() && rb.ok() && ra2.ok());
+  EXPECT_EQ(ra.value(), ra2.value());
+  EXPECT_NE(ra.value(), rb.value());  // Different models, different scores.
+  EXPECT_EQ(ra.value(), client.Predict("a", row).value()[0]);
+  EXPECT_EQ(rb.value(), client.Predict("b", row).value()[0]);
+}
+
+TEST(ServingClientTest, EnqueueHighVolumeDrainsCompletely) {
+  obs::MetricsRegistry registry;
+  ServingClient client(SmallTopology(1, 1), &registry);
+  ASSERT_TRUE(client.Deploy("s", TinyModel(5)).ok());
+  shard::WorkerShard* worker = client.coordinator()->shard("shard-0");
+  worker->PauseDispatchForTesting(true);
+  Rng rng(6);
+  std::vector<std::future<Result<float>>> futures;
+  for (int i = 0; i < 200; ++i) {
+    const data::Batch row = RandomRow(&rng);
+    futures.push_back(client.EnqueuePredict("s", row.profiles, row.behaviors));
+  }
+  EXPECT_EQ(client.GetStats().pending_requests, 200);
+  worker->PauseDispatchForTesting(false);
+  int ok_count = 0;
+  for (auto& f : futures) {
+    if (f.get().ok()) ++ok_count;
+  }
+  EXPECT_EQ(ok_count, 200);
+  client.DrainRequests();
+  EXPECT_EQ(client.GetStats().pending_requests, 0);
+  EXPECT_EQ(worker->QueueDepth(), 0);
+  // Full 16-request calls, then the remainder: 200 = 12 x 16 + 8.
+  const obs::HistogramSummary calls =
+      registry.histogram_summary("serving/batch_predictor/batch_size");
+  EXPECT_EQ(calls.count, 13);
+  EXPECT_EQ(calls.sum, 200.0);
+  EXPECT_EQ(calls.max, 16.0);
+}
+
+TEST(ServingClientTest, EnqueueUnknownScenarioErrorsThroughFuture) {
+  obs::MetricsRegistry registry;
+  ServingClient client(ServingClient::Options{}, &registry);
+  auto future =
+      client.EnqueuePredict("ghost", Tensor::Zeros({1, 4}), {0, 0, 0, 0, 0});
+  Result<float> result = future.get();
+  EXPECT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
+}
+
+TEST(ServingClientTest, MalformedRequestsFailAloneWithInvalidArgument) {
+  // A request is input from outside the program: a wrong shape or an id
+  // outside the vocabulary fails that request with kInvalidArgument — it
+  // never aborts the server, never fails the requests merged beside it, and
+  // never counts against the scenario's breaker or earns a fallback.
+  for (const bool resilient : {false, true}) {
+    SCOPED_TRACE(resilient ? "resilience on" : "resilience off");
+    obs::MetricsRegistry registry;
+    ServingClient client(SmallTopology(1, 1), &registry);
+    ASSERT_TRUE(client.Deploy("s", TinyModel(40)).ok());
+    resilience::FakeClock clock;
+    if (resilient) {
+      ASSERT_TRUE(client.DeployEverywhere("f0", TinyModel(41)).ok());
+      ServingResilienceOptions resilience;
+      resilience.breaker.failure_threshold = 2;
+      resilience.fallback_scenario = "f0";
+      client.EnableResilience(resilience, &clock);
+    }
+    Rng rng(42);
+    const data::Batch good = RandomRow(&rng);
+
+    // Predict: one defect per request.
+    std::vector<data::Batch> bad(6, good);
+    bad[0].profiles = Tensor::Randn({1, 7}, &rng);  // Profile width 7, not 4.
+    bad[1].seq_len = 6;                             // seq_len 6, not 5.
+    bad[1].behaviors.push_back(0);
+    bad[2].behaviors.back() = 99;                   // Vocabulary is 8.
+    bad[3].behaviors.front() = -1;
+    bad[4].behaviors.pop_back();                    // 4 ids for 1 x 5.
+    bad[5].batch_size = 2;                          // 1 profile row for 2.
+    for (size_t i = 0; i < bad.size(); ++i) {
+      EXPECT_EQ(client.Predict("s", bad[i]).status().code(),
+                StatusCode::kInvalidArgument)
+          << "defect " << i;
+    }
+
+    // EnqueuePredict: bad requests queued beside good ones on a paused shard
+    // share their engine call, and only the bad ones fail.
+    shard::WorkerShard* worker = client.coordinator()->shard("shard-0");
+    worker->PauseDispatchForTesting(true);
+    auto first = client.EnqueuePredict("s", good.profiles, good.behaviors);
+    auto wide =
+        client.EnqueuePredict("s", Tensor::Randn({1, 7}, &rng), good.behaviors);
+    auto longer =
+        client.EnqueuePredict("s", good.profiles, {0, 1, 2, 3, 4, 5});
+    auto out_of_vocab =
+        client.EnqueuePredict("s", good.profiles, {0, 1, 2, 3, 99});
+    auto last = client.EnqueuePredict("s", good.profiles, good.behaviors);
+    worker->PauseDispatchForTesting(false);
+    EXPECT_EQ(wide.get().status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(longer.get().status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(out_of_vocab.get().status().code(),
+              StatusCode::kInvalidArgument);
+    const float expected = TinyModel(40)->PredictProbs(good)[0];
+    Result<float> first_score = first.get();
+    Result<float> last_score = last.get();
+    ASSERT_TRUE(first_score.ok() && last_score.ok());
+    EXPECT_EQ(first_score.value(), expected);
+    EXPECT_EQ(last_score.value(), expected);
+    EXPECT_EQ(registry.histogram_summary("serving/batch_predictor/batch_size")
+                  .max,
+              5.0);
+
+    EXPECT_EQ(registry.counter_value("serving/fallbacks"), 0);
+    EXPECT_EQ(registry.counter_value("serving/coordinator/failovers"), 0);
+    if (resilient) {
+      EXPECT_EQ(client.BreakerStates().at("s"),
+                resilience::BreakerState::kClosed);
+    }
+    EXPECT_TRUE(client.Predict("s", good).ok());
+  }
+}
+
+TEST(ServingClientTest, DestroyingTheClientAnswersQueuedRequests) {
+  // Requests still queued on paused shards when the client goes away are
+  // answered before it is gone: no future ends as a broken promise.
+  obs::MetricsRegistry registry;
+  std::vector<std::future<Result<float>>> futures;
+  {
+    ServingClient::Options options = SmallTopology(2, 2);
+    options.enable_resilience = true;
+    options.resilience.fallback_scenario = "f0";
+    ServingClient client(options, &registry);
+    ASSERT_TRUE(client.Deploy("s", TinyModel(50)).ok());
+    ASSERT_TRUE(client.DeployEverywhere("f0", TinyModel(51)).ok());
+    for (const std::string& id : client.ShardIds()) {
+      client.coordinator()->shard(id)->PauseDispatchForTesting(true);
+    }
+    Rng rng(52);
+    for (int i = 0; i < 8; ++i) {
+      const data::Batch row = RandomRow(&rng);
+      futures.push_back(client.EnqueuePredict("s", row.profiles,
+                                              row.behaviors));
+    }
+    EXPECT_EQ(client.GetStats().pending_requests, 8);
+  }
+  for (auto& future : futures) {
+    ASSERT_EQ(future.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+    Result<float> result = future.get();  // A broken promise would throw.
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+  }
 }
 
 TEST(ServingClientTest, ShardDeathFailsBatchRequestsDistinctly) {
-  // Satellite contract: a shard disappearing mid-flight fails the pending
-  // batch requests with kUnavailable (not a generic error) and bumps the
-  // serving/shard_unavailable counter — with no replica left to absorb.
+  // A shard disappearing mid-flight fails the pending requests with
+  // kUnavailable (not a generic error) and bumps the
+  // serving/coordinator/no_replica_available counter — with no replica left
+  // to absorb them.
   obs::MetricsRegistry registry;
   ServingClient client(SmallTopology(1, 1), &registry);
   ASSERT_TRUE(client.Deploy("s", TinyModel(8)).ok());
@@ -127,7 +348,8 @@ TEST(ServingClientTest, ShardDeathFailsBatchRequestsDistinctly) {
   Result<float> result = future.get();
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
-  EXPECT_GE(registry.counter_value("serving/shard_unavailable"), 1);
+  EXPECT_GE(
+      registry.counter_value("serving/coordinator/no_replica_available"), 1);
   EXPECT_EQ(client.NumLiveShards(), 0);
 }
 
@@ -150,7 +372,8 @@ TEST(ServingClientTest, ShardDeathWithReplicasLosesNoBatchRequests) {
   }
   EXPECT_GE(registry.counter_value("serving/rebalance_events"), 1);
   EXPECT_EQ(client.NumLiveShards(), 2);
-  EXPECT_EQ(registry.counter_value("serving/shard_unavailable"), 0);
+  EXPECT_EQ(registry.counter_value("serving/coordinator/no_replica_available"),
+            0);
 }
 
 TEST(ServingClientTest, ResilienceDegradesUnknownScenarios) {
@@ -259,9 +482,9 @@ TEST(ServingClientTest, ExportBundleWritesServableArtifact) {
 // ---------------------------------------------------------------------------
 
 TEST(ServingClientTest, KillRejoinLosesNoBatchRequests) {
-  // The full chaos cycle on the batched path: a shard dies under enqueued
-  // load, its requests fail over to replicas, and a warm re-join brings it
-  // back — zero lost requests end to end.
+  // The full chaos cycle under enqueued load: a shard dies with requests
+  // queued, they fail over to replicas, and a warm re-join brings it back —
+  // zero lost requests end to end.
   obs::MetricsRegistry registry;
   ServingClient::Options options = SmallTopology(3, 2);
   options.rejoin_stages = 3;
@@ -293,7 +516,8 @@ TEST(ServingClientTest, KillRejoinLosesNoBatchRequests) {
     Result<float> result = future.get();
     EXPECT_TRUE(result.ok()) << result.status().ToString();
   }
-  EXPECT_EQ(registry.counter_value("serving/shard_unavailable"), 0);
+  EXPECT_EQ(registry.counter_value("serving/coordinator/no_replica_available"),
+            0);
   EXPECT_GE(registry.counter_value("serving/coordinator/rejoins"), 1);
   // The rejoined shard serves again: its model came back from the cached
   // bundle at the current version.
@@ -309,7 +533,7 @@ TEST(ServingClientTest, AddShardGrowsTopologyAndServes) {
   EXPECT_EQ(client.ShardIds().size(), 3u);
   EXPECT_EQ(client.AddShard("shard-2").code(), StatusCode::kAlreadyExists);
 
-  // The newcomer participates in batched serving without request loss.
+  // The newcomer serves enqueued traffic without request loss.
   Rng rng(19);
   std::vector<std::future<Result<float>>> futures;
   for (int i = 0; i < 12; ++i) {

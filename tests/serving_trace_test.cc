@@ -1,9 +1,9 @@
 // Tests of request-scoped tracing and per-scenario SLOs across the sharded
-// serving plane: deterministic sampling, segment attribution on the direct /
-// failover / batched paths, the slow-trace ring, SLO burn-rate windows on a
-// FakeClock, and a concurrent traced chaos section (run under TSan by
-// check.sh's tsan stage — the request context crosses the coordinator,
-// shard dispatcher, and batch flush threads).
+// serving plane: deterministic sampling, segment attribution for single
+// and merged requests and on failover, the slow-trace ring, SLO burn-rate
+// windows on a FakeClock, and a concurrent traced chaos section (run under
+// TSan by check.sh's tsan stage — the request context crosses the caller,
+// coordinator and shard worker threads).
 
 #include <atomic>
 #include <chrono>
@@ -50,8 +50,6 @@ ServingClient::Options TracedTopology(int shards, int replication,
   options.num_shards = shards;
   options.replication = replication;
   options.vnodes_per_shard = 64;
-  options.batching.max_batch_size = 4;
-  options.batching.max_delay_ms = 1.0;
   options.trace.sample_rate = sample_rate;
   return options;
 }
@@ -201,29 +199,46 @@ TEST(ServingTraceTest, FailoverSegmentAppearsWhenReplicaDies) {
 }
 
 TEST(ServingTraceTest, BatchedPathAttributesBatchWait) {
+  // Requests merged into one engine call each book their own queue_wait and
+  // compute: there is no coalescing wait and no representative request.
   obs::MetricsRegistry registry;
   ServingClient client(TracedTopology(2, 2, 1.0), &registry);
   ASSERT_TRUE(client.Deploy("s", TinyModel(1)).ok());
+  for (const std::string& id : client.ShardIds()) {
+    client.coordinator()->shard(id)->PauseDispatchForTesting(true);
+  }
   Rng rng(9);
   std::vector<std::future<Result<float>>> futures;
   for (int i = 0; i < 8; ++i) {
     futures.push_back(client.EnqueuePredict("s", Tensor::Randn({1, 4}, &rng),
                                             {0, 1, 2, 3, 4}));
   }
-  for (auto& f : futures) ASSERT_TRUE(f.get().ok());
-  const auto slow = client.tracer()->SlowTraces();
-  ASSERT_FALSE(slow.empty());
-  int with_batch_wait = 0;
-  for (const auto& trace : slow) {
-    if (trace.SegmentMs(obs::segment::kBatchWait) > 0.0) ++with_batch_wait;
-    EXPECT_GT(trace.SegmentMs(obs::segment::kCompute), 0.0);
+  for (const std::string& id : client.ShardIds()) {
+    client.coordinator()->shard(id)->PauseDispatchForTesting(false);
   }
-  EXPECT_GT(with_batch_wait, 0);
+  for (auto& f : futures) ASSERT_TRUE(f.get().ok());
+  // Both replicas were paused, so every engine call merged several requests.
+  const obs::HistogramSummary calls =
+      registry.histogram_summary("serving/batch_predictor/batch_size");
+  EXPECT_EQ(calls.sum, 8.0);
+  EXPECT_LT(calls.count, 8);
+  const auto slow = client.tracer()->SlowTraces();
+  ASSERT_EQ(slow.size(), 8u);
+  for (const auto& trace : slow) {
+    EXPECT_TRUE(trace.ok);
+    EXPECT_GT(trace.SegmentMs(obs::segment::kQueueWait), 0.0);
+    EXPECT_GT(trace.SegmentMs(obs::segment::kCompute), 0.0);
+    EXPECT_LE(trace.SegmentSumMs(), trace.total_ms * 1.05 + 0.01);
+  }
   EXPECT_EQ(client.GetStats().traced_requests, 8);
   // Segment histograms fed: the exporter renders these as
-  // alt_serving_trace_segment_ms{id="batch_wait"} etc.
-  EXPECT_GT(
-      registry.histogram_summary("serving/trace/segment_ms/batch_wait").count, 0);
+  // alt_serving_trace_segment_ms{id="queue_wait"} etc.
+  EXPECT_EQ(
+      registry.histogram_summary("serving/trace/segment_ms/queue_wait").count,
+      8);
+  EXPECT_EQ(
+      registry.histogram_summary("serving/trace/segment_ms/batch_wait").count,
+      0);
 }
 
 TEST(ServingTraceTest, UnsampledRequestsStillFeedScenarioLatency) {
@@ -378,10 +393,7 @@ TEST(ServingSloTest, KillWindowBurnsAndRejoinRecoversOnFakeClock) {
 
 TEST(ServingTraceChaosTest, ConcurrentTracedTrafficSurvivesKillAndRejoin) {
   obs::MetricsRegistry registry;
-  ServingClient::Options options = TracedTopology(4, 2, 1.0);
-  options.batching.max_batch_size = 8;
-  options.batching.max_delay_ms = 0.2;
-  ServingClient client(options, &registry);
+  ServingClient client(TracedTopology(4, 2, 1.0), &registry);
   constexpr int kScenarios = 8;
   for (int i = 0; i < kScenarios; ++i) {
     DeployOptions deploy;
@@ -439,7 +451,7 @@ TEST(ServingTraceChaosTest, ConcurrentTracedTrafficSurvivesKillAndRejoin) {
   }
   ASSERT_TRUE(client.RejoinShard("shard-2").ok());
   for (auto& worker : workers) worker.join();
-  client.DrainBatchQueues();
+  client.DrainRequests();
 
   EXPECT_EQ(resolved.load(), static_cast<int64_t>(kThreads) * kPerThread);
   // Replication 2 with a single kill + warm re-join: nothing may be lost.

@@ -3,10 +3,13 @@
 // worker shard, and the ShardCoordinator (broadcast deploys, replica
 // failover, rebalance on shard death with zero lost requests).
 
+#include <atomic>
+#include <chrono>
 #include <future>
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -157,6 +160,21 @@ data::Batch OneSample(uint64_t seed) {
   return batch;
 }
 
+/// SubmitPredict with its answer as a future; a rejection resolves at once.
+std::future<Result<std::vector<float>>> Submit(
+    WorkerShard* shard, const std::string& scenario, const data::Batch& batch,
+    Admission admission = Admission::kNormal) {
+  auto answer = std::make_shared<std::promise<Result<std::vector<float>>>>();
+  std::future<Result<std::vector<float>>> future = answer->get_future();
+  const Status status = shard->SubmitPredict(
+      scenario, batch, admission, obs::RequestContext(),
+      [answer](Result<std::vector<float>> result) {
+        answer->set_value(std::move(result));
+      });
+  if (!status.ok()) answer->set_value(status);
+  return future;
+}
+
 TEST(WorkerShardTest, VersionGateRejectsStaleAcceptsEqual) {
   obs::MetricsRegistry registry;
   WorkerShard shard("shard-0", &registry);
@@ -178,10 +196,30 @@ TEST(WorkerShardTest, KillDrainsQueueWithUnavailable) {
   WorkerShard shard("shard-0", &registry);
   ASSERT_TRUE(shard.Deploy("s", TinyModel(1), DeployOptions{}, 1).ok());
   const data::Batch batch = OneSample(2);
-  EXPECT_TRUE(shard.SubmitPredict("s", batch).get().ok());
+  EXPECT_TRUE(Submit(&shard, "s", batch).get().ok());
+  // Requests queued at the kill fail with Unavailable on the shard's own
+  // worker, even while dispatch is paused: Kill() runs no completion on its
+  // caller's thread, which may hold the coordinator's locks.
+  shard.PauseDispatchForTesting(true);
+  auto answered_on = std::make_shared<std::promise<std::thread::id>>();
+  std::future<std::thread::id> answered = answered_on->get_future();
+  Status queued_status;
+  ASSERT_TRUE(shard
+                  .SubmitPredict("s", batch, Admission::kNormal,
+                                 obs::RequestContext(),
+                                 [answered_on, &queued_status](
+                                     Result<std::vector<float>> result) {
+                                   queued_status = result.status();
+                                   answered_on->set_value(
+                                       std::this_thread::get_id());
+                                 })
+                  .ok());
   shard.Kill();
   EXPECT_TRUE(shard.dead());
-  auto result = shard.SubmitPredict("s", batch).get();
+  EXPECT_NE(answered.get(), std::this_thread::get_id());
+  EXPECT_EQ(queued_status.code(), StatusCode::kUnavailable);
+  EXPECT_EQ(shard.QueueDepth(), 0);
+  auto result = Submit(&shard, "s", batch).get();
   EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
   // Deploys against a dead shard fail fast too.
   EXPECT_EQ(shard.Deploy("t", TinyModel(2), DeployOptions{}, 1).code(),
@@ -209,7 +247,7 @@ TEST(ShardCoordinatorTest, BroadcastDeploysIdenticalReplicas) {
   const data::Batch batch = OneSample(3);
   std::vector<float> expected;
   for (const std::string& id : replicas) {
-    auto scores = coordinator.shard(id)->SubmitPredict("s", batch).get();
+    auto scores = Submit(coordinator.shard(id), "s", batch).get();
     ASSERT_TRUE(scores.ok()) << scores.status().ToString();
     if (expected.empty()) {
       expected = scores.value();
@@ -301,7 +339,7 @@ TEST(ShardCoordinatorTest, DeployEverywhereServesFromEveryShard) {
   ASSERT_TRUE(coordinator.DeployEverywhere("f0", TinyModel(2)).ok());
   const data::Batch batch = OneSample(6);
   for (const std::string& id : coordinator.ShardIds()) {
-    auto scores = coordinator.shard(id)->SubmitPredict("f0", batch).get();
+    auto scores = Submit(coordinator.shard(id), "f0", batch).get();
     EXPECT_TRUE(scores.ok()) << id << ": " << scores.status().ToString();
   }
   EXPECT_EQ(coordinator.ReplicasOf("f0").size(), 3u);
@@ -390,20 +428,20 @@ TEST(WorkerShardTest, ShedWatermarksHysteresisAndCriticalBypass) {
   std::vector<std::future<Result<std::vector<float>>>> queued;
   // Three critical submits fill the queue to the high watermark.
   for (int i = 0; i < 3; ++i) {
-    queued.push_back(shard.SubmitPredict("s", batch, Admission::kCritical));
+    queued.push_back(Submit(&shard, "s", batch, Admission::kCritical));
   }
   EXPECT_FALSE(shard.shedding());
 
   // The next kNormal submit observes depth >= high: it is rejected with
   // kResourceExhausted (load, not failure) and nothing is enqueued.
-  auto shed = shard.SubmitPredict("s", batch).get();
+  auto shed = Submit(&shard, "s", batch).get();
   ASSERT_FALSE(shed.ok());
   EXPECT_EQ(shed.status().code(), StatusCode::kResourceExhausted);
   EXPECT_TRUE(shard.shedding());
 
   // Critical traffic (hot / everywhere scenarios) bypasses the soft
   // watermark while the shard sheds.
-  queued.push_back(shard.SubmitPredict("s", batch, Admission::kCritical));
+  queued.push_back(Submit(&shard, "s", batch, Admission::kCritical));
 
   // Drain. Every queued request completes — shedding rejected new work, it
   // never dropped accepted work.
@@ -417,7 +455,7 @@ TEST(WorkerShardTest, ShedWatermarksHysteresisAndCriticalBypass) {
   // and normal traffic is admitted again — repeatedly, with no re-flap
   // below the high watermark.
   for (int i = 0; i < 5; ++i) {
-    auto result = shard.SubmitPredict("s", batch).get();
+    auto result = Submit(&shard, "s", batch).get();
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     EXPECT_FALSE(shard.shedding());
   }
@@ -432,11 +470,11 @@ TEST(WorkerShardTest, HardQueueCapStillRejectsCriticalTraffic) {
   shard.PauseDispatchForTesting(true);
 
   const data::Batch batch = OneSample(33);
-  auto a = shard.SubmitPredict("s", batch, Admission::kCritical);
-  auto b = shard.SubmitPredict("s", batch, Admission::kCritical);
+  auto a = Submit(&shard, "s", batch, Admission::kCritical);
+  auto b = Submit(&shard, "s", batch, Admission::kCritical);
   // The hard cap is the memory-safety backstop: not even critical traffic
   // may pass it.
-  auto rejected = shard.SubmitPredict("s", batch, Admission::kCritical).get();
+  auto rejected = Submit(&shard, "s", batch, Admission::kCritical).get();
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kResourceExhausted);
 
@@ -464,7 +502,7 @@ TEST(ShardCoordinatorTest, ShedsWithResourceExhaustedAndRecovers) {
     worker->PauseDispatchForTesting(true);
     for (int i = 0; i < 2; ++i) {
       queued.push_back(
-          worker->SubmitPredict("cold", batch, Admission::kCritical));
+          Submit(worker, "cold", batch, Admission::kCritical));
     }
   }
 
@@ -581,6 +619,95 @@ TEST(ShardCoordinatorTest, AddShardJoinsRingAndServesAssignedScenarios) {
           << scenario << " on " << id;
     }
     EXPECT_TRUE(coordinator.Predict(scenario, batch).ok());
+  }
+}
+
+/// Polls `done` every millisecond for up to five seconds.
+template <typename Pred>
+bool WaitUntil(Pred done) {
+  for (int i = 0; i < 5000 && !done(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return done();
+}
+
+TEST(ShardCoordinatorTest, LiveWorkersNeverWaitForARebalance) {
+  resilience::FaultInjector& faults = resilience::FaultInjector::Global();
+  faults.Reset();
+  obs::MetricsRegistry registry;
+  CoordinatorOptions options = SmallCoordinator(3, 2);
+  options.rejoin_stages = 4;
+  options.rejoin_stage_pause_ms = 300.0;  // A re-join holds the control
+                                          // plane for ~0.9 s.
+  ShardCoordinator coordinator(options, &registry);
+  // A scenario shard-1 owns with dead-to-be shard-0 as its only other
+  // replica. No re-join stage of shard-2 changes that group: a newcomer
+  // enters a group only if the full ring puts it there.
+  std::string scenario;
+  for (int s = 0; s < 24; ++s) {
+    const std::string name = "scenario_" + std::to_string(s);
+    ASSERT_TRUE(coordinator.Deploy(name, TinyModel(80 + s)).ok());
+    if (scenario.empty() &&
+        coordinator.ReplicasOf(name) ==
+            std::vector<std::string>{"shard-1", "shard-0"}) {
+      scenario = name;
+    }
+  }
+  ASSERT_FALSE(scenario.empty());
+  const data::Batch batch = OneSample(81);
+
+  // shard-2 leaves and re-joins; the re-join pauses between its stages
+  // while it holds the control plane.
+  ASSERT_TRUE(coordinator.KillShard("shard-2").ok());
+  for (int s = 0; s < 24; ++s) {
+    ASSERT_TRUE(
+        coordinator.Predict("scenario_" + std::to_string(s), batch).ok());
+  }
+  ASSERT_EQ(registry.counter_value("serving/rebalance_events"), 1);
+  std::atomic<bool> rejoined{false};
+  std::thread rejoin([&] {
+    EXPECT_TRUE(coordinator.RejoinShard("shard-2").ok());
+    rejoined = true;
+  });
+  ASSERT_TRUE(WaitUntil([&] { return !coordinator.shard("shard-2")->dead(); }));
+
+  // Mid re-join, shard-0 dies and shard-1 answers the scenario's next
+  // request Unavailable. Its failover continuation, on shard-1's worker,
+  // finds only dead shard-0 left, whose rebalance must wait for the
+  // control plane.
+  ASSERT_TRUE(coordinator.KillShard("shard-0").ok());
+  const int64_t failovers =
+      registry.counter_value("serving/coordinator/failovers");
+  resilience::FaultRule rule;
+  rule.every_nth = 1;
+  rule.code = StatusCode::kUnavailable;
+  faults.Arm("serving/predict", rule);
+  auto parked = std::async(std::launch::async, [&] {
+    return coordinator.Predict(scenario, batch);
+  });
+  ASSERT_TRUE(WaitUntil([&] {
+    return registry.counter_value("serving/coordinator/failovers") >
+           failovers;
+  }));
+  faults.Reset();
+
+  // shard-1's worker handed the request to dead shard-0 and moved on: it
+  // answers new work while the re-join and shard-0's rebalance still wait.
+  auto direct = Submit(coordinator.shard("shard-1"), scenario, batch).get();
+  EXPECT_TRUE(direct.ok()) << direct.status().ToString();
+  EXPECT_FALSE(rejoined.load());
+  rejoin.join();
+
+  // Once the control plane is free, shard-0's own worker rebalances, then
+  // answers the parked request Unavailable; it re-ranks and is served.
+  auto result = parked.get();
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(registry.counter_value("serving/rebalance_events"), 2);
+  for (int s = 0; s < 24; ++s) {
+    for (const std::string& id :
+         coordinator.ReplicasOf("scenario_" + std::to_string(s))) {
+      EXPECT_NE(id, "shard-0");
+    }
   }
 }
 

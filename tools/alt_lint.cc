@@ -32,11 +32,10 @@
 //         `#include <immintrin.h>`) outside src/tensor: ISA-specific code
 //         must stay behind the dispatched kernel layer (cpu_features.h),
 //         where the scalar contract and the ALT_SIMD override keep holding.
-//   L011  direct ModelServer/BatchPredictor construction (stack instance,
-//         `new`, or make_unique/make_shared) outside src/serving: serving
-//         goes through the ServingClient facade (src/serving/
-//         serving_client.h), which owns sharding, replication, failover and
-//         batching.
+//   L011  direct ModelServer construction (stack instance, `new`, or
+//         make_unique/make_shared) outside src/serving: serving goes
+//         through the ServingClient facade (src/serving/serving_client.h),
+//         which owns sharding, replication, failover and batching.
 //   L012  shard lifecycle mutation outside src/serving/shard: direct
 //         member calls to WorkerShard::Kill or the ring mutators
 //         (AddShardVnodes / RemoveShard), and direct HashRing construction,
@@ -368,7 +367,7 @@ void FindRawSimd(const std::string& stripped, const std::string& file,
 
 // Shared construction scanner for L011/L012. Flags, for one `type` name:
 //   - stack instances:      `serving::ModelServer server(&registry);`
-//   - heap instances:       `new serving::BatchPredictor(...)`
+//   - heap instances:       `new serving::ModelServer(...)`
 //   - factory helpers:      `std::make_unique<serving::ModelServer>(...)`
 // Pointer/reference uses (parameters, return types, members handed out by
 // the facade) are deliberately not construction and never fire.
@@ -435,14 +434,11 @@ void FindDirectConstructionOf(const std::string& stripped,
 void FindDirectServingConstruction(const std::string& stripped,
                                    const std::string& file,
                                    std::vector<Violation>* out) {
-  for (const char* type : {"ModelServer", "BatchPredictor"}) {
-    FindDirectConstructionOf(
-        stripped, file, type, "L011",
-        std::string("direct ") + type +
-            " construction outside src/serving; serve through the "
-            "serving::ServingClient facade (src/serving/serving_client.h)",
-        out);
-  }
+  FindDirectConstructionOf(
+      stripped, file, "ModelServer", "L011",
+      "direct ModelServer construction outside src/serving; serve through "
+      "the serving::ServingClient facade (src/serving/serving_client.h)",
+      out);
 }
 
 // L012: shard lifecycle mutation outside the shard layer. Flags member
@@ -862,9 +858,8 @@ int RunSelfTest() {
        "int latency_mm = 0; int f = latency_mm;", nullptr},
       {"direct ModelServer stack instance", "src/core/bad16.cc",
        "void F() { serving::ModelServer server(nullptr); }", "L011"},
-      {"direct BatchPredictor via new", "src/core/bad17.cc",
-       "void F() { auto* p = new serving::BatchPredictor(nullptr, {}); }",
-       "L011"},
+      {"direct ModelServer via new", "src/core/bad17.cc",
+       "void F() { auto* p = new serving::ModelServer(nullptr); }", "L011"},
       {"direct ModelServer via make_unique", "src/core/bad18.cc",
        "void F() { auto p = std::make_unique<serving::ModelServer>(); }",
        "L011"},

@@ -203,8 +203,8 @@ if wants serving-elastic; then
   ensure_asan_build
   # Serving-elastic stage: the shard lifecycle suite under ASan. Covers the
   # supervisor state machine (probe flap must never evict a healthy shard),
-  # warm kill->rejoin with zero lost requests on both the direct and the
-  # batched path, staged ring admission movement bounds, and the
+  # warm kill->rejoin with zero lost requests for synchronous and enqueued
+  # requests, staged ring admission movement bounds, and the
   # shed-then-recover hysteresis contract.
   echo "==> serving-elastic stage (build-asan, shard lifecycle suite)"
   ./build-asan/tests/shard_test --gtest_filter=\
@@ -249,15 +249,17 @@ if wants tsan; then
   # layer (concurrent metric updates and trace spans), the autograd
   # inference guard with the fused LSTM op (shard dispatchers run
   # PredictProbs under the thread-local guard while OnScenarioArrival trains
-  # on the main thread), and the serving plane: shard dispatcher threads,
-  # batcher flush threads sharing the client's breaker map, kill/rejoin
-  # under load, and the request context crossing all of them in the traced
-  # chaos suite. Only the threading-related targets are built and run: TSan
-  # slows everything ~10x and the rest of the suite is single-threaded.
+  # on the main thread), and the serving plane: shard worker threads that
+  # run the failover and degradation continuations (breakers, fallbacks,
+  # the client's tracer and SLO tracker) and a dead shard's rebalance,
+  # kill/rejoin under load, and the
+  # request context crossing caller and worker threads in the traced chaos
+  # suite. Only the threading-related targets are built and run: TSan slows
+  # everything ~10x and the rest of the suite is single-threaded.
   TSAN_TARGETS=(parallel_for_test kernel_parity_test util_test hpo_test
                 obs_test obs_export_test autograd_test nn_test
                 shard_test serving_client_test serving_test
-                serving_trace_test)
+                serving_trace_test resilience_test resilience_chaos_test)
   echo "==> configuring build-tsan (-DALT_SANITIZE=thread -DALT_DCHECKS=ON)"
   cmake -B build-tsan -S . -DALT_SANITIZE=thread -DALT_DCHECKS=ON >/dev/null
   echo "==> building build-tsan (${TSAN_TARGETS[*]})"
