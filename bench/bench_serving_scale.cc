@@ -8,7 +8,7 @@
 // is killed: the run asserts the rebalance on its death fires
 // (serving/rebalance_events >= 1) while replicas absorb its traffic. At two
 // thirds, the shard warm re-joins (models re-deployed from cached bundles,
-// vnodes staged back onto the ring): the run asserts the rejoined shard is
+// then its vnodes back onto the ring): the run asserts the rejoined shard is
 // back in the replica groups of >= 90% of the pre-kill requests it was a
 // replica for, and that it serves again. ZERO requests may be lost anywhere
 // — every future must resolve ok across kill, failover, and re-join.

@@ -39,9 +39,9 @@ AltSystem::AltSystem(AltSystemOptions options)
     telemetry.tracer = client_.tracer();
     telemetry.slo = client_.slo();
     // Liveness reflects shard lifecycle state: 503 only when some deployed
-    // scenario has no live replica left. Degraded capacity (suspect / dead /
-    // rejoining shards with every scenario still answerable) stays 200 and
-    // is reported in the detail body alongside the breakers.
+    // scenario has no live replica left. Degraded capacity (dead shards with
+    // every scenario still answerable) stays 200 and is reported in the
+    // detail body alongside the breakers.
     telemetry.health_fn = [this]() {
       const serving::ServingClient::HealthReport health = client_.GetHealth();
       Json body = Json::Object{};

@@ -20,11 +20,6 @@ shard::CoordinatorOptions ToCoordinatorOptions(
   out.replication = options.replication;
   out.hot_replication = options.hot_replication;
   out.max_queue_depth_per_shard = options.max_queue_depth_per_shard;
-  out.shed_high_watermark = options.shed_high_watermark;
-  out.shed_low_watermark = options.shed_low_watermark;
-  out.rejoin_stages = options.rejoin_stages;
-  out.rejoin_stage_pause_ms = options.rejoin_stage_pause_ms;
-  out.clock = options.clock;
   return out;
 }
 
@@ -41,7 +36,7 @@ obs::SloTracker::Options ToSloOptions(const ServingClient::Options& options,
   if (out.registry == nullptr) out.registry = registry;
   if (out.now_ms == nullptr && options.clock != nullptr) {
     // FakeClock-driven tests advance SLO burn windows through the same
-    // injected clock that paces re-join and the supervisor.
+    // injected clock that drives the resilience policy.
     out.now_ms = [clock = options.clock] { return clock->NowMs(); };
   }
   return out;
@@ -52,7 +47,7 @@ std::string RequestLatencyName(const std::string& scenario) {
 }
 
 /// Statuses that say nothing about the scenario's model: the plane failed
-/// the call (no live replica, every replica shedding, or the scenario is
+/// the call (no live replica, every replica's queue full, or the scenario is
 /// gone), or the caller sent a malformed request. They reach the caller as
 /// they are, never count against a scenario's breaker, and are never
 /// answered with a fallback.
@@ -108,21 +103,11 @@ ServingClient::ServingClient(Options options, obs::MetricsRegistry* registry)
   if (options_.enable_resilience) {
     EnableResilience(options_.resilience, options_.clock);
   }
-  if (options_.enable_supervisor) {
-    shard::SupervisorOptions supervisor = options_.supervisor;
-    if (supervisor.clock == nullptr) supervisor.clock = options_.clock;
-    supervisor_ = std::make_unique<shard::ShardSupervisor>(
-        &coordinator_, supervisor, registry_);
-    supervisor_->Start();  // alt_lint: allow(L008): void ShardSupervisor::Start
-  }
 }
 
 ServingClient::ServingClient() : ServingClient(Options()) {}
 
-ServingClient::~ServingClient() {
-  supervisor_.reset();
-  coordinator_.Shutdown();
-}
+ServingClient::~ServingClient() { coordinator_.Shutdown(); }
 
 Status ServingClient::Deploy(const std::string& scenario,
                              std::unique_ptr<models::BaseModel> model,
@@ -343,7 +328,7 @@ std::map<std::string, resilience::BreakerState> ServingClient::BreakerStates()
 
 ServingClient::Stats ServingClient::GetStats() const {
   Stats stats;
-  stats.num_shards = options_.num_shards;
+  stats.num_shards = coordinator_.NumShards();
   stats.live_shards = coordinator_.NumLiveShards();
   stats.routing_imbalance = coordinator_.RoutingImbalance();
   for (const std::string& id : coordinator_.ShardIds()) {
@@ -431,17 +416,9 @@ ServingClient::HealthReport ServingClient::GetHealth() const {
   report.healthy = report.unservable_scenarios.empty();
   for (const std::string& id : coordinator_.ShardIds()) {
     const shard::WorkerShard* worker = coordinator_.shard(id);
-    report.shard_states[id] =
-        (worker != nullptr && worker->dead()) ? "dead" : "live";
-  }
-  // The supervisor's view is richer (suspect / rejoining); overlay it.
-  if (supervisor_ != nullptr) {
-    for (const auto& [id, health] : supervisor_->States()) {
-      report.shard_states[id] = shard::ShardHealthName(health);
-    }
-  }
-  for (const auto& [id, state] : report.shard_states) {
-    if (state != "live") report.degraded = true;
+    const bool dead = worker != nullptr && worker->dead();
+    report.shard_states[id] = dead ? "dead" : "live";
+    report.degraded = report.degraded || dead;
   }
   return report;
 }

@@ -17,7 +17,6 @@
 #include "src/resilience/circuit_breaker.h"
 #include "src/serving/model_server.h"
 #include "src/serving/shard/coordinator.h"
-#include "src/serving/shard/supervisor.h"
 #include "src/util/mutex.h"
 #include "src/util/status.h"
 #include "src/util/thread_annotations.h"
@@ -75,7 +74,10 @@ struct ServingResilienceOptions {
 /// groups for DeployOptions::hot scenarios), rebalancing when a shard
 /// dies, and version-gated deploy broadcast. `num_shards = 1`
 /// (the default) reproduces the classic single-server layout through the
-/// same API.
+/// same API. The shard lifecycle has one path: KillShard, after which the
+/// dead shard's own worker rebalances the plane when the first request
+/// reaches it (or the next deploy does); then RejoinShard or AddShard,
+/// which deploy from cached bundles before the shard enters the ring.
 ///
 /// Batching happens where the model runs: every request, from Predict or
 /// EnqueuePredict, takes one path — p2c routing onto a replica's shard
@@ -86,8 +88,7 @@ struct ServingResilienceOptions {
 /// serving/coordinator/no_replica_available).
 ///
 /// Failure ownership: the coordinator fails over only when a shard is gone
-/// (dead flag or kUnavailable), the ShardSupervisor alone judges a
-/// live-looking shard dead, and this client alone degrades a scenario
+/// (dead flag or kUnavailable), and this client alone degrades a scenario
 /// (breaker, deadline, fallback, default routing). Degradation is the
 /// continuation of the plane call, so it runs on the shard worker that
 /// answered; Predict just waits for it. A malformed request
@@ -108,29 +109,12 @@ class ServingClient {
     /// Replicas per scenario; hot scenarios get `hot_replication`.
     int replication = 1;
     int hot_replication = 2;
-    /// SubmitPredict backpressure per shard; 0 = unbounded.
+    /// SubmitPredict backpressure per shard, the plane's one overload
+    /// bound: a request every replica's full queue rejects fails with
+    /// kResourceExhausted. 0 = unbounded.
     int64_t max_queue_depth_per_shard = 0;
-    /// Soft load-shedding watermarks per shard (hysteresis): a shard whose
-    /// queue reaches the high watermark rejects non-critical requests with
-    /// kResourceExhausted until it drains to the low watermark. Hot /
-    /// everywhere-deployed scenarios shed last (only the hard cap applies
-    /// to them). high <= 0 disables soft shedding.
-    int64_t shed_high_watermark = 0;
-    int64_t shed_low_watermark = 0;
-    /// Warm re-join pacing: a re-admitted shard's virtual nodes enter the
-    /// ring in this many staged batches, optionally pausing between stages
-    /// so in-flight traffic settles onto the new routing.
-    int rejoin_stages = 4;
-    double rejoin_stage_pause_ms = 0.0;
-    /// Health-probed membership: construct (and start) a ShardSupervisor
-    /// driving the Live -> Suspect -> Dead -> Rejoining lifecycle, with
-    /// `supervisor` holding the probe cadence / eviction / cooldown knobs.
-    /// Tests that need exact schedules usually keep this off and drive a
-    /// standalone ShardSupervisor::ProbeOnce() on a FakeClock instead.
-    bool enable_supervisor = false;
-    shard::SupervisorOptions supervisor;
-    /// Clock for re-join pacing (and the supervisor, unless its own clock
-    /// is set); nullptr = real clock.
+    /// Clock for the resilience policy enabled at construction and for the
+    /// SLO burn windows; nullptr = real clock.
     resilience::Clock* clock = nullptr;
     /// Graceful degradation (per-scenario breakers + fallback answers),
     /// enabled at construction on `clock`. EnableResilience() turns it on
@@ -153,6 +137,7 @@ class ServingClient {
   /// Aggregate serving-plane stats (per-scenario latency distributions come
   /// from GetLatencyStats).
   struct Stats {
+    /// Shards registered, dead or alive, AddShard's included.
     int num_shards = 0;
     int live_shards = 0;
     /// max/mean scenario-ownership share across live shards (1.0 = even).
@@ -176,8 +161,8 @@ class ServingClient {
   /// because a `= {}` default argument cannot name the nested Options
   /// before its member initializers are parsed.)
   ServingClient();
-  /// Stops the supervisor, then every shard: queued requests (on paused
-  /// shards too) are answered before any member they use goes away.
+  /// Stops every shard: queued requests (on paused shards too) are answered
+  /// before any member they use goes away.
   ~ServingClient();
 
   ServingClient(const ServingClient&) = delete;
@@ -247,12 +232,12 @@ class ServingClient {
   /// rebalances on the next requests against it.
   Status KillShard(const std::string& shard_id);
 
-  /// Warm re-join of a killed/evicted shard: models re-deploy from the
+  /// Warm re-join of a killed shard: models re-deploy from the
   /// coordinator's cached bundles before its virtual nodes re-enter the
-  /// ring in staged batches. See ShardCoordinator::RejoinShard.
+  /// ring. See ShardCoordinator::RejoinShard.
   Status RejoinShard(const std::string& shard_id);
 
-  /// Elastic scale-up: adds a brand-new shard through the same warm staged
+  /// Elastic scale-up: adds a brand-new shard through the same warm
   /// admission.
   Status AddShard(const std::string& shard_id);
 
@@ -261,11 +246,10 @@ class ServingClient {
     /// False only when a deployed scenario has no live replica left —
     /// requests to it fail until a re-join/re-deploy. Maps to HTTP 503.
     bool healthy = true;
-    /// True while any shard is not live (suspect / dead / rejoining):
-    /// serving capacity is degraded but every scenario still answers.
+    /// True while any shard is dead: serving capacity is degraded, though
+    /// every scenario may still answer.
     bool degraded = false;
-    /// Shard id -> lifecycle state name ("live", "suspect", "dead",
-    /// "rejoining"). Supervisor states when one runs, else live/dead.
+    /// Shard id -> "live" or "dead".
     std::map<std::string, std::string> shard_states;
     std::vector<std::string> unservable_scenarios;
   };
@@ -274,9 +258,6 @@ class ServingClient {
   /// The underlying control plane — white-box access for tests and tools.
   shard::ShardCoordinator* coordinator() { return &coordinator_; }
   const shard::ShardCoordinator* coordinator() const { return &coordinator_; }
-
-  /// The health-probe loop; nullptr unless Options::enable_supervisor.
-  shard::ShardSupervisor* supervisor() { return supervisor_.get(); }
 
   /// Request tracer (sampling, slow-trace ring) — the /trace/slow source.
   obs::RequestTracer* tracer() const { return tracer_.get(); }
@@ -351,8 +332,6 @@ class ServingClient {
   /// Requests submitted, not yet answered.
   std::atomic<int64_t> pending_{0};
   shard::ShardCoordinator coordinator_;
-  /// Declared last so its probe thread stops before anything it watches.
-  std::unique_ptr<shard::ShardSupervisor> supervisor_;
 };
 
 }  // namespace serving

@@ -43,8 +43,6 @@ ShardCoordinator::ShardCoordinator(CoordinatorOptions options,
     : options_(options),
       registry_(registry != nullptr ? registry
                                     : &obs::MetricsRegistry::Global()),
-      clock_(options.clock != nullptr ? options.clock
-                                      : resilience::RealClock()),
       ring_(options.vnodes_per_shard),
       rebalance_events_(registry_->counter("serving/rebalance_events")),
       rejoins_(registry_->counter("serving/coordinator/rejoins")),
@@ -61,18 +59,11 @@ ShardCoordinator::ShardCoordinator(CoordinatorOptions options,
   if (options_.hot_replication < options_.replication) {
     options_.hot_replication = options_.replication;
   }
-  if (options_.rejoin_stages < 1) options_.rejoin_stages = 1;
-  if (options_.shed_low_watermark > options_.shed_high_watermark) {
-    options_.shed_low_watermark = options_.shed_high_watermark;
-  }
   MutexLock state(state_mu_);
   for (int i = 0; i < options_.num_shards; ++i) {
     const std::string id = "shard-" + std::to_string(i);
-    auto worker = std::make_unique<WorkerShard>(
-        id, registry_, [this, id] { HandleShardDeath(id); });
-    ConfigureWorker(worker.get());
-    shards_by_id_[id] = worker.get();
-    shards_.push_back(std::move(worker));
+    shards_.push_back(NewWorker(id));
+    shards_by_id_[id] = shards_.back().get();
     ring_.AddShard(id);  // alt_lint: allow(L008): void HashRing::AddShard
   }
   PublishImbalanceLocked();
@@ -80,10 +71,12 @@ ShardCoordinator::ShardCoordinator(CoordinatorOptions options,
 
 ShardCoordinator::~ShardCoordinator() { Shutdown(); }
 
-void ShardCoordinator::ConfigureWorker(WorkerShard* worker) const {
+std::unique_ptr<WorkerShard> ShardCoordinator::NewWorker(
+    const std::string& shard_id) {
+  auto worker = std::make_unique<WorkerShard>(
+      shard_id, registry_, [this, shard_id] { HandleShardDeath(shard_id); });
   worker->set_max_queue_depth(options_.max_queue_depth_per_shard);
-  worker->set_shed_watermarks(options_.shed_high_watermark,
-                              options_.shed_low_watermark);
+  return worker;
 }
 
 WorkerShard* ShardCoordinator::FindShard(const std::string& shard_id) const {
@@ -102,6 +95,7 @@ Status ShardCoordinator::Deploy(const std::string& scenario,
                                 const DeployOptions& options) {
   if (model == nullptr) return Status::InvalidArgument("null model");
   MutexLock control(control_mu_);
+  EvictDeadShardsLocked();
   ScenarioEntry entry;
   entry.options = options;
   entry.options.calibration = nullptr;  // Dangling after this call.
@@ -130,6 +124,7 @@ Status ShardCoordinator::DeployEverywhere(
     const DeployOptions& options) {
   if (model == nullptr) return Status::InvalidArgument("null model");
   MutexLock control(control_mu_);
+  EvictDeadShardsLocked();
   ScenarioEntry entry;
   entry.options = options;
   entry.options.calibration = nullptr;
@@ -245,29 +240,20 @@ std::vector<std::string> ShardCoordinator::Scenarios() const {
   return out;
 }
 
-ShardCoordinator::RouteDecision ShardCoordinator::RankedReplicas(
+std::vector<WorkerShard*> ShardCoordinator::RankedReplicas(
     const std::string& scenario) {
-  RouteDecision decision;
+  std::vector<WorkerShard*> replicas;
   MutexLock state(state_mu_);
   auto it = table_.find(scenario);
-  if (it == table_.end()) return decision;
+  if (it == table_.end()) return replicas;
   const ScenarioEntry& entry = it->second;
   std::vector<std::string> everywhere;
   if (entry.everywhere) everywhere = ring_.Shards();
   // Both branches are lvalues, so the replica list is not copied.
   const std::vector<std::string>& ids =
       entry.everywhere ? everywhere : entry.replicas;
-  decision.replicas.reserve(ids.size());
-  for (const std::string& id : ids) {
-    decision.replicas.push_back(shards_by_id_.at(id));
-  }
-  // Hot and everywhere-deployed scenarios (the resilience fallback /
-  // default paths among them) are the last traffic a loaded shard should
-  // drop: they bypass the soft shed watermark.
-  if (entry.everywhere || entry.options.hot) {
-    decision.admission = Admission::kCritical;
-  }
-  std::vector<WorkerShard*>& replicas = decision.replicas;
+  replicas.reserve(ids.size());
+  for (const std::string& id : ids) replicas.push_back(shards_by_id_.at(id));
   if (replicas.size() >= 2) {
     const uint64_t ticket =
         pick_counter_.fetch_add(1, std::memory_order_relaxed);
@@ -283,14 +269,14 @@ ShardCoordinator::RouteDecision ShardCoordinator::RankedReplicas(
         replicas[b]->QueueDepth() < replicas[a]->QueueDepth() ? b : a;
     std::swap(replicas[0], replicas[best]);
   }
-  return decision;
+  return replicas;
 }
 
 void ShardCoordinator::Submit(std::shared_ptr<Request> request) {
   Request* r = request.get();
   r->coordinator = this;
   r->span_start_us = 0.0;
-  r->decision = RouteDecision();
+  r->replicas.clear();
   r->next = 0;
   r->rounds = 0;
   r->rebalanced = false;
@@ -324,26 +310,25 @@ Result<std::vector<float>> ShardCoordinator::Predict(
 void ShardCoordinator::TryReplicas(std::shared_ptr<Request> request) {
   Request* r = request.get();
   for (;;) {
-    if (r->next == r->decision.replicas.size()) {
+    if (r->next == r->replicas.size()) {
       // Each extra round is only taken after a rebalance (a shard left the
-      // ring), so num_shards rounds bound the loop while guaranteeing a
-      // request that keeps finding dead shards still reaches the re-routed
-      // replicas — the zero-lost-requests contract of the scale bench.
-      // Without a rebalance the candidate set cannot change.
-      if (r->rounds > options_.num_shards ||
-          (r->rounds > 0 && !r->rebalanced)) {
+      // ring), so one round per registered shard bounds the loop while
+      // guaranteeing a request that keeps finding dead shards still reaches
+      // the re-routed replicas — the zero-lost-requests contract of the
+      // scale bench. Without a rebalance the candidate set cannot change.
+      if (r->rounds > 0 && (!r->rebalanced || r->rounds > NumShards())) {
         break;
       }
       {
         obs::SegmentTimer route_timer(r->ctx, obs::segment::kRoute);
-        r->decision = RankedReplicas(r->scenario);
+        r->replicas = RankedReplicas(r->scenario);
       }
       r->next = 0;
       r->rebalanced = false;
       ++r->rounds;
-      if (r->decision.replicas.empty()) break;
+      if (r->replicas.empty()) break;
     }
-    WorkerShard* worker = r->decision.replicas[r->next++];
+    WorkerShard* worker = r->replicas[r->next++];
     if (r->ctx.sampled()) r->attempt_us = obs::MonotonicMicros();
     // Once accepted, the answer continues the loop on the shard's worker
     // thread (OnAnswer), so nothing here touches `r` afterwards. The
@@ -353,7 +338,7 @@ void ShardCoordinator::TryReplicas(std::shared_ptr<Request> request) {
     // over; this thread never runs or blocks on the rebalance.
     r->worker = worker;
     const Status status = worker->SubmitPredict(
-        r->scenario, *r->batch, r->decision.admission, r->ctx,
+        r->scenario, *r->batch, r->ctx,
         [request](Result<std::vector<float>> result) {
           request->coordinator->OnAnswer(request, std::move(result));
         });
@@ -366,8 +351,8 @@ void ShardCoordinator::TryReplicas(std::shared_ptr<Request> request) {
   if (r->last.ok()) {
     r->last = Status::NotFound("scenario " + r->scenario + " not deployed");
   } else if (r->last.code() == StatusCode::kResourceExhausted) {
-    // Every live replica shed the request: reject it loudly (the caller
-    // sees kResourceExhausted, never a silent drop) and count it.
+    // Every live replica's queue was full: reject the request loudly (the
+    // caller sees kResourceExhausted, never a silent drop) and count it.
     admission_shed_->Add(1);
   } else if (r->last.code() != StatusCode::kNotFound) {
     no_replica_available_->Add(1);
@@ -393,7 +378,7 @@ bool ShardCoordinator::FailOver(Request* r, WorkerShard* worker,
                                 const Status& status) {
   r->last = status;
   if (status.code() == StatusCode::kResourceExhausted) {
-    // Admission shed: the shard is alive but over capacity. Another replica
+    // A full queue: the shard is alive but over capacity. Another replica
     // may still have headroom, so keep trying the group — but this is load,
     // not failure: no rebalance.
     BookAttempt(r->ctx, r->attempt_us, obs::segment::kShedRequeue);
@@ -443,17 +428,6 @@ Status ShardCoordinator::KillShard(const std::string& shard_id) {
   return Status::OK();
 }
 
-Status ShardCoordinator::EvictShard(const std::string& shard_id) {
-  if (FindShard(shard_id) == nullptr) {
-    return Status::NotFound("unknown shard " + shard_id);
-  }
-  // HandleShardDeathLocked kills the worker and is idempotent, so this
-  // eviction and the rebalance the dead worker then runs race harmlessly.
-  MutexLock control(control_mu_);
-  HandleShardDeathLocked(shard_id);
-  return Status::OK();
-}
-
 void ShardCoordinator::HandleShardDeath(const std::string& shard_id) {
   MutexLock control(control_mu_);
   // RejoinShard revives under control_mu_: a shard it brought back while
@@ -497,13 +471,6 @@ void ShardCoordinator::HandleShardDeathLocked(const std::string& shard_id) {
     }
   }
   rebalance_events_->Add(1);
-  // The shard is leaving the ring (until a supervisor-driven RejoinShard
-  // re-admits it), so kill it even when the trigger was a supervisor
-  // eviction rather than an explicit Kill: its worker drains the queued
-  // requests with Unavailable and they fail over. Kill runs none of their
-  // continuations itself, so none re-enters control_mu_ on this thread.
-  WorkerShard* victim = FindShard(shard_id);
-  if (victim != nullptr) victim->Kill();
   // Re-deploys run outside state_mu_ so routing stays readable; control_mu_
   // keeps the table stable meanwhile.
   for (Affected& item : affected) {
@@ -538,8 +505,20 @@ void ShardCoordinator::HandleShardDeathLocked(const std::string& shard_id) {
   PublishImbalanceLocked();
 }
 
+void ShardCoordinator::EvictDeadShardsLocked() {
+  std::vector<std::string> dead;
+  {
+    MutexLock state(state_mu_);
+    for (const auto& [id, worker] : shards_by_id_) {
+      if (worker->dead() && ring_.HasShard(id)) dead.push_back(id);
+    }
+  }
+  for (const std::string& id : dead) HandleShardDeathLocked(id);
+}
+
 Status ShardCoordinator::RejoinShard(const std::string& shard_id) {
   MutexLock control(control_mu_);
+  EvictDeadShardsLocked();
   WorkerShard* worker = FindShard(shard_id);
   if (worker == nullptr) {
     return Status::NotFound("unknown shard " + shard_id);
@@ -548,31 +527,18 @@ Status ShardCoordinator::RejoinShard(const std::string& shard_id) {
     return Status::FailedPrecondition("shard " + shard_id +
                                       " is live; nothing to rejoin");
   }
-  {
-    // A killed shard whose death no traffic ever observed may still be on
-    // the ring; evict it first so the admission below starts from a clean
-    // slate (and its scenarios have live replicas to fail over to).
-    bool on_ring;
-    {
-      MutexLock state(state_mu_);
-      on_ring = ring_.HasShard(shard_id);
-    }
-    if (on_ring) HandleShardDeathLocked(shard_id);
-  }
   ALT_RETURN_IF_ERROR(worker->Revive());
-  ConfigureWorker(worker);
   return AdmitShardLocked(worker);
 }
 
 Status ShardCoordinator::AddShard(const std::string& shard_id) {
   MutexLock control(control_mu_);
+  EvictDeadShardsLocked();
   if (FindShard(shard_id) != nullptr) {
     return Status::AlreadyExists("shard " + shard_id + " already exists");
   }
-  auto owned = std::make_unique<WorkerShard>(
-      shard_id, registry_, [this, shard_id] { HandleShardDeath(shard_id); });
+  std::unique_ptr<WorkerShard> owned = NewWorker(shard_id);
   WorkerShard* worker = owned.get();
-  ConfigureWorker(worker);
   {
     MutexLock state(state_mu_);
     shards_by_id_[shard_id] = worker;
@@ -583,9 +549,9 @@ Status ShardCoordinator::AddShard(const std::string& shard_id) {
 
 Status ShardCoordinator::AdmitShardLocked(WorkerShard* worker) {
   const std::string& id = worker->id();
-  // Final assignment: every scenario the fully-admitted ring will place on
-  // this shard (plus all everywhere deployments). Computed on a ring COPY —
-  // the live ring is untouched until the models are in place.
+  // Final assignment: every scenario the ring with this shard will place on
+  // it (plus all everywhere deployments). Computed on a ring COPY — the
+  // live ring is untouched until the models are in place.
   struct Assigned {
     std::string scenario;
     std::string bundle;
@@ -625,34 +591,19 @@ Status ShardCoordinator::AdmitShardLocked(WorkerShard* worker) {
                                        std::move(loaded).value(),
                                        item.options, item.version));
   }
-  // Staged vnode admission: vnode indices are stable, so ownership grows
-  // monotonically stage over stage and each stage moves only the keys
-  // adjacent to its new points. Per stage, every replica group is
-  // recomputed from the ring; membership can only change by this shard
-  // entering a group (possibly displacing its last member), and this shard
-  // already holds every model its final groups need — so the table never
-  // names a replica without the model.
-  const int stages = options_.rejoin_stages;
-  const int full = options_.vnodes_per_shard;
-  for (int stage = 1; stage <= stages; ++stage) {
-    const int target = stage == stages ? full : full * stage / stages;
-    {
-      MutexLock state(state_mu_);
-      ring_.AddShardVnodes(id, target);
-      for (auto& [scenario, entry] : table_) {
-        if (entry.everywhere) continue;
-        const int want = entry.options.hot ? options_.hot_replication
-                                           : options_.replication;
-        entry.replicas = ring_.RouteReplicas(scenario, want);
-      }
-      PublishImbalanceLocked();
-    }
-    // Drain pause between stages: in-flight traffic settles onto the new
-    // routing before the next batch of keys moves.
-    if (stage < stages && options_.rejoin_stage_pause_ms > 0.0) {
-      clock_->SleepMs(options_.rejoin_stage_pause_ms);
-    }
+  // The shard joins the ring, and every replica group is recomputed from
+  // it. A group can only change by this shard entering it (possibly
+  // displacing its last member), and this shard already holds every model
+  // its groups need — so the table never names a replica without the model.
+  MutexLock state(state_mu_);
+  ring_.AddShard(id);  // alt_lint: allow(L008): void HashRing::AddShard
+  for (auto& [scenario, entry] : table_) {
+    if (entry.everywhere) continue;
+    const int want = entry.options.hot ? options_.hot_replication
+                                       : options_.replication;
+    entry.replicas = ring_.RouteReplicas(scenario, want);
   }
+  PublishImbalanceLocked();
   rejoins_->Add(1);
   return Status::OK();
 }
@@ -689,6 +640,11 @@ std::vector<std::string> ShardCoordinator::ShardIds() const {
   out.reserve(shards_by_id_.size());
   for (const auto& [id, worker] : shards_by_id_) out.push_back(id);
   return out;
+}
+
+int ShardCoordinator::NumShards() const {
+  MutexLock state(state_mu_);
+  return static_cast<int>(shards_.size());
 }
 
 int ShardCoordinator::NumLiveShards() const {

@@ -11,7 +11,6 @@
 #include "src/data/dataset.h"
 #include "src/models/base_model.h"
 #include "src/obs/metrics.h"
-#include "src/resilience/clock.h"
 #include "src/serving/model_server.h"
 #include "src/serving/shard/hash_ring.h"
 #include "src/serving/shard/shard.h"
@@ -34,25 +33,10 @@ struct CoordinatorOptions {
   /// Replicas for scenarios deployed with DeployOptions::hot — head
   /// scenarios whose traffic justifies wider fan-out.
   int hot_replication = 2;
-  /// SubmitPredict backpressure per shard; 0 = unbounded.
+  /// SubmitPredict backpressure per shard, the plane's one overload bound:
+  /// a request every live replica's full queue rejects fails with
+  /// kResourceExhausted. 0 = unbounded.
   int64_t max_queue_depth_per_shard = 0;
-  /// Soft load-shedding watermarks per shard, with hysteresis: once a
-  /// shard's queue reaches `shed_high_watermark`, non-critical submissions
-  /// are rejected with kResourceExhausted until the queue drains to
-  /// `shed_low_watermark`. Hot / everywhere-deployed scenarios bypass the
-  /// soft watermark (only the hard cap applies), so cold traffic sheds
-  /// first. `shed_high_watermark <= 0` disables soft shedding.
-  int64_t shed_high_watermark = 0;
-  int64_t shed_low_watermark = 0;
-  /// Staged re-join: a re-admitted shard's virtual nodes enter the ring in
-  /// this many equal batches, so each stage moves at most ~(2/N)/stages of
-  /// the key space and in-flight traffic keeps failing over normally.
-  int rejoin_stages = 4;
-  /// Clock-paced pause between re-join stages (0 = back-to-back). Uses the
-  /// injected `clock`, so FakeClock tests replay exact drain schedules.
-  double rejoin_stage_pause_ms = 0.0;
-  /// Time source for re-join pacing; nullptr selects the real clock.
-  resilience::Clock* clock = nullptr;
 };
 
 /// Control plane of the sharded serving plane. Owns N WorkerShards, the
@@ -73,14 +57,20 @@ struct CoordinatorOptions {
 /// fault, an undeployed scenario, a malformed request) is the same on every
 /// replica and returns at once; it says nothing about the shard's health.
 /// The failover loop is the continuation of each attempt, so it runs on the
-/// worker thread that answered. The first requests that reach a dead shard
-/// (Kill, or a ShardSupervisor eviction) make its own worker thread
-/// rebalance the plane (HandleShardDeath) before it answers them
-/// Unavailable: the shard leaves the ring and its scenarios re-deploy from
-/// cached bundles onto their new ring owners — only keys the ring moved,
-/// which is the consistent-hash minimal-disruption guarantee. So no
-/// caller's thread and no live shard's worker runs a rebalance or blocks on
-/// one; only the requests that reached the dead shard wait for it.
+/// worker thread that answered.
+///
+/// Shard lifecycle: KillShard marks a shard dead. The first requests that
+/// reach it make its own worker thread rebalance the plane
+/// (HandleShardDeath) before it answers them Unavailable: the shard leaves
+/// the ring and its scenarios re-deploy from cached bundles onto their new
+/// ring owners — only keys the ring moved, which is the consistent-hash
+/// minimal-disruption guarantee. So no caller's thread and no live shard's
+/// worker runs a rebalance or blocks on one; only the requests that reached
+/// the dead shard wait for it. A control-plane operation (Deploy,
+/// DeployEverywhere, RejoinShard, AddShard) first runs that same rebalance
+/// for every dead shard still on the ring, so it never waits for traffic.
+/// RejoinShard and AddShard are deploy-then-route: the shard gets every
+/// model it will serve before its virtual nodes enter the ring.
 ///
 /// Locking: `control_mu_` serializes control-plane operations
 /// (Deploy/Undeploy/rebalance) and is never held while scoring; `state_mu_`
@@ -93,22 +83,14 @@ struct CoordinatorOptions {
 ///   serving/coordinator/rejoins                 counter: warm re-admissions
 ///   serving/coordinator/failovers               counter: replica fail-overs
 ///   serving/coordinator/no_replica_available    counter: exhausted groups
-///   serving/admission/shed                      counter: requests rejected
-///                                               with kResourceExhausted
+///   serving/admission/shed                      counter: requests every
+///                                               replica's full queue
+///                                               rejected (kResourceExhausted)
 ///   serving/admission/accepted                  counter: requests served
-///                                               after admission
 ///   serving/coordinator/routing_imbalance       gauge: max/mean owner share
 ///   serving/coordinator/broadcast_ms            histogram: deploy fan-out
 ///   (plus per-shard queue depth / request counters from WorkerShard)
 class ShardCoordinator {
- private:
-  /// Routing decision for one scenario: the candidate replicas in
-  /// failover order plus the admission class its traffic submits with.
-  struct RouteDecision {
-    std::vector<WorkerShard*> replicas;
-    Admission admission = Admission::kNormal;
-  };
-
  public:
   /// One request through the failover loop: the caller fills the public
   /// fields and hands it to Submit, which owns it until `done` has run and
@@ -129,8 +111,8 @@ class ShardCoordinator {
     friend class ShardCoordinator;
     ShardCoordinator* coordinator = nullptr;
     double span_start_us = 0.0;  // Recorder time; 0 = span not recorded.
-    RouteDecision decision;
-    size_t next = 0;          // Next candidate of `decision` to try.
+    std::vector<WorkerShard*> replicas;  // Candidates in failover order.
+    size_t next = 0;          // Next candidate of `replicas` to try.
     int rounds = 0;           // Rankings so far.
     bool rebalanced = false;  // A shard left the ring this round.
     Status last;              // The last failed attempt's; OK before any.
@@ -148,6 +130,8 @@ class ShardCoordinator {
   /// Broadcasts `model` to the scenario's replica group (ring owner first).
   /// DeployOptions::hot widens the group to hot_replication;
   /// DeployOptions::retry_transient retries each replica's deploy attempt.
+  /// Like DeployEverywhere, RejoinShard and AddShard, it first rebalances
+  /// away every killed shard still on the ring.
   Status Deploy(const std::string& scenario,
                 std::unique_ptr<models::BaseModel> model,
                 const DeployOptions& options = {});
@@ -193,29 +177,22 @@ class ShardCoordinator {
   /// Chaos hook: kills the worker. The rebalance triggers on the next
   /// predicts against the dead shard, exactly as a real crash would, and
   /// runs on the dead shard's own thread before it answers them (and its
-  /// queued requests) Unavailable, so they fail over.
+  /// queued requests) Unavailable, so they fail over. The next
+  /// control-plane operation runs it instead when no request comes first.
   Status KillShard(const std::string& shard_id);
 
-  /// Proactively evicts a shard from the ring (kill + rebalance) without
-  /// waiting for data-plane traffic to find it dead — the ShardSupervisor's
-  /// teardown path once probes declare a shard dead. Idempotent; NotFound
-  /// for unknown ids.
-  Status EvictShard(const std::string& shard_id);
-
-  /// Warm re-join of a previously killed/evicted shard: revives the worker
-  /// (clearing stale serving state), re-deploys every scenario the fully-admitted ring will assign to it from the
-  /// cached bundles at current versions, and only then re-adds its virtual
-  /// nodes in `rejoin_stages` staged batches — routing shifts at most ~2/N
-  /// of the key space across the whole re-join, replica tables are
-  /// recomputed per stage, and no key ever routes to a shard that does not
-  /// already hold its model. NotFound for unknown ids; FailedPrecondition
-  /// when the shard is still live.
+  /// Warm re-join of a killed shard: revives the worker (clearing stale
+  /// serving state), re-deploys every scenario the ring with it will assign
+  /// to it from the cached bundles at current versions, and only then adds
+  /// its virtual nodes to the ring and recomputes the replica table —
+  /// routing shifts at most ~2/N of the key space, and no key ever routes to
+  /// a shard that does not already hold its model. NotFound for unknown
+  /// ids; FailedPrecondition when the shard is still live.
   Status RejoinShard(const std::string& shard_id);
 
   /// Elastic scale-up: creates a brand-new WorkerShard (with the plane's
-  /// queue/admission configuration) and admits it
-  /// through the same warm staged protocol as RejoinShard. AlreadyExists
-  /// when the id is taken.
+  /// queue cap) and admits it through the same deploy-then-route protocol
+  /// as RejoinShard. AlreadyExists when the id is taken.
   Status AddShard(const std::string& shard_id);
 
   /// Deployed scenarios with no live replica left — requests to these fail
@@ -223,6 +200,8 @@ class ShardCoordinator {
   std::vector<std::string> UnservableScenarios() const;
 
   std::vector<std::string> ShardIds() const;
+  /// Shards registered, dead or alive: the constructor's plus AddShard's.
+  int NumShards() const;
   int NumLiveShards() const;
   const WorkerShard* shard(const std::string& shard_id) const;
   WorkerShard* shard(const std::string& shard_id);
@@ -280,26 +259,29 @@ class ShardCoordinator {
   /// The scenario's candidate replicas in failover order, first the pick
   /// of power-of-two-choices on queue depth (see the .cc file). Dead shards
   /// stay in the list so the predict loop can detect them and trigger the
-  /// rebalance. Empty for unknown scenarios. Hot / everywhere scenarios are
-  /// marked kCritical so shards shed them last.
-  RouteDecision RankedReplicas(const std::string& scenario)
+  /// rebalance. Empty for unknown scenarios.
+  std::vector<WorkerShard*> RankedReplicas(const std::string& scenario)
       ALT_EXCLUDES(state_mu_);
   /// The death hook of every worker, run on the dead shard's own thread:
   /// HandleShardDeathLocked, unless the shard was revived meanwhile.
   void HandleShardDeath(const std::string& shard_id)
       ALT_EXCLUDES(control_mu_, state_mu_);
-  /// Removes a failed shard from the ring and re-deploys its scenarios onto
+  /// Removes a dead shard from the ring and re-deploys its scenarios onto
   /// their new owners. Idempotent.
   void HandleShardDeathLocked(const std::string& shard_id)
       ALT_REQUIRES(control_mu_) ALT_EXCLUDES(state_mu_);
+  /// HandleShardDeathLocked for every dead shard still on the ring: the
+  /// first step of each control-plane operation, so none of them waits for
+  /// traffic to find a killed shard.
+  void EvictDeadShardsLocked() ALT_REQUIRES(control_mu_)
+      ALT_EXCLUDES(state_mu_);
   /// The shared warm-admission protocol of RejoinShard/AddShard: pre-deploy
-  /// of the final assignment from cached bundles, then staged vnode
-  /// admission with per-stage replica-table recompute.
+  /// of the final assignment from cached bundles, then the shard's vnodes
+  /// join the ring and the replica table is recomputed once.
   Status AdmitShardLocked(WorkerShard* worker)
       ALT_REQUIRES(control_mu_) ALT_EXCLUDES(state_mu_);
-  /// Applies the plane's per-shard configuration (queue cap, shed
-  /// watermarks) to a worker.
-  void ConfigureWorker(WorkerShard* worker) const;
+  /// A new worker with the plane's queue cap and the death hook.
+  std::unique_ptr<WorkerShard> NewWorker(const std::string& shard_id);
   /// Deploys `original` (owner) + bundle clones (other targets) and commits
   /// the entry into the table on success. `deploy_options` is the caller's
   /// options (still carrying the calibration pointer); `entry->options` is
@@ -314,7 +296,6 @@ class ShardCoordinator {
 
   CoordinatorOptions options_;
   obs::MetricsRegistry* registry_;
-  resilience::Clock* clock_;
 
   mutable Mutex control_mu_;
   mutable Mutex state_mu_;

@@ -33,16 +33,8 @@ uint64_t HashRing::KeyHash(const std::string& key) {
 }
 
 void HashRing::AddShard(const std::string& shard_id) {
-  if (shards_.count(shard_id) > 0) return;
-  AddShardVnodes(shard_id, vnodes_per_shard_);
-}
-
-void HashRing::AddShardVnodes(const std::string& shard_id, int vnodes) {
-  vnodes = std::min(vnodes, vnodes_per_shard_);
-  auto current = shards_.find(shard_id);
-  const int from = current == shards_.end() ? 0 : current->second;
-  if (vnodes <= from) return;
-  for (int v = from; v < vnodes; ++v) {
+  if (!shards_.insert(shard_id).second) return;
+  for (int v = 0; v < vnodes_per_shard_; ++v) {
     const uint64_t point =
         KeyHash(shard_id + "#vnode#" + std::to_string(v));
     // A hash collision between vnodes of different shards is resolved by
@@ -54,7 +46,6 @@ void HashRing::AddShardVnodes(const std::string& shard_id, int vnodes) {
       it->second = shard_id;
     }
   }
-  shards_[shard_id] = vnodes;
 }
 
 void HashRing::RemoveShard(const std::string& shard_id) {
@@ -64,20 +55,12 @@ void HashRing::RemoveShard(const std::string& shard_id) {
   }
 }
 
-int HashRing::VnodesOf(const std::string& shard_id) const {
-  auto it = shards_.find(shard_id);
-  return it == shards_.end() ? 0 : it->second;
-}
-
 bool HashRing::HasShard(const std::string& shard_id) const {
   return shards_.count(shard_id) > 0;
 }
 
 std::vector<std::string> HashRing::Shards() const {
-  std::vector<std::string> out;
-  out.reserve(shards_.size());
-  for (const auto& [id, vnodes] : shards_) out.push_back(id);
-  return out;
+  return std::vector<std::string>(shards_.begin(), shards_.end());
 }
 
 Result<std::string> HashRing::Route(const std::string& key) const {

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -38,19 +39,8 @@ class HashRing {
   /// Adds `shard_id`'s virtual nodes. Adding an existing shard is a no-op.
   void AddShard(const std::string& shard_id);
 
-  /// Grows `shard_id`'s presence on the ring to `vnodes` virtual nodes
-  /// (clamped to [0, vnodes_per_shard]). Vnode indices are stable — growing
-  /// from k to k' adds exactly the points for indices [k, k') — so a staged
-  /// re-join admits a shard in batches, each batch moving only the keys
-  /// adjacent to the new points. Shrinking is not supported: `vnodes` at or
-  /// below the current count is a no-op.
-  void AddShardVnodes(const std::string& shard_id, int vnodes);
-
   /// Removes every virtual node of `shard_id`. Unknown ids are a no-op.
   void RemoveShard(const std::string& shard_id);
-
-  /// How many virtual nodes `shard_id` currently has (0 if absent).
-  int VnodesOf(const std::string& shard_id) const;
 
   int vnodes_per_shard() const { return vnodes_per_shard_; }
 
@@ -72,7 +62,7 @@ class HashRing {
   /// vnode hash -> shard id. std::map keeps the ring ordered, so routing is
   /// a lower_bound and insertion order never matters.
   std::map<uint64_t, std::string> ring_;
-  std::map<std::string, int> shards_;  // shard id -> vnode count.
+  std::set<std::string> shards_;
 };
 
 }  // namespace shard

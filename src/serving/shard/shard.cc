@@ -16,7 +16,6 @@ WorkerShard::WorkerShard(std::string id, obs::MetricsRegistry* registry,
       engine_(registry_),
       queue_depth_gauge_(
           registry_->gauge("serving/shard/queue_depth/" + id_)),
-      pressure_gauge_(registry_->gauge("serving/shard/pressure/" + id_)),
       requests_total_(registry_->counter("serving/shard/requests/" + id_)),
       batch_size_(registry_->histogram("serving/batch_predictor/batch_size",
                                        {1, 2, 4, 8, kMaxMergedRows})),
@@ -73,46 +72,17 @@ uint64_t WorkerShard::DeployedVersion(const std::string& scenario) const {
   return it == versions_.end() ? 0 : it->second;
 }
 
-bool WorkerShard::UpdateShedState(int64_t depth) {
-  const int64_t high = shed_high_watermark_.load(std::memory_order_relaxed);
-  const int64_t low = shed_low_watermark_.load(std::memory_order_relaxed);
-  if (high <= 0) return false;  // set_shed_watermarks zeroed the gauge.
-  pressure_gauge_->Set(static_cast<double>(depth) /
-                       static_cast<double>(high));
-  bool shedding = shedding_.load(std::memory_order_relaxed);
-  if (!shedding && depth >= high) {
-    shedding = true;
-    shedding_.store(true, std::memory_order_relaxed);
-  } else if (shedding && depth <= low) {
-    shedding = false;
-    shedding_.store(false, std::memory_order_relaxed);
-  }
-  return shedding;
-}
-
 Status WorkerShard::SubmitPredict(const std::string& scenario,
                                   const data::Batch& batch,
-                                  Admission admission,
                                   const obs::RequestContext& ctx,
                                   PredictDone done) {
   // A dead shard admits everything: its worker answers Unavailable.
-  const bool admit = dead();
   const int64_t depth = queue_depth_.load(std::memory_order_relaxed);
   const int64_t max_depth = max_queue_depth_.load(std::memory_order_relaxed);
-  if (!admit && max_depth > 0 && depth >= max_depth) {
+  if (max_depth > 0 && depth >= max_depth && !dead()) {
     return Status::ResourceExhausted(
         "shard " + id_ + " queue full (depth " + std::to_string(depth) +
         " >= cap " + std::to_string(max_depth) + ")");
-  }
-  // Soft shed: evaluate the hysteresis state machine on every submit so
-  // recovery is observed, but only kNormal traffic is actually rejected.
-  if (!admit && UpdateShedState(depth) && admission != Admission::kCritical) {
-    return Status::ResourceExhausted(
-        "shard " + id_ + " shedding load (depth " + std::to_string(depth) +
-        " >= high watermark " +
-        std::to_string(
-            shed_high_watermark_.load(std::memory_order_relaxed)) +
-        ")");
   }
   Task task;
   task.scenario = scenario;
@@ -179,7 +149,6 @@ Status WorkerShard::Revive() {
     MutexLock lock(versions_mu_);
     versions_.clear();
   }
-  shedding_.store(false, std::memory_order_relaxed);
   dead_.store(false, std::memory_order_release);
   return Status::OK();
 }
@@ -299,7 +268,6 @@ void WorkerShard::Dispatch(const std::vector<Task*>& tasks) {
 void WorkerShard::Release(int64_t n) {
   const int64_t depth = queue_depth_.fetch_sub(n) - n;
   queue_depth_gauge_->Set(static_cast<double>(depth));
-  UpdateShedState(depth);
 }
 
 }  // namespace shard

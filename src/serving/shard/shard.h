@@ -25,12 +25,6 @@ namespace alt {
 namespace serving {
 namespace shard {
 
-/// Admission class of one SubmitPredict. The coordinator maps scenario
-/// placement to priority: hot / everywhere-deployed scenarios submit as
-/// kCritical and bypass the soft shed watermark (the hard queue cap still
-/// applies); everything else is kNormal and sheds first under pressure.
-enum class Admission { kNormal = 0, kCritical = 1 };
-
 /// Completion of one accepted SubmitPredict: runs exactly once, on the
 /// shard's worker thread, with the request's own scores (one per row) or its
 /// error. No shard or coordinator lock is held while it runs.
@@ -64,19 +58,13 @@ inline constexpr int64_t kMaxMergedRows = 16;
 /// serves again, with all serving state cleared so the coordinator can
 /// re-deploy current versions from its cached bundles.
 ///
-/// Admission control: beyond the hard `max_queue_depth` cap, the shard
-/// sheds load between a high/low watermark pair with hysteresis — once the
-/// queue reaches the high watermark, kNormal submissions are rejected with
-/// Status::ResourceExhausted (never enqueued, never silently dropped) until
-/// the queue drains to the low watermark. kCritical submissions (hot or
-/// everywhere-deployed scenarios, decided by the coordinator) bypass the
-/// soft watermark and are only bounded by the hard cap, so cold traffic is
-/// shed before head traffic.
+/// Overload: with `max_queue_depth` set, a submission that finds the queue
+/// full is rejected with Status::ResourceExhausted, never enqueued and never
+/// silently dropped. That cap is the plane's one overload bound.
 ///
 /// Obs (shared registry, instance-labelled by shard id):
 ///   serving/shard/queue_depth/<id>   gauge: requests queued + in flight
 ///   serving/shard/requests/<id>      counter: requests run by the engine
-///   serving/shard/pressure/<id>      gauge: queue depth / high watermark
 ///   serving/batch_predictor/batch_size  histogram: requests per engine
 ///                                    call (the name altbench reads)
 class WorkerShard {
@@ -112,17 +100,15 @@ class WorkerShard {
   /// runs once on the worker thread, and `batch` must stay alive until it
   /// has. A dead shard accepts it too, and its worker answers Unavailable
   /// once `on_death` has run. Otherwise returns the rejection and never runs
-  /// `done`: a stopped shard is Status::Unavailable; an over-watermark queue
-  /// (soft shed, kNormal only) or a full queue (`max_queue_depth` > 0) is
-  /// Status::ResourceExhausted — rejected at admission, never enqueued.
+  /// `done`: a stopped shard is Status::Unavailable; a full queue
+  /// (`max_queue_depth` > 0) is Status::ResourceExhausted.
   ///
   /// A sampled `ctx` rides the task across the queue: the worker thread
   /// attributes queue_wait + compute segments to the request (on success — a
   /// failed attempt's wall time is the coordinator's to claim as failover)
   /// and records a request-linked dispatch span.
   Status SubmitPredict(const std::string& scenario, const data::Batch& batch,
-                       Admission admission, const obs::RequestContext& ctx,
-                       PredictDone done);
+                       const obs::RequestContext& ctx, PredictDone done);
 
   /// Marks the shard dead: the worker answers the queued requests, and every
   /// later one, with Unavailable, running `on_death` before the first of
@@ -134,20 +120,6 @@ class WorkerShard {
   /// (the coordinator re-deploys current versions from its cached bundles)
   /// and re-opens admission. FailedPrecondition unless the shard is dead.
   Status Revive();
-
-  /// Soft shed watermarks with hysteresis: shedding starts when the queue
-  /// reaches `high` and stops once it drains to `low`. `high` <= 0 disables
-  /// soft shedding. Relaxed atomics: the coordinator's control plane may
-  /// retune them (e.g. on warm re-join) while submits are in flight; a
-  /// submit racing the store sheds under either the old or new watermark.
-  void set_shed_watermarks(int64_t high, int64_t low) {
-    shed_high_watermark_.store(high, std::memory_order_relaxed);
-    shed_low_watermark_.store(low, std::memory_order_relaxed);
-    if (high <= 0) pressure_gauge_->Set(0.0);
-  }
-
-  /// True while the shard is between watermarks shedding kNormal load.
-  bool shedding() const { return shedding_.load(std::memory_order_relaxed); }
 
   /// Stops the worker thread once it has served everything queued (paused
   /// or not); later submits fail with Unavailable. Idempotent. Completions
@@ -171,8 +143,7 @@ class WorkerShard {
   }
 
   /// Backpressure limit for SubmitPredict; 0 (default) = unbounded.
-  /// Relaxed atomic for the same control-plane-vs-submit race as the
-  /// watermarks.
+  /// Relaxed atomic: it may be set while submits are in flight.
   void set_max_queue_depth(int64_t depth) {
     max_queue_depth_.store(depth, std::memory_order_relaxed);
   }
@@ -208,25 +179,16 @@ class WorkerShard {
   /// Releases `n` requests from the queue-depth accounting.
   void Release(int64_t n);
 
-  /// Advances the hysteresis state machine for a queue at `depth` and
-  /// returns whether kNormal admissions are currently shed. Also refreshes
-  /// the pressure gauge. Lock-free; racing updates settle on the next call.
-  bool UpdateShedState(int64_t depth);
-
   const std::string id_;
   obs::MetricsRegistry* registry_;
   const std::function<void()> on_death_;
   ModelServer engine_;
 
   std::atomic<bool> dead_{false};
-  std::atomic<bool> shedding_{false};
   std::atomic<int64_t> queue_depth_{0};
   std::atomic<int64_t> requests_served_{0};
   std::atomic<int64_t> max_queue_depth_{0};
-  std::atomic<int64_t> shed_high_watermark_{0};
-  std::atomic<int64_t> shed_low_watermark_{0};
   obs::Gauge* queue_depth_gauge_ = nullptr;  // Owned by the registry.
-  obs::Gauge* pressure_gauge_ = nullptr;     // Owned by the registry.
   obs::Counter* requests_total_ = nullptr;   // Owned by the registry.
   obs::Histogram* batch_size_ = nullptr;     // Owned by the registry.
 

@@ -486,9 +486,7 @@ TEST(ServingClientTest, KillRejoinLosesNoBatchRequests) {
   // queued, they fail over to replicas, and a warm re-join brings it back —
   // zero lost requests end to end.
   obs::MetricsRegistry registry;
-  ServingClient::Options options = SmallTopology(3, 2);
-  options.rejoin_stages = 3;
-  ServingClient client(options, &registry);
+  ServingClient client(SmallTopology(3, 2), &registry);
   ASSERT_TRUE(client.Deploy("s", TinyModel(16)).ok());
   const std::string owner = client.coordinator()->ReplicasOf("s").front();
 
@@ -531,6 +529,7 @@ TEST(ServingClientTest, AddShardGrowsTopologyAndServes) {
   ASSERT_TRUE(client.AddShard("shard-2").ok());
   EXPECT_EQ(client.NumLiveShards(), 3);
   EXPECT_EQ(client.ShardIds().size(), 3u);
+  EXPECT_EQ(client.GetStats().num_shards, 3);
   EXPECT_EQ(client.AddShard("shard-2").code(), StatusCode::kAlreadyExists);
 
   // The newcomer serves enqueued traffic without request loss.

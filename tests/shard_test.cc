@@ -1,10 +1,12 @@
 // Tests of the sharded serving plane's building blocks: the consistent-hash
 // ring (uniformity, minimal disruption, determinism), the version-gated
 // worker shard, and the ShardCoordinator (broadcast deploys, replica
-// failover, rebalance on shard death with zero lost requests).
+// failover, rebalance on shard death with zero lost requests, the queue cap,
+// warm re-join and scale-up).
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <future>
 #include <map>
 #include <set>
@@ -15,12 +17,10 @@
 #include "gtest/gtest.h"
 #include "src/data/synthetic.h"
 #include "src/obs/metrics.h"
-#include "src/resilience/clock.h"
 #include "src/resilience/fault_injection.h"
 #include "src/serving/shard/coordinator.h"
 #include "src/serving/shard/hash_ring.h"
 #include "src/serving/shard/shard.h"
-#include "src/serving/shard/supervisor.h"
 
 namespace alt {
 namespace serving {
@@ -161,13 +161,13 @@ data::Batch OneSample(uint64_t seed) {
 }
 
 /// SubmitPredict with its answer as a future; a rejection resolves at once.
-std::future<Result<std::vector<float>>> Submit(
-    WorkerShard* shard, const std::string& scenario, const data::Batch& batch,
-    Admission admission = Admission::kNormal) {
+std::future<Result<std::vector<float>>> Submit(WorkerShard* shard,
+                                               const std::string& scenario,
+                                               const data::Batch& batch) {
   auto answer = std::make_shared<std::promise<Result<std::vector<float>>>>();
   std::future<Result<std::vector<float>>> future = answer->get_future();
   const Status status = shard->SubmitPredict(
-      scenario, batch, admission, obs::RequestContext(),
+      scenario, batch, obs::RequestContext(),
       [answer](Result<std::vector<float>> result) {
         answer->set_value(std::move(result));
       });
@@ -205,8 +205,7 @@ TEST(WorkerShardTest, KillDrainsQueueWithUnavailable) {
   std::future<std::thread::id> answered = answered_on->get_future();
   Status queued_status;
   ASSERT_TRUE(shard
-                  .SubmitPredict("s", batch, Admission::kNormal,
-                                 obs::RequestContext(),
+                  .SubmitPredict("s", batch, obs::RequestContext(),
                                  [answered_on, &queued_status](
                                      Result<std::vector<float>> result) {
                                    queued_status = result.status();
@@ -363,106 +362,10 @@ TEST(ShardCoordinatorTest, AllReplicasDeadReportsUnavailable) {
 }
 
 // ---------------------------------------------------------------------------
-// Staged vnode admission (the warm re-join drain protocol's routing half)
+// Overload: the per-shard queue cap
 // ---------------------------------------------------------------------------
 
-TEST(HashRingTest, StagedVnodeAdmissionBoundsPerStageMovement) {
-  const int n = 4;
-  const int vnodes = 128;
-  const int stages = 4;
-  HashRing ring(vnodes);
-  for (int s = 0; s < n; ++s) ring.AddShard("shard-" + std::to_string(s));
-  const std::string newcomer = "shard-" + std::to_string(n);
-
-  std::map<int, std::string> previous;
-  for (int i = 0; i < kKeys; ++i) previous[i] = ring.Route(Key(i)).value();
-  std::set<int> owned_by_newcomer;
-
-  for (int stage = 1; stage <= stages; ++stage) {
-    ring.AddShardVnodes(newcomer, stage * vnodes / stages);
-    EXPECT_EQ(ring.VnodesOf(newcomer), stage * vnodes / stages);
-    int moved = 0;
-    for (int i = 0; i < kKeys; ++i) {
-      const std::string owner = ring.Route(Key(i)).value();
-      if (owner != previous[i]) {
-        moved++;
-        // Monotone ownership: a key only ever moves ONTO the newcomer —
-        // vnode points are added, never relocated, so incumbent-to-incumbent
-        // movement is impossible.
-        EXPECT_EQ(owner, newcomer);
-      }
-      if (owner == newcomer) {
-        owned_by_newcomer.insert(i);
-      } else {
-        // ...and once the newcomer owns a key it keeps it through every
-        // later stage.
-        EXPECT_EQ(owned_by_newcomer.count(i), 0u) << Key(i);
-      }
-      previous[i] = owner;
-    }
-    // Each stage shifts at most ~1/stages of the newcomer's final share:
-    // well under the 2/N single-join bound, so traffic drains gradually.
-    EXPECT_LE(moved, 2 * kKeys / (n + 1));
-  }
-
-  // The staged end state is exactly the single-shot join.
-  HashRing oneshot(vnodes);
-  for (int s = 0; s <= n; ++s) oneshot.AddShard("shard-" + std::to_string(s));
-  for (int i = 0; i < kKeys; ++i) {
-    EXPECT_EQ(ring.Route(Key(i)).value(), oneshot.Route(Key(i)).value());
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Queue-depth-aware admission control (hysteresis shedding)
-// ---------------------------------------------------------------------------
-
-TEST(WorkerShardTest, ShedWatermarksHysteresisAndCriticalBypass) {
-  obs::MetricsRegistry registry;
-  WorkerShard shard("shard-0", &registry);
-  ASSERT_TRUE(shard.Deploy("s", TinyModel(30), DeployOptions{}, 1).ok());
-  shard.set_shed_watermarks(/*high=*/3, /*low=*/1);
-  shard.PauseDispatchForTesting(true);
-
-  const data::Batch batch = OneSample(31);
-  std::vector<std::future<Result<std::vector<float>>>> queued;
-  // Three critical submits fill the queue to the high watermark.
-  for (int i = 0; i < 3; ++i) {
-    queued.push_back(Submit(&shard, "s", batch, Admission::kCritical));
-  }
-  EXPECT_FALSE(shard.shedding());
-
-  // The next kNormal submit observes depth >= high: it is rejected with
-  // kResourceExhausted (load, not failure) and nothing is enqueued.
-  auto shed = Submit(&shard, "s", batch).get();
-  ASSERT_FALSE(shed.ok());
-  EXPECT_EQ(shed.status().code(), StatusCode::kResourceExhausted);
-  EXPECT_TRUE(shard.shedding());
-
-  // Critical traffic (hot / everywhere scenarios) bypasses the soft
-  // watermark while the shard sheds.
-  queued.push_back(Submit(&shard, "s", batch, Admission::kCritical));
-
-  // Drain. Every queued request completes — shedding rejected new work, it
-  // never dropped accepted work.
-  shard.PauseDispatchForTesting(false);
-  for (auto& future : queued) {
-    auto result = future.get();
-    EXPECT_TRUE(result.ok()) << result.status().ToString();
-  }
-
-  // Recovery: the drain crossed the low watermark, so shedding has cleared
-  // and normal traffic is admitted again — repeatedly, with no re-flap
-  // below the high watermark.
-  for (int i = 0; i < 5; ++i) {
-    auto result = Submit(&shard, "s", batch).get();
-    EXPECT_TRUE(result.ok()) << result.status().ToString();
-    EXPECT_FALSE(shard.shedding());
-  }
-  shard.Kill();
-}
-
-TEST(WorkerShardTest, HardQueueCapStillRejectsCriticalTraffic) {
+TEST(WorkerShardTest, HardQueueCapStillRejectsTraffic) {
   obs::MetricsRegistry registry;
   WorkerShard shard("shard-0", &registry);
   ASSERT_TRUE(shard.Deploy("s", TinyModel(32), DeployOptions{}, 1).ok());
@@ -470,11 +373,11 @@ TEST(WorkerShardTest, HardQueueCapStillRejectsCriticalTraffic) {
   shard.PauseDispatchForTesting(true);
 
   const data::Batch batch = OneSample(33);
-  auto a = Submit(&shard, "s", batch, Admission::kCritical);
-  auto b = Submit(&shard, "s", batch, Admission::kCritical);
-  // The hard cap is the memory-safety backstop: not even critical traffic
-  // may pass it.
-  auto rejected = Submit(&shard, "s", batch, Admission::kCritical).get();
+  auto a = Submit(&shard, "s", batch);
+  auto b = Submit(&shard, "s", batch);
+  // The hard cap is the memory-safety backstop: a full queue rejects the
+  // next request at admission instead of growing.
+  auto rejected = Submit(&shard, "s", batch).get();
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kResourceExhausted);
 
@@ -487,28 +390,21 @@ TEST(WorkerShardTest, HardQueueCapStillRejectsCriticalTraffic) {
 TEST(ShardCoordinatorTest, ShedsWithResourceExhaustedAndRecovers) {
   obs::MetricsRegistry registry;
   CoordinatorOptions options = SmallCoordinator(2, 2);
-  options.shed_high_watermark = 2;
-  options.shed_low_watermark = 0;
+  options.max_queue_depth_per_shard = 2;
   ShardCoordinator coordinator(options, &registry);
   ASSERT_TRUE(coordinator.Deploy("cold", TinyModel(34)).ok());
-  DeployOptions hot_options;
-  hot_options.hot = true;
-  ASSERT_TRUE(coordinator.Deploy("hot", TinyModel(35), hot_options).ok());
 
   const data::Batch batch = OneSample(36);
   std::vector<std::future<Result<std::vector<float>>>> queued;
   for (const std::string& id : coordinator.ShardIds()) {
     WorkerShard* worker = coordinator.shard(id);
     worker->PauseDispatchForTesting(true);
-    for (int i = 0; i < 2; ++i) {
-      queued.push_back(
-          Submit(worker, "cold", batch, Admission::kCritical));
-    }
+    for (int i = 0; i < 2; ++i) queued.push_back(Submit(worker, "cold", batch));
   }
 
-  // Every live replica is at its watermark: the coordinator rejects new
-  // normal work with the distinct admission status instead of failing over
-  // as if shards had died.
+  // Every live replica's queue is full: the coordinator rejects the request
+  // with the distinct admission status instead of failing over as if shards
+  // had died.
   auto shed = coordinator.Predict("cold", batch);
   ASSERT_FALSE(shed.ok());
   EXPECT_EQ(shed.status().code(), StatusCode::kResourceExhausted);
@@ -517,22 +413,14 @@ TEST(ShardCoordinatorTest, ShedsWithResourceExhaustedAndRecovers) {
   EXPECT_EQ(registry.counter_value("serving/coordinator/failovers"), 0);
   EXPECT_EQ(registry.counter_value("serving/rebalance_events"), 0);
 
-  // Hot scenarios map to critical admission and bypass the soft watermark.
-  std::future<Result<std::vector<float>>> hot_future =
-      std::async(std::launch::async, [&coordinator, &batch]() {
-        return coordinator.Predict("hot", batch);
-      });
-
   for (const std::string& id : coordinator.ShardIds()) {
     coordinator.shard(id)->PauseDispatchForTesting(false);
   }
-  auto hot_result = hot_future.get();
-  EXPECT_TRUE(hot_result.ok()) << hot_result.status().ToString();
   for (auto& future : queued) {
     EXPECT_TRUE(future.get().ok());
   }
 
-  // Queues drained past the low watermark: normal traffic flows again.
+  // The queues drained: traffic is admitted again.
   auto recovered = coordinator.Predict("cold", batch);
   EXPECT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_GE(registry.counter_value("serving/admission/accepted"), 1);
@@ -544,9 +432,7 @@ TEST(ShardCoordinatorTest, ShedsWithResourceExhaustedAndRecovers) {
 
 TEST(ShardCoordinatorTest, RejoinShardRedeploysAtCurrentVersions) {
   obs::MetricsRegistry registry;
-  CoordinatorOptions options = SmallCoordinator(4, 2);
-  options.rejoin_stages = 4;
-  ShardCoordinator coordinator(options, &registry);
+  ShardCoordinator coordinator(SmallCoordinator(4, 2), &registry);
   const int kScenarios = 8;
   for (int s = 0; s < kScenarios; ++s) {
     ASSERT_TRUE(
@@ -622,6 +508,39 @@ TEST(ShardCoordinatorTest, AddShardJoinsRingAndServesAssignedScenarios) {
   }
 }
 
+TEST(ShardCoordinatorTest, ControlPlaneEvictsAKilledShardWithoutTraffic) {
+  // No request reaches the killed shard, so its own worker never rebalances
+  // it away. Deploy, DeployEverywhere and AddShard each do that first
+  // instead of failing on it or naming it in a replica group. Each takes
+  // the first turn once, on a fresh plane.
+  const data::Batch batch = OneSample(90);
+  for (int first = 0; first < 3; ++first) {
+    obs::MetricsRegistry registry;
+    ShardCoordinator coordinator(SmallCoordinator(4, 2), &registry);
+    ASSERT_TRUE(coordinator.Deploy("s", TinyModel(90)).ok());
+    const std::string dead = coordinator.ReplicasOf("s").front();
+    ASSERT_TRUE(coordinator.KillShard(dead).ok());
+    const std::function<Status()> operations[] = {
+        [&] { return coordinator.Deploy("s", TinyModel(91)); },
+        [&] { return coordinator.DeployEverywhere("f0", TinyModel(92)); },
+        [&] { return coordinator.AddShard("shard-4"); },
+    };
+    for (int i = 0; i < 3; ++i) {
+      const Status status = operations[(first + i) % 3]();
+      ASSERT_TRUE(status.ok()) << status.ToString();
+      for (const std::string& scenario : coordinator.Scenarios()) {
+        for (const std::string& id : coordinator.ReplicasOf(scenario)) {
+          EXPECT_NE(id, dead) << scenario;
+        }
+      }
+      EXPECT_EQ(registry.counter_value("serving/rebalance_events"), 1);
+    }
+    EXPECT_EQ(coordinator.NumLiveShards(), 4);
+    EXPECT_TRUE(coordinator.Predict("s", batch).ok());
+    EXPECT_TRUE(coordinator.Predict("f0", batch).ok());
+  }
+}
+
 /// Polls `done` every millisecond for up to five seconds.
 template <typename Pred>
 bool WaitUntil(Pred done) {
@@ -635,18 +554,23 @@ TEST(ShardCoordinatorTest, LiveWorkersNeverWaitForARebalance) {
   resilience::FaultInjector& faults = resilience::FaultInjector::Global();
   faults.Reset();
   obs::MetricsRegistry registry;
-  CoordinatorOptions options = SmallCoordinator(3, 2);
-  options.rejoin_stages = 4;
-  options.rejoin_stage_pause_ms = 300.0;  // A re-join holds the control
-                                          // plane for ~0.9 s.
-  ShardCoordinator coordinator(options, &registry);
+  ShardCoordinator coordinator(SmallCoordinator(3, 2), &registry);
+  // Deploys retry transient faults on a fixed 2 ms backoff, with attempts to
+  // spare: while serving/deploy is armed, a re-join's pre-deploy keeps
+  // retrying and so holds the control plane.
+  DeployOptions retrying;
+  retrying.retry_transient = true;
+  retrying.retry.max_attempts = 100000;
+  retrying.retry.initial_backoff_ms = 2.0;
+  retrying.retry.backoff_multiplier = 1.0;
+  retrying.retry.jitter_fraction = 0.0;
   // A scenario shard-1 owns with dead-to-be shard-0 as its only other
-  // replica. No re-join stage of shard-2 changes that group: a newcomer
-  // enters a group only if the full ring puts it there.
+  // replica. The re-join of shard-2 does not change that group: a newcomer
+  // enters a group only if the ring with it puts it there.
   std::string scenario;
   for (int s = 0; s < 24; ++s) {
     const std::string name = "scenario_" + std::to_string(s);
-    ASSERT_TRUE(coordinator.Deploy(name, TinyModel(80 + s)).ok());
+    ASSERT_TRUE(coordinator.Deploy(name, TinyModel(80 + s), retrying).ok());
     if (scenario.empty() &&
         coordinator.ReplicasOf(name) ==
             std::vector<std::string>{"shard-1", "shard-0"}) {
@@ -656,7 +580,7 @@ TEST(ShardCoordinatorTest, LiveWorkersNeverWaitForARebalance) {
   ASSERT_FALSE(scenario.empty());
   const data::Batch batch = OneSample(81);
 
-  // shard-2 leaves and re-joins; the re-join pauses between its stages
+  // shard-2 leaves and re-joins; the re-join's pre-deploy fails and retries
   // while it holds the control plane.
   ASSERT_TRUE(coordinator.KillShard("shard-2").ok());
   for (int s = 0; s < 24; ++s) {
@@ -664,6 +588,9 @@ TEST(ShardCoordinatorTest, LiveWorkersNeverWaitForARebalance) {
         coordinator.Predict("scenario_" + std::to_string(s), batch).ok());
   }
   ASSERT_EQ(registry.counter_value("serving/rebalance_events"), 1);
+  resilience::FaultRule deploy_fault;
+  deploy_fault.every_nth = 1;
+  faults.Arm("serving/deploy", deploy_fault);
   std::atomic<bool> rejoined{false};
   std::thread rejoin([&] {
     EXPECT_TRUE(coordinator.RejoinShard("shard-2").ok());
@@ -689,13 +616,14 @@ TEST(ShardCoordinatorTest, LiveWorkersNeverWaitForARebalance) {
     return registry.counter_value("serving/coordinator/failovers") >
            failovers;
   }));
-  faults.Reset();
+  faults.Disarm("serving/predict");
 
   // shard-1's worker handed the request to dead shard-0 and moved on: it
   // answers new work while the re-join and shard-0's rebalance still wait.
   auto direct = Submit(coordinator.shard("shard-1"), scenario, batch).get();
   EXPECT_TRUE(direct.ok()) << direct.status().ToString();
   EXPECT_FALSE(rejoined.load());
+  faults.Disarm("serving/deploy");
   rejoin.join();
 
   // Once the control plane is free, shard-0's own worker rebalances, then
@@ -709,104 +637,7 @@ TEST(ShardCoordinatorTest, LiveWorkersNeverWaitForARebalance) {
       EXPECT_NE(id, "shard-0");
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// ShardSupervisor: health-probed membership on a fake clock
-// ---------------------------------------------------------------------------
-
-TEST(ShardSupervisorTest, StateMachineEvictsDeadShardAndRejoinsAfterCooldown) {
-  obs::MetricsRegistry registry;
-  resilience::FakeClock clock;
-  CoordinatorOptions coordinator_options = SmallCoordinator(3, 2);
-  coordinator_options.clock = &clock;
-  ShardCoordinator coordinator(coordinator_options, &registry);
-  ASSERT_TRUE(coordinator.Deploy("s", TinyModel(70)).ok());
-
-  SupervisorOptions options;
-  options.dead_after_failures = 2;
-  options.rejoin_cooldown_ms = 500.0;
-  options.clock = &clock;
-  ShardSupervisor supervisor(&coordinator, options, &registry);
-
-  supervisor.ProbeOnce();
-  for (const auto& [id, health] : supervisor.States()) {
-    EXPECT_EQ(health, ShardHealth::kLive) << id;
-  }
-
-  ASSERT_TRUE(coordinator.KillShard("shard-1").ok());
-  // First failed probe: Suspect, NOT evicted — grace before teardown.
-  supervisor.ProbeOnce();
-  EXPECT_EQ(supervisor.States().at("shard-1"), ShardHealth::kSuspect);
-  EXPECT_EQ(registry.counter_value("serving/supervisor/evictions"), 0);
-
-  // Second consecutive failure: Dead, evicted from the ring.
-  supervisor.ProbeOnce();
-  EXPECT_EQ(supervisor.States().at("shard-1"), ShardHealth::kDead);
-  EXPECT_EQ(registry.counter_value("serving/supervisor/evictions"), 1);
-  EXPECT_EQ(coordinator.NumLiveShards(), 2);
-  const data::Batch batch = OneSample(71);
-  EXPECT_TRUE(coordinator.Predict("s", batch).ok());
-
-  // Within the cooldown the shard rests.
-  supervisor.ProbeOnce();
-  EXPECT_EQ(supervisor.States().at("shard-1"), ShardHealth::kDead);
-  EXPECT_EQ(registry.counter_value("serving/supervisor/rejoins"), 0);
-
-  // Cooldown elapses on the fake clock: the supervisor re-joins the shard
-  // warm and it returns to Live.
-  clock.SleepMs(600.0);
-  supervisor.ProbeOnce();
-  EXPECT_EQ(supervisor.States().at("shard-1"), ShardHealth::kLive);
-  EXPECT_EQ(registry.counter_value("serving/supervisor/rejoins"), 1);
-  EXPECT_EQ(coordinator.NumLiveShards(), 3);
-  EXPECT_TRUE(coordinator.Predict("s", batch).ok());
-
-  // The probed membership is stable afterwards.
-  supervisor.ProbeOnce();
-  EXPECT_EQ(supervisor.States().at("shard-1"), ShardHealth::kLive);
-}
-
-TEST(ShardSupervisorTest, FlappingProbesNeverTearDownHealthyShard) {
-  resilience::FaultInjector& faults = resilience::FaultInjector::Global();
   faults.Reset();
-  obs::MetricsRegistry registry;
-  resilience::FakeClock clock;
-  ShardCoordinator coordinator(SmallCoordinator(3, 2), &registry);
-  ASSERT_TRUE(coordinator.Deploy("s", TinyModel(72)).ok());
-
-  SupervisorOptions options;
-  options.dead_after_failures = 2;
-  options.clock = &clock;
-  ShardSupervisor supervisor(&coordinator, options, &registry);
-
-  // Every second probe fails at the injected fault point. With three
-  // shards probed per round the failure parity alternates per shard, so no
-  // shard ever fails twice in a row: Suspect absorbs every flap.
-  resilience::FaultRule rule;
-  rule.every_nth = 2;
-  rule.code = StatusCode::kUnavailable;
-  faults.Arm("serving/shard/probe", rule);
-
-  for (int round = 0; round < 8; ++round) {
-    supervisor.ProbeOnce();
-    for (const auto& [id, health] : supervisor.States()) {
-      EXPECT_NE(health, ShardHealth::kDead) << id << " round " << round;
-    }
-  }
-  EXPECT_GE(registry.counter_value("serving/supervisor/probe_failures"), 8);
-  EXPECT_EQ(registry.counter_value("serving/supervisor/evictions"), 0);
-  EXPECT_EQ(registry.counter_value("serving/rebalance_events"), 0);
-  EXPECT_EQ(coordinator.NumLiveShards(), 3);
-  const data::Batch batch = OneSample(73);
-  EXPECT_TRUE(coordinator.Predict("s", batch).ok());
-
-  // Once the flapping stops, one clean round settles everything Live.
-  faults.Reset();
-  supervisor.ProbeOnce();
-  for (const auto& [id, health] : supervisor.States()) {
-    EXPECT_EQ(health, ShardHealth::kLive) << id;
-  }
 }
 
 }  // namespace

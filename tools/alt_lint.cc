@@ -37,11 +37,10 @@
 //         through the ServingClient facade (src/serving/serving_client.h),
 //         which owns sharding, replication, failover and batching.
 //   L012  shard lifecycle mutation outside src/serving/shard: direct
-//         member calls to WorkerShard::Kill or the ring mutators
-//         (AddShardVnodes / RemoveShard), and direct HashRing construction,
-//         bypass the coordinator/supervisor — replica tables, the
-//         supervisor's health states, and the staged-rejoin ownership
-//         invariants all go stale.
+//         member calls to WorkerShard::Kill or the ring mutator
+//         RemoveShard, and direct HashRing construction, bypass the
+//         coordinator — its replica tables and the deploy-then-route
+//         re-join invariant go stale.
 //         Kill/rejoin/grow through ShardCoordinator (KillShard /
 //         RejoinShard / AddShard) or the ServingClient facade. Bare
 //         `AddShard(` member calls are deliberately not flagged: that name
@@ -443,8 +442,7 @@ void FindDirectServingConstruction(const std::string& stripped,
 
 // L012: shard lifecycle mutation outside the shard layer. Flags member
 // calls `x.Kill(` / `x->Kill(` (WorkerShard teardown) and the ring
-// mutators `AddShardVnodes` / `RemoveShard`, plus direct HashRing
-// construction. Qualified names (`WorkerShard::Kill` definitions) and
+// mutator `RemoveShard`, plus direct HashRing construction. Qualified names (`WorkerShard::Kill` definitions) and
 // longer identifiers (`KillShard`) never fire; `AddShard` is not scanned
 // because it is also the coordinator's own facade entry point.
 void FindDirectShardLifecycleMutation(const std::string& stripped,
@@ -466,14 +464,10 @@ void FindDirectShardLifecycleMutation(const std::string& stripped,
        "down through ShardCoordinator::KillShard (or "
        "ServingClient::KillShard) so routing and rebalancing stay "
        "consistent"},
-      {"AddShardVnodes",
-       "direct ring mutation outside src/serving/shard; membership changes "
-       "go through ShardCoordinator::AddShard/RejoinShard so the replica "
-       "table and the staged-rejoin ownership invariants hold"},
       {"RemoveShard",
        "direct ring mutation outside src/serving/shard; membership changes "
        "go through ShardCoordinator::KillShard/RejoinShard so the replica "
-       "table and the staged-rejoin ownership invariants hold"},
+       "table and the deploy-then-route re-join invariant hold"},
   };
   for (const Banned& banned : kMemberCalls) {
     const std::string token = banned.token;
@@ -498,13 +492,13 @@ void FindDirectShardLifecycleMutation(const std::string& stripped,
   FindDirectConstructionOf(
       stripped, file, "HashRing", "L012",
       "direct HashRing construction outside src/serving/shard; the "
-      "coordinator owns the ring so staged vnode admission and replica "
+      "coordinator owns the ring so shard admission and replica "
       "recomputation stay atomic",
       out);
 }
 
 // True for directories exempt from the shard-lifecycle rule L012: the shard
-// layer itself (coordinator + supervisor own membership).
+// layer itself (the coordinator owns membership).
 bool InShardExemptDir(const std::string& path) {
   std::string norm = path;
   std::replace(norm.begin(), norm.end(), '\\', '/');
@@ -883,9 +877,6 @@ int RunSelfTest() {
        nullptr},
       {"direct shard Kill outside shard layer", "src/core/bad19.cc",
        "void F(serving::shard::WorkerShard* w) { w->Kill(); }", "L012"},
-      {"direct ring vnode mutation outside shard layer", "src/core/bad20.cc",
-       "void F(serving::shard::HashRing* r) { r->AddShardVnodes(\"s\", 4); }",
-       "L012"},
       {"direct ring removal outside shard layer", "src/core/bad21.cc",
        "void F(serving::shard::HashRing& r) { r.RemoveShard(\"shard-1\"); }",
        "L012"},

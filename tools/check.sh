@@ -21,9 +21,10 @@
 #                throughput_rps (each run kills a shard mid-stream, then
 #                warm-rejoins it, and exits nonzero unless zero requests
 #                are lost and the rejoined shard recovers its share)
-#   serving-elastic  shard lifecycle suite in the ASan tree: supervisor
-#                state machine, warm kill->rejoin with zero lost requests,
-#                staged ring admission bounds, and shed/recover hysteresis
+#   serving-elastic  shard lifecycle suite in the ASan tree: kill ->
+#                rebalance (by traffic or by the next control-plane call),
+#                warm rejoin and scale-up with zero lost requests, the join
+#                movement bound, and the queue cap's shed/recover
 #   simd-parity  kernel/parity/quant tests rerun with ALT_SIMD=off (the
 #                guaranteed scalar contract) in the release tree
 #   telemetry    a breaker-driven /healthz probe flips to 503 under injected
@@ -201,14 +202,17 @@ fi
 
 if wants serving-elastic; then
   ensure_asan_build
-  # Serving-elastic stage: the shard lifecycle suite under ASan. Covers the
-  # supervisor state machine (probe flap must never evict a healthy shard),
-  # warm kill->rejoin with zero lost requests for synchronous and enqueued
-  # requests, staged ring admission movement bounds, and the
-  # shed-then-recover hysteresis contract.
+  # Serving-elastic stage: the shard lifecycle suite under ASan. Covers a
+  # kill's rebalance, run by the dead shard's worker or by the next deploy
+  # without traffic, warm kill->rejoin and scale-up with zero lost requests
+  # for synchronous and enqueued requests, live workers never waiting on a
+  # rebalance, the one-shot join movement bound, and the queue cap's
+  # shed-then-recover contract.
   echo "==> serving-elastic stage (build-asan, shard lifecycle suite)"
   ./build-asan/tests/shard_test --gtest_filter=\
-'ShardSupervisorTest.*:*Rejoin*:*Shed*:*Staged*:*AddShard*:*HardQueueCap*'
+'*KillDrainsQueue*:*KillTriggersRebalance*:*ControlPlaneEvicts*:'\
+'*Rejoin*:*AddShard*:*LiveWorkersNeverWait*:*JoinMoves*:'\
+'*HardQueueCap*:*ShedsWithResourceExhausted*'
   ./build-asan/tests/serving_client_test --gtest_filter=\
 '*KillRejoin*:*AddShardGrows*:*GetHealthReflects*'
 fi
