@@ -41,8 +41,8 @@ struct AltSystemOptions {
   /// failures (e.g. injected serving/deploy faults) retry before the
   /// scenario pipeline surfaces an error.
   resilience::RetryOptions deploy_retry;
-  /// Serving plane configuration (sharding topology, batching, resilience
-  /// policy). The default is the classic single-shard layout;
+  /// Serving plane configuration (sharding topology, queue cap, tracing and
+  /// SLOs, resilience policy). The default is the classic single-shard layout;
   /// `serving.resilience` is what StartResilientServing() applies.
   serving::ServingClient::Options serving;
   /// Telemetry exposition server (obs::TelemetryServer) on 127.0.0.1.

@@ -16,29 +16,6 @@
 namespace alt {
 namespace nas {
 
-namespace {
-
-/// The Eq. 5 loss: CE(student, hard) + delta * CE(student, teacher_soft).
-/// Teacher may be null (hard labels only).
-ag::Variable DistillLoss(models::BaseModel* student,
-                         models::BaseModel* teacher, const data::Batch& batch,
-                         float delta, Rng* dropout_rng) {
-  ag::Variable logits = student->Forward(batch, dropout_rng);
-  ag::Variable hard = ag::Variable::Constant(batch.labels);
-  ag::Variable loss = ag::BCEWithLogits(logits, hard);
-  if (teacher != nullptr && delta > 0.0f) {
-    std::vector<float> soft_probs = teacher->PredictProbs(batch);
-    Tensor soft = Tensor::FromVector({batch.batch_size, 1}, soft_probs);
-    loss = ag::Add(
-        loss, ag::ScalarMul(
-                  ag::BCEWithLogits(logits, ag::Variable::Constant(soft)),
-                  delta));
-  }
-  return loss;
-}
-
-}  // namespace
-
 Result<std::unique_ptr<models::BaseModel>> SearchLightModel(
     const models::ModelConfig& light_base, models::BaseModel* teacher,
     const data::ScenarioData& train_data, const NasSearchOptions& options,
@@ -153,7 +130,7 @@ Result<std::unique_ptr<models::BaseModel>> SearchLightModel(
       // Weight step on the train split.
       data::Batch train_batch = MakeBatch(w_train, train_idx);
       model->ZeroGrad();
-      ag::Variable train_loss = DistillLoss(
+      ag::Variable train_loss = train::DistillationLoss(
           model.get(), teacher, train_batch, options.distill_delta,
           &dropout_rng);
       if (options.audit_graph && step == 1) {
@@ -176,8 +153,9 @@ Result<std::unique_ptr<models::BaseModel>> SearchLightModel(
           MakeBatch(w_val, val_batches[val_cursor % val_batches.size()]);
       ++val_cursor;
       model->ZeroGrad();
-      ag::Variable val_loss = DistillLoss(model.get(), teacher, val_batch,
-                                          options.distill_delta, &dropout_rng);
+      ag::Variable val_loss =
+          train::DistillationLoss(model.get(), teacher, val_batch,
+                                  options.distill_delta, &dropout_rng);
       val_loss =
           ag::Add(val_loss,
                   ag::ScalarMul(

@@ -80,38 +80,22 @@ ModelServer::ModelServer(obs::MetricsRegistry* registry)
 
 Status ModelServer::Deploy(const std::string& scenario,
                            std::unique_ptr<models::BaseModel> model,
-                           const DeployOptions& options) {
-  if (!options.retry_transient) return DeployAttempt(scenario, &model, options);
-  resilience::RetryPolicy policy(options.retry);
-  return policy.Run("serving deploy " + scenario, [this, &scenario, &model,
-                                                   &options]() {
-    // DeployAttempt consumes the model only on success, so every retry
-    // attempt still has it.
-    return DeployAttempt(scenario, &model, options);
-  });
-}
-
-Status ModelServer::DeployAttempt(const std::string& scenario,
-                                  std::unique_ptr<models::BaseModel>* model,
-                                  const DeployOptions& options) {
-  if (model == nullptr || *model == nullptr) {
-    return Status::InvalidArgument("null model");
-  }
-  ALT_FAULT_RETURN_IF("serving/deploy");
-  (*model)->SetTraining(false);
+                           const DeployOptions& options, uint64_t version) {
+  if (model == nullptr) return Status::InvalidArgument("null model");
+  model->SetTraining(false);
   if (options.quantize_int8) {
     // Score the calibration batch with the fp32 weights first: those probs
     // are the distillation soft labels the quantized model is checked
     // against.
     std::vector<float> soft_labels;
     if (options.calibration != nullptr) {
-      soft_labels = (*model)->PredictProbs(*options.calibration);
+      soft_labels = model->PredictProbs(*options.calibration);
     }
-    (*model)->QuantizeForServing();
+    model->QuantizeForServing();
     registry_->counter("serving/quantized_deploys")->Add();
     if (options.calibration != nullptr) {
       const std::vector<float> int8_probs =
-          (*model)->PredictProbs(*options.calibration);
+          model->PredictProbs(*options.calibration);
       double max_delta = 0.0;
       for (size_t i = 0; i < soft_labels.size(); ++i) {
         max_delta = std::max(
@@ -134,8 +118,16 @@ Status ModelServer::DeployAttempt(const std::string& scenario,
       deployment = it->second;
     }
   }
+  // The gate and the swap are one critical section, so a concurrent newer
+  // install can never be overwritten by an older one.
   MutexLock model_lock(deployment->mu);
-  deployment->model = std::move(*model);
+  if (version < deployment->version) {
+    return Status::FailedPrecondition(
+        "stale deploy of " + scenario + " v" + std::to_string(version) +
+        " (have v" + std::to_string(deployment->version) + ")");
+  }
+  deployment->model = std::move(model);
+  deployment->version = version;
   return Status::OK();
 }
 
@@ -145,6 +137,13 @@ Status ModelServer::Undeploy(const std::string& scenario) {
     return Status::NotFound("scenario " + scenario);
   }
   return Status::OK();
+}
+
+uint64_t ModelServer::DeployedVersion(const std::string& scenario) const {
+  std::shared_ptr<Deployment> deployment = FindDeployment(scenario);
+  if (deployment == nullptr) return 0;
+  MutexLock model_lock(deployment->mu);
+  return deployment->version;
 }
 
 bool ModelServer::IsDeployed(const std::string& scenario) const {

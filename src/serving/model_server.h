@@ -38,9 +38,10 @@ struct DeployOptions {
   /// traffic fans out over more workers. A plain ModelServer ignores it.
   bool hot = false;
   /// Retry transient deploy failures (e.g. injected serving/deploy faults)
-  /// under `retry` before giving up. The model survives failed attempts and
-  /// is consumed only on success or once the schedule is exhausted — this
-  /// subsumes external retry wrappers around single deploy attempts.
+  /// under `retry` before giving up: the sharded plane's coordinator retries
+  /// each replica's copy step. The model survives failed attempts and is
+  /// consumed only on success or once the schedule is exhausted. A plain
+  /// ModelServer ignores it.
   bool retry_transient = false;
   resilience::RetryOptions retry;
   /// Per-scenario SLO: latency target + availability objective. A plain
@@ -50,10 +51,12 @@ struct DeployOptions {
 };
 
 /// The Model Serving module (Sec. IV-E): the per-scenario model registry
-/// of one serving engine, with thread-safe prediction. Deploys are atomic
-/// swaps, so scenarios can be re-deployed while serving. Each WorkerShard
-/// owns one; degradation (breakers, deadlines, fallbacks) and per-request
-/// latency belong to ServingClient, not to the engine.
+/// of one serving engine, with thread-safe prediction. Deploys are
+/// version-gated atomic swaps, so scenarios can be re-deployed while
+/// serving. Each WorkerShard owns one; placing models on shards (copies,
+/// retries, the serving/deploy fault point) belongs to ShardCoordinator,
+/// and degradation (breakers, deadlines, fallbacks) and per-request latency
+/// to ServingClient, not to the engine.
 ///
 /// Observability: quantized deploys count into the constructor's registry
 /// as `serving/quantized_deploys` and
@@ -65,14 +68,20 @@ class ModelServer {
   /// server.
   explicit ModelServer(obs::MetricsRegistry* registry = nullptr);
 
-  /// Installs (or replaces) the serving model of `scenario`. The one deploy
-  /// entry point: retry behavior is selected via
-  /// DeployOptions::retry_transient / DeployOptions::retry.
+  /// Installs (or replaces) the serving model of `scenario` at `version`:
+  /// int8-quantizes it when DeployOptions::quantize_int8 asks, then swaps it
+  /// in. The version gate and the swap are one critical section under the
+  /// scenario's model lock: a version older than the installed one is
+  /// FailedPrecondition, and an equal or newer one replaces it. Past a null
+  /// model (InvalidArgument) nothing else fails, so a caller that made the
+  /// model can install it on a live engine without a failure path.
   Status Deploy(const std::string& scenario,
                 std::unique_ptr<models::BaseModel> model,
-                const DeployOptions& options = {});
+                const DeployOptions& options = {}, uint64_t version = 0);
 
   Status Undeploy(const std::string& scenario);
+  /// The version `scenario`'s model was installed at; 0 when none is.
+  uint64_t DeployedVersion(const std::string& scenario) const;
   bool IsDeployed(const std::string& scenario) const;
   std::vector<std::string> Scenarios() const;
 
@@ -102,14 +111,11 @@ class ModelServer {
     /// The serving model; swapped atomically by Deploy, serialized per
     /// scenario by Predict.
     std::unique_ptr<models::BaseModel> model ALT_GUARDED_BY(mu);
+    /// The installed model's version, which Deploy's gate compares.
+    uint64_t version ALT_GUARDED_BY(mu) = 0;
   };
 
   std::shared_ptr<Deployment> FindDeployment(const std::string& scenario) const;
-  /// One deploy attempt; consumes `*model` only on success (the retry-loop
-  /// contract, now an implementation detail of Deploy's retry loop).
-  Status DeployAttempt(const std::string& scenario,
-                       std::unique_ptr<models::BaseModel>* model,
-                       const DeployOptions& options);
 
   /// Deployments are shared_ptrs so an in-flight Predict keeps its
   /// deployment alive across a concurrent Undeploy.

@@ -1,10 +1,14 @@
 #include "src/serving/shard/coordinator.h"
 
 #include <algorithm>
+#include <functional>
 #include <future>
+#include <limits>
 #include <sstream>
 #include <utility>
 
+#include "src/resilience/fault_injection.h"
+#include "src/resilience/retry.h"
 #include "src/serving/model_store.h"
 #include "src/util/atomic_file.h"
 #include "src/util/logging.h"
@@ -90,15 +94,34 @@ WorkerShard* ShardCoordinator::LiveShard(const std::string& shard_id) const {
   return (worker == nullptr || worker->dead()) ? nullptr : worker;
 }
 
+int ShardCoordinator::ReplicasWanted(const ScenarioEntry& entry) const {
+  if (entry.everywhere) return std::numeric_limits<int>::max();
+  return entry.options.hot ? options_.hot_replication : options_.replication;
+}
+
 Status ShardCoordinator::Deploy(const std::string& scenario,
                                 std::unique_ptr<models::BaseModel> model,
                                 const DeployOptions& options) {
+  return Broadcast(scenario, std::move(model), options, /*everywhere=*/false);
+}
+
+Status ShardCoordinator::DeployEverywhere(
+    const std::string& scenario, std::unique_ptr<models::BaseModel> model,
+    const DeployOptions& options) {
+  return Broadcast(scenario, std::move(model), options, /*everywhere=*/true);
+}
+
+Status ShardCoordinator::Broadcast(const std::string& scenario,
+                                   std::unique_ptr<models::BaseModel> model,
+                                   const DeployOptions& options,
+                                   bool everywhere) {
   if (model == nullptr) return Status::InvalidArgument("null model");
   MutexLock control(control_mu_);
   EvictDeadShardsLocked();
   ScenarioEntry entry;
   entry.options = options;
   entry.options.calibration = nullptr;  // Dangling after this call.
+  entry.everywhere = everywhere;
   {
     std::ostringstream out;
     ALT_RETURN_IF_ERROR(SaveModelBundle(model.get(), &out));
@@ -109,118 +132,130 @@ Status ShardCoordinator::Deploy(const std::string& scenario,
     MutexLock state(state_mu_);
     auto it = table_.find(scenario);
     entry.version = (it != table_.end() ? it->second.version : 0) + 1;
-    const int want =
-        options.hot ? options_.hot_replication : options_.replication;
-    targets = ring_.RouteReplicas(scenario, want);
+    targets = ring_.RouteReplicas(scenario, ReplicasWanted(entry));
   }
   if (targets.empty()) {
     return Status::Unavailable("no live shards to deploy " + scenario);
   }
-  return BroadcastLocked(scenario, &entry, std::move(model), options, targets);
-}
-
-Status ShardCoordinator::DeployEverywhere(
-    const std::string& scenario, std::unique_ptr<models::BaseModel> model,
-    const DeployOptions& options) {
-  if (model == nullptr) return Status::InvalidArgument("null model");
-  MutexLock control(control_mu_);
-  EvictDeadShardsLocked();
-  ScenarioEntry entry;
-  entry.options = options;
-  entry.options.calibration = nullptr;
-  entry.everywhere = true;
-  {
-    std::ostringstream out;
-    ALT_RETURN_IF_ERROR(SaveModelBundle(model.get(), &out));
-    entry.bundle = out.str();
-  }
-  std::vector<std::string> targets;
-  {
-    MutexLock state(state_mu_);
-    auto it = table_.find(scenario);
-    entry.version = (it != table_.end() ? it->second.version : 0) + 1;
-    targets = ring_.Shards();
-  }
-  if (targets.empty()) {
-    return Status::Unavailable("no live shards to deploy " + scenario);
-  }
-  return BroadcastLocked(scenario, &entry, std::move(model), options, targets);
-}
-
-Status ShardCoordinator::BroadcastLocked(
-    const std::string& scenario, ScenarioEntry* entry,
-    std::unique_ptr<models::BaseModel> original,
-    const DeployOptions& deploy_options,
-    const std::vector<std::string>& targets) {
   obs::ScopedTimerMs timer(broadcast_ms_);
-  Status first_error;
-  std::vector<std::string> deployed;
-  for (size_t i = 0; i < targets.size(); ++i) {
-    WorkerShard* target = FindShard(targets[i]);
-    if (target == nullptr) continue;
-    std::unique_ptr<models::BaseModel> model;
-    if (i == 0) {
-      model = std::move(original);
-    } else {
-      // Replica fan-out: clone from the bundle serialized once above —
-      // serialize-once, deserialize-per-replica is the broadcast protocol.
-      std::istringstream in(entry->bundle);
-      Result<std::unique_ptr<models::BaseModel>> loaded = LoadModelBundle(&in);
-      if (!loaded.ok()) {
-        if (first_error.ok()) first_error = loaded.status();
+  // No shard holds the new version yet, so every target gets a copy, and a
+  // failed copy fails the deploy before any shard swaps: the table and
+  // every replica stay at the previous version.
+  ALT_ASSIGN_OR_RETURN(entry.replicas,
+                       PlaceLocked(scenario, entry, targets, std::move(model),
+                                   options, /*all_or_nothing=*/true));
+  MutexLock state(state_mu_);
+  table_[scenario] = std::move(entry);
+  PublishImbalanceLocked();
+  return Status::OK();
+}
+
+Result<std::unique_ptr<models::BaseModel>> ShardCoordinator::CopyModel(
+    const std::string& scenario, const ScenarioEntry& entry,
+    std::unique_ptr<models::BaseModel>* original) {
+  const std::function<Result<std::unique_ptr<models::BaseModel>>()> attempt =
+      [&]() -> Result<std::unique_ptr<models::BaseModel>> {
+    ALT_FAULT_RETURN_IF("serving/deploy");
+    // Moved out only by a successful attempt, so every retry still has it.
+    if (*original != nullptr) return std::move(*original);
+    std::istringstream in(entry.bundle);
+    return LoadModelBundle(&in);
+  };
+  if (!entry.options.retry_transient) return attempt();
+  resilience::RetryPolicy policy(entry.options.retry);
+  return policy.RunResult("serving deploy " + scenario, attempt);
+}
+
+Result<std::vector<std::string>> ShardCoordinator::PlaceLocked(
+    const std::string& scenario, const ScenarioEntry& entry,
+    const std::vector<std::string>& route,
+    std::unique_ptr<models::BaseModel> original, const DeployOptions& options,
+    bool all_or_nothing) {
+  std::vector<std::string> group;
+  std::vector<std::pair<WorkerShard*, std::unique_ptr<models::BaseModel>>>
+      copies;
+  for (const std::string& id : route) {
+    if (!Contains(entry.replicas, id)) {
+      Result<std::unique_ptr<models::BaseModel>> copy =
+          CopyModel(scenario, entry, &original);
+      if (!copy.ok()) {
+        if (all_or_nothing) return copy.status();
+        ALT_LOG(Warning) << "copy of " << scenario << " v" << entry.version
+                         << " for " << id << " failed, so " << id
+                         << " stays out of its replica group: "
+                         << copy.status().ToString();
         continue;
       }
-      model = std::move(loaded).value();
+      copies.emplace_back(FindShard(id), std::move(copy).value());
     }
-    Status status = target->Deploy(scenario, std::move(model),
-                                   deploy_options, entry->version);
-    if (status.ok()) {
-      deployed.push_back(targets[i]);
-    } else if (first_error.ok()) {
-      first_error = status;
+    group.push_back(id);
+  }
+  for (auto& [worker, model] : copies) {
+    // Fails only on a shard that died since its copy. It stays in the
+    // group: the rebalance its death triggers re-homes the scenario from
+    // the committed entry.
+    const Status installed =
+        worker->Deploy(scenario, std::move(model), options, entry.version);
+    if (!installed.ok()) {
+      ALT_LOG(Warning) << "install of " << scenario << " v" << entry.version
+                       << " failed: " << installed.ToString();
     }
   }
-  if (!first_error.ok()) {
-    // Partial broadcast: replicas that swapped keep the new model at this
-    // version, but the authoritative table stays at the previous version —
-    // the next successful Deploy (same version number again) supersedes.
-    return first_error;
+  return group;
+}
+
+Status ShardCoordinator::RegroupLocked(HashRing ring, bool all_or_nothing) {
+  struct Move {
+    std::string scenario;
+    ScenarioEntry entry;
+    std::vector<std::string> route;
+  };
+  std::vector<Move> moves;
+  {
+    MutexLock state(state_mu_);
+    for (const auto& [scenario, entry] : table_) {
+      std::vector<std::string> route =
+          ring.RouteReplicas(scenario, ReplicasWanted(entry));
+      if (route != entry.replicas) {
+        moves.push_back({scenario, entry, std::move(route)});
+      }
+    }
   }
-  if (deployed.empty()) {
-    return Status::Unavailable("no shard accepted deploy of " + scenario);
+  // Copies run outside state_mu_ so routing stays readable; control_mu_
+  // keeps the table stable meanwhile.
+  for (Move& move : moves) {
+    ALT_ASSIGN_OR_RETURN(
+        move.entry.replicas,
+        PlaceLocked(move.scenario, move.entry, move.route, nullptr,
+                    move.entry.options, all_or_nothing));
   }
-  entry->replicas = std::move(deployed);
   MutexLock state(state_mu_);
-  table_[scenario] = std::move(*entry);
+  ring_ = std::move(ring);
+  for (Move& move : moves) {
+    table_.at(move.scenario).replicas = std::move(move.entry.replicas);
+  }
   PublishImbalanceLocked();
   return Status::OK();
 }
 
 Status ShardCoordinator::Undeploy(const std::string& scenario) {
   MutexLock control(control_mu_);
-  std::vector<std::string> targets;
+  std::vector<WorkerShard*> workers;
   {
     MutexLock state(state_mu_);
-    auto it = table_.find(scenario);
-    if (it == table_.end()) {
+    if (table_.erase(scenario) == 0) {
       return Status::NotFound("scenario " + scenario + " not deployed");
     }
-    if (it->second.everywhere) {
-      for (const auto& [id, worker] : shards_by_id_) targets.push_back(id);
-    } else {
-      targets = it->second.replicas;
-    }
-    table_.erase(it);
     PublishImbalanceLocked();
+    for (const auto& worker : shards_) workers.push_back(worker.get());
   }
-  for (const std::string& id : targets) {
-    WorkerShard* worker = FindShard(id);
-    if (worker == nullptr) continue;
-    // A replica that never finished its deploy reports NotFound; that is
-    // the desired end state, not an error.
+  // Every shard, not just the group: a replica an admission displaced keeps
+  // its copy, at a version that a later Deploy, restarting at v1, could not
+  // replace. A shard without the scenario reports NotFound, which is fine.
+  for (WorkerShard* worker : workers) {
     Status status = worker->Undeploy(scenario);
     if (!status.ok() && status.code() != StatusCode::kNotFound) {
-      ALT_LOG(Warning) << "undeploy of " << scenario << " on " << id
+      ALT_LOG(Warning) << "undeploy of " << scenario << " on " << worker->id()
                        << " failed: " << status.ToString();
     }
   }
@@ -246,12 +281,7 @@ std::vector<WorkerShard*> ShardCoordinator::RankedReplicas(
   MutexLock state(state_mu_);
   auto it = table_.find(scenario);
   if (it == table_.end()) return replicas;
-  const ScenarioEntry& entry = it->second;
-  std::vector<std::string> everywhere;
-  if (entry.everywhere) everywhere = ring_.Shards();
-  // Both branches are lvalues, so the replica list is not copied.
-  const std::vector<std::string>& ids =
-      entry.everywhere ? everywhere : entry.replicas;
+  const std::vector<std::string>& ids = it->second.replicas;
   replicas.reserve(ids.size());
   for (const std::string& id : ids) replicas.push_back(shards_by_id_.at(id));
   if (replicas.size() >= 2) {
@@ -437,72 +467,19 @@ void ShardCoordinator::HandleShardDeath(const std::string& shard_id) {
 }
 
 void ShardCoordinator::HandleShardDeathLocked(const std::string& shard_id) {
-  struct Affected {
-    std::string scenario;
-    ScenarioEntry snapshot;
-    std::vector<std::string> new_replicas;
-    std::vector<std::string> add_targets;
-  };
-  std::vector<Affected> affected;
+  HashRing ring;
   {
     MutexLock state(state_mu_);
     if (!ring_.HasShard(shard_id)) return;  // Already rebalanced away.
-    ring_.RemoveShard(shard_id);
-    for (const auto& [scenario, entry] : table_) {
-      if (!entry.everywhere && !Contains(entry.replicas, shard_id)) continue;
-      Affected item;
-      item.scenario = scenario;
-      item.snapshot.version = entry.version;
-      item.snapshot.options = entry.options;
-      item.snapshot.everywhere = entry.everywhere;
-      if (entry.everywhere) {
-        // Every remaining shard already holds it; just shrink the group.
-        item.new_replicas = ring_.Shards();
-      } else {
-        const int want = entry.options.hot ? options_.hot_replication
-                                           : options_.replication;
-        item.new_replicas = ring_.RouteReplicas(scenario, want);
-        for (const std::string& id : item.new_replicas) {
-          if (!Contains(entry.replicas, id)) item.add_targets.push_back(id);
-        }
-        if (!item.add_targets.empty()) item.snapshot.bundle = entry.bundle;
-      }
-      affected.push_back(std::move(item));
-    }
+    ring = ring_;
   }
+  ring.RemoveShard(shard_id);
   rebalance_events_->Add(1);
-  // Re-deploys run outside state_mu_ so routing stays readable; control_mu_
-  // keeps the table stable meanwhile.
-  for (Affected& item : affected) {
-    for (const std::string& target : item.add_targets) {
-      WorkerShard* worker = LiveShard(target);
-      if (worker == nullptr) continue;
-      std::istringstream in(item.snapshot.bundle);
-      Result<std::unique_ptr<models::BaseModel>> loaded = LoadModelBundle(&in);
-      Status status = loaded.ok()
-                          ? worker->Deploy(item.scenario,
-                                           std::move(loaded).value(),
-                                           item.snapshot.options,
-                                           item.snapshot.version)
-                          : loaded.status();
-      if (!status.ok()) {
-        ALT_LOG(Warning) << "rebalance re-deploy of " << item.scenario
-                         << " onto " << target
-                         << " failed: " << status.ToString();
-      }
-    }
-  }
-  MutexLock state(state_mu_);
-  for (Affected& item : affected) {
-    auto it = table_.find(item.scenario);
-    // Version check: a Deploy cannot have raced (control_mu_ is held), but
-    // an Undeploy-then-Deploy sequence is impossible for the same reason;
-    // the guard is belt-and-braces against future concurrent writers.
-    if (it != table_.end() && it->second.version == item.snapshot.version) {
-      it->second.replicas = std::move(item.new_replicas);
-    }
-  }
-  PublishImbalanceLocked();
+  // Without all_or_nothing a failed copy only leaves its shard out of the
+  // group, so the regroup itself cannot fail.
+  const Status regrouped =
+      RegroupLocked(std::move(ring), /*all_or_nothing=*/false);
+  ALT_CHECK(regrouped.ok()) << regrouped.ToString();
 }
 
 void ShardCoordinator::EvictDeadShardsLocked() {
@@ -548,62 +525,17 @@ Status ShardCoordinator::AddShard(const std::string& shard_id) {
 }
 
 Status ShardCoordinator::AdmitShardLocked(WorkerShard* worker) {
-  const std::string& id = worker->id();
-  // Final assignment: every scenario the ring with this shard will place on
-  // it (plus all everywhere deployments). Computed on a ring COPY — the
-  // live ring is untouched until the models are in place.
-  struct Assigned {
-    std::string scenario;
-    std::string bundle;
-    DeployOptions options;
-    uint64_t version = 0;
-  };
-  std::vector<Assigned> assigned;
+  HashRing ring;
   {
     MutexLock state(state_mu_);
-    HashRing future_ring = ring_;
-    future_ring.AddShard(id);  // alt_lint: allow(L008): void HashRing::AddShard
-    for (const auto& [scenario, entry] : table_) {
-      bool wanted = entry.everywhere;
-      if (!wanted) {
-        const int want = entry.options.hot ? options_.hot_replication
-                                           : options_.replication;
-        wanted = Contains(future_ring.RouteReplicas(scenario, want), id);
-      }
-      if (!wanted) continue;
-      Assigned item;
-      item.scenario = scenario;
-      item.bundle = entry.bundle;
-      item.options = entry.options;
-      item.version = entry.version;
-      assigned.push_back(std::move(item));
-    }
+    ring = ring_;
   }
-  // Warm pre-deploy from the cached bundles at current versions, BEFORE any
-  // ring mutation: a key never routes to this shard until the model it
-  // needs is already swapped in. Any failure aborts the admission with the
-  // ring unchanged (models already deployed are harmless — unrouted).
-  for (const Assigned& item : assigned) {
-    std::istringstream in(item.bundle);
-    Result<std::unique_ptr<models::BaseModel>> loaded = LoadModelBundle(&in);
-    if (!loaded.ok()) return loaded.status();
-    ALT_RETURN_IF_ERROR(worker->Deploy(item.scenario,
-                                       std::move(loaded).value(),
-                                       item.options, item.version));
-  }
-  // The shard joins the ring, and every replica group is recomputed from
-  // it. A group can only change by this shard entering it (possibly
-  // displacing its last member), and this shard already holds every model
-  // its groups need — so the table never names a replica without the model.
-  MutexLock state(state_mu_);
-  ring_.AddShard(id);  // alt_lint: allow(L008): void HashRing::AddShard
-  for (auto& [scenario, entry] : table_) {
-    if (entry.everywhere) continue;
-    const int want = entry.options.hot ? options_.hot_replication
-                                       : options_.replication;
-    entry.replicas = ring_.RouteReplicas(scenario, want);
-  }
-  PublishImbalanceLocked();
+  ring.AddShard(worker->id());  // alt_lint: allow(L008): void HashRing method
+  // Deploy-then-route: the shard gets every model the grown ring assigns it
+  // before its virtual nodes join the live ring. A failed copy aborts the
+  // admission with the ring unchanged; models already installed are
+  // harmless, because nothing routes to them.
+  ALT_RETURN_IF_ERROR(RegroupLocked(std::move(ring), /*all_or_nothing=*/true));
   rejoins_->Add(1);
   return Status::OK();
 }
@@ -613,21 +545,8 @@ std::vector<std::string> ShardCoordinator::UnservableScenarios() const {
   MutexLock state(state_mu_);
   for (const auto& [scenario, entry] : table_) {
     bool live = false;
-    if (entry.everywhere) {
-      for (const auto& [id, worker] : shards_by_id_) {
-        if (ring_.HasShard(id) && !worker->dead()) {
-          live = true;
-          break;
-        }
-      }
-    } else {
-      for (const std::string& id : entry.replicas) {
-        auto it = shards_by_id_.find(id);
-        if (it != shards_by_id_.end() && !it->second->dead()) {
-          live = true;
-          break;
-        }
-      }
+    for (const std::string& id : entry.replicas) {
+      live = live || !shards_by_id_.at(id)->dead();
     }
     if (!live) out.push_back(scenario);
   }
@@ -669,7 +588,7 @@ std::vector<std::string> ShardCoordinator::ReplicasOf(
   MutexLock state(state_mu_);
   auto it = table_.find(scenario);
   if (it == table_.end()) return {};
-  return it->second.everywhere ? ring_.Shards() : it->second.replicas;
+  return it->second.replicas;
 }
 
 uint64_t ShardCoordinator::VersionOf(const std::string& scenario) const {

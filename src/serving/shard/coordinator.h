@@ -44,11 +44,15 @@ struct CoordinatorOptions {
 /// table (version, replica group, cached fp32 bundle) that makes
 /// rebalancing possible.
 ///
-/// Deploy is a broadcast: the model is serialized once, the original lands
-/// on the owner shard and bundle-clones on the other replicas, all gated by
-/// a monotonically increasing per-scenario version so a rebalance re-deploy
-/// can never clobber a newer model (no torn reads: each request is served
-/// whole by one replica, and each replica swaps atomically).
+/// A model reaches a shard one way — for a broadcast deploy, a rebalance
+/// and a warm admission alike — in two steps. The copy step makes each
+/// target's model (the caller's original for a broadcast's first target,
+/// clones of the cached bundle otherwise) and runs everything that can fail,
+/// before any shard swaps; the install step swaps the copies in at the
+/// scenario's version and fails only on a dead shard. A shard joins a
+/// replica group only once it holds the group's version, so every replica a
+/// request can reach serves the same model. Deploy serializes the model
+/// once, and a failed deploy installs nothing and consumes no version.
 ///
 /// Predict balances over the scenario's live replicas with
 /// power-of-two-choices on shard queue depth and fails over to the
@@ -62,15 +66,17 @@ struct CoordinatorOptions {
 /// Shard lifecycle: KillShard marks a shard dead. The first requests that
 /// reach it make its own worker thread rebalance the plane
 /// (HandleShardDeath) before it answers them Unavailable: the shard leaves
-/// the ring and its scenarios re-deploy from cached bundles onto their new
+/// the ring and its scenarios are placed from cached bundles onto their new
 /// ring owners — only keys the ring moved, which is the consistent-hash
-/// minimal-disruption guarantee. So no caller's thread and no live shard's
-/// worker runs a rebalance or blocks on one; only the requests that reached
-/// the dead shard wait for it. A control-plane operation (Deploy,
-/// DeployEverywhere, RejoinShard, AddShard) first runs that same rebalance
-/// for every dead shard still on the ring, so it never waits for traffic.
-/// RejoinShard and AddShard are deploy-then-route: the shard gets every
-/// model it will serve before its virtual nodes enter the ring.
+/// minimal-disruption guarantee. A new owner whose copy fails stays out of
+/// the group, which runs one replica short until a later placement. So no
+/// caller's thread and no live shard's worker runs a rebalance or blocks on
+/// one; only the requests that reached the dead shard wait for it. A
+/// control-plane operation (Deploy, DeployEverywhere, RejoinShard, AddShard)
+/// first runs that same rebalance for every dead shard still on the ring,
+/// so it never waits for traffic. RejoinShard and AddShard are
+/// deploy-then-route: the shard gets every model it will serve before its
+/// virtual nodes enter the ring.
 ///
 /// Locking: `control_mu_` serializes control-plane operations
 /// (Deploy/Undeploy/rebalance) and is never held while scoring; `state_mu_`
@@ -127,18 +133,20 @@ class ShardCoordinator {
   ShardCoordinator(const ShardCoordinator&) = delete;
   ShardCoordinator& operator=(const ShardCoordinator&) = delete;
 
-  /// Broadcasts `model` to the scenario's replica group (ring owner first).
+  /// Broadcasts `model` to the scenario's replica group (ring owner first):
+  /// copies for every replica, then installs, then commits the next
+  /// version; a failed copy returns its error with nothing installed.
   /// DeployOptions::hot widens the group to hot_replication;
-  /// DeployOptions::retry_transient retries each replica's deploy attempt.
-  /// Like DeployEverywhere, RejoinShard and AddShard, it first rebalances
-  /// away every killed shard still on the ring.
+  /// DeployOptions::retry_transient retries each replica's copy. Like
+  /// DeployEverywhere, RejoinShard and AddShard, it first rebalances away
+  /// every killed shard still on the ring.
   Status Deploy(const std::string& scenario,
                 std::unique_ptr<models::BaseModel> model,
                 const DeployOptions& options = {});
 
-  /// Deploys to every live shard (and to newcomers on rebalance) — for the
-  /// resilience fallback/default scenarios that any shard must be able to
-  /// answer locally.
+  /// Deploy with a replica group of every shard on the ring (newcomers join
+  /// it on admission) — for the resilience fallback/default scenarios that
+  /// any shard must be able to answer locally.
   Status DeployEverywhere(const std::string& scenario,
                           std::unique_ptr<models::BaseModel> model,
                           const DeployOptions& options = {});
@@ -182,12 +190,13 @@ class ShardCoordinator {
   Status KillShard(const std::string& shard_id);
 
   /// Warm re-join of a killed shard: revives the worker (clearing stale
-  /// serving state), re-deploys every scenario the ring with it will assign
-  /// to it from the cached bundles at current versions, and only then adds
-  /// its virtual nodes to the ring and recomputes the replica table —
-  /// routing shifts at most ~2/N of the key space, and no key ever routes to
-  /// a shard that does not already hold its model. NotFound for unknown
-  /// ids; FailedPrecondition when the shard is still live.
+  /// serving state), places every scenario the ring with it will assign to
+  /// it from the cached bundles at current versions, and only then adds its
+  /// virtual nodes to the ring and recomputes the replica groups — routing
+  /// shifts at most ~2/N of the key space, and no key ever routes to a shard
+  /// that does not already hold its model. A failed copy aborts it with the
+  /// ring unchanged. NotFound for unknown ids; FailedPrecondition when the
+  /// shard is still live.
   Status RejoinShard(const std::string& shard_id);
 
   /// Elastic scale-up: creates a brand-new WorkerShard (with the plane's
@@ -228,12 +237,14 @@ class ShardCoordinator {
  private:
   struct ScenarioEntry {
     uint64_t version = 0;
-    /// Serialized fp32 bundle; rebalance re-deploys clone from this.
+    /// Serialized fp32 bundle; every copy but a broadcast's first clones it.
     std::string bundle;
     /// Deploy options minus the calibration pointer (dangling after the
-    /// original call; re-deploys re-quantize without re-calibrating).
+    /// original call; later copies re-quantize without re-calibrating).
     DeployOptions options;
+    /// DeployEverywhere: the group wants every shard (ReplicasWanted).
     bool everywhere = false;
+    /// The replica group, in ring order: shards that hold `version`.
     std::vector<std::string> replicas;
   };
 
@@ -266,8 +277,8 @@ class ShardCoordinator {
   /// HandleShardDeathLocked, unless the shard was revived meanwhile.
   void HandleShardDeath(const std::string& shard_id)
       ALT_EXCLUDES(control_mu_, state_mu_);
-  /// Removes a dead shard from the ring and re-deploys its scenarios onto
-  /// their new owners. Idempotent.
+  /// Removes a dead shard from the ring and regroups every scenario on the
+  /// smaller ring. Idempotent.
   void HandleShardDeathLocked(const std::string& shard_id)
       ALT_REQUIRES(control_mu_) ALT_EXCLUDES(state_mu_);
   /// HandleShardDeathLocked for every dead shard still on the ring: the
@@ -275,21 +286,44 @@ class ShardCoordinator {
   /// traffic to find a killed shard.
   void EvictDeadShardsLocked() ALT_REQUIRES(control_mu_)
       ALT_EXCLUDES(state_mu_);
-  /// The shared warm-admission protocol of RejoinShard/AddShard: pre-deploy
-  /// of the final assignment from cached bundles, then the shard's vnodes
-  /// join the ring and the replica table is recomputed once.
+  /// The shared warm-admission protocol of RejoinShard/AddShard: the
+  /// regroup onto the ring with the shard, all or nothing, so the shard's
+  /// vnodes join the ring only once it holds every model they route to it.
   Status AdmitShardLocked(WorkerShard* worker)
       ALT_REQUIRES(control_mu_) ALT_EXCLUDES(state_mu_);
   /// A new worker with the plane's queue cap and the death hook.
   std::unique_ptr<WorkerShard> NewWorker(const std::string& shard_id);
-  /// Deploys `original` (owner) + bundle clones (other targets) and commits
-  /// the entry into the table on success. `deploy_options` is the caller's
-  /// options (still carrying the calibration pointer); `entry->options` is
-  /// the calibration-free copy cached for rebalances.
-  Status BroadcastLocked(const std::string& scenario, ScenarioEntry* entry,
-                         std::unique_ptr<models::BaseModel> original,
-                         const DeployOptions& deploy_options,
-                         const std::vector<std::string>& targets)
+  /// The group size `entry` wants: every shard on the ring for
+  /// DeployEverywhere, else hot_replication or replication.
+  int ReplicasWanted(const ScenarioEntry& entry) const;
+  /// The one body of Deploy and DeployEverywhere.
+  Status Broadcast(const std::string& scenario,
+                   std::unique_ptr<models::BaseModel> model,
+                   const DeployOptions& options, bool everywhere)
+      ALT_EXCLUDES(control_mu_, state_mu_);
+  /// The copy step: the model one more shard will serve at `entry`'s
+  /// version — `*original` while it is set, else a clone of the cached
+  /// bundle. Hosts the serving/deploy fault point, retried under the
+  /// entry's DeployOptions::retry_transient.
+  Result<std::unique_ptr<models::BaseModel>> CopyModel(
+      const std::string& scenario, const ScenarioEntry& entry,
+      std::unique_ptr<models::BaseModel>* original);
+  /// The one way a model reaches shards. Copies to every shard of `route`
+  /// outside entry.replicas (the shards that already hold entry.version),
+  /// the first of them taking `original` when set; then installs every copy
+  /// with `options`. A failed copy returns its error with nothing installed
+  /// when `all_or_nothing`, and otherwise is logged and leaves its shard out.
+  /// Returns the new group: `route` minus the shards whose copy failed.
+  Result<std::vector<std::string>> PlaceLocked(
+      const std::string& scenario, const ScenarioEntry& entry,
+      const std::vector<std::string>& route,
+      std::unique_ptr<models::BaseModel> original,
+      const DeployOptions& options, bool all_or_nothing)
+      ALT_REQUIRES(control_mu_) ALT_EXCLUDES(state_mu_);
+  /// Moves every replica group to its route on `ring` through PlaceLocked,
+  /// then makes `ring` the live ring and commits the groups in one step. An
+  /// all_or_nothing failure returns before the commit.
+  Status RegroupLocked(HashRing ring, bool all_or_nothing)
       ALT_REQUIRES(control_mu_) ALT_EXCLUDES(state_mu_);
   double ImbalanceLocked() const ALT_REQUIRES(state_mu_);
   void PublishImbalanceLocked() const ALT_REQUIRES(state_mu_);

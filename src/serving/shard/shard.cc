@@ -40,36 +40,7 @@ Status WorkerShard::Deploy(const std::string& scenario,
   if (dead()) {
     return Status::Unavailable("shard " + id_ + " is dead");
   }
-  {
-    MutexLock lock(versions_mu_);
-    auto it = versions_.find(scenario);
-    if (it != versions_.end() && version < it->second) {
-      return Status::FailedPrecondition(
-          "stale deploy of " + scenario + " v" + std::to_string(version) +
-          " on shard " + id_ + " (have v" + std::to_string(it->second) + ")");
-    }
-  }
-  ALT_RETURN_IF_ERROR(engine_.Deploy(scenario, std::move(model), options));
-  MutexLock lock(versions_mu_);
-  uint64_t& current = versions_[scenario];
-  // Re-check under the lock: a concurrent newer deploy may have landed
-  // between the gate above and the engine swap; versions only move forward.
-  if (version > current) current = version;
-  return Status::OK();
-}
-
-Status WorkerShard::Undeploy(const std::string& scenario) {
-  {
-    MutexLock lock(versions_mu_);
-    versions_.erase(scenario);
-  }
-  return engine_.Undeploy(scenario);
-}
-
-uint64_t WorkerShard::DeployedVersion(const std::string& scenario) const {
-  MutexLock lock(versions_mu_);
-  auto it = versions_.find(scenario);
-  return it == versions_.end() ? 0 : it->second;
+  return engine_.Deploy(scenario, std::move(model), options, version);
 }
 
 Status WorkerShard::SubmitPredict(const std::string& scenario,
@@ -144,10 +115,6 @@ Status WorkerShard::Revive() {
   // re-created at restarted versions while this shard was out.
   for (const std::string& scenario : engine_.Scenarios()) {
     ALT_RETURN_IF_ERROR(engine_.Undeploy(scenario));
-  }
-  {
-    MutexLock lock(versions_mu_);
-    versions_.clear();
   }
   dead_.store(false, std::memory_order_release);
   return Status::OK();

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <memory_resource>
 #include <string>
@@ -36,10 +35,12 @@ inline constexpr int64_t kMaxMergedRows = 16;
 /// One worker of the sharded serving plane: a ModelServer engine owned by a
 /// dedicated serving thread. The coordinator talks to a shard through two
 /// planes:
-///   - control plane: Deploy/Undeploy, version-gated so a stale broadcast
-///     (a rebalance racing a newer Deploy) can never overwrite a newer
-///     model — the swap itself is the engine's per-scenario atomic swap, so
-///     readers see the old model or the new one, never a torn mix;
+///   - control plane: Deploy/Undeploy. Deploy is the install step of the
+///     coordinator's placements: it installs a copy the coordinator already
+///     made, and fails only on a dead shard. The engine gates the version
+///     and swaps the model in one critical section, so a stale copy can
+///     never overwrite a newer model, and readers see the old model or the
+///     new one, never a torn mix;
 ///   - data plane: SubmitPredict enqueues onto the shard's queue. The worker
 ///     thread is the plane's only batcher: as soon as it is free it takes
 ///     the front request plus every later queued request of the same
@@ -83,18 +84,22 @@ class WorkerShard {
 
   const std::string& id() const { return id_; }
 
-  /// Version-gated deploy onto this shard's engine. `version` must be >= the
-  /// scenario's current version on this shard (equal re-deploys are
-  /// idempotent rebalance copies); a stale version is rejected with
-  /// FailedPrecondition and a dead shard with Unavailable.
+  /// Installs `model` at `version` through the engine's Deploy (quantize if
+  /// asked, then the gated swap). A dead shard is Unavailable; a version
+  /// older than the installed one is FailedPrecondition (an equal version
+  /// replaces it).
   Status Deploy(const std::string& scenario,
                 std::unique_ptr<models::BaseModel> model,
                 const DeployOptions& options, uint64_t version);
 
-  Status Undeploy(const std::string& scenario);
+  Status Undeploy(const std::string& scenario) {
+    return engine_.Undeploy(scenario);
+  }
 
-  /// The scenario's deployed version on this shard; 0 when never deployed.
-  uint64_t DeployedVersion(const std::string& scenario) const;
+  /// The scenario's deployed version on this shard; 0 when none is.
+  uint64_t DeployedVersion(const std::string& scenario) const {
+    return engine_.DeployedVersion(scenario);
+  }
 
   /// Enqueues a predict for the worker thread and returns OK; `done` then
   /// runs once on the worker thread, and `batch` must stay alive until it
@@ -210,9 +215,6 @@ class WorkerShard {
   bool death_pending_ ALT_GUARDED_BY(mu_) = false;
   bool stopping_ ALT_GUARDED_BY(mu_) = false;
   bool paused_ ALT_GUARDED_BY(mu_) = false;
-
-  mutable Mutex versions_mu_;
-  std::map<std::string, uint64_t> versions_ ALT_GUARDED_BY(versions_mu_);
 
   std::thread worker_;  // Last member: joined by Stop() / ~WorkerShard.
 };

@@ -190,15 +190,28 @@ Result<TrainReport> RunTraining(models::BaseModel* model,
 
 }  // namespace
 
+ag::Variable DistillationLoss(models::BaseModel* student,
+                              models::BaseModel* teacher,
+                              const data::Batch& batch, float delta,
+                              Rng* dropout_rng) {
+  ag::Variable logits = student->Forward(batch, dropout_rng);
+  ag::Variable hard = ag::Variable::Constant(batch.labels);
+  ag::Variable loss = ag::BCEWithLogits(logits, hard);
+  if (teacher != nullptr && delta > 0.0f) {
+    ag::Variable soft = ag::Variable::Constant(Tensor::FromVector(
+        {batch.batch_size, 1}, teacher->PredictProbs(batch)));
+    loss = ag::Add(loss, ag::ScalarMul(ag::BCEWithLogits(logits, soft), delta));
+  }
+  return loss;
+}
+
 Result<TrainReport> TrainModel(models::BaseModel* model,
                                const data::ScenarioData& train_data,
                                const TrainOptions& options) {
   return RunTraining(
       model, train_data, options,
       [model](const data::Batch& batch, Rng* dropout_rng) {
-        ag::Variable logits = model->Forward(batch, dropout_rng);
-        ag::Variable targets = ag::Variable::Constant(batch.labels);
-        return ag::BCEWithLogits(logits, targets);
+        return DistillationLoss(model, nullptr, batch, 0.0f, dropout_rng);
       });
 }
 
@@ -213,16 +226,7 @@ Result<TrainReport> TrainWithDistillation(models::BaseModel* student,
   return RunTraining(
       student, train_data, options,
       [student, teacher, delta](const data::Batch& batch, Rng* dropout_rng) {
-        ag::Variable logits = student->Forward(batch, dropout_rng);
-        ag::Variable hard = ag::Variable::Constant(batch.labels);
-        // Teacher soft labels, eval mode, no gradient.
-        std::vector<float> teacher_probs = teacher->PredictProbs(batch);
-        Tensor soft_tensor =
-            Tensor::FromVector({batch.batch_size, 1}, teacher_probs);
-        ag::Variable soft = ag::Variable::Constant(std::move(soft_tensor));
-        ag::Variable loss_hard = ag::BCEWithLogits(logits, hard);
-        ag::Variable loss_soft = ag::BCEWithLogits(logits, soft);
-        return ag::Add(loss_hard, ag::ScalarMul(loss_soft, delta));
+        return DistillationLoss(student, teacher, batch, delta, dropout_rng);
       });
 }
 
@@ -249,11 +253,6 @@ std::vector<float> Predict(models::BaseModel* model,
 double EvaluateAuc(models::BaseModel* model,
                    const data::ScenarioData& dataset) {
   return data::Auc(dataset.labels, Predict(model, dataset));
-}
-
-double EvaluateLogLoss(models::BaseModel* model,
-                       const data::ScenarioData& dataset) {
-  return data::LogLoss(dataset.labels, Predict(model, dataset));
 }
 
 }  // namespace train

@@ -49,15 +49,23 @@ struct TrainReport {
   double final_epoch_loss = 0.0;
 };
 
+/// The loss of Eq. 5 on one batch, the one every training loop builds:
+///   L = CE(y', y_hard) + delta * CE(y'_soft, y_soft)
+/// where y' is `student`'s forward pass (dropout from `dropout_rng`) and
+/// y_soft the teacher's predicted probability, scored in eval mode with no
+/// gradient. A null teacher or delta <= 0 leaves the hard-label term alone.
+ag::Variable DistillationLoss(models::BaseModel* student,
+                              models::BaseModel* teacher,
+                              const data::Batch& batch, float delta,
+                              Rng* dropout_rng);
+
 /// Trains `model` with binary cross-entropy on hard labels (Adam).
 Result<TrainReport> TrainModel(models::BaseModel* model,
                                const data::ScenarioData& train_data,
                                const TrainOptions& options);
 
-/// Trains `student` with the distillation loss of Eq. 5:
-///   L = CE(y', y_hard) + delta * CE(y'_soft, y_soft)
-/// where y_soft is the teacher's predicted probability. The teacher is used
-/// in eval mode and receives no gradient.
+/// Trains `student` with DistillationLoss (Eq. 5). The teacher must not be
+/// null; it is used in eval mode and receives no gradient.
 Result<TrainReport> TrainWithDistillation(models::BaseModel* student,
                                           models::BaseModel* teacher,
                                           const data::ScenarioData& train_data,
@@ -71,10 +79,6 @@ std::vector<float> Predict(models::BaseModel* model,
 
 /// AUC of `model` on `dataset`.
 double EvaluateAuc(models::BaseModel* model, const data::ScenarioData& dataset);
-
-/// Mean binary cross-entropy of `model` on `dataset`.
-double EvaluateLogLoss(models::BaseModel* model,
-                       const data::ScenarioData& dataset);
 
 }  // namespace train
 }  // namespace alt

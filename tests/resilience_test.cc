@@ -16,6 +16,7 @@
 #include "src/resilience/fault_injection.h"
 #include "src/resilience/retry.h"
 #include "src/serving/model_server.h"
+#include "src/serving/shard/coordinator.h"
 #include "src/serving/serving_client.h"
 #include "src/train/trainer.h"
 #include "src/util/atomic_file.h"
@@ -431,7 +432,7 @@ TEST(CheckpointTest, GarbageFileIsRejected) {
 }
 
 // ---------------------------------------------------------------------------
-// ServingClient graceful degradation (and ModelServer deploy retries)
+// ServingClient graceful degradation (and ShardCoordinator deploy retries)
 // ---------------------------------------------------------------------------
 
 data::SyntheticConfig SmallDataConfig() {
@@ -519,7 +520,10 @@ TEST(ServingResilienceTest, PredictDegradesAndBreakerRecovers) {
 }
 
 TEST(ServingResilienceTest, DeployRetriesTransientFaults) {
-  serving::ModelServer server(&obs::MetricsRegistry::Global());
+  obs::MetricsRegistry registry;
+  // One replica per scenario, so each deploy makes one copy.
+  serving::shard::ShardCoordinator coordinator(
+      serving::shard::CoordinatorOptions{}, &registry);
   FaultInjector& faults = FaultInjector::Global();
   faults.Reset();
   FaultRule every_other;
@@ -532,11 +536,11 @@ TEST(ServingResilienceTest, DeployRetriesTransientFaults) {
   options.retry.max_backoff_ms = 0.5;
   // The first deploy consumes the injector's non-faulting slot; the second
   // starts on a faulting attempt and must retry its way through.
-  EXPECT_TRUE(server.Deploy("s0", SmallModel(2), options).ok());
-  EXPECT_TRUE(server.Deploy("s1", SmallModel(3), options).ok());
+  EXPECT_TRUE(coordinator.Deploy("s0", SmallModel(2), options).ok());
+  EXPECT_TRUE(coordinator.Deploy("s1", SmallModel(3), options).ok());
   faults.Reset();
-  EXPECT_TRUE(server.IsDeployed("s0"));
-  EXPECT_TRUE(server.IsDeployed("s1"));
+  EXPECT_TRUE(coordinator.IsDeployed("s0"));
+  EXPECT_TRUE(coordinator.IsDeployed("s1"));
 }
 #endif  // !ALT_FAULTS_DISABLED
 

@@ -1,9 +1,11 @@
 // Tests of the sharded serving plane's building blocks: the consistent-hash
 // ring (uniformity, minimal disruption, determinism), the version-gated
-// worker shard, and the ShardCoordinator (broadcast deploys, replica
-// failover, rebalance on shard death with zero lost requests, the queue cap,
-// warm re-join and scale-up).
+// worker shard, and the ShardCoordinator (broadcast deploys that install
+// nothing unless every copy succeeds, replica groups that name only shards
+// holding their version, replica failover, rebalance on shard death with
+// zero lost requests, the queue cap, warm re-join and scale-up).
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <functional>
@@ -359,6 +361,130 @@ TEST(ShardCoordinatorTest, AllReplicasDeadReportsUnavailable) {
   EXPECT_EQ(coordinator.NumLiveShards(), 0);
   EXPECT_GE(registry.counter_value("serving/coordinator/no_replica_available"),
             1);
+}
+
+TEST(ShardCoordinatorTest, FailedBroadcastLeavesPreviousVersionEverywhere) {
+  resilience::FaultInjector& faults = resilience::FaultInjector::Global();
+  faults.Reset();
+  obs::MetricsRegistry registry;
+  ShardCoordinator coordinator(SmallCoordinator(3, 2), &registry);
+  ASSERT_TRUE(coordinator.Deploy("s", TinyModel(70)).ok());
+  const data::Batch batch = OneSample(71);
+  const std::vector<float> v1 = TinyModel(70)->PredictProbs(batch);
+
+  // The redeploy's first replica copy succeeds and its second faults.
+  resilience::FaultRule every_other;
+  every_other.every_nth = 2;
+  faults.Arm("serving/deploy", every_other);
+  const Status redeploy = coordinator.Deploy("s", TinyModel(72));
+  faults.Reset();
+  EXPECT_EQ(redeploy.code(), StatusCode::kInternal);
+
+  // Nothing was installed: every replica still serves v1, so one scenario
+  // never answers with two models.
+  EXPECT_EQ(coordinator.VersionOf("s"), 1u);
+  const std::vector<std::string> replicas = coordinator.ReplicasOf("s");
+  ASSERT_EQ(replicas.size(), 2u);
+  for (const std::string& id : replicas) {
+    EXPECT_EQ(coordinator.shard(id)->DeployedVersion("s"), 1u) << id;
+    auto scores = Submit(coordinator.shard(id), "s", batch).get();
+    ASSERT_TRUE(scores.ok()) << id << ": " << scores.status().ToString();
+    EXPECT_EQ(scores.value(), v1) << id;
+  }
+}
+
+TEST(ShardCoordinatorTest, FailedRebalanceCopyNeverJoinsTheGroup) {
+  resilience::FaultInjector& faults = resilience::FaultInjector::Global();
+  faults.Reset();
+  obs::MetricsRegistry registry;
+  ShardCoordinator coordinator(SmallCoordinator(3, 2), &registry);
+  ASSERT_TRUE(coordinator.Deploy("s", TinyModel(73)).ok());
+  ASSERT_TRUE(coordinator.KillShard(coordinator.ReplicasOf("s").front()).ok());
+
+  // An idle plane's tie goes to the owner, so the first request reaches the
+  // dead owner, whose worker rebalances while every copy faults; the request
+  // then fails over to the surviving replica.
+  resilience::FaultRule always;
+  always.every_nth = 1;
+  faults.Arm("serving/deploy", always);
+  const data::Batch batch = OneSample(74);
+  auto first = coordinator.Predict("s", batch);
+  faults.Disarm("serving/deploy");
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_EQ(registry.counter_value("serving/rebalance_events"), 1);
+
+  // The shard whose copy failed stayed out of the group.
+  const std::vector<std::string> group = coordinator.ReplicasOf("s");
+  ASSERT_FALSE(group.empty());
+  for (const std::string& id : group) {
+    EXPECT_EQ(coordinator.shard(id)->DeployedVersion("s"),
+              coordinator.VersionOf("s"))
+        << id;
+  }
+  constexpr int kRequests = 400;
+  std::vector<std::future<Result<std::vector<float>>>> answers;
+  for (int i = 0; i < kRequests; ++i) {
+    auto answer = std::make_shared<std::promise<Result<std::vector<float>>>>();
+    answers.push_back(answer->get_future());
+    auto request = std::make_shared<ShardCoordinator::Request>();
+    request->scenario = "s";
+    request->batch = &batch;
+    request->done = [answer](Result<std::vector<float>> result) {
+      answer->set_value(std::move(result));
+    };
+    coordinator.Submit(std::move(request));
+  }
+  int failed = 0;
+  for (auto& answer : answers) failed += answer.get().ok() ? 0 : 1;
+  EXPECT_EQ(failed, 0);
+
+  // A redeploy restores the full group.
+  ASSERT_TRUE(coordinator.Deploy("s", TinyModel(75)).ok());
+  const std::vector<std::string> restored = coordinator.ReplicasOf("s");
+  EXPECT_EQ(restored.size(), 2u);
+  for (const std::string& id : restored) {
+    EXPECT_EQ(coordinator.shard(id)->DeployedVersion("s"), 2u) << id;
+  }
+  faults.Reset();
+}
+
+TEST(ShardCoordinatorTest, UndeployClearsDisplacedReplicas) {
+  obs::MetricsRegistry registry;
+  ShardCoordinator coordinator(SmallCoordinator(3, 2), &registry);
+  std::map<std::string, std::vector<std::string>> before;
+  for (int s = 0; s < 24; ++s) {
+    const std::string name = "scenario_" + std::to_string(s);
+    ASSERT_TRUE(coordinator.Deploy(name, TinyModel(100 + s)).ok());
+    ASSERT_TRUE(coordinator.Deploy(name, TinyModel(130 + s)).ok());
+    before[name] = coordinator.ReplicasOf(name);
+  }
+  // The newcomer enters some groups and displaces their last member, which
+  // keeps its v2 copy outside the group.
+  ASSERT_TRUE(coordinator.AddShard("shard-3").ok());
+  std::string scenario;
+  for (const auto& [name, group] : before) {
+    if (coordinator.ReplicasOf(name) != group) {
+      scenario = name;
+      break;
+    }
+  }
+  ASSERT_FALSE(scenario.empty());
+  const std::string displaced = before[scenario].back();
+  ASSERT_EQ(coordinator.shard(displaced)->DeployedVersion(scenario), 2u);
+
+  // A fresh deploy after the undeploy restarts at v1. When the newcomer
+  // dies the displaced shard rejoins the group, and it must take v1.
+  ASSERT_TRUE(coordinator.Undeploy(scenario).ok());
+  EXPECT_EQ(coordinator.shard(displaced)->DeployedVersion(scenario), 0u);
+  ASSERT_TRUE(coordinator.Deploy(scenario, TinyModel(160)).ok());
+  ASSERT_EQ(coordinator.VersionOf(scenario), 1u);
+  ASSERT_TRUE(coordinator.KillShard("shard-3").ok());
+  ASSERT_TRUE(coordinator.Deploy("other", TinyModel(161)).ok());
+  const std::vector<std::string> group = coordinator.ReplicasOf(scenario);
+  EXPECT_NE(std::find(group.begin(), group.end(), displaced), group.end());
+  for (const std::string& id : group) {
+    EXPECT_EQ(coordinator.shard(id)->DeployedVersion(scenario), 1u) << id;
+  }
 }
 
 // ---------------------------------------------------------------------------

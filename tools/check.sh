@@ -24,7 +24,8 @@
 #   serving-elastic  shard lifecycle suite in the ASan tree: kill ->
 #                rebalance (by traffic or by the next control-plane call),
 #                warm rejoin and scale-up with zero lost requests, the join
-#                movement bound, and the queue cap's shed/recover
+#                movement bound, the queue cap's shed/recover, and
+#                placements that never leave a replica without its version
 #   simd-parity  kernel/parity/quant tests rerun with ALT_SIMD=off (the
 #                guaranteed scalar contract) in the release tree
 #   telemetry    a breaker-driven /healthz probe flips to 503 under injected
@@ -206,13 +207,16 @@ if wants serving-elastic; then
   # kill's rebalance, run by the dead shard's worker or by the next deploy
   # without traffic, warm kill->rejoin and scale-up with zero lost requests
   # for synchronous and enqueued requests, live workers never waiting on a
-  # rebalance, the one-shot join movement bound, and the queue cap's
-  # shed-then-recover contract.
+  # rebalance, the one-shot join movement bound, the queue cap's
+  # shed-then-recover contract, and placement: a failed broadcast copy
+  # installs nothing, a failed rebalance copy keeps its shard out of the
+  # group, and an undeploy clears replicas an admission displaced.
   echo "==> serving-elastic stage (build-asan, shard lifecycle suite)"
   ./build-asan/tests/shard_test --gtest_filter=\
 '*KillDrainsQueue*:*KillTriggersRebalance*:*ControlPlaneEvicts*:'\
 '*Rejoin*:*AddShard*:*LiveWorkersNeverWait*:*JoinMoves*:'\
-'*HardQueueCap*:*ShedsWithResourceExhausted*'
+'*HardQueueCap*:*ShedsWithResourceExhausted*:*FailedBroadcastLeaves*:'\
+'*FailedRebalanceCopy*:*UndeployClearsDisplaced*'
   ./build-asan/tests/serving_client_test --gtest_filter=\
 '*KillRejoin*:*AddShardGrows*:*GetHealthReflects*'
 fi
