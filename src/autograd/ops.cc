@@ -1,8 +1,10 @@
 #include "src/autograd/ops.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "src/tensor/kernels.h"
+#include "src/tensor/scratch.h"
 #include "src/util/logging.h"
 #include "src/util/parallel_for.h"
 
@@ -22,24 +24,22 @@ constexpr float kInvSqrt2Pi = 0.3989422804014327f;
 constexpr int64_t kMapWork = 4;
 constexpr int64_t kTranscendentalWork = 16;
 
-/// Scalar activations and their derivatives in terms of the output y,
-/// shared by the elementwise ops and the fused LSTM layer so both compute
-/// the same bits.
-inline float SigmoidValue(float v) {
-  return v >= 0.0f ? 1.0f / (1.0f + std::exp(-v))
-                   : std::exp(v) / (1.0f + std::exp(v));
-}
+/// Activation derivatives in terms of the output y, shared by the
+/// elementwise ops and the fused LSTM layer so both compute the same bits.
+/// The activations themselves are the dispatched row kernels
+/// (RowSigmoid/RowTanh/RowExp in src/tensor/kernels.h), whose value for an
+/// element depends on nothing but that element.
 inline float SigmoidGrad(float y) { return y * (1.0f - y); }
 inline float TanhGrad(float y) { return 1.0f - y * y; }
 
 /// dst[B,C] = x[:, t, :] for x[B,T,C].
-void CopyTimeStep(const Tensor& x, int64_t t, Tensor* dst) {
+void CopyTimeStep(const Tensor& x, int64_t t, float* dst) {
   const int64_t batch = x.size(0);
   const int64_t seq = x.size(1);
   const int64_t c = x.size(2);
   for (int64_t b = 0; b < batch; ++b) {
     const float* src = x.data() + (b * seq + t) * c;
-    float* d = dst->data() + b * c;
+    float* d = dst + b * c;
     for (int64_t j = 0; j < c; ++j) d[j] = src[j];
   }
 }
@@ -51,14 +51,15 @@ void CheckSameShape(const Variable& a, const Variable& b) {
 }
 
 /// Elementwise unary op helper: out = f(x), dx += dOut * dfdx(x, out).
-template <typename FwdFn, typename GradFn>
-Variable UnaryElementwise(const Variable& x, const char* name, FwdFn fwd,
+/// `fwd(x, y, n)` maps a run of n elements, one ParallelFor chunk at a time.
+template <typename RowFn, typename GradFn>
+Variable UnaryElementwise(const Variable& x, const char* name, RowFn fwd,
                           GradFn dfdx) {
   Tensor out(x.value().shape());
   const Tensor& xv = x.value();
   ParallelForWork(xv.numel(), kTranscendentalWork,
                   [&](int64_t lo, int64_t hi) {
-                    for (int64_t i = lo; i < hi; ++i) out[i] = fwd(xv[i]);
+                    fwd(xv.data() + lo, out.data() + lo, hi - lo);
                   });
   auto xn = x.node();
   return MakeOpNode(
@@ -445,7 +446,7 @@ Variable SelectTime(const Variable& x, int64_t t) {
   ALT_CHECK_GE(t, 0);
   ALT_CHECK_LT(t, seq);
   Tensor out({batch, c});
-  CopyTimeStep(xv, t, &out);
+  CopyTimeStep(xv, t, out.data());
   auto xn = x.node();
   return MakeOpNode(std::move(out), {xn},
                     [xn, t, seq, c](Node* self) {
@@ -499,13 +500,13 @@ Variable StackTime(const std::vector<Variable>& xs) {
 
 Variable Sigmoid(const Variable& x) {
   return UnaryElementwise(
-      x, "sigmoid", [](float v) { return SigmoidValue(v); },
+      x, "sigmoid", RowSigmoid,
       [](float /*xv*/, float yv) { return SigmoidGrad(yv); });
 }
 
 Variable Tanh(const Variable& x) {
   return UnaryElementwise(
-      x, "tanh", [](float v) { return std::tanh(v); },
+      x, "tanh", RowTanh,
       [](float /*xv*/, float yv) { return TanhGrad(yv); });
 }
 
@@ -536,8 +537,10 @@ Variable Relu(const Variable& x) {
 Variable Gelu(const Variable& x) {
   return UnaryElementwise(
       x, "gelu",
-      [](float v) {
-        return 0.5f * v * (1.0f + std::erf(v * kInvSqrt2));
+      [](const float* v, float* y, int64_t n) {
+        for (int64_t i = 0; i < n; ++i) {
+          y[i] = 0.5f * v[i] * (1.0f + std::erf(v[i] * kInvSqrt2));
+        }
       },
       [](float xv, float /*yv*/) {
         const float phi = kInvSqrt2Pi * std::exp(-0.5f * xv * xv);
@@ -548,16 +551,17 @@ Variable Gelu(const Variable& x) {
 
 Variable Exp(const Variable& x) {
   return UnaryElementwise(
-      x, "exp", [](float v) { return std::exp(v); },
-      [](float /*xv*/, float yv) { return yv; });
+      x, "exp", RowExp, [](float /*xv*/, float yv) { return yv; });
 }
 
 Variable Log(const Variable& x) {
   return UnaryElementwise(
       x, "log",
-      [](float v) {
-        ALT_CHECK_GT(v, 0.0f);
-        return std::log(v);
+      [](const float* v, float* y, int64_t n) {
+        for (int64_t i = 0; i < n; ++i) {
+          ALT_CHECK_GT(v[i], 0.0f);
+          y[i] = std::log(v[i]);
+        }
       },
       [](float xv, float /*yv*/) { return 1.0f / xv; });
 }
@@ -572,13 +576,13 @@ Variable SoftmaxLastDim(const Variable& x) {
     for (int64_t r = lo; r < hi; ++r) {
       const float* src = xv.data() + r * f;
       float* dst = out.data() + r * f;
-      // Max, sum, and scale go through the dispatched row kernels
-      // (src/tensor/kernels.h); exp stays scalar — there is no vector
-      // libm here and the transcendental dominates this loop anyway. The
-      // kernels' scalar fallbacks reproduce the original sequential
-      // double-accumulation numerics exactly.
+      // Max, exp, sum and scale are the dispatched row kernels
+      // (src/tensor/kernels.h); RowExp gives the same bits at every SIMD
+      // level, and the sum's scalar fallback keeps the sequential double
+      // accumulation.
       const float max_v = RowMax(src, f);
-      for (int64_t j = 0; j < f; ++j) dst[j] = std::exp(src[j] - max_v);
+      for (int64_t j = 0; j < f; ++j) dst[j] = src[j] - max_v;
+      RowExp(dst, dst, f);
       const double total = RowSumDouble(dst, f);
       RowScale(static_cast<float>(1.0 / total), dst, f);
     }
@@ -889,7 +893,9 @@ Variable Dropout(const Variable& x, float p, Rng* rng, bool training) {
 int64_t LstmLayerFlops(int64_t input_dim, int64_t hidden_dim,
                        int64_t seq_len) {
   // Per timestep: two matmuls into 4H gates plus ~10 elementwise ops per
-  // hidden unit (gate nonlinearities and cell updates).
+  // hidden unit (gate nonlinearities and cell updates). The model's count:
+  // step 0's recurrent product multiplies h_{-1} = 0 and is skipped, but it
+  // stays counted, so model FLOPs and NAS budgets do not depend on it.
   const int64_t per_step = 2 * input_dim * 4 * hidden_dim +
                            2 * hidden_dim * 4 * hidden_dim + 10 * hidden_dim;
   return seq_len * per_step;
@@ -897,12 +903,23 @@ int64_t LstmLayerFlops(int64_t input_dim, int64_t hidden_dim,
 
 namespace {
 
-/// Backward of LstmLayer. `acts`, `cells` and `tanh_c` are the forward's
-/// saved [T,B,*] gate activations, cell states and tanh(c). Each formula is
-/// the composed graph's, term for term; a `0.0f +` marks a first write into
-/// what was a fresh (zeroed) gradient there, which turns -0 into +0.
+/// Rows per block of an LstmLayer forward that records no backward: its
+/// x·W_x product then lives in scratch, at most 16·T·4H floats whatever
+/// the batch (61 KB at T = 16, H = 15). Every thread that predicts holds
+/// that much; whole 64-row batches cost serve_bulk 7-11% of its peak RSS.
+constexpr int64_t kLstmInferenceRows = 16;
+
+/// Backward of LstmLayer. `acts` ([B·T, 4H], row b·T + t) holds the
+/// forward's gate activations of sample b at step t, and `cells` and
+/// `tanh_c` ([T][B][H]) its cell states and tanh(c). Each formula is the
+/// composed graph's, term for term; a `0.0f +` marks a first write into
+/// what was a fresh (zeroed) gradient there, which turns -0 into +0. Once
+/// step t has used its activations, their rows take step t's dgates, so
+/// `acts` ends as every step's dgates in x's row order — the input of the
+/// two GEMMs that give the hoisted x·W_x product's gradients. A node runs
+/// its backward once per graph, so nothing reads the activations again.
 void LstmLayerBackward(Node* self, Node* xn, Node* wxn, Node* whn, Node* bn,
-                       const Tensor& acts, const Tensor& cells,
+                       Tensor* acts, const Tensor& cells,
                        const Tensor& tanh_c) {
   const Tensor& xv = xn->value;
   const Tensor& wx = wxn->value;
@@ -914,17 +931,22 @@ void LstmLayerBackward(Node* self, Node* xn, Node* wxn, Node* whn, Node* bn,
   const int64_t in = xv.size(2);
   const int64_t h = wh.size(0);
   const int64_t g4 = 4 * h;
+  const int64_t bh = batch * h;
   if (xn->requires_grad) xn->EnsureGrad();
   if (wxn->requires_grad) wxn->EnsureGrad();
-  if (whn->requires_grad) whn->EnsureGrad();
+  // A one-step sequence never multiplies by w_h, so, as in the composition,
+  // w_h gets no gradient from it.
+  if (whn->requires_grad && seq > 1) whn->EnsureGrad();
   if (bn->requires_grad) bn->EnsureGrad();
 
-  Tensor dh({batch, h});       // dL/dh_t
-  Tensor dc_next({batch, h});  // dL/dc_t received from step t+1
-  Tensor dgates({batch, g4});  // dL/d(pre-activation gates_t)
-  Tensor h_prev({batch, h});
-  Tensor x_t({batch, in});
-  Tensor dx_t({batch, in});
+  const bool input_grads = xn->requires_grad || wxn->requires_grad;
+  const int64_t dx_size = xn->requires_grad ? batch * seq * in : 0;
+  ScratchFrame frame;
+  float* dh = frame.Floats(3 * bh + batch * g4 + dx_size);  // dL/dh_t
+  float* dc_next = dh + bh;  // dL/dc_t received from step t+1
+  float* h_prev = dc_next + bh;
+  float* dgates = h_prev + bh;  // dL/d(pre-activation gates_t), [B, 4H]
+  float* dx = dgates + batch * g4;
   for (int64_t t = seq - 1; t >= 0; --t) {
     for (int64_t b = 0; b < batch; ++b) {
       for (int64_t j = 0; j < h; ++j) {
@@ -932,14 +954,12 @@ void LstmLayerBackward(Node* self, Node* xn, Node* wxn, Node* whn, Node* bn,
       }
     }
     // dgates still holds step t+1's gradient here.
-    if (t + 1 < seq) MatMulTransBAcc(dgates, wh, &dh);
-    const float* act = acts.data() + t * batch * g4;
-    const float* cell_prev =
-        t > 0 ? cells.data() + (t - 1) * batch * h : nullptr;
-    const float* tc = tanh_c.data() + t * batch * h;
+    if (t + 1 < seq) GemmTransBAcc(dgates, wh.data(), dh, batch, g4, h);
+    const float* cell_prev = t > 0 ? cells.data() + (t - 1) * bh : nullptr;
+    const float* tc = tanh_c.data() + t * bh;
     for (int64_t b = 0; b < batch; ++b) {
-      const float* a = act + b * g4;
-      float* dg = dgates.data() + b * g4;
+      const float* a = acts->data() + (b * seq + t) * g4;
+      float* dg = dgates + b * g4;
       for (int64_t j = 0; j < h; ++j) {
         const int64_t k = b * h + j;
         const float i = a[j];
@@ -958,33 +978,34 @@ void LstmLayerBackward(Node* self, Node* xn, Node* wxn, Node* whn, Node* bn,
     }
     if (bn->requires_grad) {
       for (int64_t r = 0; r < batch; ++r) {
-        const float* row = dgates.data() + r * g4;
+        const float* row = dgates + r * g4;
         for (int64_t k = 0; k < g4; ++k) bn->grad[k] += row[k];
       }
     }
-    if (whn->requires_grad) {
-      // h_{t-1} is the output's previous slice; h_{-1} = 0 still takes its
-      // (zero) product, as the composed graph's first-step matmul did.
-      if (t > 0) {
-        CopyTimeStep(out, t - 1, &h_prev);
-      } else {
-        h_prev.SetZero();
-      }
-      MatMulTransAAcc(h_prev, dgates, &whn->grad);
+    if (whn->requires_grad && t > 0) {
+      // h_{t-1} is the output's previous slice; step 0 had no such product.
+      CopyTimeStep(out, t - 1, h_prev);
+      GemmTransAAcc(h_prev, dgates, whn->grad.data(), h, batch, g4);
     }
-    if (wxn->requires_grad) {
-      CopyTimeStep(xv, t, &x_t);
-      MatMulTransAAcc(x_t, dgates, &wxn->grad);
-    }
-    if (xn->requires_grad) {
-      dx_t.SetZero();
-      MatMulTransBAcc(dgates, wx, &dx_t);
+    if (input_grads) {
       for (int64_t b = 0; b < batch; ++b) {
-        const float* src = dx_t.data() + b * in;
-        float* dst = xn->grad.data() + (b * seq + t) * in;
-        for (int64_t j = 0; j < in; ++j) dst[j] += src[j];
+        std::copy(dgates + b * g4, dgates + (b + 1) * g4,
+                  acts->data() + (b * seq + t) * g4);
       }
     }
+  }
+  const float* dgates_all = acts->data();
+  if (wxn->requires_grad) {
+    GemmTransAAcc(xv.data(), dgates_all, wxn->grad.data(), in, batch * seq,
+                  g4);
+  }
+  if (xn->requires_grad) {
+    // As the composition's reshape of x does: the GEMM lands in a zeroed
+    // gradient, which is then added to x's in one pass.
+    std::fill(dx, dx + dx_size, 0.0f);
+    GemmTransBAcc(dgates_all, wx.data(), dx, batch * seq, g4, in);
+    float* xg = xn->grad.data();
+    for (int64_t i = 0; i < dx_size; ++i) xg[i] += dx[i];
   }
 }
 
@@ -1005,6 +1026,7 @@ Variable LstmLayer(const Variable& x, const Variable& w_x,
   const int64_t in = xv.size(2);
   const int64_t h = wh.size(0);
   const int64_t g4 = 4 * h;
+  const int64_t bh = batch * h;
   ALT_CHECK_GE(seq, 1);
   ALT_CHECK_EQ(wx.size(0), in);
   ALT_CHECK_EQ(wx.size(1), g4);
@@ -1015,44 +1037,80 @@ Variable LstmLayer(const Variable& x, const Variable& w_x,
   const bool record = !InferenceGuard::active() &&
                       (x.requires_grad() || w_x.requires_grad() ||
                        w_h.requires_grad() || bias.requires_grad());
+  // Recording, the saved activations [B·T, 4H] first receive x·W_x, and
+  // each step overwrites its rows with their activations once it has read
+  // them. Otherwise x·W_x goes to scratch, a block of rows at a time, and
+  // only one step's c and tanh(c) are kept, rolling.
   const int64_t kept = record ? seq : 1;
-  Tensor acts({kept, batch, g4});  // i, f, g, o per step
+  const int64_t block =
+      record ? batch : std::min<int64_t>(batch, kLstmInferenceRows);
+  Tensor acts(std::vector<int64_t>{record ? batch * seq : 0, g4});
   Tensor cells({kept, batch, h});
   Tensor tanh_c({kept, batch, h});
   Tensor out({batch, seq, h});
-  Tensor x_t({batch, in});
-  Tensor gx({batch, g4});
-  Tensor gh({batch, g4});
-  Tensor h_prev({batch, h});
-  for (int64_t t = 0; t < seq; ++t) {
-    CopyTimeStep(xv, t, &x_t);
-    alt::MatMul(x_t, wx, &gx);
-    alt::MatMul(h_prev, wh, &gh);
-    const int64_t slot = record ? t : 0;
-    float* act = acts.data() + slot * batch * g4;
-    float* cell = cells.data() + slot * batch * h;
-    float* tc = tanh_c.data() + slot * batch * h;
-    // Without a backward, slot 0 holds c_{t-1} until it is overwritten.
-    const float* cell_prev =
-        t == 0 ? nullptr : cells.data() + (record ? t - 1 : 0) * batch * h;
-    for (int64_t b = 0; b < batch; ++b) {
-      float* a = act + b * g4;
-      const float* ax = gx.data() + b * g4;
-      const float* ah = gh.data() + b * g4;
-      for (int64_t k = 0; k < g4; ++k) a[k] = (ax[k] + ah[k]) + bv[k];
-      for (int64_t j = 0; j < h; ++j) {
-        a[j] = SigmoidValue(a[j]);
-        a[h + j] = SigmoidValue(a[h + j]);
-        a[2 * h + j] = std::tanh(a[2 * h + j]);
-        a[3 * h + j] = SigmoidValue(a[3 * h + j]);
-      }
-      for (int64_t j = 0; j < h; ++j) {
-        const int64_t k = b * h + j;
-        const float cp = cell_prev != nullptr ? cell_prev[k] : 0.0f;
-        cell[k] = a[h + j] * cp + a[j] * a[2 * h + j];
-        tc[k] = std::tanh(cell[k]);
-        h_prev[k] = a[3 * h + j] * tc[k];
-        out[(b * seq + t) * h + j] = h_prev[k];
+  {
+    ScratchFrame frame;
+    float* gh = frame.Floats(block * (2 * g4 + h) +
+                             (record ? 0 : block * seq * g4));
+    float* work = gh + block * g4;  // step t's gates, gate-major [4][nb][H]
+    float* h_prev = work + block * g4;
+    for (int64_t b0 = 0; b0 < batch; b0 += block) {
+      const int64_t nb = std::min(block, batch - b0);
+      const int64_t nbh = nb * h;
+      // x·W_x for all T steps of the block in one GEMM, x read in place as
+      // [nb·T, in]: row b·T + t holds step t of sample b0 + b.
+      float* gx = record ? acts.data() + b0 * seq * g4 : h_prev + block * h;
+      Gemm(xv.data() + b0 * seq * in, wx.data(), gx, nb * seq, in, g4);
+      for (int64_t t = 0; t < seq; ++t) {
+        // h_{-1} = 0, so step 0 takes no recurrent product.
+        if (t > 0) Gemm(h_prev, wh.data(), gh, nb, h, g4);
+        for (int64_t b = 0; b < nb; ++b) {
+          const float* ax = gx + (b * seq + t) * g4;
+          const float* ah = gh + b * g4;
+          for (int64_t q = 0; q < 4; ++q) {
+            float* a = work + q * nbh + b * h;
+            const float* bq = bv.data() + q * h;
+            if (t == 0) {
+              for (int64_t j = 0; j < h; ++j) a[j] = ax[q * h + j] + bq[j];
+            } else {
+              for (int64_t j = 0; j < h; ++j) {
+                a[j] = (ax[q * h + j] + ah[q * h + j]) + bq[j];
+              }
+            }
+          }
+        }
+        // One activation call per gate block: i and f, g, o.
+        RowSigmoid(work, work, 2 * nbh);
+        RowTanh(work + 2 * nbh, work + 2 * nbh, nbh);
+        RowSigmoid(work + 3 * nbh, work + 3 * nbh, nbh);
+        const int64_t slot = record ? t : 0;
+        float* cell = cells.data() + slot * bh + b0 * h;
+        float* tc = tanh_c.data() + slot * bh + b0 * h;
+        // Without a backward, slot 0 holds c_{t-1} until it is overwritten.
+        const float* cell_prev =
+            t == 0 ? nullptr
+                   : cells.data() + (record ? t - 1 : 0) * bh + b0 * h;
+        for (int64_t k = 0; k < nbh; ++k) {
+          const float cp = cell_prev != nullptr ? cell_prev[k] : 0.0f;
+          cell[k] = work[nbh + k] * cp + work[k] * work[2 * nbh + k];
+        }
+        RowTanh(cell, tc, nbh);
+        for (int64_t b = 0; b < nb; ++b) {
+          for (int64_t j = 0; j < h; ++j) {
+            const int64_t k = b * h + j;
+            h_prev[k] = work[3 * nbh + k] * tc[k];
+            out[((b0 + b) * seq + t) * h + j] = h_prev[k];
+          }
+        }
+        if (record) {
+          for (int64_t b = 0; b < nb; ++b) {
+            float* a = gx + (b * seq + t) * g4;
+            for (int64_t q = 0; q < 4; ++q) {
+              std::copy(work + q * nbh + b * h, work + q * nbh + (b + 1) * h,
+                        a + q * h);
+            }
+          }
+        }
       }
     }
   }
@@ -1064,9 +1122,9 @@ Variable LstmLayer(const Variable& x, const Variable& w_x,
   return MakeOpNode(
       std::move(out), {xn, wxn, whn, bn},
       [xn, wxn, whn, bn, acts = std::move(acts), cells = std::move(cells),
-       tanh_c = std::move(tanh_c)](Node* self) {
+       tanh_c = std::move(tanh_c)](Node* self) mutable {
         LstmLayerBackward(self, xn.get(), wxn.get(), whn.get(), bn.get(),
-                          acts, cells, tanh_c);
+                          &acts, cells, tanh_c);
       },
       "lstm_layer", flops);
 }
@@ -1079,10 +1137,15 @@ Variable BCEWithLogits(const Variable& logits, const Variable& targets) {
   ALT_CHECK_GT(n, 0);
   // loss_i = max(z,0) - z*y + log(1 + exp(-|z|)).
   double total = 0.0;
-  for (int64_t i = 0; i < n; ++i) {
-    const float zi = z[i];
-    total += std::max(zi, 0.0f) - zi * y[i] +
-             std::log1p(std::exp(-std::abs(zi)));
+  {
+    ScratchFrame frame;
+    float* e = frame.Floats(n);
+    for (int64_t i = 0; i < n; ++i) e[i] = -std::abs(z[i]);
+    RowExp(e, e, n);
+    for (int64_t i = 0; i < n; ++i) {
+      const float zi = z[i];
+      total += std::max(zi, 0.0f) - zi * y[i] + std::log1p(e[i]);
+    }
   }
   Tensor out = Tensor::Scalar(static_cast<float>(total / n));
   // max, mul, sub, abs, exp, log1p, add, final mean: ~8 FLOPs per element.
@@ -1095,11 +1158,11 @@ Variable BCEWithLogits(const Variable& logits, const Variable& targets) {
     const float g = self->grad[0] / static_cast<float>(n);
     if (zn->requires_grad) {
       zn->EnsureGrad();
+      ScratchFrame frame;
+      float* sig = frame.Floats(n);
+      RowSigmoid(zn->value.data(), sig, n);
       for (int64_t i = 0; i < n; ++i) {
-        const float zi = zn->value[i];
-        const float sig = zi >= 0.0f ? 1.0f / (1.0f + std::exp(-zi))
-                                     : std::exp(zi) / (1.0f + std::exp(zi));
-        zn->grad[i] += g * (sig - yn->value[i]);
+        zn->grad[i] += g * (sig[i] - yn->value[i]);
       }
     }
     if (yn->requires_grad) {

@@ -80,7 +80,12 @@ SyntheticGenerator::ScenarioConcept SyntheticGenerator::ConceptFor(
 double SyntheticGenerator::TrueProbability(int64_t scenario_id,
                                            const float* profile,
                                            const int64_t* behavior) const {
-  const ScenarioConcept sc = ConceptFor(scenario_id);
+  return ProbabilityFor(ConceptFor(scenario_id), profile, behavior);
+}
+
+double SyntheticGenerator::ProbabilityFor(const ScenarioConcept& sc,
+                                          const float* profile,
+                                          const int64_t* behavior) const {
   const int64_t p_dim = config_.profile_dim;
   const int64_t t_len = config_.seq_len;
 
@@ -162,7 +167,7 @@ ScenarioData SyntheticGenerator::GenerateWithRng(int64_t scenario_id,
     for (int64_t t = 0; t < t_len; ++t) {
       brow[t] = static_cast<int64_t>(rng->Categorical(event_probs));
     }
-    const double p = TrueProbability(scenario_id, prow, brow);
+    const double p = ProbabilityFor(sc, prow, brow);
     bool label = rng->Bernoulli(p);
     if (rng->Bernoulli(config_.label_noise)) label = !label;
     out.labels[static_cast<size_t>(i)] = label ? 1.0f : 0.0f;

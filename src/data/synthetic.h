@@ -79,6 +79,9 @@ class SyntheticGenerator {
   };
 
   ScenarioConcept ConceptFor(int64_t scenario_id) const;
+  /// TrueProbability's body, for a concept built once per call site.
+  double ProbabilityFor(const ScenarioConcept& sc, const float* profile,
+                        const int64_t* behavior) const;
   ScenarioData GenerateWithRng(int64_t scenario_id, int64_t count,
                                Rng* rng) const;
 

@@ -533,9 +533,15 @@ Status ShardCoordinator::AdmitShardLocked(WorkerShard* worker) {
   ring.AddShard(worker->id());  // alt_lint: allow(L008): void HashRing method
   // Deploy-then-route: the shard gets every model the grown ring assigns it
   // before its virtual nodes join the live ring. A failed copy aborts the
-  // admission with the ring unchanged; models already installed are
-  // harmless, because nothing routes to them.
-  ALT_RETURN_IF_ERROR(RegroupLocked(std::move(ring), /*all_or_nothing=*/true));
+  // admission with the ring unchanged, and the shard goes back to dead, so
+  // RejoinShard admits it once the fault clears. Models already installed
+  // are harmless: nothing routes to them, and the next Revive clears them.
+  const Status placed =
+      RegroupLocked(std::move(ring), /*all_or_nothing=*/true);
+  if (!placed.ok()) {
+    worker->Kill();
+    return placed;
+  }
   rejoins_->Add(1);
   return Status::OK();
 }

@@ -195,13 +195,16 @@ class ShardCoordinator {
   /// virtual nodes to the ring and recomputes the replica groups — routing
   /// shifts at most ~2/N of the key space, and no key ever routes to a shard
   /// that does not already hold its model. A failed copy aborts it with the
-  /// ring unchanged. NotFound for unknown ids; FailedPrecondition when the
-  /// shard is still live.
+  /// ring unchanged and the shard dead again, so a later RejoinShard retries
+  /// it. NotFound for unknown ids; FailedPrecondition when the shard is
+  /// still live.
   Status RejoinShard(const std::string& shard_id);
 
   /// Elastic scale-up: creates a brand-new WorkerShard (with the plane's
   /// queue cap) and admits it through the same deploy-then-route protocol
-  /// as RejoinShard. AlreadyExists when the id is taken.
+  /// as RejoinShard. A failed admission leaves the new shard registered,
+  /// dead and off the ring: RejoinShard(shard_id) admits it once the fault
+  /// clears. AlreadyExists when the id is taken.
   Status AddShard(const std::string& shard_id);
 
   /// Deployed scenarios with no live replica left — requests to these fail
@@ -289,6 +292,7 @@ class ShardCoordinator {
   /// The shared warm-admission protocol of RejoinShard/AddShard: the
   /// regroup onto the ring with the shard, all or nothing, so the shard's
   /// vnodes join the ring only once it holds every model they route to it.
+  /// On failure the shard is killed again, off the ring.
   Status AdmitShardLocked(WorkerShard* worker)
       ALT_REQUIRES(control_mu_) ALT_EXCLUDES(state_mu_);
   /// A new worker with the plane's queue cap and the death hook.

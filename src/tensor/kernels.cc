@@ -1,6 +1,7 @@
 #include "src/tensor/kernels.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -53,10 +54,46 @@ int64_t GemmRowGrain(int64_t k, int64_t n) {
 
 /// One relaxed atomic load; re-read per kernel call so SetSimdLevel (tests,
 /// benchmarks) takes effect immediately. The AVX-512 tier only replaces the
-/// GEMM micro-panels and long dot products; every other vector primitive
-/// uses the 256-bit implementations whenever the level is at least kAvx2
-/// (an AVX-512 host always supports them).
+/// GEMM micro-panels, long dot products and the exp/sigmoid/tanh rows; every
+/// other vector primitive uses the 256-bit implementations whenever the
+/// level is at least kAvx2 (an AVX-512 host always supports them).
 inline bool UseAvx2() { return ActiveSimdLevel() >= SimdLevel::kAvx2; }
+
+/// exp of one lane by the act:: recipe (kernels_simd.h): the reference the
+/// AVX2 and AVX-512 lanes reproduce bit for bit. The clamps are written so
+/// NaN passes them, as minps/maxps with the bound first do.
+inline float ExpLane(float x) {
+  namespace act = simd::act;
+  x = act::kExpHi < x ? act::kExpHi : x;
+  x = act::kExpLo > x ? act::kExpLo : x;
+  const float t = x * act::kLog2e + act::kRoundMagic;
+  const float n = t - act::kRoundMagic;
+  float r = x - n * act::kLn2Hi;
+  r = r - n * act::kLn2Lo;
+  const float z = r * r;
+  float p = act::kExpP0;
+  p = p * r + act::kExpP1;
+  p = p * r + act::kExpP2;
+  p = p * r + act::kExpP3;
+  p = p * r + act::kExpP4;
+  p = p * r + act::kExpP5;
+  const float y = (p * z + r) + 1.0f;
+  const uint32_t n_int = std::bit_cast<uint32_t>(t) -
+                         std::bit_cast<uint32_t>(act::kRoundMagic);
+  return y * std::bit_cast<float>((n_int + 127u) << 23);
+}
+
+inline float SigmoidLane(float x) { return 1.0f / (1.0f + ExpLane(-x)); }
+
+/// sign(x) · (1 − 2 / (exp(2|x|) + 1)): odd by construction, ±1 past the
+/// clamp, and NaN keeps its sign.
+inline float TanhLane(float x) {
+  const uint32_t bits = std::bit_cast<uint32_t>(x);
+  const float ax = std::bit_cast<float>(bits & 0x7fffffffu);
+  const float t = 1.0f - 2.0f / (ExpLane(ax + ax) + 1.0f);
+  return std::bit_cast<float>(std::bit_cast<uint32_t>(t) |
+                              (bits & 0x80000000u));
+}
 
 template <bool kTransA>
 inline float LoadA(const float* a, int64_t lda, int64_t i, int64_t p) {
@@ -296,6 +333,39 @@ void RowMeanVar(const float* x, int64_t n, double* mean, double* var) {
   *var = v / static_cast<double>(n);
 }
 
+void RowExp(const float* x, float* y, int64_t n) {
+  const SimdLevel level = ActiveSimdLevel();
+  if (level == SimdLevel::kAvx512) {
+    simd::RowExpAvx512(x, y, n);
+  } else if (level == SimdLevel::kAvx2) {
+    simd::RowExpAvx2(x, y, n);
+  } else {
+    for (int64_t i = 0; i < n; ++i) y[i] = ExpLane(x[i]);
+  }
+}
+
+void RowSigmoid(const float* x, float* y, int64_t n) {
+  const SimdLevel level = ActiveSimdLevel();
+  if (level == SimdLevel::kAvx512) {
+    simd::RowSigmoidAvx512(x, y, n);
+  } else if (level == SimdLevel::kAvx2) {
+    simd::RowSigmoidAvx2(x, y, n);
+  } else {
+    for (int64_t i = 0; i < n; ++i) y[i] = SigmoidLane(x[i]);
+  }
+}
+
+void RowTanh(const float* x, float* y, int64_t n) {
+  const SimdLevel level = ActiveSimdLevel();
+  if (level == SimdLevel::kAvx512) {
+    simd::RowTanhAvx512(x, y, n);
+  } else if (level == SimdLevel::kAvx2) {
+    simd::RowTanhAvx2(x, y, n);
+  } else {
+    for (int64_t i = 0; i < n; ++i) y[i] = TanhLane(x[i]);
+  }
+}
+
 void RowNormalizeAffine(const float* src, float mean, float istd,
                         const float* gamma, const float* beta, float* xhat,
                         float* dst, int64_t n) {
@@ -316,6 +386,11 @@ void MatMul(const Tensor& a, const Tensor& b, Tensor* c) {
   ALT_CHECK_EQ(a.size(1), b.size(0));
   ALT_CHECK_EQ(c->size(0), a.size(0));
   ALT_CHECK_EQ(c->size(1), b.size(1));
+  Gemm(a.data(), b.data(), c->data(), a.size(0), a.size(1), b.size(1));
+}
+
+void Gemm(const float* a, const float* b, float* c, int64_t m, int64_t k,
+          int64_t n) {
   // Handles cached per call site; disabled-mode cost is one relaxed load and
   // zero clock reads (the < 3% bench_kernels budget, see DESIGN.md). The
   // per-ISA split needs both handles pre-resolved because the macro latches
@@ -328,8 +403,7 @@ void MatMul(const Tensor& a, const Tensor& b, Tensor* c) {
                 ? ALT_OBS_HISTOGRAM_HANDLE("tensor/gemm/time_ms/avx2")
                 : ALT_OBS_HISTOGRAM_HANDLE("tensor/gemm/time_ms/scalar"));
   ALT_OBS_COUNTER_ADD("tensor/gemm/calls_total", 1);
-  GemmImpl(a.data(), b.data(), c->data(), a.size(0), a.size(1), b.size(1),
-           /*accumulate=*/false);
+  GemmImpl(a, b, c, m, k, n, /*accumulate=*/false);
 }
 
 void MatMulAcc(const Tensor& a, const Tensor& b, Tensor* c) {
@@ -340,14 +414,24 @@ void MatMulAcc(const Tensor& a, const Tensor& b, Tensor* c) {
 
 void MatMulTransAAcc(const Tensor& a, const Tensor& b, Tensor* c) {
   ALT_CHECK_EQ(a.size(0), b.size(0));
-  GemmTransAImpl(a.data(), b.data(), c->data(), a.size(1), a.size(0),
-                 b.size(1));
+  GemmTransAAcc(a.data(), b.data(), c->data(), a.size(1), a.size(0),
+                b.size(1));
 }
 
 void MatMulTransBAcc(const Tensor& a, const Tensor& b, Tensor* c) {
   ALT_CHECK_EQ(a.size(1), b.size(1));
-  GemmTransBImpl(a.data(), b.data(), c->data(), a.size(0), a.size(1),
-                 b.size(0));
+  GemmTransBAcc(a.data(), b.data(), c->data(), a.size(0), a.size(1),
+                b.size(0));
+}
+
+void GemmTransAAcc(const float* a, const float* b, float* c, int64_t m,
+                   int64_t k, int64_t n) {
+  GemmTransAImpl(a, b, c, m, k, n);
+}
+
+void GemmTransBAcc(const float* a, const float* b, float* c, int64_t m,
+                   int64_t k, int64_t n) {
+  GemmTransBImpl(a, b, c, m, k, n);
 }
 
 void BatchedMatMul(const Tensor& a, bool trans_a, const Tensor& b,

@@ -21,9 +21,17 @@ namespace alt {
 ///
 /// SIMD dispatch (src/tensor/cpu_features.h): on AVX2+FMA hosts the micro
 /// panels and the row primitives below run the AVX2 implementations from
-/// kernels_avx2.cc unless ALT_SIMD=off forces the scalar path. The two
-/// levels agree to rounding (different but fixed reduction orders); within
-/// one level results remain bit-identical across thread counts.
+/// kernels_avx2.cc (and, on AVX-512 hosts, the GEMM panels, long dots and
+/// activation rows from kernels_avx512.cc) unless ALT_SIMD=off forces the
+/// scalar path. fp32 GEMMs and reductions agree across levels only to
+/// rounding (different but fixed reduction orders); within one level results
+/// remain bit-identical across thread counts. The activation rows (RowExp,
+/// RowSigmoid, RowTanh) are stronger: the same bits at every level.
+///
+/// fp-contract rule: every kernel TU is compiled -ffp-contract=off, so GCC
+/// never fuses a multiply and an add into an FMA behind the code's back (in
+/// the -mfma TUs it otherwise would, even across intrinsics). An FMA is
+/// always written out: _mm*_fmadd_ps, or std::fma in a scalar tail.
 
 /// y[i] += alpha * x[i]. The shared axpy primitive behind
 /// Tensor::AddInPlace / Tensor::Axpy, optimizer updates, and gradient
@@ -52,6 +60,23 @@ void RowNormalizeAffine(const float* src, float mean, float istd,
                         const float* gamma, const float* beta, float* xhat,
                         float* dst, int64_t n);
 
+/// Activation rows: y[i] = exp(x[i]), 1 / (1 + exp(-x[i])), tanh(x[i]);
+/// x == y is allowed. Each element is computed alone from IEEE add, mul and
+/// div, one round-to-nearest step and an exact 2^n scale, in the same order
+/// at every level (the recipe is in kernels_simd.h), and vector tails run
+/// as masked full vectors. So scalar, AVX2 and AVX-512 return the same
+/// bits, and an element's value never depends on n, on its position, or on
+/// how a caller chunks a range: a row scores the same in any batch. The
+/// exponential clamps its argument to [-87.3, 88.3]: exp saturates near
+/// 2.2e38 and bottoms out near 1.2e-38, sigmoid(-inf) is a positive value
+/// below 1e-38 rather than 0, sigmoid(+inf) = 1 and tanh(±inf) = ±1
+/// exactly. NaN in gives NaN out. Error
+/// against double: 8.9e-8 (sigmoid) and 1.1e-7 (tanh) absolute on
+/// [-20, 20], 7.9e-8 relative for exp on [-80, 80].
+void RowExp(const float* x, float* y, int64_t n);
+void RowSigmoid(const float* x, float* y, int64_t n);
+void RowTanh(const float* x, float* y, int64_t n);
+
 /// C = A[m,k] * B[k,n]. Overwrites C.
 void MatMul(const Tensor& a, const Tensor& b, Tensor* c);
 /// C += A[m,k] * B[k,n].
@@ -60,6 +85,20 @@ void MatMulAcc(const Tensor& a, const Tensor& b, Tensor* c);
 void MatMulTransAAcc(const Tensor& a, const Tensor& b, Tensor* c);
 /// C += A[m,k] * B[n,k]^T.
 void MatMulTransBAcc(const Tensor& a, const Tensor& b, Tensor* c);
+
+/// Pointer forms of MatMul / MatMulTransAAcc / MatMulTransBAcc, for operands
+/// that are not a whole 2-D Tensor: a [B, T, C] activation read in place as
+/// [B·T, C], or a ScratchFrame span. Same kernels and bits as the Tensor
+/// forms; Gemm is timed and counted (tensor/gemm/calls_total) as MatMul is.
+/// C[m,n] = A[m,k] * B[k,n].
+void Gemm(const float* a, const float* b, float* c, int64_t m, int64_t k,
+          int64_t n);
+/// C[m,n] += A[k,m]^T * B[k,n].
+void GemmTransAAcc(const float* a, const float* b, float* c, int64_t m,
+                   int64_t k, int64_t n);
+/// C[m,n] += A[m,k] * B[n,k]^T.
+void GemmTransBAcc(const float* a, const float* b, float* c, int64_t m,
+                   int64_t k, int64_t n);
 
 /// Batched matrix product over the leading dimension:
 /// C[b] (+)= op(A[b]) * op(B[b]) with optional transposes.

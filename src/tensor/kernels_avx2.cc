@@ -14,6 +14,12 @@
 // masked epilogue) covered it, nor on how ParallelFor partitioned the rows.
 // Tails use masked loads/stores so no lane ever touches memory outside the
 // sub-block.
+//
+// The TU is built -ffp-contract=off: GCC would otherwise fuse a
+// _mm256_mul_ps feeding a _mm256_add_ps (plain vector expressions) into an
+// FMA, and the exp/sigmoid/tanh lanes must round every product and sum as
+// the scalar lane does. FMAs are written out (_mm256_fmadd_ps, std::fma in
+// the scalar tails) wherever a kernel wants one.
 
 #include "src/tensor/kernels_simd.h"
 
@@ -250,7 +256,7 @@ void VecAxpyAvx2(float alpha, const float* x, float* y, int64_t n) {
         y + i,
         _mm256_fmadd_ps(av, _mm256_loadu_ps(x + i), _mm256_loadu_ps(y + i)));
   }
-  for (; i < n; ++i) y[i] += alpha * x[i];
+  for (; i < n; ++i) y[i] = std::fma(alpha, x[i], y[i]);
 }
 
 void VecScaleAvx2(float alpha, float* y, int64_t n) {
@@ -322,7 +328,7 @@ void RowMeanVarAvx2(const float* x, int64_t n, double* mean, double* var) {
   double ss = HSumD(_mm256_add_pd(acc0, acc1));
   for (; i < n; ++i) {
     const double d = static_cast<double>(x[i]) - m;
-    ss += d * d;
+    ss = std::fma(d, d, ss);
   }
   *mean = m;
   *var = ss / static_cast<double>(n);
@@ -346,8 +352,81 @@ void RowNormalizeAffineAvx2(const float* src, float mean, float istd,
   for (; j < n; ++j) {
     const float xh = (src[j] - mean) * istd;
     xhat[j] = xh;
-    dst[j] = xh * gamma[j] + beta[j];
+    dst[j] = std::fma(xh, gamma[j], beta[j]);
   }
+}
+
+namespace {
+
+/// exp of 8 lanes by the act:: recipe (kernels_simd.h), operation for
+/// operation as the scalar lane in kernels.cc. min/max keep their operand
+/// order (the second operand wins on NaN), so NaN passes the clamp.
+inline __m256 ExpLanes(__m256 x) {
+  x = _mm256_min_ps(_mm256_set1_ps(act::kExpHi), x);
+  x = _mm256_max_ps(_mm256_set1_ps(act::kExpLo), x);
+  const __m256 magic = _mm256_set1_ps(act::kRoundMagic);
+  const __m256 t =
+      _mm256_add_ps(_mm256_mul_ps(x, _mm256_set1_ps(act::kLog2e)), magic);
+  const __m256 n = _mm256_sub_ps(t, magic);
+  __m256 r = _mm256_sub_ps(x, _mm256_mul_ps(n, _mm256_set1_ps(act::kLn2Hi)));
+  r = _mm256_sub_ps(r, _mm256_mul_ps(n, _mm256_set1_ps(act::kLn2Lo)));
+  const __m256 z = _mm256_mul_ps(r, r);
+  __m256 p = _mm256_set1_ps(act::kExpP0);
+  p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(act::kExpP1));
+  p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(act::kExpP2));
+  p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(act::kExpP3));
+  p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(act::kExpP4));
+  p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(act::kExpP5));
+  const __m256 y = _mm256_add_ps(_mm256_add_ps(_mm256_mul_ps(p, z), r),
+                                 _mm256_set1_ps(1.0f));
+  const __m256i n_int =
+      _mm256_sub_epi32(_mm256_castps_si256(t), _mm256_castps_si256(magic));
+  const __m256i scale =
+      _mm256_slli_epi32(_mm256_add_epi32(n_int, _mm256_set1_epi32(127)), 23);
+  return _mm256_mul_ps(y, _mm256_castsi256_ps(scale));
+}
+
+inline __m256 SigmoidLanes(__m256 x) {
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 e = ExpLanes(_mm256_xor_ps(x, _mm256_set1_ps(-0.0f)));
+  return _mm256_div_ps(one, _mm256_add_ps(one, e));
+}
+
+inline __m256 TanhLanes(__m256 x) {
+  const __m256 sign_bit = _mm256_set1_ps(-0.0f);
+  const __m256 ax = _mm256_andnot_ps(sign_bit, x);
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 e = ExpLanes(_mm256_add_ps(ax, ax));
+  const __m256 t = _mm256_sub_ps(
+      one, _mm256_div_ps(_mm256_set1_ps(2.0f), _mm256_add_ps(e, one)));
+  return _mm256_or_ps(t, _mm256_and_ps(x, sign_bit));
+}
+
+/// y = lanes(x) over [0, n), the tail as one masked vector.
+template <typename Lanes>
+inline void MapRow(const float* x, float* y, int64_t n, Lanes lanes) {
+  int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    _mm256_storeu_ps(y + i, lanes(_mm256_loadu_ps(x + i)));
+  }
+  if (i < n) {
+    const __m256i mask = TailMask(n - i);
+    _mm256_maskstore_ps(y + i, mask, lanes(_mm256_maskload_ps(x + i, mask)));
+  }
+}
+
+}  // namespace
+
+void RowExpAvx2(const float* x, float* y, int64_t n) {
+  MapRow(x, y, n, ExpLanes);
+}
+
+void RowSigmoidAvx2(const float* x, float* y, int64_t n) {
+  MapRow(x, y, n, SigmoidLanes);
+}
+
+void RowTanhAvx2(const float* x, float* y, int64_t n) {
+  MapRow(x, y, n, TanhLanes);
 }
 
 namespace {
@@ -513,6 +592,9 @@ void RowNormalizeAffineAvx2(const float*, float, float, const float*,
                             const float*, float*, float*, int64_t) {
   AbortUnavailable();
 }
+void RowExpAvx2(const float*, float*, int64_t) { AbortUnavailable(); }
+void RowSigmoidAvx2(const float*, float*, int64_t) { AbortUnavailable(); }
+void RowTanhAvx2(const float*, float*, int64_t) { AbortUnavailable(); }
 int32_t Int8DotAvx2(const int8_t*, const int8_t*, int64_t) { AbortUnavailable(); }
 void Int8DotX4Avx2(const int8_t*, const int8_t*, int64_t, int64_t, int32_t*) {
   AbortUnavailable();

@@ -18,6 +18,9 @@
 // loaded once, accumulated with sequential-p FMAs, stored once; the bits of
 // C[i][j] depend only on (p_begin, p_end), never on which tile shape covered
 // the element or how rows were partitioned across threads.
+//
+// Built -ffp-contract=off like kernels_avx2.cc: the exp/sigmoid/tanh lanes
+// below return the scalar lane's bits only if no mul+add pair is fused.
 
 #include "src/tensor/kernels_simd.h"
 #include "src/util/logging.h"
@@ -217,6 +220,83 @@ float DotAvx512(const float* a, const float* b, int64_t n) {
                            _mm512_maskz_loadu_ps(mask, b + p), acc1);
   }
   return HSum512(_mm512_add_ps(acc0, acc1));
+}
+
+namespace {
+
+/// exp of 16 lanes by the act:: recipe, operation for operation as the
+/// scalar lane in kernels.cc and ExpLanes in kernels_avx2.cc. Sign-bit
+/// logic runs in the integer domain: the _ps logic ops need AVX512DQ.
+inline __m512 ExpLanes16(__m512 x) {
+  x = _mm512_min_ps(_mm512_set1_ps(act::kExpHi), x);
+  x = _mm512_max_ps(_mm512_set1_ps(act::kExpLo), x);
+  const __m512 magic = _mm512_set1_ps(act::kRoundMagic);
+  const __m512 t =
+      _mm512_add_ps(_mm512_mul_ps(x, _mm512_set1_ps(act::kLog2e)), magic);
+  const __m512 n = _mm512_sub_ps(t, magic);
+  __m512 r = _mm512_sub_ps(x, _mm512_mul_ps(n, _mm512_set1_ps(act::kLn2Hi)));
+  r = _mm512_sub_ps(r, _mm512_mul_ps(n, _mm512_set1_ps(act::kLn2Lo)));
+  const __m512 z = _mm512_mul_ps(r, r);
+  __m512 p = _mm512_set1_ps(act::kExpP0);
+  p = _mm512_add_ps(_mm512_mul_ps(p, r), _mm512_set1_ps(act::kExpP1));
+  p = _mm512_add_ps(_mm512_mul_ps(p, r), _mm512_set1_ps(act::kExpP2));
+  p = _mm512_add_ps(_mm512_mul_ps(p, r), _mm512_set1_ps(act::kExpP3));
+  p = _mm512_add_ps(_mm512_mul_ps(p, r), _mm512_set1_ps(act::kExpP4));
+  p = _mm512_add_ps(_mm512_mul_ps(p, r), _mm512_set1_ps(act::kExpP5));
+  const __m512 y = _mm512_add_ps(_mm512_add_ps(_mm512_mul_ps(p, z), r),
+                                 _mm512_set1_ps(1.0f));
+  const __m512i n_int =
+      _mm512_sub_epi32(_mm512_castps_si512(t), _mm512_castps_si512(magic));
+  const __m512i scale =
+      _mm512_slli_epi32(_mm512_add_epi32(n_int, _mm512_set1_epi32(127)), 23);
+  return _mm512_mul_ps(y, _mm512_castsi512_ps(scale));
+}
+
+inline __m512 SigmoidLanes16(__m512 x) {
+  const __m512 one = _mm512_set1_ps(1.0f);
+  const __m512 neg = _mm512_castsi512_ps(_mm512_xor_si512(
+      _mm512_castps_si512(x), _mm512_set1_epi32(INT32_MIN)));
+  return _mm512_div_ps(one, _mm512_add_ps(one, ExpLanes16(neg)));
+}
+
+inline __m512 TanhLanes16(__m512 x) {
+  const __m512i bits = _mm512_castps_si512(x);
+  const __m512i sign_bit = _mm512_set1_epi32(INT32_MIN);
+  const __m512 ax = _mm512_castsi512_ps(_mm512_andnot_si512(sign_bit, bits));
+  const __m512 one = _mm512_set1_ps(1.0f);
+  const __m512 e = ExpLanes16(_mm512_add_ps(ax, ax));
+  const __m512 t = _mm512_sub_ps(
+      one, _mm512_div_ps(_mm512_set1_ps(2.0f), _mm512_add_ps(e, one)));
+  return _mm512_castsi512_ps(_mm512_or_si512(
+      _mm512_castps_si512(t), _mm512_and_si512(bits, sign_bit)));
+}
+
+/// y = lanes(x) over [0, n), the tail as one masked vector.
+template <typename Lanes>
+inline void MapRow16(const float* x, float* y, int64_t n, Lanes lanes) {
+  int64_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    _mm512_storeu_ps(y + i, lanes(_mm512_loadu_ps(x + i)));
+  }
+  if (i < n) {
+    const __mmask16 mask = TailMask16(n - i);
+    _mm512_mask_storeu_ps(y + i, mask,
+                          lanes(_mm512_maskz_loadu_ps(mask, x + i)));
+  }
+}
+
+}  // namespace
+
+void RowExpAvx512(const float* x, float* y, int64_t n) {
+  MapRow16(x, y, n, ExpLanes16);
+}
+
+void RowSigmoidAvx512(const float* x, float* y, int64_t n) {
+  MapRow16(x, y, n, SigmoidLanes16);
+}
+
+void RowTanhAvx512(const float* x, float* y, int64_t n) {
+  MapRow16(x, y, n, TanhLanes16);
 }
 
 int32_t Int8DotAvx512(const int8_t* a, const int8_t* b, int64_t k) {
@@ -523,6 +603,9 @@ void Int8QuantizeRowVnniAvx512(const float*, int64_t, int64_t, uint8_t*,
   Unavailable512();
 }
 float DotAvx512(const float*, const float*, int64_t) { Unavailable512(); }
+void RowExpAvx512(const float*, float*, int64_t) { Unavailable512(); }
+void RowSigmoidAvx512(const float*, float*, int64_t) { Unavailable512(); }
+void RowTanhAvx512(const float*, float*, int64_t) { Unavailable512(); }
 int32_t Int8DotAvx512(const int8_t*, const int8_t*, int64_t) {
   Unavailable512();
 }

@@ -23,6 +23,34 @@ namespace simd {
 /// columns were partitioned across threads. See kernels.cc for the blocking
 /// invariants these slot into.
 
+/// Constants of the exp/sigmoid/tanh row kernels. The scalar lane in
+/// kernels.cc and the AVX2/AVX-512 lanes run the same IEEE operations on
+/// these values in the same order (every kernel TU is built
+/// -ffp-contract=off), so each tier returns the same bits for each element.
+///
+/// exp(x): clamp x to [kExpLo, kExpHi]; n = round(x·log2 e), ties to even,
+/// by adding and subtracting kRoundMagic; r = (x − n·kLn2Hi) − n·kLn2Lo;
+/// exp(r) = ((P(r)·r² + r) + 1) with Cephes' degree-5 P; then multiply by
+/// 2^n, built exactly from n's bits. The clamp keeps n in [−126, 127], so
+/// 2^n is a normal float.
+namespace act {
+inline constexpr float kExpHi = 88.3f;
+inline constexpr float kExpLo = -87.3f;
+inline constexpr float kLog2e = 1.44269504088896341f;
+/// 1.5·2^23: x + kRoundMagic keeps round(x) in its low mantissa bits for
+/// |x| < 2^22, so bits(t) − bits(kRoundMagic) is n as an integer.
+inline constexpr float kRoundMagic = 12582912.0f;
+/// ln 2 = kLn2Hi + kLn2Lo; n·kLn2Hi is exact for |n| <= 256.
+inline constexpr float kLn2Hi = 0.693359375f;
+inline constexpr float kLn2Lo = -2.12194440e-4f;
+inline constexpr float kExpP0 = 1.9875691500e-4f;
+inline constexpr float kExpP1 = 1.3981999507e-3f;
+inline constexpr float kExpP2 = 8.3334519073e-3f;
+inline constexpr float kExpP3 = 4.1665795894e-2f;
+inline constexpr float kExpP4 = 1.6666665459e-1f;
+inline constexpr float kExpP5 = 5.0000001201e-1f;
+}  // namespace act
+
 /// True when this build contains real AVX2 code paths (compile-time fact;
 /// host support is probed separately by cpu_features.cc).
 bool Avx2CompiledIn();
@@ -56,6 +84,11 @@ void RowMeanVarAvx2(const float* x, int64_t n, double* mean, double* var);
 void RowNormalizeAffineAvx2(const float* src, float mean, float istd,
                             const float* gamma, const float* beta,
                             float* xhat, float* dst, int64_t n);
+/// y[i] = exp / sigmoid / tanh of x[i] (x == y allowed), the act:: recipe
+/// per lane; the masked tail computes exactly as a full vector does.
+void RowExpAvx2(const float* x, float* y, int64_t n);
+void RowSigmoidAvx2(const float* x, float* y, int64_t n);
+void RowTanhAvx2(const float* x, float* y, int64_t n);
 
 /// sum_p a[p] * b[p] over int8 operands with exact int32 accumulation
 /// (sign-extend to int16, _mm256_madd_epi16). Bit-identical to the scalar
@@ -80,6 +113,11 @@ void GemmMicroPanelAvx512(const float* a, int64_t lda, const float* b,
                           int64_t j_begin, int64_t j_end, bool trans_a);
 
 float DotAvx512(const float* a, const float* b, int64_t n);
+
+/// 16-lane forms of RowExpAvx2 / RowSigmoidAvx2 / RowTanhAvx2: same bits.
+void RowExpAvx512(const float* x, float* y, int64_t n);
+void RowSigmoidAvx512(const float* x, float* y, int64_t n);
+void RowTanhAvx512(const float* x, float* y, int64_t n);
 
 int32_t Int8DotAvx512(const int8_t* a, const int8_t* b, int64_t k);
 void Int8DotX4Avx512(const int8_t* a, const int8_t* b, int64_t ldb, int64_t k,

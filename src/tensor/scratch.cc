@@ -1,5 +1,6 @@
 #include "src/tensor/scratch.h"
 
+#include <algorithm>
 #include <atomic>
 #include <vector>
 
@@ -12,7 +13,10 @@ namespace alt {
 namespace {
 
 constexpr size_t kAlignFloats = 8;           // 32 bytes.
-constexpr size_t kMinBlockFloats = 1 << 14;  // 64 KiB.
+// The first block a thread's arena takes. A thread's arena ends as one
+// block of its peak need (see Arena::Restore), so the minimum only sets
+// what a thread with small needs reserves.
+constexpr size_t kMinBlockFloats = 1 << 12;  // 16 KiB.
 
 std::atomic<int64_t> g_peak_bytes{0};
 std::atomic<int64_t> g_reserved_bytes{0};
@@ -33,12 +37,17 @@ using Block = std::vector<float, obs::TrackingAllocator<float>>;
 
 /// One arena per thread. Blocks are append-only while any frame is live, so
 /// handed-out spans never move; when the last frame closes, a fragmented
-/// arena is consolidated into a single block for the next user.
+/// arena is consolidated into a single block for the next user, sized to
+/// the most floats ever live at once rather than to the blocks it
+/// replaces (a small nested span after an exactly-sized one would
+/// otherwise double the arena).
 struct Arena {
   std::vector<Block> blocks;
-  size_t active = 0;  // Block currently being carved.
-  size_t offset = 0;  // Float offset within blocks[active].
-  int depth = 0;      // Live frames on this thread.
+  size_t active = 0;     // Block currently being carved.
+  size_t offset = 0;     // Float offset within blocks[active].
+  int depth = 0;         // Live frames on this thread.
+  size_t live = 0;       // Floats the live spans need in one block.
+  size_t peak_live = 0;  // Largest `live` so far.
 
   ~Arena() {
     g_reserved_bytes.fetch_sub(CapacityBytes(), std::memory_order_relaxed);
@@ -60,12 +69,13 @@ struct Arena {
     return used + static_cast<int64_t>(offset * sizeof(float));
   }
 
+  /// No geometric growth: the consolidation at the next top-level frame
+  /// exit sizes the arena, so a block holds just what asked for it. Sizes
+  /// are whole alignment units, so an aligned offset never passes the end.
   void AppendBlock(size_t floats) {
-    size_t size = kMinBlockFloats;
-    const size_t cap =
-        static_cast<size_t>(CapacityBytes() / sizeof(float));
-    if (cap > size) size = cap;  // Geometric growth across blocks.
-    if (floats > size) size = floats;
+    const size_t size =
+        std::max(kMinBlockFloats,
+                 (floats + kAlignFloats - 1) & ~(kAlignFloats - 1));
     blocks.emplace_back(size);
     g_reserved_bytes.fetch_add(
         static_cast<int64_t>(size * sizeof(float)),
@@ -86,24 +96,26 @@ struct Arena {
     if (active == blocks.size()) AppendBlock(floats);
     float* p = blocks[active].data() + offset;
     offset += floats;
+    live = ((live + kAlignFloats - 1) & ~(kAlignFloats - 1)) + floats;
+    if (live > peak_live) peak_live = live;
     RaisePeak(UsedBytes());
     return p;
   }
 
-  void Restore(size_t block, size_t off) {
+  void Restore(size_t block, size_t off, size_t live_before) {
     active = block;
     offset = off;
+    live = live_before;
     --depth;
     // Between top-level frames nothing is live: collapse a multi-block
-    // arena into one block so later frames stop block-hopping.
+    // arena into one block that holds the largest set of spans seen, so
+    // later frames stop block-hopping.
     if (depth == 0 && blocks.size() > 1) {
-      const size_t total =
-          static_cast<size_t>(CapacityBytes() / sizeof(float));
       g_reserved_bytes.fetch_sub(CapacityBytes(), std::memory_order_relaxed);
       blocks.clear();
       active = 0;
       offset = 0;
-      AppendBlock(total);
+      AppendBlock(peak_live);
     }
   }
 };
@@ -119,11 +131,12 @@ ScratchFrame::ScratchFrame() {
   Arena& arena = ThreadArena();
   saved_block_ = arena.active;
   saved_offset_ = arena.offset;
+  saved_live_ = arena.live;
   ++arena.depth;
 }
 
 ScratchFrame::~ScratchFrame() {
-  ThreadArena().Restore(saved_block_, saved_offset_);
+  ThreadArena().Restore(saved_block_, saved_offset_, saved_live_);
 }
 
 float* ScratchFrame::Floats(int64_t n) {

@@ -20,7 +20,9 @@ namespace alt {
 ///
 /// Frames nest (LIFO); destroying a frame releases its allocations back to
 /// the arena without freeing memory, so steady-state kernels allocate
-/// nothing. The arena's backing store uses obs::TrackingAllocator, so
+/// nothing. When the last frame on a thread closes, an arena that grew
+/// extra blocks becomes one block holding the most floats ever live at
+/// once, so it reserves what its heaviest caller needs and no more. The arena's backing store uses obs::TrackingAllocator, so
 /// scratch bytes appear in the global tensor-memory accounting, and the
 /// high-water marks are published as gauges (`memory/scratch/peak_bytes`,
 /// `memory/scratch/reserved_bytes` — exported as `alt_memory_scratch_*`).
@@ -45,6 +47,7 @@ class ScratchFrame {
  private:
   size_t saved_block_;
   size_t saved_offset_;
+  size_t saved_live_;
 };
 
 /// Largest bytes-in-use observed in any single thread's arena, process-wide.

@@ -599,6 +599,194 @@ TEST(SimdParityTest, RowPrimitivesUnalignedMatchScalarAtEveryLevel) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Activation rows (RowExp / RowSigmoid / RowTanh) promise more than the other
+// fp32 kernels: the same bits at every SIMD level, for every length, offset
+// and chunking, because each element is computed alone by one fixed
+// sequence of IEEE operations.
+
+using RowFn = void (*)(const float*, float*, int64_t);
+
+struct ActivationKernel {
+  const char* name;
+  RowFn fn;
+};
+
+const ActivationKernel kActivationKernels[] = {
+    {"row_exp", RowExp}, {"row_sigmoid", RowSigmoid}, {"row_tanh", RowTanh}};
+
+/// Inputs for the activation rows: the special values first, then finite
+/// values across and beyond the exp clamp [-87.3, 88.3].
+std::vector<float> ActivationInputs(int64_t n, Rng* rng) {
+  const float special[] = {0.0f,
+                           -0.0f,
+                           std::numeric_limits<float>::infinity(),
+                           -std::numeric_limits<float>::infinity(),
+                           std::numeric_limits<float>::quiet_NaN(),
+                           -std::numeric_limits<float>::quiet_NaN(),
+                           88.3f,
+                           -87.3f,
+                           100.0f,
+                           -100.0f,
+                           1e-30f,
+                           -1e-30f,
+                           std::numeric_limits<float>::max(),
+                           -std::numeric_limits<float>::max(),
+                           0.5f,
+                           -44.5f};
+  std::vector<float> x(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) {
+    x[static_cast<size_t>(i)] =
+        i < 16 ? special[i] : static_cast<float>(rng->Uniform(-120.0, 120.0));
+  }
+  return x;
+}
+
+TEST(SimdParityTest, ActivationRowsBitIdenticalAcrossLevelsLengthsAndOffsets) {
+  SimdLevelGuard sguard;
+  const std::vector<SimdLevel> levels = AvailableSimdLevels();
+  Rng rng(46);
+  for (int64_t n = 0; n <= 67; ++n) {
+    for (int64_t offset : {0, 1, 3}) {
+      const std::vector<float> xs = ActivationInputs(n, &rng);
+      std::vector<float> xbuf(static_cast<size_t>(n + offset));
+      std::copy(xs.begin(), xs.end(), xbuf.begin() + offset);
+      const float* x = xbuf.data() + offset;
+      for (const ActivationKernel& k : kActivationKernels) {
+        ASSERT_TRUE(SetSimdLevel(SimdLevel::kScalar));
+        std::vector<float> ref(static_cast<size_t>(n));
+        k.fn(x, ref.data(), n);
+        for (int64_t i = 0; i < n; ++i) {
+          // NaN in gives NaN out; nothing else does.
+          ASSERT_EQ(std::isnan(ref[i]), std::isnan(x[i]))
+              << k.name << " of " << x[i];
+        }
+        for (SimdLevel level : levels) {
+          ASSERT_TRUE(SetSimdLevel(level));
+          // Out of place, one call.
+          std::vector<float> ybuf(static_cast<size_t>(n + offset), -7.0f);
+          k.fn(x, ybuf.data() + offset, n);
+          ASSERT_TRUE(n == 0 ||
+                      std::memcmp(ybuf.data() + offset, ref.data(),
+                                  sizeof(float) * static_cast<size_t>(n)) == 0)
+              << k.name << " " << SimdLevelName(level) << " n=" << n
+              << " offset=" << offset;
+          for (int64_t i = 0; i < offset; ++i) ASSERT_EQ(ybuf[i], -7.0f);
+          // In place, split at every point: an element's bits do not
+          // depend on whether it sits in a full vector or a tail.
+          for (int64_t cut = 0; cut <= n; ++cut) {
+            std::vector<float> inplace(xbuf.begin() + offset, xbuf.end());
+            k.fn(inplace.data(), inplace.data(), cut);
+            k.fn(inplace.data() + cut, inplace.data() + cut, n - cut);
+            ASSERT_TRUE(n == 0 ||
+                        std::memcmp(inplace.data(), ref.data(),
+                                    sizeof(float) * static_cast<size_t>(n)) ==
+                            0)
+                << k.name << " " << SimdLevelName(level) << " n=" << n
+                << " cut=" << cut;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdParityTest, ActivationRowsBitIdenticalAcrossThreadCounts) {
+  // A caller chunks a long range over the compute pool (ag::Sigmoid etc.
+  // through ParallelForWork); any chunking must give the one-call bits.
+  ThreadOverrideGuard tguard;
+  SimdLevelGuard sguard;
+  Rng rng(47);
+  const int64_t n = 4099;
+  const std::vector<float> x = ActivationInputs(n, &rng);
+  for (const ActivationKernel& k : kActivationKernels) {
+    ASSERT_TRUE(SetSimdLevel(SimdLevel::kScalar));
+    std::vector<float> ref(static_cast<size_t>(n));
+    k.fn(x.data(), ref.data(), n);
+    for (SimdLevel level : AvailableSimdLevels()) {
+      ASSERT_TRUE(SetSimdLevel(level));
+      for (int threads : TestThreadCounts()) {
+        SetComputeThreads(threads);
+        for (int64_t grain : {1, 7, 100, 1024}) {
+          std::vector<float> got(static_cast<size_t>(n), -7.0f);
+          ParallelFor(0, n, grain, [&](int64_t lo, int64_t hi) {
+            k.fn(x.data() + lo, got.data() + lo, hi - lo);
+          });
+          ASSERT_EQ(0, std::memcmp(got.data(), ref.data(),
+                                   sizeof(float) * static_cast<size_t>(n)))
+              << k.name << " " << SimdLevelName(level)
+              << " threads=" << threads << " grain=" << grain;
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdParityTest, ActivationRowsMatchDoubleReference) {
+  // Measured (the same at every level, as the bits are): sigmoid 8.9e-8
+  // and tanh 1.09e-7 absolute on [-20, 20], exp 7.9e-8 relative on
+  // [-80, 80]. The bounds leave headroom for nothing but rounding.
+  SimdLevelGuard sguard;
+  const int64_t n = 200001;
+  std::vector<float> x(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) {
+    x[static_cast<size_t>(i)] =
+        -20.0f + 40.0f * static_cast<float>(i) / static_cast<float>(n - 1);
+  }
+  std::vector<float> xe(x.size());
+  for (size_t i = 0; i < x.size(); ++i) xe[i] = 4.0f * x[i];
+  std::vector<float> sig(x.size()), th(x.size()), ex(x.size());
+  for (SimdLevel level : AvailableSimdLevels()) {
+    ASSERT_TRUE(SetSimdLevel(level));
+    RowSigmoid(x.data(), sig.data(), n);
+    RowTanh(x.data(), th.data(), n);
+    RowExp(xe.data(), ex.data(), n);
+    double sig_err = 0.0, tanh_err = 0.0, exp_rel = 0.0;
+    for (size_t i = 0; i < x.size(); ++i) {
+      const double v = x[i];
+      sig_err = std::max(sig_err, std::fabs(sig[i] - 1.0 / (1.0 + std::exp(-v))));
+      tanh_err = std::max(tanh_err, std::fabs(th[i] - std::tanh(v)));
+      const double e = std::exp(static_cast<double>(xe[i]));
+      exp_rel = std::max(exp_rel, std::fabs(ex[i] - e) / e);
+    }
+    EXPECT_LT(sig_err, 1.0e-7) << SimdLevelName(level);
+    EXPECT_LT(tanh_err, 1.2e-7) << SimdLevelName(level);
+    EXPECT_LT(exp_rel, 1.2e-7) << SimdLevelName(level);
+  }
+}
+
+TEST(SimdParityTest, ActivationRowsLimits) {
+  SimdLevelGuard sguard;
+  const float inf = std::numeric_limits<float>::infinity();
+  const float x[] = {0.0f, -0.0f, inf, -inf, 200.0f, -200.0f};
+  float e[6], s[6], t[6];
+  for (SimdLevel level : AvailableSimdLevels()) {
+    ASSERT_TRUE(SetSimdLevel(level));
+    RowExp(x, e, 6);
+    RowSigmoid(x, s, 6);
+    RowTanh(x, t, 6);
+    EXPECT_EQ(e[0], 1.0f);
+    EXPECT_EQ(e[1], 1.0f);
+    // Clamped: finite at +inf, tiny but positive at -inf.
+    EXPECT_TRUE(std::isfinite(e[2]));
+    EXPECT_GT(e[2], 1e38f);
+    EXPECT_GT(e[3], 0.0f);
+    EXPECT_LT(e[3], 1.3e-38f);
+    EXPECT_EQ(s[0], 0.5f);
+    EXPECT_EQ(s[2], 1.0f);
+    EXPECT_EQ(s[4], 1.0f);
+    EXPECT_GE(s[3], 0.0f);
+    EXPECT_LT(s[3], 1e-38f);
+    EXPECT_EQ(t[0], 0.0f);
+    EXPECT_FALSE(std::signbit(t[0]));
+    EXPECT_TRUE(std::signbit(t[1]));
+    EXPECT_EQ(t[2], 1.0f);
+    EXPECT_EQ(t[3], -1.0f);
+    EXPECT_EQ(t[4], 1.0f);
+    EXPECT_EQ(t[5], -1.0f);
+  }
+}
+
 TEST(SimdParityTest, Int8MatMulBitIdenticalAcrossLevelsAndThreads) {
   // Exact int32 accumulation: the int8 GEMM result must not depend on the
   // SIMD level (scalar / madd / VNNI fast path), the column partition, or

@@ -1,9 +1,14 @@
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "src/data/synthetic.h"
 #include "src/models/base_model.h"
 #include "src/models/model_config.h"
+#include "src/tensor/cpu_features.h"
+#include "src/util/parallel_for.h"
 
 namespace alt {
 namespace models {
@@ -178,6 +183,79 @@ TEST(BaseModelTest, DropoutOnlyAffectsTrainingMode) {
   auto p1 = model.value()->PredictProbs(batch);
   auto p2 = model.value()->PredictProbs(batch);
   for (size_t i = 0; i < p1.size(); ++i) EXPECT_FLOAT_EQ(p1[i], p2[i]);
+}
+
+TEST(BaseModelTest, BatchCompositionDoesNotChangeARowsScore) {
+  // A row's PredictProbs value must not depend on the other rows of its
+  // batch: serving merges requests into one engine call, altbench checks
+  // scores exactly, and teacher labels scored once must equal per-batch
+  // scoring. Checked byte for byte for the LSTM and BERT presets, fp32 and
+  // int8, at every SIMD level this host runs and at 1 and 4 threads.
+  data::SyntheticConfig data_config;
+  data_config.num_scenarios = 1;
+  data_config.scenario_sizes = {64};
+  const data::ScenarioData rows =
+      data::SyntheticGenerator(data_config).GenerateScenario(0);
+  std::vector<size_t> all(64);
+  for (size_t i = 0; i < all.size(); ++i) all[i] = i;
+  const data::Batch full = data::MakeBatch(rows, all);
+  const data::Batch head = data::MakeBatch(
+      rows, std::vector<size_t>(all.begin(), all.begin() + 37));
+  const data::Batch tail = data::MakeBatch(
+      rows, std::vector<size_t>(all.begin() + 37, all.end()));
+
+  const SimdLevel saved_level = ActiveSimdLevel();
+  std::vector<SimdLevel> levels = {SimdLevel::kScalar};
+  if (SetSimdLevel(SimdLevel::kAvx2)) levels.push_back(SimdLevel::kAvx2);
+  if (SetSimdLevel(SimdLevel::kAvx512)) levels.push_back(SimdLevel::kAvx512);
+  for (EncoderKind kind : {EncoderKind::kLstm, EncoderKind::kBert}) {
+    for (bool heavy : {true, false}) {
+      const ModelConfig config =
+          heavy ? ModelConfig::Heavy(kind, data_config.profile_dim,
+                                     data_config.seq_len,
+                                     data_config.vocab_size)
+                : ModelConfig::Light(kind, data_config.profile_dim,
+                                     data_config.seq_len,
+                                     data_config.vocab_size);
+      for (bool int8 : {false, true}) {
+        Rng rng(21);
+        auto built = BuildBaseModel(config, &rng);
+        ASSERT_TRUE(built.ok());
+        BaseModel* model = built.value().get();
+        if (int8) {
+          ASSERT_GT(model->QuantizeForServing(), 0);
+        }
+        for (SimdLevel level : levels) {
+          ASSERT_TRUE(SetSimdLevel(level));
+          for (int threads : {1, 4}) {
+            SetComputeThreads(threads);
+            const std::string where =
+                std::string(EncoderKindName(kind)) +
+                (heavy ? " heavy" : " light") + (int8 ? " int8 " : " fp32 ") +
+                SimdLevelName(level) + " threads=" + std::to_string(threads);
+            const std::vector<float> want = model->PredictProbs(full);
+            ASSERT_EQ(want.size(), 64u);
+            std::vector<float> split = model->PredictProbs(head);
+            const std::vector<float> rest = model->PredictProbs(tail);
+            split.insert(split.end(), rest.begin(), rest.end());
+            ASSERT_EQ(split.size(), want.size());
+            EXPECT_EQ(0, std::memcmp(split.data(), want.data(),
+                                     sizeof(float) * want.size()))
+                << where << ": 37 + 27 rows";
+            for (size_t r = 0; r < all.size(); ++r) {
+              const std::vector<float> one =
+                  model->PredictProbs(data::MakeBatch(rows, {all[r]}));
+              ASSERT_EQ(one.size(), 1u);
+              EXPECT_EQ(0, std::memcmp(&one[0], &want[r], sizeof(float)))
+                  << where << ": row " << r << " alone";
+            }
+          }
+        }
+      }
+    }
+  }
+  SetComputeThreads(0);
+  SetSimdLevel(saved_level);
 }
 
 }  // namespace

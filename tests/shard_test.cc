@@ -3,7 +3,8 @@
 // worker shard, and the ShardCoordinator (broadcast deploys that install
 // nothing unless every copy succeeds, replica groups that name only shards
 // holding their version, replica failover, rebalance on shard death with
-// zero lost requests, the queue cap, warm re-join and scale-up).
+// zero lost requests, the queue cap, warm re-join and scale-up, and a
+// failed admission that leaves its shard dead and off the ring).
 
 #include <algorithm>
 #include <atomic>
@@ -632,6 +633,103 @@ TEST(ShardCoordinatorTest, AddShardJoinsRingAndServesAssignedScenarios) {
     }
     EXPECT_TRUE(coordinator.Predict(scenario, batch).ok());
   }
+}
+
+/// No replica group of the plane names `id`.
+void ExpectInNoGroup(const ShardCoordinator& coordinator,
+                     const std::string& id) {
+  for (const std::string& scenario : coordinator.Scenarios()) {
+    for (const std::string& replica : coordinator.ReplicasOf(scenario)) {
+      EXPECT_NE(replica, id) << scenario;
+    }
+  }
+}
+
+TEST(ShardCoordinatorTest, FailedRejoinLeavesTheShardDeadForARetry) {
+  resilience::FaultInjector& faults = resilience::FaultInjector::Global();
+  faults.Reset();
+  obs::MetricsRegistry registry;
+  ShardCoordinator coordinator(SmallCoordinator(3, 2), &registry);
+  const int kScenarios = 12;
+  for (int s = 0; s < kScenarios; ++s) {
+    ASSERT_TRUE(
+        coordinator.Deploy("scenario_" + std::to_string(s), TinyModel(80 + s))
+            .ok());
+  }
+  // Kill shard-0 and let a deploy evict it from the ring.
+  ASSERT_TRUE(coordinator.KillShard("shard-0").ok());
+  ASSERT_TRUE(coordinator.Deploy("scenario_0", TinyModel(79)).ok());
+  ASSERT_EQ(registry.counter_value("serving/rebalance_events"), 1);
+  ExpectInNoGroup(coordinator, "shard-0");
+
+  // Every copy faults: the admission fails, and the shard stays dead and
+  // off the ring instead of live with no replica group naming it.
+  resilience::FaultRule always;
+  always.every_nth = 1;
+  faults.Arm("serving/deploy", always);
+  EXPECT_EQ(coordinator.RejoinShard("shard-0").code(), StatusCode::kInternal);
+  faults.Disarm("serving/deploy");
+  EXPECT_TRUE(coordinator.shard("shard-0")->dead());
+  EXPECT_EQ(coordinator.NumLiveShards(), 2);
+  ExpectInNoGroup(coordinator, "shard-0");
+
+  // Once the fault clears, the same call admits it.
+  const Status retry = coordinator.RejoinShard("shard-0");
+  ASSERT_TRUE(retry.ok()) << retry.ToString();
+  EXPECT_EQ(coordinator.NumLiveShards(), 3);
+  const data::Batch batch = OneSample(81);
+  int groups_with_shard0 = 0;
+  for (int s = 0; s < kScenarios; ++s) {
+    const std::string scenario = "scenario_" + std::to_string(s);
+    for (const std::string& id : coordinator.ReplicasOf(scenario)) {
+      groups_with_shard0 += id == "shard-0" ? 1 : 0;
+      EXPECT_EQ(coordinator.shard(id)->DeployedVersion(scenario),
+                coordinator.VersionOf(scenario))
+          << scenario << " on " << id;
+    }
+    EXPECT_TRUE(coordinator.Predict(scenario, batch).ok()) << scenario;
+  }
+  EXPECT_GT(groups_with_shard0, 0);
+  faults.Reset();
+}
+
+TEST(ShardCoordinatorTest, FailedAddShardLeavesTheShardDeadForARejoin) {
+  resilience::FaultInjector& faults = resilience::FaultInjector::Global();
+  faults.Reset();
+  obs::MetricsRegistry registry;
+  ShardCoordinator coordinator(SmallCoordinator(3, 2), &registry);
+  for (int s = 0; s < 6; ++s) {
+    ASSERT_TRUE(
+        coordinator.Deploy("scenario_" + std::to_string(s), TinyModel(95 + s))
+            .ok());
+  }
+  // f0 everywhere: the newcomer needs at least one copy.
+  ASSERT_TRUE(coordinator.DeployEverywhere("f0", TinyModel(94)).ok());
+
+  resilience::FaultRule always;
+  always.every_nth = 1;
+  faults.Arm("serving/deploy", always);
+  EXPECT_EQ(coordinator.AddShard("shard-3").code(), StatusCode::kInternal);
+  faults.Disarm("serving/deploy");
+  // Registered, dead and off the ring; its id stays taken.
+  EXPECT_EQ(coordinator.NumShards(), 4);
+  EXPECT_EQ(coordinator.NumLiveShards(), 3);
+  ASSERT_NE(coordinator.shard("shard-3"), nullptr);
+  EXPECT_TRUE(coordinator.shard("shard-3")->dead());
+  ExpectInNoGroup(coordinator, "shard-3");
+  EXPECT_EQ(coordinator.AddShard("shard-3").code(),
+            StatusCode::kAlreadyExists);
+
+  const Status rejoin = coordinator.RejoinShard("shard-3");
+  ASSERT_TRUE(rejoin.ok()) << rejoin.ToString();
+  EXPECT_EQ(coordinator.NumLiveShards(), 4);
+  EXPECT_EQ(coordinator.shard("shard-3")->DeployedVersion("f0"),
+            coordinator.VersionOf("f0"));
+  const data::Batch batch = OneSample(96);
+  for (const std::string& scenario : coordinator.Scenarios()) {
+    EXPECT_TRUE(coordinator.Predict(scenario, batch).ok()) << scenario;
+  }
+  faults.Reset();
 }
 
 TEST(ShardCoordinatorTest, ControlPlaneEvictsAKilledShardWithoutTraffic) {

@@ -26,8 +26,9 @@
 #                warm rejoin and scale-up with zero lost requests, the join
 #                movement bound, the queue cap's shed/recover, and
 #                placements that never leave a replica without its version
-#   simd-parity  kernel/parity/quant tests rerun with ALT_SIMD=off (the
-#                guaranteed scalar contract) in the release tree
+#   simd-parity  kernel/parity/quant/autograd/nn/models tests rerun with
+#                ALT_SIMD=off (the guaranteed scalar contract) in the
+#                release tree
 #   telemetry    a breaker-driven /healthz probe flips to 503 under injected
 #                serving faults
 #   ubsan        Release + -fsanitize=undefined + ALT_DCHECKS=ON, full ctest
@@ -210,7 +211,8 @@ if wants serving-elastic; then
   # rebalance, the one-shot join movement bound, the queue cap's
   # shed-then-recover contract, and placement: a failed broadcast copy
   # installs nothing, a failed rebalance copy keeps its shard out of the
-  # group, and an undeploy clears replicas an admission displaced.
+  # group, an undeploy clears replicas an admission displaced, and a failed
+  # re-join or scale-up leaves its shard dead and off the ring for a retry.
   echo "==> serving-elastic stage (build-asan, shard lifecycle suite)"
   ./build-asan/tests/shard_test --gtest_filter=\
 '*KillDrainsQueue*:*KillTriggersRebalance*:*ControlPlaneEvicts*:'\
@@ -226,9 +228,11 @@ if wants simd-parity; then
   # SIMD-parity stage: rerun the kernel-layer tests with the dispatcher
   # forced to the scalar contract. The parity suites inside compare the
   # levels against each other; this stage additionally proves the whole
-  # kernel/quant/autograd surface still passes when SIMD is off entirely
-  # (the fallback every non-x86 or ALT_SIMD=off deployment runs).
-  SIMD_PARITY_TESTS="kernels_test|kernel_parity_test|quant_test|autograd_test"
+  # kernel/quant/autograd surface, the fused LSTM layer's composition
+  # reference (nn_test) and the batch-composition property of every model
+  # preset (models_test) still pass when SIMD is off entirely (the fallback
+  # every non-x86 or ALT_SIMD=off deployment runs).
+  SIMD_PARITY_TESTS="kernels_test|kernel_parity_test|quant_test|autograd_test|nn_test|models_test"
   echo "==> simd-parity stage (ALT_SIMD=off over kernel-layer tests)"
   ALT_SIMD=off ctest --test-dir build --output-on-failure \
     -R "^(${SIMD_PARITY_TESTS})$"
