@@ -14,9 +14,11 @@
 // simd_gemm_speedup_vs_scalar_serving and int8_gemm_speedup_vs_fp32_simd
 // (worst case over those shapes). The model-shape section times the LSTM
 // gate GEMM at 1 and N threads and the fused lstm_layer op (inference
-// forward, and forward+backward). The crossover sweep times GEMMs around
-// alt::kMinParallelWork inline against split into 32-row panels on the
-// compute pool, the measurement that sets that constant.
+// forward, and forward+backward; the 64-row cases also forced to the
+// scalar tier, deriving lstm_layer_simd_speedup_vs_scalar). The crossover
+// sweep times GEMMs around alt::kMinParallelWork inline against split into
+// 32-row panels on the compute pool, the measurement that sets that
+// constant.
 //
 // Flags:
 //   --smoke       fast mode for CI: tiny rep counts, still checks parity.
@@ -434,10 +436,26 @@ int Main(int argc, char** argv) {
                         min_time, &rng));
     }
   }
+  // The 64-row layer runs again forced to the scalar tier: its step
+  // kernels give the same bits at every tier, so the ratio is the SIMD
+  // tier's speed-up on one computation (GEMMs agree only to rounding).
+  std::vector<double> lstm_speedups;
   for (bool backward : {false, true}) {
     for (int64_t batch : {int64_t{1}, int64_t{64}}) {
-      rep.Add(BenchLstmLayer(backward, batch, 16, 15, max_threads, min_time,
-                             &rng));
+      BenchResult simd_r = BenchLstmLayer(backward, batch, 16, 15,
+                                          max_threads, min_time, &rng);
+      rep.Add(simd_r);
+      if (batch != 64) continue;
+      const SimdLevel level = ActiveSimdLevel();
+      SetSimdLevel(SimdLevel::kScalar);
+      BenchResult scalar_r = BenchLstmLayer(backward, batch, 16, 15,
+                                            max_threads, min_time, &rng);
+      scalar_r.isa = "scalar";
+      rep.Add(scalar_r);
+      SetSimdLevel(level);
+      if (scalar_r.gflops > 0.0) {
+        lstm_speedups.push_back(simd_r.gflops / scalar_r.gflops);
+      }
     }
   }
 
@@ -546,6 +564,11 @@ int Main(int argc, char** argv) {
     derived["int8_gemm_speedup_vs_fp32_simd"] =
         *std::min_element(int8_speedups.begin(), int8_speedups.end());
   }
+  // Worst of the forward and forward+backward at 64x16x15.
+  if (!lstm_speedups.empty()) {
+    derived["lstm_layer_simd_speedup_vs_scalar"] =
+        *std::min_element(lstm_speedups.begin(), lstm_speedups.end());
+  }
   // The smallest swept GEMM (in MFLOP) from which the pool split beats
   // running inline at every larger swept size; absent if it never does.
   double crossover_mflop = -1.0;
@@ -614,6 +637,12 @@ int Main(int argc, char** argv) {
     std::printf("simd gemm speedup vs scalar (serving shapes, worst): "
                 "%.2fx\n",
                 derived.at("simd_gemm_speedup_vs_scalar_serving").as_number());
+  }
+  if (derived.contains("lstm_layer_simd_speedup_vs_scalar")) {
+    std::printf("lstm layer %s speedup vs scalar (64x16x15, worst of fwd and "
+                "fwd+bwd): %.2fx\n",
+                ActiveSimdName(),
+                derived.at("lstm_layer_simd_speedup_vs_scalar").as_number());
   }
   if (derived.contains("int8_gemm_speedup_vs_fp32_simd")) {
     std::printf("int8 gemm speedup vs fp32 %s (serving shapes, worst): "

@@ -909,15 +909,20 @@ namespace {
 /// that much; whole 64-row batches cost serve_bulk 7-11% of its peak RSS.
 constexpr int64_t kLstmInferenceRows = 16;
 
+/// Rows of x's gradient per block of the backward's dx GEMM (15 KB at
+/// in = 15), so its scratch does not grow with B·T.
+constexpr int64_t kLstmDxRows = 256;
+
 /// Backward of LstmLayer. `acts` ([B·T, 4H], row b·T + t) holds the
 /// forward's gate activations of sample b at step t, and `cells` and
 /// `tanh_c` ([T][B][H]) its cell states and tanh(c). Each formula is the
-/// composed graph's, term for term; a `0.0f +` marks a first write into
-/// what was a fresh (zeroed) gradient there, which turns -0 into +0. Once
-/// step t has used its activations, their rows take step t's dgates, so
-/// `acts` ends as every step's dgates in x's row order — the input of the
-/// two GEMMs that give the hoisted x·W_x product's gradients. A node runs
-/// its backward once per graph, so nothing reads the activations again.
+/// composed graph's, term for term (LstmStepBackward); the dh seed's
+/// `0.0f +` marks a first write into what was a fresh (zeroed) gradient
+/// there, which turns -0 into +0. When x or w_x needs a gradient, step t's
+/// kernel writes its dgates over its activations, so `acts` ends as every
+/// step's dgates in x's row order — the input of the two GEMMs that give
+/// the hoisted x·W_x product's gradients. A node runs its backward once
+/// per graph, so nothing reads the activations again.
 void LstmLayerBackward(Node* self, Node* xn, Node* wxn, Node* whn, Node* bn,
                        Tensor* acts, const Tensor& cells,
                        const Tensor& tanh_c) {
@@ -939,59 +944,36 @@ void LstmLayerBackward(Node* self, Node* xn, Node* wxn, Node* whn, Node* bn,
   if (whn->requires_grad && seq > 1) whn->EnsureGrad();
   if (bn->requires_grad) bn->EnsureGrad();
 
-  const bool input_grads = xn->requires_grad || wxn->requires_grad;
-  const int64_t dx_size = xn->requires_grad ? batch * seq * in : 0;
   ScratchFrame frame;
-  float* dh = frame.Floats(3 * bh + batch * g4 + dx_size);  // dL/dh_t
-  float* dc_next = dh + bh;  // dL/dc_t received from step t+1
-  float* h_prev = dc_next + bh;
-  float* dgates = h_prev + bh;  // dL/d(pre-activation gates_t), [B, 4H]
-  float* dx = dgates + batch * g4;
+  float* dh = frame.Floats(bh);      // dL/dh_t
+  float* dc = frame.Floats(bh);      // dL/dc_t, carried to step t-1
+  float* h_prev = frame.Floats(bh);
+  float* dgates = frame.Floats(batch * g4);  // step t's, [B, 4H]
+  LstmStepBackwardArgs step;
+  step.rows = batch;
+  step.hidden = h;
+  step.gates_stride = seq * g4;
+  step.save = xn->requires_grad || wxn->requires_grad;
+  step.dh = dh;
+  step.dc = dc;
+  step.dgates = dgates;
+  step.bias_grad = bn->requires_grad ? bn->grad.data() : nullptr;
   for (int64_t t = seq - 1; t >= 0; --t) {
     for (int64_t b = 0; b < batch; ++b) {
-      for (int64_t j = 0; j < h; ++j) {
-        dh[b * h + j] = 0.0f + dout[(b * seq + t) * h + j];
-      }
+      const float* src = dout.data() + (b * seq + t) * h;
+      for (int64_t j = 0; j < h; ++j) dh[b * h + j] = 0.0f + src[j];
     }
     // dgates still holds step t+1's gradient here.
     if (t + 1 < seq) GemmTransBAcc(dgates, wh.data(), dh, batch, g4, h);
-    const float* cell_prev = t > 0 ? cells.data() + (t - 1) * bh : nullptr;
-    const float* tc = tanh_c.data() + t * bh;
-    for (int64_t b = 0; b < batch; ++b) {
-      const float* a = acts->data() + (b * seq + t) * g4;
-      float* dg = dgates + b * g4;
-      for (int64_t j = 0; j < h; ++j) {
-        const int64_t k = b * h + j;
-        const float i = a[j];
-        const float f = a[h + j];
-        const float g = a[2 * h + j];
-        const float o = a[3 * h + j];
-        const float carry = t + 1 < seq ? dc_next[k] : 0.0f;
-        const float dc = carry + (dh[k] * o) * TanhGrad(tc[k]);
-        const float cp = cell_prev != nullptr ? cell_prev[k] : 0.0f;
-        dc_next[k] = 0.0f + dc * f;
-        dg[j] = 0.0f + (dc * g) * SigmoidGrad(i);
-        dg[h + j] = 0.0f + (dc * cp) * SigmoidGrad(f);
-        dg[2 * h + j] = 0.0f + (dc * i) * TanhGrad(g);
-        dg[3 * h + j] = 0.0f + (dh[k] * tc[k]) * SigmoidGrad(o);
-      }
-    }
-    if (bn->requires_grad) {
-      for (int64_t r = 0; r < batch; ++r) {
-        const float* row = dgates + r * g4;
-        for (int64_t k = 0; k < g4; ++k) bn->grad[k] += row[k];
-      }
-    }
+    step.gates = acts->data() + t * g4;
+    step.tanh_c = tanh_c.data() + t * bh;
+    step.c_prev = t > 0 ? cells.data() + (t - 1) * bh : nullptr;
+    step.carry = t + 1 < seq;
+    LstmStepBackward(step);
     if (whn->requires_grad && t > 0) {
       // h_{t-1} is the output's previous slice; step 0 had no such product.
       CopyTimeStep(out, t - 1, h_prev);
       GemmTransAAcc(h_prev, dgates, whn->grad.data(), h, batch, g4);
-    }
-    if (input_grads) {
-      for (int64_t b = 0; b < batch; ++b) {
-        std::copy(dgates + b * g4, dgates + (b + 1) * g4,
-                  acts->data() + (b * seq + t) * g4);
-      }
     }
   }
   const float* dgates_all = acts->data();
@@ -1001,11 +983,22 @@ void LstmLayerBackward(Node* self, Node* xn, Node* wxn, Node* whn, Node* bn,
   }
   if (xn->requires_grad) {
     // As the composition's reshape of x does: the GEMM lands in a zeroed
-    // gradient, which is then added to x's in one pass.
-    std::fill(dx, dx + dx_size, 0.0f);
-    GemmTransBAcc(dgates_all, wx.data(), dx, batch * seq, g4, in);
+    // gradient, which is then added to x's. dx rows are independent, so
+    // this runs kLstmDxRows rows at a time; a tail below kGemmTileRows
+    // joins the block before it, so every block keeps a row's bits.
+    const int64_t rows = batch * seq;
+    float* dx = frame.Floats(
+        std::min(rows, kLstmDxRows + kGemmTileRows - 1) * in);
     float* xg = xn->grad.data();
-    for (int64_t i = 0; i < dx_size; ++i) xg[i] += dx[i];
+    for (int64_t r0 = 0; r0 < rows;) {
+      int64_t r1 = std::min(rows, r0 + kLstmDxRows);
+      if (rows - r1 < kGemmTileRows) r1 = rows;
+      const int64_t n = (r1 - r0) * in;
+      std::fill(dx, dx + n, 0.0f);
+      GemmTransBAcc(dgates_all + r0 * g4, wx.data(), dx, r1 - r0, g4, in);
+      for (int64_t i = 0; i < n; ++i) xg[r0 * in + i] += dx[i];
+      r0 = r1;
+    }
   }
 }
 
@@ -1038,10 +1031,10 @@ Variable LstmLayer(const Variable& x, const Variable& w_x,
                       (x.requires_grad() || w_x.requires_grad() ||
                        w_h.requires_grad() || bias.requires_grad());
   // Recording, the saved activations [B·T, 4H] first receive x·W_x, and
-  // each step overwrites its rows with their activations once it has read
-  // them. Otherwise x·W_x goes to scratch, a block of rows at a time, and
-  // only one step's c and tanh(c) are kept, rolling.
-  const int64_t kept = record ? seq : 1;
+  // each step's kernel replaces its rows with their activations; c and
+  // tanh(c) are kept for every step. Otherwise x·W_x goes to scratch, a
+  // block of rows at a time, and only the running c is kept.
+  const int64_t kept = record ? seq : 0;
   const int64_t block =
       record ? batch : std::min<int64_t>(batch, kLstmInferenceRows);
   Tensor acts(std::vector<int64_t>{record ? batch * seq : 0, g4});
@@ -1050,67 +1043,38 @@ Variable LstmLayer(const Variable& x, const Variable& w_x,
   Tensor out({batch, seq, h});
   {
     ScratchFrame frame;
-    float* gh = frame.Floats(block * (2 * g4 + h) +
-                             (record ? 0 : block * seq * g4));
-    float* work = gh + block * g4;  // step t's gates, gate-major [4][nb][H]
-    float* h_prev = work + block * g4;
+    float* hw = frame.Floats(block * g4);  // h_{t-1}·W_h
+    float* h_prev = frame.Floats(block * h);
+    float* c_run = record ? nullptr : frame.Floats(block * h);
+    float* xw_block = record ? nullptr : frame.Floats(block * seq * g4);
+    LstmStepForwardArgs step;
+    step.hidden = h;
+    step.gates_stride = seq * g4;
+    step.bias = bv.data();
+    step.h = h_prev;
+    step.out_stride = seq * h;
     for (int64_t b0 = 0; b0 < batch; b0 += block) {
       const int64_t nb = std::min(block, batch - b0);
-      const int64_t nbh = nb * h;
       // x·W_x for all T steps of the block in one GEMM, x read in place as
       // [nb·T, in]: row b·T + t holds step t of sample b0 + b.
-      float* gx = record ? acts.data() + b0 * seq * g4 : h_prev + block * h;
-      Gemm(xv.data() + b0 * seq * in, wx.data(), gx, nb * seq, in, g4);
+      float* xw = record ? acts.data() + b0 * seq * g4 : xw_block;
+      Gemm(xv.data() + b0 * seq * in, wx.data(), xw, nb * seq, in, g4);
+      step.rows = nb;
       for (int64_t t = 0; t < seq; ++t) {
         // h_{-1} = 0, so step 0 takes no recurrent product.
-        if (t > 0) Gemm(h_prev, wh.data(), gh, nb, h, g4);
-        for (int64_t b = 0; b < nb; ++b) {
-          const float* ax = gx + (b * seq + t) * g4;
-          const float* ah = gh + b * g4;
-          for (int64_t q = 0; q < 4; ++q) {
-            float* a = work + q * nbh + b * h;
-            const float* bq = bv.data() + q * h;
-            if (t == 0) {
-              for (int64_t j = 0; j < h; ++j) a[j] = ax[q * h + j] + bq[j];
-            } else {
-              for (int64_t j = 0; j < h; ++j) {
-                a[j] = (ax[q * h + j] + ah[q * h + j]) + bq[j];
-              }
-            }
-          }
+        if (t > 0) Gemm(h_prev, wh.data(), hw, nb, h, g4);
+        step.gates = xw + t * g4;
+        step.hw = t > 0 ? hw : nullptr;
+        if (record) {  // One block: b0 = 0.
+          step.c_prev = t > 0 ? cells.data() + (t - 1) * bh : nullptr;
+          step.c = cells.data() + t * bh;
+          step.tanh_c = tanh_c.data() + t * bh;
+        } else {
+          step.c_prev = t > 0 ? c_run : nullptr;
+          step.c = c_run;
         }
-        // One activation call per gate block: i and f, g, o.
-        RowSigmoid(work, work, 2 * nbh);
-        RowTanh(work + 2 * nbh, work + 2 * nbh, nbh);
-        RowSigmoid(work + 3 * nbh, work + 3 * nbh, nbh);
-        const int64_t slot = record ? t : 0;
-        float* cell = cells.data() + slot * bh + b0 * h;
-        float* tc = tanh_c.data() + slot * bh + b0 * h;
-        // Without a backward, slot 0 holds c_{t-1} until it is overwritten.
-        const float* cell_prev =
-            t == 0 ? nullptr
-                   : cells.data() + (record ? t - 1 : 0) * bh + b0 * h;
-        for (int64_t k = 0; k < nbh; ++k) {
-          const float cp = cell_prev != nullptr ? cell_prev[k] : 0.0f;
-          cell[k] = work[nbh + k] * cp + work[k] * work[2 * nbh + k];
-        }
-        RowTanh(cell, tc, nbh);
-        for (int64_t b = 0; b < nb; ++b) {
-          for (int64_t j = 0; j < h; ++j) {
-            const int64_t k = b * h + j;
-            h_prev[k] = work[3 * nbh + k] * tc[k];
-            out[((b0 + b) * seq + t) * h + j] = h_prev[k];
-          }
-        }
-        if (record) {
-          for (int64_t b = 0; b < nb; ++b) {
-            float* a = gx + (b * seq + t) * g4;
-            for (int64_t q = 0; q < 4; ++q) {
-              std::copy(work + q * nbh + b * h, work + q * nbh + (b + 1) * h,
-                        a + q * h);
-            }
-          }
-        }
+        step.out = out.data() + b0 * seq * h + t * h;
+        LstmStepForward(step);
       }
     }
   }

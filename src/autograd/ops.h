@@ -107,18 +107,20 @@ Variable Dropout(const Variable& x, float p, Rng* rng, bool training);
 /// T steps (x read in place as [B·T, in]); then per step
 ///   gates = (xw_t + h_{t-1}·w_h) + bias   (t > 0),   gates = xw_0 + bias
 ///   c_t = f·c_{t-1} + i·g  (c_{-1} = 0),   h_t = o·tanh(c_t)
-/// with the products and sums in exactly that order; sigmoid and tanh are
-/// the RowSigmoid/RowTanh kernels, one call per gate block per step.
+/// with the products and sums in exactly that order; each step's cell math,
+/// forward and backward, is one LstmStepForward / LstmStepBackward kernel
+/// call (src/tensor/kernels.h) on the RowSigmoid/RowTanh lanes.
 /// Forward values and every gradient are bit-identical to composing the op
 /// from Reshape, MatMul, SelectTime, Add, AddBias, SliceLastDim,
 /// Sigmoid/Tanh, Mul and StackTime the same way: backward walks
 /// t = T-1..0, dh_t is the output's slice plus dgates_{t+1}·w_hᵀ, dc_t is
 /// dc_{t+1}·f_{t+1} plus the tanh path, the w_h and bias gradients
-/// accumulate one step at a time in descending t, and the w_x and x
-/// gradients come from one GEMM each over every step's dgates. When the
-/// node records no backward (no input requires grad, or an InferenceGuard
-/// is open) only one step's h/c state is kept, rolling; otherwise the
-/// per-step activations are saved for backward.
+/// accumulate one step at a time in descending t, and the w_x gradient
+/// comes from one GEMM over every step's dgates and the x gradient from one
+/// per block of 256 rows of them. When the node records no backward (no
+/// input requires grad, or an InferenceGuard is open) only one step's h/c
+/// state is kept, rolling; otherwise the per-step activations are saved for
+/// backward.
 Variable LstmLayer(const Variable& x, const Variable& w_x,
                    const Variable& w_h, const Variable& bias);
 /// Forward FLOPs of LstmLayer for one sample of length `seq_len`.

@@ -138,6 +138,7 @@ ScenarioData SyntheticGenerator::GenerateWithRng(int64_t scenario_id,
     total += event_probs[v];
   }
   for (double& p : event_probs) p /= total;
+  const CategoricalTable events(event_probs);
 
   ScenarioData out;
   out.scenario_id = scenario_id;
@@ -165,7 +166,7 @@ ScenarioData SyntheticGenerator::GenerateWithRng(int64_t scenario_id,
     }
     int64_t* brow = out.behaviors.data() + i * t_len;
     for (int64_t t = 0; t < t_len; ++t) {
-      brow[t] = static_cast<int64_t>(rng->Categorical(event_probs));
+      brow[t] = static_cast<int64_t>(events.Sample(rng));
     }
     const double p = ProbabilityFor(sc, prow, brow);
     bool label = rng->Bernoulli(p);

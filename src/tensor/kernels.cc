@@ -35,7 +35,7 @@ namespace {
 /// boundaries also never depend on the partition.
 constexpr int64_t kKC = 256;
 constexpr int64_t kNC = 1024;
-constexpr int64_t kMR = 4;
+constexpr int64_t kMR = kGemmTileRows;
 constexpr int64_t kRowGrain = 32;
 static_assert(kRowGrain % kMR == 0, "panels must preserve register tiling");
 static_assert(kKC % 4 == 0, "k blocks must preserve the quad unroll");
@@ -363,6 +363,86 @@ void RowTanh(const float* x, float* y, int64_t n) {
     simd::RowTanhAvx2(x, y, n);
   } else {
     for (int64_t i = 0; i < n; ++i) y[i] = TanhLane(x[i]);
+  }
+}
+
+void LstmStepForward(const LstmStepForwardArgs& s) {
+  const SimdLevel level = ActiveSimdLevel();
+  if (level == SimdLevel::kAvx512) {
+    simd::LstmStepForwardAvx512(s);
+    return;
+  }
+  if (level == SimdLevel::kAvx2) {
+    simd::LstmStepForwardAvx2(s);
+    return;
+  }
+  const int64_t hd = s.hidden;
+  for (int64_t r = 0; r < s.rows; ++r) {
+    float* gates = s.gates + r * s.gates_stride;
+    const float* hw = s.hw != nullptr ? s.hw + r * 4 * hd : nullptr;
+    const float* c_prev = s.c_prev != nullptr ? s.c_prev + r * hd : nullptr;
+    for (int64_t j = 0; j < hd; ++j) {
+      float a[4];
+      for (int64_t q = 0; q < 4; ++q) {
+        const int64_t k = q * hd + j;
+        a[q] = hw != nullptr ? (gates[k] + hw[k]) + s.bias[k]
+                             : gates[k] + s.bias[k];
+      }
+      const float i = SigmoidLane(a[0]);
+      const float f = SigmoidLane(a[1]);
+      const float g = TanhLane(a[2]);
+      const float o = SigmoidLane(a[3]);
+      const float cp = c_prev != nullptr ? c_prev[j] : 0.0f;
+      const float c = f * cp + i * g;
+      const float tc = TanhLane(c);
+      const float h = o * tc;
+      s.c[r * hd + j] = c;
+      if (s.tanh_c != nullptr) s.tanh_c[r * hd + j] = tc;
+      s.h[r * hd + j] = h;
+      s.out[r * s.out_stride + j] = h;
+      gates[j] = i;
+      gates[hd + j] = f;
+      gates[2 * hd + j] = g;
+      gates[3 * hd + j] = o;
+    }
+  }
+}
+
+void LstmStepBackward(const LstmStepBackwardArgs& s) {
+  const SimdLevel level = ActiveSimdLevel();
+  if (level == SimdLevel::kAvx512) {
+    simd::LstmStepBackwardAvx512(s);
+    return;
+  }
+  if (level == SimdLevel::kAvx2) {
+    simd::LstmStepBackwardAvx2(s);
+    return;
+  }
+  const int64_t hd = s.hidden;
+  for (int64_t r = 0; r < s.rows; ++r) {
+    float* gates = s.gates + r * s.gates_stride;
+    float* dg = s.dgates + r * 4 * hd;
+    for (int64_t j = 0; j < hd; ++j) {
+      const int64_t k = r * hd + j;
+      const float i = gates[j];
+      const float f = gates[hd + j];
+      const float g = gates[2 * hd + j];
+      const float o = gates[3 * hd + j];
+      const float tc = s.tanh_c[k];
+      const float dh = s.dh[k];
+      const float carry = s.carry ? s.dc[k] : 0.0f;
+      const float dc = carry + (dh * o) * (1.0f - tc * tc);
+      const float cp = s.c_prev != nullptr ? s.c_prev[k] : 0.0f;
+      s.dc[k] = 0.0f + dc * f;
+      dg[j] = 0.0f + (dc * g) * (i * (1.0f - i));
+      dg[hd + j] = 0.0f + (dc * cp) * (f * (1.0f - f));
+      dg[2 * hd + j] = 0.0f + (dc * i) * (1.0f - g * g);
+      dg[3 * hd + j] = 0.0f + (dh * tc) * (o * (1.0f - o));
+    }
+    if (s.save) std::copy(dg, dg + 4 * hd, gates);
+    if (s.bias_grad != nullptr) {
+      for (int64_t k = 0; k < 4 * hd; ++k) s.bias_grad[k] += dg[k];
+    }
   }
 }
 

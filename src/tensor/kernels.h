@@ -21,12 +21,13 @@ namespace alt {
 ///
 /// SIMD dispatch (src/tensor/cpu_features.h): on AVX2+FMA hosts the micro
 /// panels and the row primitives below run the AVX2 implementations from
-/// kernels_avx2.cc (and, on AVX-512 hosts, the GEMM panels, long dots and
-/// activation rows from kernels_avx512.cc) unless ALT_SIMD=off forces the
-/// scalar path. fp32 GEMMs and reductions agree across levels only to
-/// rounding (different but fixed reduction orders); within one level results
-/// remain bit-identical across thread counts. The activation rows (RowExp,
-/// RowSigmoid, RowTanh) are stronger: the same bits at every level.
+/// kernels_avx2.cc (and, on AVX-512 hosts, the GEMM panels, long dots,
+/// activation rows and LSTM step kernels from kernels_avx512.cc) unless
+/// ALT_SIMD=off forces the scalar path. fp32 GEMMs and reductions agree
+/// across levels only to rounding (different but fixed reduction orders);
+/// within one level results remain bit-identical across thread counts. The
+/// activation rows (RowExp, RowSigmoid, RowTanh) and the LSTM step kernels
+/// are stronger: the same bits at every level.
 ///
 /// fp-contract rule: every kernel TU is compiled -ffp-contract=off, so GCC
 /// never fuses a multiply and an add into an FMA behind the code's back (in
@@ -77,6 +78,74 @@ void RowExp(const float* x, float* y, int64_t n);
 void RowSigmoid(const float* x, float* y, int64_t n);
 void RowTanh(const float* x, float* y, int64_t n);
 
+/// LSTM step kernels: the per-element cell math of one time step of the
+/// fused LSTM layer (ag::LstmLayer) over a block of rows, hidden size
+/// H = `hidden`, gate order (i, f, g, o). Row r's gates are
+/// gates[r·gates_stride + q·H + j] for gate q (the layer's [B·T, 4H] rows
+/// have stride T·4H); `out` rows have stride out_stride; every other
+/// operand is packed, [rows, H] or [rows, 4H].
+///
+/// Contract: each element is computed alone, with the operations written
+/// below in that order, sigmoid and tanh by the RowSigmoid/RowTanh lanes
+/// and no FMA, so scalar, AVX2 and AVX-512 give the same bits, and a row's
+/// values never depend on the other rows of the block. Vector tails are
+/// masked full vectors: no load or store touches memory past a row's H (or
+/// 4H) elements. Results agree bit for bit with the layer composed from
+/// Add, AddBias, Sigmoid, Tanh and Mul (nn_test pins it). NaN in gives NaN
+/// out; where two NaNs of different sign meet in one operation (the bias
+/// gradient sums rows), x86 keeps the first operand's and the compiler
+/// orders the operands, so only NaN-ness is pinned there.
+struct LstmStepForwardArgs {
+  int64_t rows = 0;
+  int64_t hidden = 0;
+  /// In: the step's x·W_x. Out: the activations i, f, g, o.
+  float* gates = nullptr;
+  int64_t gates_stride = 0;
+  /// h_{t-1}·W_h, [rows, 4H], and c_{t-1}, [rows, H]: both null at t = 0
+  /// (h_{-1} = c_{-1} = 0), else both set.
+  const float* hw = nullptr;
+  const float* c_prev = nullptr;
+  const float* bias = nullptr;    // [4H]
+  float* c = nullptr;             // [rows, H]; may equal c_prev
+  float* tanh_c = nullptr;        // [rows, H]; null: not stored
+  float* h = nullptr;             // [rows, H]
+  float* out = nullptr;           // h again, at out + r·out_stride
+  int64_t out_stride = 0;
+};
+/// Per element:
+///   a_q = (x·W_x + h·W_h) + b_q   (x·W_x + b_q when hw is null),
+///   i, f, o = sigmoid(a_q), g = tanh(a_2),
+///   c = f·c_prev + i·g   (f·0 + i·g when c_prev is null),
+///   tanh_c = tanh(c),   h = o·tanh_c.
+void LstmStepForward(const LstmStepForwardArgs& args);
+
+struct LstmStepBackwardArgs {
+  int64_t rows = 0;
+  int64_t hidden = 0;
+  /// In: the forward's activations i, f, g, o. Out when `save`: dgates.
+  float* gates = nullptr;
+  int64_t gates_stride = 0;
+  bool save = false;
+  const float* tanh_c = nullptr;  // [rows, H]
+  const float* c_prev = nullptr;  // [rows, H]; null at t = 0
+  const float* dh = nullptr;      // dL/dh_t, [rows, H]
+  /// [rows, H]. In when `carry`: dL/dc_t received from step t+1. Out: the
+  /// gradient step t passes to c_{t-1}.
+  float* dc = nullptr;
+  bool carry = false;
+  float* dgates = nullptr;     // dL/d(pre-activation), [rows, 4H]
+  float* bias_grad = nullptr;  // [4H]; null: skipped
+};
+/// Per element, with s' = s·(1 − s) and t' = 1 − t·t:
+///   dc = carry + (dh·o)·tanh_c'   (0 + … without carry),
+///   dc_out = 0 + dc·f,
+///   dg_i = 0 + (dc·g)·i',   dg_f = 0 + (dc·c_prev)·f'   (c_prev = 0 when
+///   null),   dg_g = 0 + (dc·i)·g',   dg_o = 0 + (dh·tanh_c)·o'.
+/// The `0 +` turns −0 into +0, as adding into a fresh zero gradient does.
+/// dgates go to `dgates` and, when `save`, over the activations; then, row
+/// by row in order, bias_grad[k] += dgates[k].
+void LstmStepBackward(const LstmStepBackwardArgs& args);
+
 /// C = A[m,k] * B[k,n]. Overwrites C.
 void MatMul(const Tensor& a, const Tensor& b, Tensor* c);
 /// C += A[m,k] * B[k,n].
@@ -96,9 +165,13 @@ void Gemm(const float* a, const float* b, float* c, int64_t m, int64_t k,
 /// C[m,n] += A[k,m]^T * B[k,n].
 void GemmTransAAcc(const float* a, const float* b, float* c, int64_t m,
                    int64_t k, int64_t n);
-/// C[m,n] += A[m,k] * B[n,k]^T.
+/// C[m,n] += A[m,k] * B[n,k]^T. Below kGemmTileRows rows it takes dot
+/// products, whose reduction order differs from the register tile's; from
+/// kGemmTileRows rows on, a row of C has the same bits for any m.
 void GemmTransBAcc(const float* a, const float* b, float* c, int64_t m,
                    int64_t k, int64_t n);
+/// Rows of the GEMM register tile.
+inline constexpr int64_t kGemmTileRows = 4;
 
 /// Batched matrix product over the leading dimension:
 /// C[b] (+)= op(A[b]) * op(B[b]) with optional transposes.

@@ -21,6 +21,7 @@
 // the scalar lane does. FMAs are written out (_mm256_fmadd_ps, std::fma in
 // the scalar tails) wherever a kernel wants one.
 
+#include "src/tensor/kernels.h"
 #include "src/tensor/kernels_simd.h"
 
 #if defined(__AVX2__) && defined(__FMA__)
@@ -431,6 +432,139 @@ void RowTanhAvx2(const float* x, float* y, int64_t n) {
 
 namespace {
 
+/// Loads and stores of one 8-lane block of a row: plain when the block is
+/// full, masked (zero-filled loads) for a row's last, partial block.
+struct RowBlock8 {
+  bool full;
+  __m256i mask;
+
+  explicit RowBlock8(int64_t rem)
+      : full(rem >= 8), mask(TailMask(rem < 8 ? rem : 7)) {}
+  __m256 Load(const float* p) const {
+    return full ? _mm256_loadu_ps(p) : _mm256_maskload_ps(p, mask);
+  }
+  void Store(float* p, __m256 v) const {
+    if (full) {
+      _mm256_storeu_ps(p, v);
+    } else {
+      _mm256_maskstore_ps(p, mask, v);
+    }
+  }
+};
+
+/// First pass of the forward over one 8-lane block of every row: the four
+/// gate activations, written over the gates, and c (see the AVX-512 form).
+template <bool kFirstStep>
+void LstmGatesPass8(const LstmStepForwardArgs& s, int64_t j,
+                    const RowBlock8& blk) {
+  const int64_t hd = s.hidden;
+  for (int64_t r = 0; r < s.rows; ++r) {
+    float* gates = s.gates + r * s.gates_stride;
+    __m256 a[4];
+    for (int64_t q = 0; q < 4; ++q) {
+      const int64_t k = q * hd + j;
+      a[q] = blk.Load(gates + k);
+      if (!kFirstStep) {
+        a[q] = _mm256_add_ps(a[q], blk.Load(s.hw + r * 4 * hd + k));
+      }
+      a[q] = _mm256_add_ps(a[q], blk.Load(s.bias + k));
+    }
+    const __m256 i = SigmoidLanes(a[0]);
+    const __m256 f = SigmoidLanes(a[1]);
+    const __m256 g = TanhLanes(a[2]);
+    const __m256 o = SigmoidLanes(a[3]);
+    const int64_t k = r * hd + j;
+    const __m256 cp =
+        kFirstStep ? _mm256_setzero_ps() : blk.Load(s.c_prev + k);
+    blk.Store(s.c + k,
+              _mm256_add_ps(_mm256_mul_ps(f, cp), _mm256_mul_ps(i, g)));
+    blk.Store(gates + j, i);
+    blk.Store(gates + hd + j, f);
+    blk.Store(gates + 2 * hd + j, g);
+    blk.Store(gates + 3 * hd + j, o);
+  }
+}
+
+}  // namespace
+
+void LstmStepForwardAvx2(const LstmStepForwardArgs& s) {
+  const int64_t hd = s.hidden;
+  for (int64_t j = 0; j < hd; j += 8) {
+    const RowBlock8 blk(hd - j);
+    if (s.hw == nullptr) {
+      LstmGatesPass8<true>(s, j, blk);
+    } else {
+      LstmGatesPass8<false>(s, j, blk);
+    }
+    for (int64_t r = 0; r < s.rows; ++r) {
+      const int64_t k = r * hd + j;
+      const __m256 tc = TanhLanes(blk.Load(s.c + k));
+      const __m256 o = blk.Load(s.gates + r * s.gates_stride + 3 * hd + j);
+      const __m256 h = _mm256_mul_ps(o, tc);
+      if (s.tanh_c != nullptr) blk.Store(s.tanh_c + k, tc);
+      blk.Store(s.h + k, h);
+      blk.Store(s.out + r * s.out_stride + j, h);
+    }
+  }
+}
+
+void LstmStepBackwardAvx2(const LstmStepBackwardArgs& s) {
+  const int64_t hd = s.hidden;
+  const __m256 zero = _mm256_setzero_ps();
+  const __m256 one = _mm256_set1_ps(1.0f);
+  // s' = s·(1 − s), t' = 1 − t·t, and a dgate 0 + (a·b)·grad.
+  const auto sigmoid_grad = [&](__m256 y) {
+    return _mm256_mul_ps(y, _mm256_sub_ps(one, y));
+  };
+  const auto tanh_grad = [&](__m256 y) {
+    return _mm256_sub_ps(one, _mm256_mul_ps(y, y));
+  };
+  const auto dgate = [&](__m256 a, __m256 b, __m256 grad) {
+    return _mm256_add_ps(zero, _mm256_mul_ps(_mm256_mul_ps(a, b), grad));
+  };
+  for (int64_t j = 0; j < hd; j += 8) {
+    const RowBlock8 blk(hd - j);
+    // The bias gradient's running sums stay in registers across the rows.
+    __m256 bias[4];
+    for (int64_t q = 0; q < 4; ++q) {
+      bias[q] =
+          s.bias_grad != nullptr ? blk.Load(s.bias_grad + q * hd + j) : zero;
+    }
+    for (int64_t r = 0; r < s.rows; ++r) {
+      float* gates = s.gates + r * s.gates_stride;
+      float* dg = s.dgates + r * 4 * hd;
+      const __m256 i = blk.Load(gates + j);
+      const __m256 f = blk.Load(gates + hd + j);
+      const __m256 g = blk.Load(gates + 2 * hd + j);
+      const __m256 o = blk.Load(gates + 3 * hd + j);
+      const int64_t k = r * hd + j;
+      const __m256 tc = blk.Load(s.tanh_c + k);
+      const __m256 dh = blk.Load(s.dh + k);
+      const __m256 carry = s.carry ? blk.Load(s.dc + k) : zero;
+      const __m256 dc = _mm256_add_ps(
+          carry, _mm256_mul_ps(_mm256_mul_ps(dh, o), tanh_grad(tc)));
+      const __m256 cp = s.c_prev != nullptr ? blk.Load(s.c_prev + k) : zero;
+      blk.Store(s.dc + k, _mm256_add_ps(zero, _mm256_mul_ps(dc, f)));
+      const __m256 d[4] = {dgate(dc, g, sigmoid_grad(i)),
+                           dgate(dc, cp, sigmoid_grad(f)),
+                           dgate(dc, i, tanh_grad(g)),
+                           dgate(dh, tc, sigmoid_grad(o))};
+      for (int64_t q = 0; q < 4; ++q) {
+        blk.Store(dg + q * hd + j, d[q]);
+        if (s.save) blk.Store(gates + q * hd + j, d[q]);
+        bias[q] = _mm256_add_ps(bias[q], d[q]);
+      }
+    }
+    if (s.bias_grad != nullptr) {
+      for (int64_t q = 0; q < 4; ++q) {
+        blk.Store(s.bias_grad + q * hd + j, bias[q]);
+      }
+    }
+  }
+}
+
+namespace {
+
 /// Sign-extends 32 int8 values into two 16-lane int16 vectors.
 inline void Cvt32(const int8_t* p, __m256i* lo, __m256i* hi) {
   const __m256i v =
@@ -595,6 +729,10 @@ void RowNormalizeAffineAvx2(const float*, float, float, const float*,
 void RowExpAvx2(const float*, float*, int64_t) { AbortUnavailable(); }
 void RowSigmoidAvx2(const float*, float*, int64_t) { AbortUnavailable(); }
 void RowTanhAvx2(const float*, float*, int64_t) { AbortUnavailable(); }
+void LstmStepForwardAvx2(const LstmStepForwardArgs&) { AbortUnavailable(); }
+void LstmStepBackwardAvx2(const LstmStepBackwardArgs&) {
+  AbortUnavailable();
+}
 int32_t Int8DotAvx2(const int8_t*, const int8_t*, int64_t) { AbortUnavailable(); }
 void Int8DotX4Avx2(const int8_t*, const int8_t*, int64_t, int64_t, int32_t*) {
   AbortUnavailable();

@@ -22,6 +22,7 @@
 // Built -ffp-contract=off like kernels_avx2.cc: the exp/sigmoid/tanh lanes
 // below return the scalar lane's bits only if no mul+add pair is fused.
 
+#include "src/tensor/kernels.h"
 #include "src/tensor/kernels_simd.h"
 #include "src/util/logging.h"
 
@@ -297,6 +298,133 @@ void RowSigmoidAvx512(const float* x, float* y, int64_t n) {
 
 void RowTanhAvx512(const float* x, float* y, int64_t n) {
   MapRow16(x, y, n, TanhLanes16);
+}
+
+// The LSTM step kernels run each row's H elements as 16-lane vectors, the
+// last one masked, so one vector covers a row of H <= 16. Loads are zero-
+// masked (masked-off lanes compute on zeros and are never stored).
+
+namespace {
+
+/// First pass of the forward over one 16-lane block of every row: the four
+/// gate activations, written over the gates, and c. A row's gates are
+/// independent of one another and of other rows, and the pass has no
+/// branch, so many exp chains are in flight at once.
+template <bool kFirstStep>
+void LstmGatesPass16(const LstmStepForwardArgs& s, int64_t j, __mmask16 m) {
+  const int64_t hd = s.hidden;
+  for (int64_t r = 0; r < s.rows; ++r) {
+    float* gates = s.gates + r * s.gates_stride;
+    __m512 a[4];
+    for (int64_t q = 0; q < 4; ++q) {
+      const int64_t k = q * hd + j;
+      a[q] = _mm512_maskz_loadu_ps(m, gates + k);
+      if (!kFirstStep) {
+        a[q] = _mm512_add_ps(a[q],
+                             _mm512_maskz_loadu_ps(m, s.hw + r * 4 * hd + k));
+      }
+      a[q] = _mm512_add_ps(a[q], _mm512_maskz_loadu_ps(m, s.bias + k));
+    }
+    const __m512 i = SigmoidLanes16(a[0]);
+    const __m512 f = SigmoidLanes16(a[1]);
+    const __m512 g = TanhLanes16(a[2]);
+    const __m512 o = SigmoidLanes16(a[3]);
+    const int64_t k = r * hd + j;
+    const __m512 cp = kFirstStep ? _mm512_setzero_ps()
+                                 : _mm512_maskz_loadu_ps(m, s.c_prev + k);
+    _mm512_mask_storeu_ps(
+        s.c + k, m, _mm512_add_ps(_mm512_mul_ps(f, cp), _mm512_mul_ps(i, g)));
+    _mm512_mask_storeu_ps(gates + j, m, i);
+    _mm512_mask_storeu_ps(gates + hd + j, m, f);
+    _mm512_mask_storeu_ps(gates + 2 * hd + j, m, g);
+    _mm512_mask_storeu_ps(gates + 3 * hd + j, m, o);
+  }
+}
+
+}  // namespace
+
+void LstmStepForwardAvx512(const LstmStepForwardArgs& s) {
+  const int64_t hd = s.hidden;
+  for (int64_t j = 0; j < hd; j += 16) {
+    const __mmask16 m = TailMask16(std::min<int64_t>(16, hd - j));
+    if (s.hw == nullptr) {
+      LstmGatesPass16<true>(s, j, m);
+    } else {
+      LstmGatesPass16<false>(s, j, m);
+    }
+    // Second pass: tanh(c) and h = o·tanh(c), whose chains are independent
+    // across rows.
+    for (int64_t r = 0; r < s.rows; ++r) {
+      const int64_t k = r * hd + j;
+      const __m512 tc = TanhLanes16(_mm512_maskz_loadu_ps(m, s.c + k));
+      const __m512 o = _mm512_maskz_loadu_ps(
+          m, s.gates + r * s.gates_stride + 3 * hd + j);
+      const __m512 h = _mm512_mul_ps(o, tc);
+      if (s.tanh_c != nullptr) _mm512_mask_storeu_ps(s.tanh_c + k, m, tc);
+      _mm512_mask_storeu_ps(s.h + k, m, h);
+      _mm512_mask_storeu_ps(s.out + r * s.out_stride + j, m, h);
+    }
+  }
+}
+
+void LstmStepBackwardAvx512(const LstmStepBackwardArgs& s) {
+  const int64_t hd = s.hidden;
+  const __m512 zero = _mm512_setzero_ps();
+  const __m512 one = _mm512_set1_ps(1.0f);
+  // s' = s·(1 − s), t' = 1 − t·t, and a dgate 0 + (a·b)·grad.
+  const auto sigmoid_grad = [&](__m512 y) {
+    return _mm512_mul_ps(y, _mm512_sub_ps(one, y));
+  };
+  const auto tanh_grad = [&](__m512 y) {
+    return _mm512_sub_ps(one, _mm512_mul_ps(y, y));
+  };
+  const auto dgate = [&](__m512 a, __m512 b, __m512 grad) {
+    return _mm512_add_ps(zero, _mm512_mul_ps(_mm512_mul_ps(a, b), grad));
+  };
+  for (int64_t j = 0; j < hd; j += 16) {
+    const __mmask16 m = TailMask16(std::min<int64_t>(16, hd - j));
+    // The bias gradient's running sums stay in registers across the rows.
+    __m512 bias[4];
+    for (int64_t q = 0; q < 4; ++q) {
+      bias[q] = s.bias_grad != nullptr
+                    ? _mm512_maskz_loadu_ps(m, s.bias_grad + q * hd + j)
+                    : zero;
+    }
+    for (int64_t r = 0; r < s.rows; ++r) {
+      float* gates = s.gates + r * s.gates_stride;
+      float* dg = s.dgates + r * 4 * hd;
+      const __m512 i = _mm512_maskz_loadu_ps(m, gates + j);
+      const __m512 f = _mm512_maskz_loadu_ps(m, gates + hd + j);
+      const __m512 g = _mm512_maskz_loadu_ps(m, gates + 2 * hd + j);
+      const __m512 o = _mm512_maskz_loadu_ps(m, gates + 3 * hd + j);
+      const int64_t k = r * hd + j;
+      const __m512 tc = _mm512_maskz_loadu_ps(m, s.tanh_c + k);
+      const __m512 dh = _mm512_maskz_loadu_ps(m, s.dh + k);
+      const __m512 carry =
+          s.carry ? _mm512_maskz_loadu_ps(m, s.dc + k) : zero;
+      const __m512 dc = _mm512_add_ps(
+          carry, _mm512_mul_ps(_mm512_mul_ps(dh, o), tanh_grad(tc)));
+      const __m512 cp = s.c_prev != nullptr
+                            ? _mm512_maskz_loadu_ps(m, s.c_prev + k)
+                            : zero;
+      _mm512_mask_storeu_ps(s.dc + k, m,
+                            _mm512_add_ps(zero, _mm512_mul_ps(dc, f)));
+      const __m512 d[4] = {dgate(dc, g, sigmoid_grad(i)),
+                           dgate(dc, cp, sigmoid_grad(f)),
+                           dgate(dc, i, tanh_grad(g)),
+                           dgate(dh, tc, sigmoid_grad(o))};
+      for (int64_t q = 0; q < 4; ++q) {
+        _mm512_mask_storeu_ps(dg + q * hd + j, m, d[q]);
+        if (s.save) _mm512_mask_storeu_ps(gates + q * hd + j, m, d[q]);
+        bias[q] = _mm512_add_ps(bias[q], d[q]);
+      }
+    }
+    if (s.bias_grad != nullptr) {
+      for (int64_t q = 0; q < 4; ++q) {
+        _mm512_mask_storeu_ps(s.bias_grad + q * hd + j, m, bias[q]);
+      }
+    }
+  }
 }
 
 int32_t Int8DotAvx512(const int8_t* a, const int8_t* b, int64_t k) {
@@ -606,6 +734,8 @@ float DotAvx512(const float*, const float*, int64_t) { Unavailable512(); }
 void RowExpAvx512(const float*, float*, int64_t) { Unavailable512(); }
 void RowSigmoidAvx512(const float*, float*, int64_t) { Unavailable512(); }
 void RowTanhAvx512(const float*, float*, int64_t) { Unavailable512(); }
+void LstmStepForwardAvx512(const LstmStepForwardArgs&) { Unavailable512(); }
+void LstmStepBackwardAvx512(const LstmStepBackwardArgs&) { Unavailable512(); }
 int32_t Int8DotAvx512(const int8_t*, const int8_t*, int64_t) {
   Unavailable512();
 }

@@ -4,6 +4,10 @@
 #include <cstdint>
 
 namespace alt {
+
+struct LstmStepForwardArgs;
+struct LstmStepBackwardArgs;
+
 namespace simd {
 
 /// Internal interface between the dispatching kernels (kernels.cc, quant.cc —
@@ -89,6 +93,13 @@ void RowNormalizeAffineAvx2(const float* src, float mean, float istd,
 void RowExpAvx2(const float* x, float* y, int64_t n);
 void RowSigmoidAvx2(const float* x, float* y, int64_t n);
 void RowTanhAvx2(const float* x, float* y, int64_t n);
+/// LstmStepForward / LstmStepBackward (kernels.h) over 8-lane vectors; each
+/// row's last vector is masked. The forward runs two passes over the rows
+/// (gates and c, then tanh(c) and h) and the backward keeps the bias
+/// gradient's sums in registers; per element the operations are the scalar
+/// lane's, so the bits are too.
+void LstmStepForwardAvx2(const LstmStepForwardArgs& args);
+void LstmStepBackwardAvx2(const LstmStepBackwardArgs& args);
 
 /// sum_p a[p] * b[p] over int8 operands with exact int32 accumulation
 /// (sign-extend to int16, _mm256_madd_epi16). Bit-identical to the scalar
@@ -118,6 +129,10 @@ float DotAvx512(const float* a, const float* b, int64_t n);
 void RowExpAvx512(const float* x, float* y, int64_t n);
 void RowSigmoidAvx512(const float* x, float* y, int64_t n);
 void RowTanhAvx512(const float* x, float* y, int64_t n);
+/// 16-lane forms of the LSTM step kernels: one masked vector covers a row
+/// of H <= 16 (the paper's H = 15). Same bits.
+void LstmStepForwardAvx512(const LstmStepForwardArgs& args);
+void LstmStepBackwardAvx512(const LstmStepBackwardArgs& args);
 
 int32_t Int8DotAvx512(const int8_t* a, const int8_t* b, int64_t k);
 void Int8DotX4Avx512(const int8_t* a, const int8_t* b, int64_t ldb, int64_t k,

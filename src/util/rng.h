@@ -1,6 +1,7 @@
 #ifndef ALT_SRC_UTIL_RNG_H_
 #define ALT_SRC_UTIL_RNG_H_
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <random>
@@ -50,24 +51,6 @@ class Rng {
   /// Bernoulli(p).
   bool Bernoulli(double p) { return Uniform() < p; }
 
-  /// Index sampled proportionally to non-negative `weights`.
-  size_t Categorical(const std::vector<double>& weights) {
-    ALT_CHECK(!weights.empty());
-    double total = 0.0;
-    for (double w : weights) {
-      ALT_CHECK_GE(w, 0.0);
-      total += w;
-    }
-    if (total <= 0.0) return UniformInt(0, static_cast<int64_t>(weights.size()) - 1);
-    double r = Uniform(0.0, total);
-    double acc = 0.0;
-    for (size_t i = 0; i < weights.size(); ++i) {
-      acc += weights[i];
-      if (r < acc) return i;
-    }
-    return weights.size() - 1;
-  }
-
   /// In-place Fisher-Yates shuffle.
   template <typename T>
   void Shuffle(std::vector<T>* v) {
@@ -107,6 +90,38 @@ class Rng {
 
  private:
   std::mt19937_64 engine_;
+};
+
+/// Index sampler over fixed non-negative weights. The running sums are
+/// built once, in index order; a draw is one Uniform(0, total) and a binary
+/// search for the first sum above it, the index a linear scan of the same
+/// sums would stop at. All-zero weights draw an index uniformly.
+class CategoricalTable {
+ public:
+  explicit CategoricalTable(const std::vector<double>& weights) {
+    ALT_CHECK(!weights.empty());
+    cumulative_.reserve(weights.size());
+    double total = 0.0;
+    for (double w : weights) {
+      ALT_CHECK_GE(w, 0.0);
+      total += w;
+      cumulative_.push_back(total);
+    }
+  }
+
+  size_t Sample(Rng* rng) const {
+    const int64_t n = static_cast<int64_t>(cumulative_.size());
+    const double total = cumulative_.back();
+    if (total <= 0.0) return static_cast<size_t>(rng->UniformInt(0, n - 1));
+    const double r = rng->Uniform(0.0, total);
+    const auto it = std::upper_bound(cumulative_.begin(), cumulative_.end(), r);
+    return static_cast<size_t>(it == cumulative_.end()
+                                   ? n - 1
+                                   : it - cumulative_.begin());
+  }
+
+ private:
+  std::vector<double> cumulative_;
 };
 
 }  // namespace alt

@@ -9,10 +9,12 @@
 #include "src/tensor/kernels.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -784,6 +786,276 @@ TEST(SimdParityTest, ActivationRowsLimits) {
     EXPECT_EQ(t[3], -1.0f);
     EXPECT_EQ(t[4], 1.0f);
     EXPECT_EQ(t[5], -1.0f);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// LSTM step kernels (LstmStepForward / LstmStepBackward): the same bits at
+// every SIMD level, and no write outside the rows they were given.
+
+const int64_t kStepHidden[] = {1, 7, 8, 15, 16, 17, 33};
+const int64_t kStepRows[] = {1, 3, 16, 64};
+constexpr float kSentinel = -12345.0f;
+/// Floats between a row's gates (or outputs) and the next row's: the op
+/// reads gates at stride T·4H, so a kernel sees strided rows with gaps.
+constexpr int64_t kRowGap = 5;
+/// Floats after each packed operand, to catch a store past its end.
+constexpr int64_t kPad = 16;
+
+float StepSpecial(Rng* rng) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float max = std::numeric_limits<float>::max();
+  const float special[] = {0.0f,   -0.0f,  inf,    -inf,   nan,
+                           -nan,   88.3f,  -87.3f, 100.0f, -100.0f,
+                           1e-30f, max,    -max};
+  return special[rng->UniformInt(0, 12)];
+}
+
+struct StepOperand {
+  std::vector<float>* buf;
+  int64_t stride;  // floats between rows
+  int64_t width;   // H or 4H
+};
+
+/// Finite values past the exp clamp in every operand's rows, then a
+/// special value (±0, ±inf, ±NaN, the clamp bounds and beyond) in one of
+/// the operands of every other element. One per element at most: when two
+/// NaNs of different sign meet in one operation, x86 returns the first
+/// operand's, and which one that is is the compiler's choice of operand
+/// order, so no kernel can promise those bits.
+void FillStepOperands(const std::vector<StepOperand>& ops, int64_t rows,
+                      int64_t h, Rng* rng) {
+  for (const StepOperand& op : ops) {
+    std::fill(op.buf->begin(), op.buf->end(), kSentinel);
+    for (int64_t r = 0; r < rows; ++r) {
+      for (int64_t k = 0; k < op.width; ++k) {
+        (*op.buf)[static_cast<size_t>(r * op.stride + k)] =
+            static_cast<float>(rng->Uniform(-120.0, 120.0));
+      }
+    }
+  }
+  for (int64_t r = 0; r < rows; ++r) {
+    for (int64_t j = 0; j < h; ++j) {
+      if (rng->Bernoulli(0.5)) continue;
+      // An operand of element (r, j): a gate column of a 4H-wide one.
+      const StepOperand& op =
+          ops[static_cast<size_t>(rng->UniformInt(0, ops.size() - 1))];
+      const int64_t q = op.width == h ? 0 : rng->UniformInt(0, 3);
+      (*op.buf)[static_cast<size_t>(r * op.stride + q * h + j)] =
+          StepSpecial(rng);
+    }
+  }
+}
+
+std::vector<float> StepBuffer(int64_t rows, int64_t stride) {
+  return std::vector<float>(static_cast<size_t>(rows * stride + kPad),
+                            kSentinel);
+}
+
+void ExpectSameBits(const std::vector<float>& got,
+                    const std::vector<float>& want, const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  ASSERT_EQ(0, std::memcmp(got.data(), want.data(),
+                           sizeof(float) * got.size()))
+      << what;
+}
+
+/// The same bits, except that a NaN only has to meet a NaN: the bias
+/// gradient sums every row's dgates, so NaNs of different sign from two
+/// rows can meet in one addition, and then the compiler's operand order
+/// picks the sign.
+void ExpectSameBitsOrNaN(const std::vector<float>& got,
+                         const std::vector<float>& want,
+                         const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t i = 0; i < got.size(); ++i) {
+    if (std::isnan(want[i])) {
+      ASSERT_TRUE(std::isnan(got[i])) << what << " at " << i;
+    } else {
+      ASSERT_EQ(std::bit_cast<uint32_t>(got[i]),
+                std::bit_cast<uint32_t>(want[i]))
+          << what << " at " << i;
+    }
+  }
+}
+
+/// Every float of `buf` outside rows x width at `stride` still holds the
+/// sentinel.
+void ExpectUntouchedOutside(const std::vector<float>& buf, int64_t rows,
+                            int64_t stride, int64_t width,
+                            const std::string& what) {
+  for (size_t i = 0; i < buf.size(); ++i) {
+    const int64_t r = static_cast<int64_t>(i) / stride;
+    const int64_t k = static_cast<int64_t>(i) % stride;
+    if (r < rows && k < width) continue;
+    ASSERT_EQ(std::bit_cast<uint32_t>(buf[i]),
+              std::bit_cast<uint32_t>(kSentinel))
+        << what << " wrote float " << i;
+  }
+}
+
+TEST(SimdParityTest, LstmStepForwardBitIdenticalAcrossLevels) {
+  SimdLevelGuard sguard;
+  const std::vector<SimdLevel> levels = AvailableSimdLevels();
+  Rng rng(48);
+  for (int64_t h : kStepHidden) {
+    const int64_t g4 = 4 * h;
+    const int64_t gstride = g4 + kRowGap;
+    const int64_t ostride = h + kRowGap;
+    for (int64_t rows : kStepRows) {
+      for (bool first_step : {true, false}) {
+        // record: tanh(c) stored, as when the op records a backward;
+        // otherwise c overwrites c_prev in place and tanh(c) is not
+        // stored, as in inference.
+        for (bool record : {true, false}) {
+          std::vector<float> gates_in = StepBuffer(rows, gstride);
+          std::vector<float> hw = StepBuffer(rows, g4);
+          std::vector<float> c_prev_in = StepBuffer(rows, h);
+          FillStepOperands({{&gates_in, gstride, g4}, {&hw, g4, g4},
+                            {&c_prev_in, h, h}},
+                           rows, h, &rng);
+          std::vector<float> bias(static_cast<size_t>(g4));
+          for (float& b : bias) b = static_cast<float>(rng.Uniform(-3, 3));
+          const std::string what =
+              "h=" + std::to_string(h) + " rows=" + std::to_string(rows) +
+              (first_step ? " t=0" : " t>0") +
+              (record ? " record" : " inference");
+          std::vector<std::vector<float>> ref;
+          for (SimdLevel level : levels) {
+            ASSERT_TRUE(SetSimdLevel(level));
+            std::vector<float> gates = gates_in;
+            std::vector<float> c_prev = c_prev_in;
+            std::vector<float> c = StepBuffer(rows, h);
+            std::vector<float> tanh_c = StepBuffer(rows, h);
+            std::vector<float> hs = StepBuffer(rows, h);
+            std::vector<float> out = StepBuffer(rows, ostride);
+            LstmStepForwardArgs s;
+            s.rows = rows;
+            s.hidden = h;
+            s.gates = gates.data();
+            s.gates_stride = gstride;
+            s.hw = first_step ? nullptr : hw.data();
+            s.bias = bias.data();
+            s.c_prev = first_step ? nullptr : c_prev.data();
+            s.c = record ? c.data() : c_prev.data();
+            s.tanh_c = record ? tanh_c.data() : nullptr;
+            s.h = hs.data();
+            s.out = out.data();
+            s.out_stride = ostride;
+            LstmStepForward(s);
+            const std::string at = what + " " + SimdLevelName(level);
+            ExpectUntouchedOutside(gates, rows, gstride, g4, at + " gates");
+            ExpectUntouchedOutside(out, rows, ostride, h, at + " out");
+            for (const std::vector<float>* v : {&c, &c_prev, &tanh_c, &hs}) {
+              ExpectUntouchedOutside(*v, rows, h, h, at + " [rows, H]");
+            }
+            if (!record) ExpectUntouchedOutside(tanh_c, 0, h, h, at + " tanh_c");
+            const std::vector<std::vector<float>> got = {gates, c,  c_prev,
+                                                         tanh_c, hs, out};
+            if (level == SimdLevel::kScalar) {
+              ref = got;
+              continue;
+            }
+            for (size_t i = 0; i < got.size(); ++i) {
+              ExpectSameBits(got[i], ref[i],
+                             at + " output " + std::to_string(i));
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdParityTest, LstmStepBackwardBitIdenticalAcrossLevels) {
+  SimdLevelGuard sguard;
+  const std::vector<SimdLevel> levels = AvailableSimdLevels();
+  Rng rng(49);
+  for (int64_t h : kStepHidden) {
+    const int64_t g4 = 4 * h;
+    const int64_t gstride = g4 + kRowGap;
+    for (int64_t rows : kStepRows) {
+      for (bool first_step : {true, false}) {
+        for (bool save : {true, false}) {
+          for (bool bias_grad : {true, false}) {
+            std::vector<float> gates_in = StepBuffer(rows, gstride);
+            std::vector<float> tanh_c = StepBuffer(rows, h);
+            std::vector<float> c_prev = StepBuffer(rows, h);
+            std::vector<float> dh = StepBuffer(rows, h);
+            std::vector<float> dc_in = StepBuffer(rows, h);
+            FillStepOperands({{&gates_in, gstride, g4},
+                              {&tanh_c, h, h},
+                              {&c_prev, h, h},
+                              {&dh, h, h},
+                              {&dc_in, h, h}},
+                             rows, h, &rng);
+            std::vector<float> bgrad_in(static_cast<size_t>(g4 + kPad),
+                                        kSentinel);
+            for (int64_t k = 0; k < g4; ++k) {
+              bgrad_in[static_cast<size_t>(k)] =
+                  static_cast<float>(rng.Uniform(-3, 3));
+            }
+            // The last step (t = T-1) has no carry and, when T = 1, no
+            // c_{t-1} either; a middle step has both.
+            const std::string what =
+                "h=" + std::to_string(h) + " rows=" + std::to_string(rows) +
+                (first_step ? " t=T-1=0" : " 0<t<T-1") +
+                (save ? " save" : "") + (bias_grad ? " bias" : "");
+            std::vector<std::vector<float>> ref;
+            for (SimdLevel level : levels) {
+              ASSERT_TRUE(SetSimdLevel(level));
+              std::vector<float> gates = gates_in;
+              std::vector<float> dc = dc_in;
+              std::vector<float> dgates = StepBuffer(rows, g4);
+              std::vector<float> bgrad = bgrad_in;
+              LstmStepBackwardArgs s;
+              s.rows = rows;
+              s.hidden = h;
+              s.gates = gates.data();
+              s.gates_stride = gstride;
+              s.save = save;
+              s.tanh_c = tanh_c.data();
+              s.c_prev = first_step ? nullptr : c_prev.data();
+              s.dh = dh.data();
+              s.dc = dc.data();
+              s.carry = !first_step;
+              s.dgates = dgates.data();
+              s.bias_grad = bias_grad ? bgrad.data() : nullptr;
+              LstmStepBackward(s);
+              const std::string at = what + " " + SimdLevelName(level);
+              ExpectUntouchedOutside(gates, rows, gstride, g4, at + " gates");
+              ExpectUntouchedOutside(dc, rows, h, h, at + " dc");
+              ExpectUntouchedOutside(dgates, rows, g4, g4, at + " dgates");
+              ExpectUntouchedOutside(bgrad, 1, g4 + kPad, g4, at + " bias");
+              if (save) {
+                // The dgates land over the activations, row by row.
+                for (int64_t r = 0; r < rows; ++r) {
+                  ASSERT_EQ(0, std::memcmp(gates.data() + r * gstride,
+                                           dgates.data() + r * g4,
+                                           sizeof(float) * g4))
+                      << at << " row " << r;
+                }
+              } else {
+                ExpectSameBits(gates, gates_in, at + " gates, not saved");
+              }
+              if (!bias_grad) ExpectSameBits(bgrad, bgrad_in, at + " bias");
+              const std::vector<std::vector<float>> got = {gates, dc, dgates,
+                                                           bgrad};
+              if (level == SimdLevel::kScalar) {
+                ref = got;
+                continue;
+              }
+              for (size_t i = 0; i < 3; ++i) {
+                ExpectSameBits(got[i], ref[i],
+                               at + " output " + std::to_string(i));
+              }
+              ExpectSameBitsOrNaN(bgrad, ref[3], at + " bias gradient");
+            }
+          }
+        }
+      }
+    }
   }
 }
 

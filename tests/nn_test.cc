@@ -1,5 +1,6 @@
 #include <cstring>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -14,6 +15,7 @@
 #include "src/nn/serialize.h"
 #include "src/nn/transformer.h"
 #include "src/tensor/cpu_features.h"
+#include "src/tensor/scratch.h"
 #include "src/util/parallel_for.h"
 
 namespace alt {
@@ -217,6 +219,85 @@ TEST(LstmTest, FusedLayerBitIdenticalToComposition) {
   }
   SetComputeThreads(0);
   SetSimdLevel(saved_level);
+}
+
+TEST(LstmTest, BlockedDxKeepsTheCompositionBits) {
+  // x's gradient runs in blocks of rows, a short tail joined to the block
+  // before it. Row counts (B·T) on both sides of a block edge: 259 folds a
+  // 3-row tail, 260 keeps a 4-row block, 592 ends in a partial block.
+  const SimdLevel saved_level = ActiveSimdLevel();
+  std::vector<SimdLevel> levels = {SimdLevel::kScalar};
+  if (SetSimdLevel(SimdLevel::kAvx2)) levels.push_back(SimdLevel::kAvx2);
+  if (SetSimdLevel(SimdLevel::kAvx512)) levels.push_back(SimdLevel::kAvx512);
+  const int64_t in = 6;
+  const int64_t h = 15;
+  struct Shape {
+    int64_t batch, seq;
+  };
+  for (SimdLevel level : levels) {
+    ASSERT_TRUE(SetSimdLevel(level));
+    for (Shape shape : {Shape{37, 7}, Shape{65, 4}, Shape{37, 16}}) {
+      Rng rng(static_cast<uint64_t>(2000 + shape.batch + shape.seq));
+      std::vector<Tensor> weights;
+      LstmLayer l1(in, h, &rng);
+      LstmLayer l2(h, h, &rng);
+      for (LstmLayer* l : {&l1, &l2}) {
+        for (auto& [name, v] : l->NamedParameters()) {
+          weights.push_back(v->value());
+        }
+      }
+      const Tensor x0 = Tensor::Randn({shape.batch, shape.seq, in}, &rng);
+      const Tensor coeff1 = Tensor::Randn({shape.batch, shape.seq, h}, &rng);
+      const Tensor coeff2 = Tensor::Randn({shape.batch, shape.seq, h}, &rng);
+      const std::vector<Tensor> want = RunTwoLayerStack(
+          &ComposedLstmLayer, x0, weights, coeff1, coeff2);
+      const std::vector<Tensor> got =
+          RunTwoLayerStack(&ag::LstmLayer, x0, weights, coeff1, coeff2);
+      ASSERT_EQ(got.size(), want.size());
+      for (size_t r = 0; r < got.size(); ++r) {
+        EXPECT_EQ(0, std::memcmp(got[r].data(), want[r].data(),
+                                 sizeof(float) *
+                                     static_cast<size_t>(got[r].numel())))
+            << "result " << r << " differs: level=" << SimdLevelName(level)
+            << " B=" << shape.batch << " T=" << shape.seq;
+      }
+    }
+  }
+  SetSimdLevel(saved_level);
+}
+
+/// Scratch bytes a fresh thread's arena keeps after a recorded forward and
+/// backward of one LSTM layer: the most it held live at once.
+int64_t LstmScratchReserved(int64_t batch, int64_t seq, int64_t h) {
+  int64_t reserved = 0;
+  std::thread worker([&] {
+    Rng rng(15);
+    LstmLayer layer(h, h, &rng);
+    ag::Variable x =
+        ag::Variable::Parameter(Tensor::Randn({batch, seq, h}, &rng));
+    const int64_t before = ScratchReservedBytes();
+    ag::SumAll(layer.Forward(x)).Backward();
+    reserved = ScratchReservedBytes() - before;
+  });
+  worker.join();
+  return reserved;
+}
+
+TEST(LstmTest, BackwardScratchDoesNotGrowWithTheSequence) {
+  // A training thread's arena keeps its peak scratch for good, so the
+  // backward's must not scale with B·T: x's gradient runs in row blocks.
+  SetComputeThreads(1);  // GEMMs inline: all scratch on the worker thread.
+  const int64_t batch = 256;
+  const int64_t h = 15;
+  const int64_t short_seq = LstmScratchReserved(batch, 4, h);
+  const int64_t long_seq = LstmScratchReserved(batch, 64, h);
+  SetComputeThreads(0);
+  EXPECT_EQ(short_seq, long_seq);
+  // dh, dc and h_{t-1} (3·B·H floats), one step's dgates (B·4H), one dx
+  // block and the GEMM packs; a whole-sequence dx alone is B·T·H floats
+  // (983 KB here).
+  EXPECT_LE(long_seq, static_cast<int64_t>(sizeof(float)) *
+                          (7 * batch * h + 300 * h + 4096));
 }
 
 TEST(LstmTest, FusedNodeStampsNameAndFlops) {

@@ -81,11 +81,14 @@ TEST(RngTest, UniformIntInRange) {
 
 TEST(RngTest, CategoricalRespectsWeights) {
   Rng rng(2);
-  int counts[2] = {0, 0};
-  for (int i = 0; i < 2000; ++i) {
-    ++counts[rng.Categorical({1.0, 9.0})];
-  }
-  EXPECT_GT(counts[1], counts[0] * 4);
+  const CategoricalTable table({1.0, 0.0, 9.0});
+  int counts[3] = {0, 0, 0};
+  for (int i = 0; i < 2000; ++i) ++counts[table.Sample(&rng)];
+  EXPECT_EQ(counts[1], 0);  // A zero weight is never drawn.
+  EXPECT_GT(counts[2], counts[0] * 4);
+  // All-zero weights draw uniformly.
+  const CategoricalTable zeros({0.0, 0.0});
+  for (int i = 0; i < 20; ++i) EXPECT_LT(zeros.Sample(&rng), 2u);
 }
 
 TEST(RngTest, SampleWithoutReplacementIsDistinct) {
