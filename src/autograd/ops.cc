@@ -947,8 +947,15 @@ void LstmLayerBackward(Node* self, Node* xn, Node* wxn, Node* whn, Node* bn,
   ScratchFrame frame;
   float* dh = frame.Floats(bh);      // dL/dh_t
   float* dc = frame.Floats(bh);      // dL/dc_t, carried to step t-1
-  float* h_prev = frame.Floats(bh);
   float* dgates = frame.Floats(batch * g4);  // step t's, [B, 4H]
+  // dh takes dgates·W_hᵀ at every step but the last. From kGemmTileRows
+  // rows on, GemmTransBAcc packs W_hᵀ and runs the register tile, so W_hᵀ
+  // is packed here once; below, its dot products have other bits.
+  float* wh_t = nullptr;
+  if (seq > 1 && batch >= kGemmTileRows) {
+    wh_t = frame.Floats(g4 * h);
+    PackTransB(wh.data(), h, g4, wh_t);
+  }
   LstmStepBackwardArgs step;
   step.rows = batch;
   step.hidden = h;
@@ -964,16 +971,23 @@ void LstmLayerBackward(Node* self, Node* xn, Node* wxn, Node* whn, Node* bn,
       for (int64_t j = 0; j < h; ++j) dh[b * h + j] = 0.0f + src[j];
     }
     // dgates still holds step t+1's gradient here.
-    if (t + 1 < seq) GemmTransBAcc(dgates, wh.data(), dh, batch, g4, h);
+    if (t + 1 < seq) {
+      if (wh_t != nullptr) {
+        GemmPackedTransBAcc(dgates, wh_t, dh, batch, g4, h);
+      } else {
+        GemmTransBAcc(dgates, wh.data(), dh, batch, g4, h);
+      }
+    }
     step.gates = acts->data() + t * g4;
     step.tanh_c = tanh_c.data() + t * bh;
     step.c_prev = t > 0 ? cells.data() + (t - 1) * bh : nullptr;
     step.carry = t + 1 < seq;
     LstmStepBackward(step);
     if (whn->requires_grad && t > 0) {
-      // h_{t-1} is the output's previous slice; step 0 had no such product.
-      CopyTimeStep(out, t - 1, h_prev);
-      GemmTransAAcc(h_prev, dgates, whn->grad.data(), h, batch, g4);
+      // h_{t-1} is the output's previous slice, read in place at the
+      // output's row stride; step 0 had no such product.
+      GemmTransAAcc(out.data() + (t - 1) * h, seq * h, dgates,
+                    whn->grad.data(), h, batch, g4);
     }
   }
   const float* dgates_all = acts->data();
@@ -1056,9 +1070,15 @@ Variable LstmLayer(const Variable& x, const Variable& w_x,
     for (int64_t b0 = 0; b0 < batch; b0 += block) {
       const int64_t nb = std::min(block, batch - b0);
       // x·W_x for all T steps of the block in one GEMM, x read in place as
-      // [nb·T, in]: row b·T + t holds step t of sample b0 + b.
+      // [nb·T, in]: row b·T + t holds step t of sample b0 + b. Recording,
+      // it accumulates into `acts`, which is still all zeros.
+      const float* xb = xv.data() + b0 * seq * in;
       float* xw = record ? acts.data() + b0 * seq * g4 : xw_block;
-      Gemm(xv.data() + b0 * seq * in, wx.data(), xw, nb * seq, in, g4);
+      if (record) {
+        GemmAcc(xb, wx.data(), xw, nb * seq, in, g4);
+      } else {
+        Gemm(xb, wx.data(), xw, nb * seq, in, g4);
+      }
       step.rows = nb;
       for (int64_t t = 0; t < seq; ++t) {
         // h_{-1} = 0, so step 0 takes no recurrent product.

@@ -83,6 +83,27 @@ class MemoryTracker {
   /// Snapshot of every tag seen so far (empty when no tag was ever active).
   std::vector<std::pair<std::string, TagUsage>> TagSnapshot() const;
 
+  /// Tensor storage recycling (see ScopedTensorRecycling): bytes the
+  /// recyclers of every thread keep right now, the most they ever kept at
+  /// once, and the requests of kRecycleMinBytes or more served from them
+  /// (hits) or from the heap (misses) inside a scope.
+  int64_t recycled_bytes() const {
+    return recycled_bytes_.load(std::memory_order_relaxed);
+  }
+  int64_t recycled_bytes_peak() const {
+    return recycled_peak_.load(std::memory_order_relaxed);
+  }
+  int64_t recycle_hits() const {
+    return recycle_hits_.load(std::memory_order_relaxed);
+  }
+  int64_t recycle_misses() const {
+    return recycle_misses_.load(std::memory_order_relaxed);
+  }
+  void RecordRecycleKeep(size_t bytes);
+  void RecordRecycleHit(size_t bytes);
+  void RecordRecycleMiss();
+  void RecordRecycleRelease(size_t bytes);
+
   /// Resets the peak to the current live size (bench/test epoch marker).
   void ResetPeak();
 
@@ -105,6 +126,10 @@ class MemoryTracker {
   std::atomic<int64_t> alloc_count_{0};
   std::atomic<int64_t> free_count_{0};
   std::atomic<int64_t> allocated_bytes_{0};
+  std::atomic<int64_t> recycled_bytes_{0};
+  std::atomic<int64_t> recycled_peak_{0};
+  std::atomic<int64_t> recycle_hits_{0};
+  std::atomic<int64_t> recycle_misses_{0};
 
   mutable Mutex tags_mu_;
   std::map<std::string, TagUsage> tags_ ALT_GUARDED_BY(tags_mu_);
@@ -127,10 +152,61 @@ class ScopedMemoryTag {
   const char* previous_;
 };
 
+/// Tensor storage recycling --------------------------------------------------
+///
+/// A training loop allocates the same tensors every step: the batch, the
+/// forward's activations, the backward's gradients. glibc returns the
+/// pages of a large freed buffer to the OS (it trims the top of the heap
+/// and unmaps big chunks), so the next step faults them in again; that was
+/// a quarter of f0's training CPU (DESIGN.md, "Tensor memory").
+///
+/// While a ScopedTensorRecycling is open on a thread, a TrackingAllocator
+/// buffer of at least kRecycleMinBytes freed on that thread is kept by its
+/// exact byte size and handed to the next request of that size on that
+/// thread. A request of at least that size that finds no kept buffer of its
+/// size first releases every kept buffer to the heap, and closing the
+/// outermost scope releases the rest. So kept plus live bytes never exceed
+/// the largest live size seen inside the scope, and no cap is needed.
+/// Smaller buffers, and every buffer outside a scope, go to and from the
+/// heap as before, for the cost of one thread-local load. MemoryTracker
+/// still counts a kept buffer as freed and a reused one as allocated, and a
+/// reused buffer is handed out as is: Tensor zero-fills its storage either
+/// way. Under AddressSanitizer a kept buffer is poisoned until it is reused.
+inline constexpr size_t kRecycleMinBytes = 4096;
+
+/// Nests: only the outermost scope on a thread creates and releases.
+class ScopedTensorRecycling {
+ public:
+  ScopedTensorRecycling();
+  ~ScopedTensorRecycling();
+  ScopedTensorRecycling(const ScopedTensorRecycling&) = delete;
+  ScopedTensorRecycling& operator=(const ScopedTensorRecycling&) = delete;
+
+  /// Whether a scope is open on the calling thread.
+  static bool active();
+
+ private:
+  bool outermost_;
+};
+
+namespace internal {
+/// TrackingAllocator's halves, out of line: account with MemoryTracker,
+/// then take the buffer from the calling thread's recycler while a scope is
+/// open, else from the heap (operator new / sized operator delete, as
+/// std::allocator does). The attributes tell callers what an inlined
+/// operator new told them: the storage is fresh and aliases nothing.
+[[gnu::malloc, gnu::returns_nonnull, gnu::alloc_size(1)]] void*
+TrackedAllocate(size_t bytes);
+void TrackedDeallocate(void* p, size_t bytes);
+}  // namespace internal
+
 /// std::vector allocator that routes every allocation through the global
-/// MemoryTracker. Stateless; interchangeable with std::allocator.
+/// MemoryTracker and, inside a ScopedTensorRecycling, the thread's
+/// recycler. Stateless; interchangeable with std::allocator.
 template <typename T>
 struct TrackingAllocator {
+  static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__,
+                "buffers come from plain operator new");
   using value_type = T;
 
   TrackingAllocator() = default;
@@ -138,17 +214,11 @@ struct TrackingAllocator {
   TrackingAllocator(const TrackingAllocator<U>&) {}  // NOLINT
 
   T* allocate(size_t n) {
-#if !defined(ALT_OBS_DISABLED)
-    MemoryTracker::Global().RecordAlloc(n * sizeof(T));
-#endif
-    return std::allocator<T>{}.allocate(n);
+    return static_cast<T*>(internal::TrackedAllocate(n * sizeof(T)));
   }
 
   void deallocate(T* p, size_t n) {
-    std::allocator<T>{}.deallocate(p, n);
-#if !defined(ALT_OBS_DISABLED)
-    MemoryTracker::Global().RecordFree(n * sizeof(T));
-#endif
+    internal::TrackedDeallocate(p, n * sizeof(T));
   }
 
   bool operator==(const TrackingAllocator&) const { return true; }

@@ -218,10 +218,28 @@ void GemmImpl(const float* a, const float* b, float* c, int64_t m, int64_t k,
   BlockedGemm<false>(a, k, b, n, c, m, k, n);
 }
 
-/// C[m,n] += A[k,m]^T B[k,n].
-void GemmTransAImpl(const float* a, const float* b, float* c, int64_t m,
-                    int64_t k, int64_t n) {
-  BlockedGemm<true>(a, m, b, n, c, m, k, n);
+/// GemmImpl, timed and counted (Gemm, GemmAcc). Handles cached per call
+/// site; disabled-mode cost is one relaxed load and zero clock reads (the
+/// < 3% bench_kernels budget, see DESIGN.md). The per-ISA split needs both
+/// handles pre-resolved because the macro latches its name on first use — a
+/// runtime-built name would pin the first ISA.
+void TimedGemm(const float* a, const float* b, float* c, int64_t m, int64_t k,
+               int64_t n, bool accumulate) {
+  const SimdLevel timer_level = ActiveSimdLevel();
+  obs::ScopedTimerMs timer(
+      timer_level == SimdLevel::kAvx512
+          ? ALT_OBS_HISTOGRAM_HANDLE("tensor/gemm/time_ms/avx512")
+          : timer_level == SimdLevel::kAvx2
+                ? ALT_OBS_HISTOGRAM_HANDLE("tensor/gemm/time_ms/avx2")
+                : ALT_OBS_HISTOGRAM_HANDLE("tensor/gemm/time_ms/scalar"));
+  ALT_OBS_COUNTER_ADD("tensor/gemm/calls_total", 1);
+  GemmImpl(a, b, c, m, k, n, accumulate);
+}
+
+/// C[m,n] += A[k,m]^T B[k,n], row p of A at a + p·lda.
+void GemmTransAImpl(const float* a, int64_t lda, const float* b, float* c,
+                    int64_t m, int64_t k, int64_t n) {
+  BlockedGemm<true>(a, lda, b, n, c, m, k, n);
 }
 
 /// C[m,n] += A[m,k] B[n,k]^T. B is repacked as B^T so the inner loops stream
@@ -251,10 +269,7 @@ void GemmTransBImpl(const float* a, const float* b, float* c, int64_t m,
   }
   ScratchFrame frame;
   float* bt = frame.Floats(k * n);
-  for (int64_t j = 0; j < n; ++j) {
-    const float* __restrict__ brow = b + j * k;
-    for (int64_t p = 0; p < k; ++p) bt[p * n + j] = brow[p];
-  }
+  PackTransB(b, n, k, bt);
   BlockedGemm<false>(a, k, bt, n, c, m, k, n);
 }
 
@@ -471,19 +486,12 @@ void MatMul(const Tensor& a, const Tensor& b, Tensor* c) {
 
 void Gemm(const float* a, const float* b, float* c, int64_t m, int64_t k,
           int64_t n) {
-  // Handles cached per call site; disabled-mode cost is one relaxed load and
-  // zero clock reads (the < 3% bench_kernels budget, see DESIGN.md). The
-  // per-ISA split needs both handles pre-resolved because the macro latches
-  // its name on first use — a runtime-built name would pin the first ISA.
-  const SimdLevel timer_level = ActiveSimdLevel();
-  obs::ScopedTimerMs timer(
-      timer_level == SimdLevel::kAvx512
-          ? ALT_OBS_HISTOGRAM_HANDLE("tensor/gemm/time_ms/avx512")
-          : timer_level == SimdLevel::kAvx2
-                ? ALT_OBS_HISTOGRAM_HANDLE("tensor/gemm/time_ms/avx2")
-                : ALT_OBS_HISTOGRAM_HANDLE("tensor/gemm/time_ms/scalar"));
-  ALT_OBS_COUNTER_ADD("tensor/gemm/calls_total", 1);
-  GemmImpl(a, b, c, m, k, n, /*accumulate=*/false);
+  TimedGemm(a, b, c, m, k, n, /*accumulate=*/false);
+}
+
+void GemmAcc(const float* a, const float* b, float* c, int64_t m, int64_t k,
+             int64_t n) {
+  TimedGemm(a, b, c, m, k, n, /*accumulate=*/true);
 }
 
 void MatMulAcc(const Tensor& a, const Tensor& b, Tensor* c) {
@@ -506,12 +514,30 @@ void MatMulTransBAcc(const Tensor& a, const Tensor& b, Tensor* c) {
 
 void GemmTransAAcc(const float* a, const float* b, float* c, int64_t m,
                    int64_t k, int64_t n) {
-  GemmTransAImpl(a, b, c, m, k, n);
+  GemmTransAImpl(a, m, b, c, m, k, n);
+}
+
+void GemmTransAAcc(const float* a, int64_t lda, const float* b, float* c,
+                   int64_t m, int64_t k, int64_t n) {
+  ALT_DCHECK_GE(lda, m);
+  GemmTransAImpl(a, lda, b, c, m, k, n);
 }
 
 void GemmTransBAcc(const float* a, const float* b, float* c, int64_t m,
                    int64_t k, int64_t n) {
   GemmTransBImpl(a, b, c, m, k, n);
+}
+
+void PackTransB(const float* b, int64_t n, int64_t k, float* bt) {
+  for (int64_t j = 0; j < n; ++j) {
+    const float* __restrict__ brow = b + j * k;
+    for (int64_t p = 0; p < k; ++p) bt[p * n + j] = brow[p];
+  }
+}
+
+void GemmPackedTransBAcc(const float* a, const float* bt, float* c, int64_t m,
+                         int64_t k, int64_t n) {
+  BlockedGemm<false>(a, k, bt, n, c, m, k, n);
 }
 
 void BatchedMatMul(const Tensor& a, bool trans_a, const Tensor& b,
@@ -554,7 +580,7 @@ void BatchedMatMul(const Tensor& a, bool trans_a, const Tensor& b,
       if (!trans_a && !trans_b) {
         GemmImpl(ap, bp, cp, m, k, n, /*accumulate=*/true);
       } else if (trans_a && !trans_b) {
-        GemmTransAImpl(ap, bp, cp, m, k, n);
+        GemmTransAImpl(ap, m, bp, cp, m, k, n);
       } else if (!trans_a && trans_b) {
         GemmTransBImpl(ap, bp, cp, m, k, n);
       } else {

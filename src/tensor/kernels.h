@@ -155,21 +155,37 @@ void MatMulTransAAcc(const Tensor& a, const Tensor& b, Tensor* c);
 /// C += A[m,k] * B[n,k]^T.
 void MatMulTransBAcc(const Tensor& a, const Tensor& b, Tensor* c);
 
-/// Pointer forms of MatMul / MatMulTransAAcc / MatMulTransBAcc, for operands
-/// that are not a whole 2-D Tensor: a [B, T, C] activation read in place as
-/// [B·T, C], or a ScratchFrame span. Same kernels and bits as the Tensor
-/// forms; Gemm is timed and counted (tensor/gemm/calls_total) as MatMul is.
+/// Pointer forms of MatMul / MatMulAcc / MatMulTransAAcc / MatMulTransBAcc,
+/// for operands that are not a whole 2-D Tensor: a [B, T, C] activation read
+/// in place as [B·T, C], or a ScratchFrame span. Same kernels and bits as the
+/// Tensor forms. Gemm and GemmAcc, the forward's products, are timed and
+/// counted (tensor/gemm/calls_total) as MatMul is.
 /// C[m,n] = A[m,k] * B[k,n].
 void Gemm(const float* a, const float* b, float* c, int64_t m, int64_t k,
           int64_t n);
+/// C[m,n] += A[m,k] * B[k,n].
+void GemmAcc(const float* a, const float* b, float* c, int64_t m, int64_t k,
+             int64_t n);
 /// C[m,n] += A[k,m]^T * B[k,n].
 void GemmTransAAcc(const float* a, const float* b, float* c, int64_t m,
                    int64_t k, int64_t n);
+/// The same with row p of A at a + p·lda (lda >= m): A may be a strided
+/// slice, such as one time step of a [B, T, C] activation (lda = T·C).
+void GemmTransAAcc(const float* a, int64_t lda, const float* b, float* c,
+                   int64_t m, int64_t k, int64_t n);
 /// C[m,n] += A[m,k] * B[n,k]^T. Below kGemmTileRows rows it takes dot
 /// products, whose reduction order differs from the register tile's; from
 /// kGemmTileRows rows on, a row of C has the same bits for any m.
 void GemmTransBAcc(const float* a, const float* b, float* c, int64_t m,
                    int64_t k, int64_t n);
+/// GemmTransBAcc's two parts from kGemmTileRows rows on, for a B that many
+/// products share: PackTransB writes B[n,k]^T to bt ([k, n]) and
+/// GemmPackedTransBAcc multiplies by it, with GemmTransBAcc's bits. Below
+/// kGemmTileRows rows GemmPackedTransBAcc keeps the register tile's order,
+/// so it differs from GemmTransBAcc's dot products there.
+void PackTransB(const float* b, int64_t n, int64_t k, float* bt);
+void GemmPackedTransBAcc(const float* a, const float* bt, float* c, int64_t m,
+                         int64_t k, int64_t n);
 /// Rows of the GEMM register tile.
 inline constexpr int64_t kGemmTileRows = 4;
 

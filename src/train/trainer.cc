@@ -125,6 +125,9 @@ Result<TrainReport> RunTraining(models::BaseModel* model,
   obs::Histogram* step_time = metrics.histogram("train/trainer/step_time_ms");
   obs::Counter* steps_total = metrics.counter("train/trainer/steps_total");
   obs::Gauge* last_epoch_loss = metrics.gauge("train/trainer/last_epoch_loss");
+  // Every step allocates the tensors the step before it freed; keep them
+  // for it instead of returning their pages to the OS (memory_tracker.h).
+  obs::ScopedTensorRecycling recycling;
   for (int64_t epoch = start_epoch; epoch < options.epochs; ++epoch) {
     ALT_TRACE_SPAN(epoch_span, "train/epoch");
     obs::ScopedTimerMs epoch_timer(epoch_time);

@@ -33,7 +33,8 @@
 #                serving faults
 #   ubsan        Release + -fsanitize=undefined + ALT_DCHECKS=ON, full ctest
 #   tsan         Release + -fsanitize=thread, threading-related targets only
-#                (kernels, obs, autograd, and the whole serving plane)
+#                (kernels, obs, autograd, tensor recycling, parallel meta
+#                adaptation, and the whole serving plane)
 #
 # ALT_SIMD set in the environment is inherited by every stage (including the
 # asan/tsan ctest runs), so e.g. `ALT_SIMD=off tools/check.sh asan` sweeps
@@ -261,15 +262,19 @@ if wants tsan; then
   # layer (concurrent metric updates and trace spans), the autograd
   # inference guard with the fused LSTM op (shard dispatchers run
   # PredictProbs under the thread-local guard while OnScenarioArrival trains
-  # on the main thread), and the serving plane: shard worker threads that
-  # run the failover and degradation continuations (breakers, fallbacks,
-  # the client's tracer and SLO tracker) and a dead shard's rebalance,
-  # kill/rejoin under load, and the
-  # request context crossing caller and worker threads in the traced chaos
-  # suite. Only the threading-related targets are built and run: TSan slows
-  # everything ~10x and the rest of the suite is single-threaded.
+  # on the main thread), tensor storage recycling (per-thread scopes whose
+  # buffers other threads free: tensor_recycle_test, and meta_test's
+  # ParallelAdaptationIsSafe, which trains on 3 pool threads and frees their
+  # models on the main thread), and the serving plane: shard worker threads
+  # that run the failover and degradation continuations (breakers,
+  # fallbacks, the client's tracer and SLO tracker) and a dead shard's
+  # rebalance, kill/rejoin under load, and the request context crossing
+  # caller and worker threads in the traced chaos suite. Only the
+  # threading-related targets are built and run: TSan slows everything ~10x
+  # and the rest of the suite is single-threaded.
   TSAN_TARGETS=(parallel_for_test kernel_parity_test util_test hpo_test
                 obs_test obs_export_test autograd_test nn_test
+                tensor_recycle_test meta_test
                 shard_test serving_client_test serving_test
                 serving_trace_test resilience_test resilience_chaos_test)
   echo "==> configuring build-tsan (-DALT_SANITIZE=thread -DALT_DCHECKS=ON)"
