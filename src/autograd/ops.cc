@@ -913,24 +913,98 @@ constexpr int64_t kLstmInferenceRows = 16;
 /// in = 15), so its scratch does not grow with B·T.
 constexpr int64_t kLstmDxRows = 256;
 
-/// Backward of LstmLayer. `acts` ([B·T, 4H], row b·T + t) holds the
-/// forward's gate activations of sample b at step t, and `cells` and
-/// `tanh_c` ([T][B][H]) its cell states and tanh(c). Each formula is the
-/// composed graph's, term for term (LstmStepBackward); the dh seed's
-/// `0.0f +` marks a first write into what was a fresh (zeroed) gradient
-/// there, which turns -0 into +0. When x or w_x needs a gradient, step t's
-/// kernel writes its dgates over its activations, so `acts` ends as every
-/// step's dgates in x's row order — the input of the two GEMMs that give
-/// the hoisted x·W_x product's gradients. A node runs its backward once
-/// per graph, so nothing reads the activations again.
+/// What LstmLayer's backward reads besides the op's inputs and output,
+/// from a recording forward: `acts` ([B·T, 4H], row b·T + t) the gate
+/// activations of sample b at step t, and `cells` and `tanh_c` ([T][B][H])
+/// every step's cell state and tanh(c).
+struct LstmSaved {
+  Tensor acts;
+  Tensor cells;
+  Tensor tanh_c;
+};
+
+/// LstmLayer's forward: sets `out` to the hidden states [B, T, H].
+/// Recording, the saved activations first receive x·W_x, and each step's
+/// kernel replaces its rows with their activations; c and tanh(c) are kept
+/// for every step. Otherwise x·W_x goes to scratch, a block of rows at a
+/// time, only the running c is kept, and the result is empty.
+LstmSaved LstmLayerForward(const Tensor& xv, const Tensor& wx,
+                           const Tensor& wh, const Tensor& bv, bool record,
+                           Tensor* out) {
+  const int64_t batch = xv.size(0);
+  const int64_t seq = xv.size(1);
+  const int64_t in = xv.size(2);
+  const int64_t h = wh.size(0);
+  const int64_t g4 = 4 * h;
+  const int64_t bh = batch * h;
+  const int64_t kept = record ? seq : 0;
+  const int64_t block =
+      record ? batch : std::min<int64_t>(batch, kLstmInferenceRows);
+  LstmSaved saved{Tensor(std::vector<int64_t>{record ? batch * seq : 0, g4}),
+                  Tensor({kept, batch, h}), Tensor({kept, batch, h})};
+  *out = Tensor({batch, seq, h});
+  ScratchFrame frame;
+  float* hw = frame.Floats(block * g4);  // h_{t-1}·W_h
+  float* h_prev = frame.Floats(block * h);
+  float* c_run = record ? nullptr : frame.Floats(block * h);
+  float* xw_block = record ? nullptr : frame.Floats(block * seq * g4);
+  LstmStepForwardArgs step;
+  step.hidden = h;
+  step.gates_stride = seq * g4;
+  step.bias = bv.data();
+  step.h = h_prev;
+  step.out_stride = seq * h;
+  for (int64_t b0 = 0; b0 < batch; b0 += block) {
+    const int64_t nb = std::min(block, batch - b0);
+    // x·W_x for all T steps of the block in one GEMM, x read in place as
+    // [nb·T, in]: row b·T + t holds step t of sample b0 + b. Recording, it
+    // accumulates into `acts`, which is still all zeros.
+    const float* xb = xv.data() + b0 * seq * in;
+    float* xw = record ? saved.acts.data() + b0 * seq * g4 : xw_block;
+    if (record) {
+      GemmAcc(xb, wx.data(), xw, nb * seq, in, g4);
+    } else {
+      Gemm(xb, wx.data(), xw, nb * seq, in, g4);
+    }
+    step.rows = nb;
+    for (int64_t t = 0; t < seq; ++t) {
+      // h_{-1} = 0, so step 0 takes no recurrent product.
+      if (t > 0) Gemm(h_prev, wh.data(), hw, nb, h, g4);
+      step.gates = xw + t * g4;
+      step.hw = t > 0 ? hw : nullptr;
+      if (record) {  // One block: b0 = 0.
+        step.c_prev = t > 0 ? saved.cells.data() + (t - 1) * bh : nullptr;
+        step.c = saved.cells.data() + t * bh;
+        step.tanh_c = saved.tanh_c.data() + t * bh;
+      } else {
+        step.c_prev = t > 0 ? c_run : nullptr;
+        step.c = c_run;
+      }
+      step.out = out->data() + b0 * seq * h + t * h;
+      LstmStepForward(step);
+    }
+  }
+  return saved;
+}
+
+/// Backward of LstmLayer from a recording forward's `saved` state. Each
+/// formula is the composed graph's, term for term (LstmStepBackward); the
+/// dh seed's `0.0f +` marks a first write into what was a fresh (zeroed)
+/// gradient there, which turns -0 into +0. When x or w_x needs a gradient,
+/// step t's kernel writes its dgates over its activations, so `acts` ends
+/// as every step's dgates in x's row order — the input of the two GEMMs
+/// that give the hoisted x·W_x product's gradients. A node runs its
+/// backward once per graph, so nothing reads the activations again.
 void LstmLayerBackward(Node* self, Node* xn, Node* wxn, Node* whn, Node* bn,
-                       Tensor* acts, const Tensor& cells,
-                       const Tensor& tanh_c) {
+                       LstmSaved* saved) {
   const Tensor& xv = xn->value;
   const Tensor& wx = wxn->value;
   const Tensor& wh = whn->value;
   const Tensor& out = self->value;
   const Tensor& dout = self->grad;
+  const Tensor& cells = saved->cells;
+  const Tensor& tanh_c = saved->tanh_c;
+  Tensor* acts = &saved->acts;
   const int64_t batch = xv.size(0);
   const int64_t seq = xv.size(1);
   const int64_t in = xv.size(2);
@@ -1033,7 +1107,6 @@ Variable LstmLayer(const Variable& x, const Variable& w_x,
   const int64_t in = xv.size(2);
   const int64_t h = wh.size(0);
   const int64_t g4 = 4 * h;
-  const int64_t bh = batch * h;
   ALT_CHECK_GE(seq, 1);
   ALT_CHECK_EQ(wx.size(0), in);
   ALT_CHECK_EQ(wx.size(1), g4);
@@ -1044,60 +1117,13 @@ Variable LstmLayer(const Variable& x, const Variable& w_x,
   const bool record = !InferenceGuard::active() &&
                       (x.requires_grad() || w_x.requires_grad() ||
                        w_h.requires_grad() || bias.requires_grad());
-  // Recording, the saved activations [B·T, 4H] first receive x·W_x, and
-  // each step's kernel replaces its rows with their activations; c and
-  // tanh(c) are kept for every step. Otherwise x·W_x goes to scratch, a
-  // block of rows at a time, and only the running c is kept.
-  const int64_t kept = record ? seq : 0;
-  const int64_t block =
-      record ? batch : std::min<int64_t>(batch, kLstmInferenceRows);
-  Tensor acts(std::vector<int64_t>{record ? batch * seq : 0, g4});
-  Tensor cells({kept, batch, h});
-  Tensor tanh_c({kept, batch, h});
-  Tensor out({batch, seq, h});
-  {
-    ScratchFrame frame;
-    float* hw = frame.Floats(block * g4);  // h_{t-1}·W_h
-    float* h_prev = frame.Floats(block * h);
-    float* c_run = record ? nullptr : frame.Floats(block * h);
-    float* xw_block = record ? nullptr : frame.Floats(block * seq * g4);
-    LstmStepForwardArgs step;
-    step.hidden = h;
-    step.gates_stride = seq * g4;
-    step.bias = bv.data();
-    step.h = h_prev;
-    step.out_stride = seq * h;
-    for (int64_t b0 = 0; b0 < batch; b0 += block) {
-      const int64_t nb = std::min(block, batch - b0);
-      // x·W_x for all T steps of the block in one GEMM, x read in place as
-      // [nb·T, in]: row b·T + t holds step t of sample b0 + b. Recording,
-      // it accumulates into `acts`, which is still all zeros.
-      const float* xb = xv.data() + b0 * seq * in;
-      float* xw = record ? acts.data() + b0 * seq * g4 : xw_block;
-      if (record) {
-        GemmAcc(xb, wx.data(), xw, nb * seq, in, g4);
-      } else {
-        Gemm(xb, wx.data(), xw, nb * seq, in, g4);
-      }
-      step.rows = nb;
-      for (int64_t t = 0; t < seq; ++t) {
-        // h_{-1} = 0, so step 0 takes no recurrent product.
-        if (t > 0) Gemm(h_prev, wh.data(), hw, nb, h, g4);
-        step.gates = xw + t * g4;
-        step.hw = t > 0 ? hw : nullptr;
-        if (record) {  // One block: b0 = 0.
-          step.c_prev = t > 0 ? cells.data() + (t - 1) * bh : nullptr;
-          step.c = cells.data() + t * bh;
-          step.tanh_c = tanh_c.data() + t * bh;
-        } else {
-          step.c_prev = t > 0 ? c_run : nullptr;
-          step.c = c_run;
-        }
-        step.out = out.data() + b0 * seq * h + t * h;
-        LstmStepForward(step);
-      }
-    }
-  }
+  Tensor out;
+  LstmSaved saved = LstmLayerForward(xv, wx, wh, bv, record, &out);
+  // Under a RecomputeGuard the node keeps no saved state: its backward
+  // reruns this same forward for it, and drops the rerun's output, which
+  // equals the node's value bit for bit.
+  const bool recompute = RecomputeGuard::active();
+  if (recompute) saved = LstmSaved();
   const int64_t flops = batch * LstmLayerFlops(in, h, seq);
   auto xn = x.node();
   auto wxn = w_x.node();
@@ -1105,10 +1131,15 @@ Variable LstmLayer(const Variable& x, const Variable& w_x,
   auto bn = bias.node();
   return MakeOpNode(
       std::move(out), {xn, wxn, whn, bn},
-      [xn, wxn, whn, bn, acts = std::move(acts), cells = std::move(cells),
-       tanh_c = std::move(tanh_c)](Node* self) mutable {
+      [xn, wxn, whn, bn, recompute,
+       saved = std::move(saved)](Node* self) mutable {
+        if (recompute) {
+          Tensor rerun;
+          saved = LstmLayerForward(xn->value, wxn->value, whn->value,
+                                   bn->value, /*record=*/true, &rerun);
+        }
         LstmLayerBackward(self, xn.get(), wxn.get(), whn.get(), bn.get(),
-                          &acts, cells, tanh_c);
+                          &saved);
       },
       "lstm_layer", flops);
 }

@@ -120,7 +120,8 @@ Variable Dropout(const Variable& x, float p, Rng* rng, bool training);
 /// per block of 256 rows of them. When the node records no backward (no
 /// input requires grad, or an InferenceGuard is open) only one step's h/c
 /// state is kept, rolling; otherwise the per-step activations are saved for
-/// backward.
+/// backward, unless a RecomputeGuard is open: then the backward reruns the
+/// recording forward for them first, with the same bits.
 Variable LstmLayer(const Variable& x, const Variable& w_x,
                    const Variable& w_h, const Variable& bias);
 /// Forward FLOPs of LstmLayer for one sample of length `seq_len`.

@@ -2,6 +2,7 @@
 
 #include <unordered_set>
 
+#include "src/obs/memory_tracker.h"
 #include "src/util/logging.h"
 
 namespace alt {
@@ -23,6 +24,7 @@ Variable Variable::Constant(Tensor value) {
 
 namespace {
 thread_local bool tls_inference = false;
+thread_local bool tls_recompute = false;
 }  // namespace
 
 InferenceGuard::InferenceGuard() : prev_(tls_inference) {
@@ -32,6 +34,14 @@ InferenceGuard::InferenceGuard() : prev_(tls_inference) {
 InferenceGuard::~InferenceGuard() { tls_inference = prev_; }
 
 bool InferenceGuard::active() { return tls_inference; }
+
+RecomputeGuard::RecomputeGuard() : prev_(tls_recompute) {
+  tls_recompute = true;
+}
+
+RecomputeGuard::~RecomputeGuard() { tls_recompute = prev_; }
+
+bool RecomputeGuard::active() { return tls_recompute; }
 
 Variable MakeOpNode(Tensor value, std::vector<std::shared_ptr<Node>> parents,
                     std::function<void(Node*)> backward_fn,
@@ -84,12 +94,24 @@ void Variable::Backward() const {
     }
   }
 
+  // In reverse topological order every consumer of a node has run before
+  // it, so once its backward has run nothing reads its gradient or its
+  // saved tensors again (variable.h, "Lifetime").
+  const bool release = !obs::ScopedTensorRecycling::active();
   node_->EnsureGrad();
   node_->grad.Fill(1.0f);
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     Node* node = *it;
-    if (node->backward_fn) {
-      node->backward_fn(node);
+    if (node->parents.empty()) continue;  // A leaf keeps its gradient.
+    ALT_CHECK(node->backward_fn)
+        << "Backward() through op '" << node->op_name
+        << "' whose backward already ran and freed its saved tensors; "
+           "record the graph again for a second sweep";
+    node->backward_fn(node);
+    if (release) {
+      node->backward_fn = nullptr;
+      node->grad = Tensor();
+      node->grad_allocated = false;
     }
   }
 }

@@ -15,7 +15,9 @@ namespace ag {
 /// Variable; Node is the shared state behind it.
 struct Node {
   Tensor value;
-  Tensor grad;  // Allocated lazily by EnsureGrad(); same shape as value.
+  /// Allocated lazily by EnsureGrad(); same shape as value. Backward() may
+  /// free an op node's once that node's backward has run ("Lifetime").
+  Tensor grad;
   bool requires_grad = false;
   bool grad_allocated = false;
   /// Static string naming the recording op ("matmul", "conv1d", ...); empty
@@ -26,7 +28,8 @@ struct Node {
   /// multiply-add; data movement is free). 0 for leaves and pure-layout ops.
   int64_t flops = 0;
   std::vector<std::shared_ptr<Node>> parents;
-  /// Propagates this node's grad into its parents' grads. Null for leaves.
+  /// Propagates this node's grad into its parents' grads. Null for leaves,
+  /// and for an op node whose backward has run and been freed.
   std::function<void(Node*)> backward_fn;
 
   /// Allocates (zeroed) grad storage if not present.
@@ -90,6 +93,17 @@ class Variable {
 
   /// Reverse-mode sweep from this scalar ([1]-shaped) variable. Gradients
   /// accumulate into every reachable leaf with requires_grad.
+  ///
+  /// Lifetime: outside an obs::ScopedTensorRecycling, each interior (op)
+  /// node drops its backward closure, and with it the tensors the op saved
+  /// for its backward, and its own gradient as soon as its backward has
+  /// run. So after the sweep the graph holds only its node values, and the
+  /// leaves their gradients; a second Backward() through any of its op
+  /// nodes fails an ALT_CHECK. Inside a recycling scope nothing is freed
+  /// mid-sweep: training loops drop the whole graph after every step, and
+  /// the recycler's rule that a miss releases every kept buffer would turn
+  /// frees between a step's allocations into misses (DESIGN.md, "Tensor
+  /// memory").
   void Backward() const;
 
   const std::shared_ptr<Node>& node() const { return node_; }
@@ -110,6 +124,29 @@ class InferenceGuard {
   ~InferenceGuard();
   InferenceGuard(const InferenceGuard&) = delete;
   InferenceGuard& operator=(const InferenceGuard&) = delete;
+
+  /// True while a guard is open on the calling thread.
+  static bool active();
+
+ private:
+  bool prev_;
+};
+
+/// Scoped, thread-local recompute mode. While a RecomputeGuard is open on a
+/// thread, ops still record the graph, but the fused LSTM layer (LstmLayer,
+/// ops.h) keeps none of its per-step activations: its backward first reruns
+/// the same recording forward into fresh buffers. Values and gradients are
+/// unchanged, bit for bit; an LSTM node holds only its output, for one more
+/// LSTM forward per layer in the backward. Only the ops built while the
+/// guard is open are affected, whenever their backward runs. Guards nest,
+/// restore the enclosing state when they close, and never affect other
+/// threads.
+class RecomputeGuard {
+ public:
+  RecomputeGuard();
+  ~RecomputeGuard();
+  RecomputeGuard(const RecomputeGuard&) = delete;
+  RecomputeGuard& operator=(const RecomputeGuard&) = delete;
 
   /// True while a guard is open on the calling thread.
   static bool active();

@@ -108,7 +108,10 @@ Status MetaLearner::ApplyQueryFeedback(models::BaseModel* adapted,
                                        const data::ScenarioData& query) {
   // Accumulate the query-set gradient at theta_u (first-order approximation
   // of Eq. 2: the gradient w.r.t. theta_u stands in for the gradient
-  // w.r.t. theta_0; see DESIGN.md).
+  // w.r.t. theta_0; see DESIGN.md). Only parameter gradients are needed, so
+  // the LSTM layers rerun their forward in the backward instead of keeping
+  // every layer's activations of a whole chunk at once.
+  ag::RecomputeGuard recompute;
   adapted->SetTraining(false);
   adapted->ZeroGrad();
   constexpr int64_t kChunk = 256;

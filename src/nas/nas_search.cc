@@ -28,6 +28,9 @@ Result<std::unique_ptr<models::BaseModel>> SearchLightModel(
   ALT_OBS_COUNTER_ADD("nas/nas_search/searches_total", 1);
   obs::Histogram* step_time =
       obs::MetricsRegistry::Global().histogram("nas/nas_search/step_time_ms");
+  obs::Gauge* carry_bytes = obs::MetricsRegistry::Global().gauge(
+      "nas/nas_search/weight_step_carry_bytes");
+  const obs::MemoryTracker& memory = obs::MemoryTracker::Global();
   Rng rng(options.seed);
   Rng dropout_rng = rng.Fork();
 
@@ -127,26 +130,35 @@ Result<std::unique_ptr<models::BaseModel>> SearchLightModel(
                             (options.tau_end - options.tau_start) * progress);
       ++step;
 
-      // Weight step on the train split.
-      data::Batch train_batch = MakeBatch(w_train, train_idx);
-      model->ZeroGrad();
-      ag::Variable train_loss = train::DistillationLoss(
-          model.get(), teacher, train_batch, options.distill_delta,
-          &dropout_rng);
-      if (options.audit_graph && step == 1) {
-        // Structural checks only: Gumbel sampling legitimately leaves the
-        // unsampled candidates' weights out of any single step's graph, so
-        // parameter reachability is not a supernet invariant.
-        analysis::GraphReport audit = analysis::AuditGraph(train_loss);
-        ALT_LOG(Info) << "supernet graph audit:\n" << audit.ToString();
-        if (!audit.clean()) {
-          return Status::FailedPrecondition("supernet graph audit failed: " +
-                                            audit.errors.front());
+      // Weight step on the train split. Its batch and graph die with this
+      // block, before the architecture step builds its own.
+      const int64_t weight_step_bytes = memory.live_bytes();
+      {
+        data::Batch train_batch = MakeBatch(w_train, train_idx);
+        model->ZeroGrad();
+        ag::Variable train_loss = train::DistillationLoss(
+            model.get(), teacher, train_batch, options.distill_delta,
+            &dropout_rng);
+        if (options.audit_graph && step == 1) {
+          // Structural checks only: Gumbel sampling legitimately leaves the
+          // unsampled candidates' weights out of any single step's graph,
+          // so parameter reachability is not a supernet invariant.
+          analysis::GraphReport audit = analysis::AuditGraph(train_loss);
+          ALT_LOG(Info) << "supernet graph audit:\n" << audit.ToString();
+          if (!audit.clean()) {
+            return Status::FailedPrecondition(
+                "supernet graph audit failed: " + audit.errors.front());
+          }
         }
+        train_loss.Backward();
+        weight_opt.ClipGradNorm(5.0);
+        weight_opt.Step();
       }
-      train_loss.Backward();
-      weight_opt.ClipGradNorm(5.0);
-      weight_opt.Step();
+      // What the weight step left live for the architecture step: 0 unless
+      // it made lasting state (the first step's gradient buffers, or a
+      // thread's scratch arena growing).
+      carry_bytes->Set(
+          static_cast<double>(memory.live_bytes() - weight_step_bytes));
 
       // Architecture step on the validation split (Eq. 4).
       data::Batch val_batch =

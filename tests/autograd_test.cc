@@ -2,11 +2,16 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 #include <thread>
+#include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "src/autograd/variable.h"
+#include "src/obs/memory_tracker.h"
 
 namespace alt {
 namespace ag {
@@ -226,6 +231,81 @@ TEST(OpsTest, ConstantGraphSkipsBackward) {
   loss.Backward();  // Must be a no-op, not a crash.
 }
 
+/// Every op node reachable from `root` (leaves have no parents).
+std::vector<Node*> OpNodes(const Variable& root) {
+  std::vector<Node*> ops;
+  std::unordered_set<Node*> seen = {root.node().get()};
+  std::vector<Node*> stack = {root.node().get()};
+  while (!stack.empty()) {
+    Node* node = stack.back();
+    stack.pop_back();
+    if (!node->parents.empty()) ops.push_back(node);
+    for (const auto& p : node->parents) {
+      if (seen.insert(p.get()).second) stack.push_back(p.get());
+    }
+  }
+  return ops;
+}
+
+int64_t StorageBytes(const Tensor& t) {
+  return static_cast<int64_t>(sizeof(float)) * t.numel();
+}
+
+/// A graph whose ops save tensors for their backward (softmax its output,
+/// dropout its mask) and whose interior nodes take gradients from two
+/// consumers.
+Variable LifetimeLoss(const Variable& a, const Variable& b,
+                      const Variable& c) {
+  Rng rng(19);
+  Variable y = Tanh(MatMul(a, b));
+  Variable z = Add(y, SoftmaxLastDim(y));
+  return SumAll(Mul(Dropout(z, 0.25f, &rng, /*training=*/true), c));
+}
+
+TEST(BackwardLifetimeTest, SweepLeavesNodeValuesAndLeafGradients) {
+  Rng rng(18);
+  const Tensor a0 = Tensor::Randn({16, 32}, &rng);
+  const Tensor b0 = Tensor::Randn({32, 24}, &rng);
+  Variable c = Variable::Constant(Tensor::Randn({16, 24}, &rng));
+  const obs::MemoryTracker& memory = obs::MemoryTracker::Global();
+  if (!memory.enabled()) GTEST_SKIP() << "ALT_OBS=off";
+
+  // Inside a recycling scope the sweep frees nothing: every op node keeps
+  // its closure and its gradient until the graph goes.
+  Variable kept_a = Variable::Parameter(a0);
+  Variable kept_b = Variable::Parameter(b0);
+  {
+    obs::ScopedTensorRecycling recycling;
+    Variable loss = LifetimeLoss(kept_a, kept_b, c);
+    loss.Backward();
+    for (Node* node : OpNodes(loss)) {
+      EXPECT_TRUE(node->backward_fn) << node->op_name;
+      EXPECT_TRUE(node->grad_allocated) << node->op_name;
+    }
+  }
+
+  // Outside one, the sweep leaves the node values and the leaves'
+  // gradients, with the same bits.
+  Variable a = Variable::Parameter(a0);
+  Variable b = Variable::Parameter(b0);
+  const int64_t before = memory.live_bytes();
+  Variable loss = LifetimeLoss(a, b, c);
+  loss.Backward();
+  int64_t values = 0;
+  for (Node* node : OpNodes(loss)) {
+    values += StorageBytes(node->value);
+    EXPECT_FALSE(node->backward_fn) << node->op_name;
+    EXPECT_FALSE(node->grad_allocated) << node->op_name;
+  }
+  EXPECT_EQ(memory.live_bytes(), before + values + StorageBytes(a.grad()) +
+                                     StorageBytes(b.grad()));
+  for (auto [got, want] : {std::pair{&a, &kept_a}, std::pair{&b, &kept_b}}) {
+    ASSERT_TRUE(got->grad().SameShape(want->grad()));
+    EXPECT_EQ(0, std::memcmp(got->grad().data(), want->grad().data(),
+                             static_cast<size_t>(StorageBytes(got->grad()))));
+  }
+}
+
 TEST(InferenceGuardTest, GuardedResultHasNoGraphAndBackwardIsNoOp) {
   Variable w = Variable::Parameter(Tensor::FromVector({2}, {1.5f, -2.0f}));
   Variable loss;
@@ -270,6 +350,26 @@ TEST(InferenceGuardTest, ScopesNestAndRestoreOnUnwind) {
   EXPECT_FALSE(InferenceGuard::active());
   Variable w = Variable::Parameter(Tensor::Scalar(2.0f));
   EXPECT_TRUE(ScalarMul(w, 3.0f).requires_grad());
+}
+
+TEST(RecomputeGuardTest, ScopesNestAndRestoreOnUnwind) {
+  EXPECT_FALSE(RecomputeGuard::active());
+  {
+    RecomputeGuard outer;
+    {
+      RecomputeGuard inner;
+      EXPECT_TRUE(RecomputeGuard::active());
+    }
+    EXPECT_TRUE(RecomputeGuard::active());
+    EXPECT_FALSE(InferenceGuard::active());
+  }
+  EXPECT_FALSE(RecomputeGuard::active());
+  try {
+    RecomputeGuard guard;
+    throw std::runtime_error("unwind");
+  } catch (const std::runtime_error&) {
+  }
+  EXPECT_FALSE(RecomputeGuard::active());
 }
 
 TEST(InferenceGuardTest, GuardOnOneThreadLeavesOthersRecording) {

@@ -52,6 +52,15 @@ TEST(OpsDeathTest, BackwardFromNonScalarAborts) {
   EXPECT_DEATH(y.Backward(), "scalar");
 }
 
+TEST(OpsDeathTest, SecondBackwardThroughAFreedGraphAborts) {
+  // Outside a tensor recycling scope the first sweep frees each op's saved
+  // tensors; a second one must not run on what is left.
+  ag::Variable w = ag::Variable::Parameter(Tensor::FromVector({2}, {1, 2}));
+  ag::Variable loss = ag::SumAll(ag::Mul(w, w));
+  loss.Backward();
+  EXPECT_DEATH(loss.Backward(), "backward already ran");
+}
+
 TEST(OpsDeathTest, EmbeddingOutOfVocabAborts) {
   ag::Variable w = ag::Variable::Parameter(Tensor::Zeros({4, 2}));
   EXPECT_DEATH(ag::EmbeddingLookup(w, {0, 9}, 1, 2), "Check failed");

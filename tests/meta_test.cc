@@ -1,9 +1,14 @@
 #include "src/meta/meta_learner.h"
 
+#include <cstring>
 #include <future>
+#include <optional>
+#include <string>
 
 #include "gtest/gtest.h"
+#include "src/autograd/ops.h"
 #include "src/data/synthetic.h"
+#include "src/obs/memory_tracker.h"
 #include "src/util/thread_pool.h"
 
 namespace alt {
@@ -144,6 +149,66 @@ TEST(MetaLearnerTest, ParallelAdaptationIsSafe) {
   for (auto& f : futures) EXPECT_TRUE(f.get());
   // Agnostic model still usable afterwards.
   EXPECT_TRUE(learner.CloneAgnostic().ok());
+}
+
+TEST(MetaLearnerTest, RecomputedFeedbackKeepsGradientsAndHalvesThePeak) {
+  // The Eq. 2 feedback's graph at onboarding's shape: the heavy LSTM preset
+  // (six layers, hidden 15) over one 240-row query chunk of length 16.
+  data::SyntheticConfig config = MetaDataConfig();
+  config.num_scenarios = 1;
+  config.seq_len = 16;
+  config.scenario_sizes = {240};
+  data::Batch batch = data::MakeFullBatch(
+      data::SyntheticGenerator(config).GenerateScenario(0));
+  Rng rng(21);
+  auto built = models::BuildBaseModel(
+      models::ModelConfig::Heavy(models::EncoderKind::kLstm,
+                                 config.profile_dim, config.seq_len,
+                                 config.vocab_size),
+      &rng);
+  ASSERT_TRUE(built.ok());
+  models::BaseModel* model = built.value().get();
+  model->SetTraining(false);
+  obs::MemoryTracker& memory = obs::MemoryTracker::Global();
+  // Each run returns every parameter gradient and the rise of the tracked
+  // peak over the live bytes it started from.
+  auto run = [&](bool recompute, std::vector<Tensor>* grads) {
+    model->ZeroGrad();
+    const int64_t before = memory.live_bytes();
+    memory.ResetPeak();
+    {
+      std::optional<ag::RecomputeGuard> guard;
+      if (recompute) guard.emplace();
+      ag::BCEWithLogits(model->Forward(batch),
+                        ag::Variable::Constant(batch.labels))
+          .Backward();
+    }
+    const int64_t rise = memory.peak_bytes() - before;
+    grads->clear();
+    for (ag::Variable* p : model->Parameters()) grads->push_back(p->grad());
+    return rise;
+  };
+  std::vector<Tensor> want;
+  std::vector<Tensor> got;
+  run(/*recompute=*/false, &want);  // Warms every thread's scratch arena.
+  const int64_t kept_rise = run(/*recompute=*/false, &want);
+  const int64_t recomputed_rise = run(/*recompute=*/true, &got);
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_TRUE(got[i].SameShape(want[i])) << "parameter " << i;
+    EXPECT_EQ(0, std::memcmp(got[i].data(), want[i].data(),
+                             sizeof(float) *
+                                 static_cast<size_t>(got[i].numel())))
+        << "parameter " << i;
+  }
+  RecordProperty("kept_peak_rise_bytes", std::to_string(kept_rise));
+  RecordProperty("recomputed_peak_rise_bytes",
+                 std::to_string(recomputed_rise));
+  if (!memory.enabled()) return;  // ALT_OBS=off: no peaks to compare.
+  EXPECT_GT(kept_rise, 0);
+  EXPECT_LE(2 * recomputed_rise, kept_rise)
+      << "peak rise " << recomputed_rise << " B recomputed vs " << kept_rise
+      << " B kept";
 }
 
 TEST(MetaLearnerTest, AdoptInitialModelValidatesSchema) {

@@ -7,6 +7,7 @@
 #include "src/nas/derived_encoder.h"
 #include "src/nas/nas_search.h"
 #include "src/nas/supernet.h"
+#include "src/obs/metrics.h"
 #include "src/opt/optimizer.h"
 
 namespace alt {
@@ -309,6 +310,25 @@ TEST(NasSearchTest, EndToEndProducesBudgetedModel) {
     EXPECT_GE(p, 0.0f);
     EXPECT_LE(p, 1.0f);
   }
+}
+
+TEST(NasSearchTest, ArchitectureStepStartsWithTheWeightStepsLiveBytes) {
+  // Each step's weight half-step drops its batch and graph before the
+  // architecture half-step builds its own. The gauge holds the last step's
+  // live-bytes difference between the two half-steps' starts.
+  data::ScenarioData train_data = TinyScenario();
+  NasSearchOptions options;
+  options.supernet.num_layers = 2;
+  options.search_epochs = 2;
+  options.batch_size = 32;
+  options.final_train.epochs = 1;
+  obs::Gauge* carry = obs::MetricsRegistry::Global().gauge(
+      "nas/nas_search/weight_step_carry_bytes");
+  carry->Set(-1.0);
+  ASSERT_TRUE(SearchLightModel(TinyLightConfig(), /*teacher=*/nullptr,
+                               train_data, options, nullptr)
+                  .ok());
+  EXPECT_EQ(carry->value(), 0.0);
 }
 
 TEST(NasSearchTest, BuildModelRoundTripsNasConfig) {

@@ -1,4 +1,5 @@
 #include <cstring>
+#include <optional>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "src/nn/mlp.h"
 #include "src/nn/serialize.h"
 #include "src/nn/transformer.h"
+#include "src/obs/memory_tracker.h"
 #include "src/tensor/cpu_features.h"
 #include "src/tensor/scratch.h"
 #include "src/util/parallel_for.h"
@@ -166,7 +168,19 @@ std::vector<Tensor> RunTwoLayerStack(LstmFn layer, const Tensor& x0,
   return results;
 }
 
+/// ag::LstmLayer built under a RecomputeGuard: its node keeps no per-step
+/// state, and its backward reruns the recording forward for it.
+ag::Variable RecomputedLstmLayer(const ag::Variable& x,
+                                 const ag::Variable& w_x,
+                                 const ag::Variable& w_h,
+                                 const ag::Variable& bias) {
+  ag::RecomputeGuard recompute;
+  return ag::LstmLayer(x, w_x, w_h, bias);
+}
+
 TEST(LstmTest, FusedLayerBitIdenticalToComposition) {
+  // The fused op, built with and without a RecomputeGuard. B = 1 and 3 sit
+  // below kGemmTileRows; T = 1 leaves w_h without a gradient.
   const SimdLevel saved_level = ActiveSimdLevel();
   std::vector<SimdLevel> levels = {SimdLevel::kScalar};
   if (SetSimdLevel(SimdLevel::kAvx2)) levels.push_back(SimdLevel::kAvx2);
@@ -200,18 +214,23 @@ TEST(LstmTest, FusedLayerBitIdenticalToComposition) {
           const Tensor coeff2 = Tensor::Randn({batch, seq, h}, &rng);
           const std::vector<Tensor> want = RunTwoLayerStack(
               &ComposedLstmLayer, x0, weights, coeff1, coeff2);
-          const std::vector<Tensor> got = RunTwoLayerStack(
-              &ag::LstmLayer, x0, weights, coeff1, coeff2);
-          ASSERT_EQ(got.size(), want.size());
-          for (size_t r = 0; r < got.size(); ++r) {
-            ASSERT_TRUE(got[r].SameShape(want[r])) << names[r];
-            // A one-step sequence leaves w_h without a gradient (empty).
-            const size_t bytes =
-                sizeof(float) * static_cast<size_t>(got[r].numel());
-            EXPECT_TRUE(bytes == 0 ||
-                        std::memcmp(got[r].data(), want[r].data(), bytes) == 0)
-                << names[r] << " differs: level=" << SimdLevelName(level)
-                << " threads=" << threads << " B=" << batch << " T=" << seq;
+          for (LstmFn fused : {&ag::LstmLayer, &RecomputedLstmLayer}) {
+            const std::vector<Tensor> got =
+                RunTwoLayerStack(fused, x0, weights, coeff1, coeff2);
+            ASSERT_EQ(got.size(), want.size());
+            for (size_t r = 0; r < got.size(); ++r) {
+              ASSERT_TRUE(got[r].SameShape(want[r])) << names[r];
+              // A one-step sequence leaves w_h without a gradient (empty).
+              const size_t bytes =
+                  sizeof(float) * static_cast<size_t>(got[r].numel());
+              EXPECT_TRUE(bytes == 0 || std::memcmp(got[r].data(),
+                                                    want[r].data(),
+                                                    bytes) == 0)
+                  << names[r] << " differs: level=" << SimdLevelName(level)
+                  << " threads=" << threads << " B=" << batch
+                  << " T=" << seq << " recompute="
+                  << (fused == &RecomputedLstmLayer);
+            }
           }
         }
       }
@@ -264,6 +283,35 @@ TEST(LstmTest, BlockedDxKeepsTheCompositionBits) {
     }
   }
   SetSimdLevel(saved_level);
+}
+
+TEST(LstmTest, RecomputeGuardedNodeKeepsOnlyItsOutput) {
+  // Tracked bytes an op node holds after its forward: its value and,
+  // unguarded, the per-step activations, c and tanh(c) (4H + 2H floats per
+  // row and step) for its backward.
+  const obs::MemoryTracker& memory = obs::MemoryTracker::Global();
+  if (!memory.enabled()) GTEST_SKIP() << "ALT_OBS=off";
+  SetComputeThreads(1);  // Scratch on this thread only, warmed below.
+  Rng rng(16);
+  const int64_t batch = 24;
+  const int64_t seq = 16;
+  const int64_t h = 15;
+  LstmLayer layer(h, h, &rng);
+  ag::Variable x =
+      ag::Variable::Parameter(Tensor::Randn({batch, seq, h}, &rng));
+  ag::SumAll(layer.Forward(x)).Backward();
+  auto held = [&](bool recompute) {
+    std::optional<ag::RecomputeGuard> guard;
+    if (recompute) guard.emplace();
+    const int64_t before = memory.live_bytes();
+    ag::Variable y = layer.Forward(x);
+    return memory.live_bytes() - before;
+  };
+  const int64_t out_bytes =
+      static_cast<int64_t>(sizeof(float)) * batch * seq * h;
+  EXPECT_EQ(held(/*recompute=*/true), out_bytes);
+  EXPECT_EQ(held(/*recompute=*/false), out_bytes * 7);
+  SetComputeThreads(0);
 }
 
 /// Scratch bytes a fresh thread's arena keeps after a recorded forward and

@@ -26,8 +26,8 @@
 #                warm rejoin and scale-up with zero lost requests, the join
 #                movement bound, the queue cap's shed/recover, and
 #                placements that never leave a replica without its version
-#   simd-parity  kernel/parity/quant/autograd/nn/models tests rerun with
-#                ALT_SIMD=off (the guaranteed scalar contract) in the
+#   simd-parity  kernel/parity/quant/autograd/nn/models/meta tests rerun
+#                with ALT_SIMD=off (the guaranteed scalar contract) in the
 #                release tree
 #   telemetry    a breaker-driven /healthz probe flips to 503 under injected
 #                serving faults
@@ -230,10 +230,12 @@ if wants simd-parity; then
   # forced to the scalar contract. The parity suites inside compare the
   # levels against each other; this stage additionally proves the whole
   # kernel/quant/autograd surface, the fused LSTM layer's composition
-  # reference (nn_test) and the batch-composition property of every model
-  # preset (models_test) still pass when SIMD is off entirely (the fallback
-  # every non-x86 or ALT_SIMD=off deployment runs).
-  SIMD_PARITY_TESTS="kernels_test|kernel_parity_test|quant_test|autograd_test|nn_test|models_test"
+  # reference and its recompute identity (nn_test), the batch-composition
+  # property of every model preset (models_test) and the heavy preset's
+  # recomputed Eq. 2 feedback gradients (meta_test) still pass when SIMD is
+  # off entirely (the fallback every non-x86 or ALT_SIMD=off deployment
+  # runs).
+  SIMD_PARITY_TESTS="kernels_test|kernel_parity_test|quant_test|autograd_test|nn_test|models_test|meta_test"
   echo "==> simd-parity stage (ALT_SIMD=off over kernel-layer tests)"
   ALT_SIMD=off ctest --test-dir build --output-on-failure \
     -R "^(${SIMD_PARITY_TESTS})$"
@@ -265,11 +267,13 @@ if wants tsan; then
   # on the main thread), tensor storage recycling (per-thread scopes whose
   # buffers other threads free: tensor_recycle_test, and meta_test's
   # ParallelAdaptationIsSafe, which trains on 3 pool threads and frees their
-  # models on the main thread), and the serving plane: shard worker threads
-  # that run the failover and degradation continuations (breakers,
-  # fallbacks, the client's tracer and SLO tracker) and a dead shard's
-  # rebalance, kill/rejoin under load, and the request context crossing
-  # caller and worker threads in the traced chaos suite. Only the
+  # models on the main thread; its Eq. 2 feedback also opens the
+  # thread-local recompute guard on each of them), and the serving plane:
+  # shard worker threads that run the failover and degradation
+  # continuations (breakers, fallbacks, the client's tracer and SLO
+  # tracker) and a dead shard's rebalance, kill/rejoin under load, and the
+  # request context crossing caller and worker threads in the traced chaos
+  # suite. Only the
   # threading-related targets are built and run: TSan slows everything ~10x
   # and the rest of the suite is single-threaded.
   TSAN_TARGETS=(parallel_for_test kernel_parity_test util_test hpo_test
