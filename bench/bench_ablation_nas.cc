@@ -7,8 +7,6 @@
 #include <cstdio>
 
 #include "bench/bench_common.h"
-#include "src/meta/meta_learner.h"
-#include "src/nas/nas_search.h"
 #include "src/train/trainer.h"
 #include "src/util/table_printer.h"
 
@@ -21,29 +19,20 @@ struct AblationRun {
   int64_t encoder_flops = 0;
 };
 
-AblationRun RunNas(const BenchOptions& options,
+/// The light half of onboarding with one Eq. 5 delta, Eq. 4 lambda and
+/// FLOPs budget swapped into `onboard`.
+AblationRun RunNas(core::OnboardOptions onboard,
                    const PreparedScenario& scenario,
                    models::BaseModel* teacher, float delta, float lambda,
-                   int64_t budget, uint64_t seed) {
-  nas::NasSearchOptions nas_options;
-  nas_options.supernet.num_layers = options.nas_layers;
-  nas_options.search_epochs = options.nas_search_epochs;
-  nas_options.weight_lr = options.learning_rate;
-  nas_options.lambda_flops = lambda;
-  nas_options.flops_budget = budget;
-  nas_options.distill_delta = delta;
-  nas_options.final_train.epochs = options.epochs;
-  nas_options.final_train.learning_rate = options.learning_rate;
-  nas_options.seed = seed;
-  nas::NasSearchReport report;
-  auto model = nas::SearchLightModel(
-      options.LightConfig(models::EncoderKind::kLstm), teacher,
-      scenario.train, nas_options, &report);
-  ALT_CHECK(model.ok()) << model.status().ToString();
-  AblationRun run;
-  run.auc = train::EvaluateAuc(model.value().get(), scenario.test);
-  run.encoder_flops = report.encoder_flops;
-  return run;
+                   int64_t budget) {
+  onboard.nas.distill_delta = delta;
+  onboard.nas.lambda_flops = lambda;
+  onboard.nas.flops_budget = budget;
+  auto light =
+      core::OnboardLight(teacher, scenario.train, scenario.test, onboard);
+  ALT_CHECK(light.ok()) << light.status().ToString();
+  const core::ScenarioArtifacts& a = light.value().artifacts;
+  return {a.light_test_auc, a.arch.Flops(onboard.light_config.seq_len)};
 }
 
 }  // namespace
@@ -63,25 +52,11 @@ int main(int argc, char** argv) {
       options, static_cast<int64_t>(scenarios.size()));
 
   // Teacher: meta-adapted heavy model for the probe scenarios.
-  meta::MetaOptions meta_options;
-  meta_options.init_train.epochs = options.epochs;
-  meta_options.init_train.learning_rate = options.learning_rate;
-  meta_options.finetune.epochs = std::max<int64_t>(1, options.epochs / 2);
-  meta_options.finetune.learning_rate = options.learning_rate;
-  meta_options.seed = options.seed;
-  meta::MetaLearner learner(
-      options.HeavyConfig(models::EncoderKind::kLstm), meta_options);
-  std::vector<data::ScenarioData> parts;
-  for (int64_t idx : initial) {
-    parts.push_back(scenarios[static_cast<size_t>(idx)].train);
-  }
-  ALT_CHECK(learner.Initialize(parts).ok());
-
-  Rng rng(options.seed);
-  auto light_ref = models::BuildBaseModel(
-      options.LightConfig(models::EncoderKind::kLstm), &rng);
-  const int64_t budget =
-      light_ref.value()->behavior_encoder()->Flops(options.seq_len);
+  std::unique_ptr<meta::MetaLearner> learner = bench::InitializeLearner(
+      options, scenarios, initial, models::EncoderKind::kLstm);
+  const core::OnboardOptions onboard = options.MakeOnboardOptions(
+      options.LightConfig(models::EncoderKind::kLstm));
+  const int64_t budget = onboard.nas.flops_budget;
 
   // Probe scenarios: one head, one mid, one tail.
   const std::vector<size_t> probes = {0, scenarios.size() / 2,
@@ -93,13 +68,12 @@ int main(int argc, char** argv) {
                               "delta=1", "delta=4", "teacher AUC"});
   for (size_t p : probes) {
     const bench::PreparedScenario& s = scenarios[p];
-    auto teacher = learner.AdaptToScenario(s.train, /*send_feedback=*/false);
+    auto teacher = learner->AdaptToScenario(s.train, /*send_feedback=*/false);
     ALT_CHECK(teacher.ok());
     std::vector<std::string> row = {std::to_string(s.scenario_id + 1)};
     for (float delta : {0.0f, 1.0f, 4.0f}) {
-      bench::AblationRun run =
-          bench::RunNas(options, s, teacher.value().get(), delta, 0.1f,
-                        budget, options.seed + p);
+      bench::AblationRun run = bench::RunNas(
+          onboard, s, teacher.value().get(), delta, 0.1f, budget);
       row.push_back(TablePrinter::Num(run.auc));
     }
     row.push_back(TablePrinter::Num(
@@ -115,13 +89,12 @@ int main(int argc, char** argv) {
       {"lambda", "AUC", "encoder FLOPs", "budget"});
   {
     const bench::PreparedScenario& s = scenarios[0];
-    auto teacher = learner.AdaptToScenario(s.train, /*send_feedback=*/false);
+    auto teacher = learner->AdaptToScenario(s.train, /*send_feedback=*/false);
     ALT_CHECK(teacher.ok());
     for (float lambda : {0.0f, 0.1f, 0.5f, 2.0f}) {
       // No hard budget here: lambda alone steers the extracted size.
-      bench::AblationRun run =
-          bench::RunNas(options, s, teacher.value().get(), 1.0f, lambda,
-                        /*budget=*/0, options.seed + 31);
+      bench::AblationRun run = bench::RunNas(
+          onboard, s, teacher.value().get(), 1.0f, lambda, /*budget=*/0);
       lambda_table.AddRow({TablePrinter::Num(lambda, 1),
                            TablePrinter::Num(run.auc),
                            std::to_string(run.encoder_flops),
@@ -136,14 +109,13 @@ int main(int argc, char** argv) {
   TablePrinter budget_table({"budget", "AUC", "encoder FLOPs"});
   {
     const bench::PreparedScenario& s = scenarios[1];
-    auto teacher = learner.AdaptToScenario(s.train, /*send_feedback=*/false);
+    auto teacher = learner->AdaptToScenario(s.train, /*send_feedback=*/false);
     ALT_CHECK(teacher.ok());
     for (double factor : {0.1, 0.5, 1.0}) {
       const int64_t b = static_cast<int64_t>(budget * factor);
       // lambda = 0 so the hard budget is the binding constraint.
-      bench::AblationRun run = bench::RunNas(
-          options, s, teacher.value().get(), 1.0f, 0.0f, b,
-          options.seed + 77);
+      bench::AblationRun run =
+          bench::RunNas(onboard, s, teacher.value().get(), 1.0f, 0.0f, b);
       budget_table.AddRow({std::to_string(b), TablePrinter::Num(run.auc),
                            std::to_string(run.encoder_flops)});
     }

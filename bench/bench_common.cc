@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <chrono>
 
-#include "src/meta/meta_learner.h"
-#include "src/nas/nas_search.h"
 #include "src/train/trainer.h"
 #include "src/util/logging.h"
 
@@ -93,6 +91,32 @@ models::ModelConfig BenchOptions::LightConfig(
   return c;
 }
 
+meta::MetaOptions BenchOptions::MakeMetaOptions() const {
+  meta::MetaOptions meta_options;
+  meta_options.init_train.epochs = epochs;
+  meta_options.init_train.batch_size = batch_size;
+  meta_options.finetune.epochs = std::max<int64_t>(1, epochs / 2);
+  meta_options.finetune.batch_size = batch_size;
+  meta_options.seed = seed;
+  return meta_options;
+}
+
+core::OnboardOptions BenchOptions::MakeOnboardOptions(
+    const models::ModelConfig& light_config) const {
+  core::OnboardOptions onboard;
+  onboard.light_config = light_config;
+  onboard.nas.supernet.num_layers = nas_layers;
+  onboard.nas.search_epochs = nas_search_epochs;
+  onboard.nas.batch_size = batch_size;
+  onboard.nas.weight_lr = learning_rate;
+  onboard.nas.flops_budget = core::LightEncoderFlops(light_config);
+  onboard.nas.final_train.epochs = epochs;
+  onboard.nas.final_train.batch_size = batch_size;
+  onboard.nas.final_train.learning_rate = learning_rate;
+  onboard.seed = seed;
+  return onboard;
+}
+
 std::vector<PreparedScenario> PrepareWorkload(const BenchOptions& options) {
   data::SyntheticGenerator generator(options.MakeDataConfig());
   feature::DataPreparationConfig prep;
@@ -132,23 +156,36 @@ double Mean(const std::vector<double>& values) {
   return total / static_cast<double>(values.size());
 }
 
+std::unique_ptr<meta::MetaLearner> InitializeLearner(
+    const BenchOptions& options,
+    const std::vector<PreparedScenario>& scenarios,
+    const std::vector<int64_t>& initial, models::EncoderKind encoder) {
+  auto learner = std::make_unique<meta::MetaLearner>(
+      options.HeavyConfig(encoder), options.MakeMetaOptions());
+  std::vector<data::ScenarioData> initial_train;
+  for (int64_t idx : initial) {
+    initial_train.push_back(scenarios[static_cast<size_t>(idx)].train);
+  }
+  const Status initialized = learner->Initialize(initial_train);
+  ALT_CHECK(initialized.ok()) << initialized.ToString();
+  return learner;
+}
+
 StrategyResults RunStrategies(const BenchOptions& options,
                               const std::vector<PreparedScenario>& scenarios,
                               const std::vector<int64_t>& initial,
                               models::EncoderKind encoder,
                               const StrategySet& set) {
   StrategyResults results;
-  const models::ModelConfig heavy_config = options.HeavyConfig(encoder);
-  const models::ModelConfig light_config = options.LightConfig(encoder);
-
-  train::TrainOptions train_options;
-  train_options.epochs = options.epochs;
-  train_options.batch_size = options.batch_size;
-  train_options.learning_rate = options.learning_rate;
-  train_options.seed = options.seed;
 
   // --- SinH: per-scenario heavy model from scratch. -----------------------
   if (set.run_sinh) {
+    const models::ModelConfig heavy_config = options.HeavyConfig(encoder);
+    train::TrainOptions train_options;
+    train_options.epochs = options.epochs;
+    train_options.batch_size = options.batch_size;
+    train_options.learning_rate = options.learning_rate;
+    train_options.seed = options.seed;
     for (const PreparedScenario& s : scenarios) {
       Rng rng(options.seed * 101 + static_cast<uint64_t>(s.scenario_id));
       auto model = models::BuildBaseModel(heavy_config, &rng);
@@ -160,90 +197,24 @@ StrategyResults RunStrategies(const BenchOptions& options,
           train::EvaluateAuc(model.value().get(), s.test));
     }
   }
+  if (!set.run_meta) return results;
 
-  if (!set.run_meh && !set.run_mel && !set.run_ours) return results;
-
-  // --- Shared meta pass: initialize f0 on the initial scenarios, then for
-  // each scenario fine-tune the heavy copy (Eq. 1) with feedback (Eq. 2),
-  // which is the teacher for both light strategies. ------------------------
-  meta::MetaOptions meta_options;
-  meta_options.init_train = train_options;
-  meta_options.finetune = train_options;
-  meta_options.finetune.epochs = std::max<int64_t>(1, options.epochs / 2);
-  meta_options.seed = options.seed;
-  meta::MetaLearner learner(heavy_config, meta_options);
-  std::vector<data::ScenarioData> initial_train;
-  for (int64_t idx : initial) {
-    initial_train.push_back(scenarios[static_cast<size_t>(idx)].train);
-  }
-  ALT_CHECK(learner.Initialize(initial_train).ok());
-
-  // NAS budget: the predefined light encoder's FLOPs (Sec. V-A2: "the upper
-  // bound of the FLOPs for the searched architectures is set to be the same
-  // as the light models").
-  int64_t budget = 0;
-  {
-    Rng rng(options.seed);
-    auto light_ref = models::BuildBaseModel(light_config, &rng);
-    ALT_CHECK(light_ref.ok());
-    budget = light_ref.value()->behavior_encoder()->Flops(options.seq_len);
-  }
-
-  double heavy_flops_total = 0.0;
-  double light_flops_total = 0.0;
-  double ours_flops_total = 0.0;
-  int64_t flops_count = 0;
-
+  // --- MeH, MeL and Ours: f0 from the initial scenarios, then the system's
+  // onboarding step per scenario. Its heavy model is MeH and the teacher of
+  // both light strategies. ------------------------------------------------
+  std::unique_ptr<meta::MetaLearner> learner =
+      InitializeLearner(options, scenarios, initial, encoder);
+  core::OnboardOptions onboard =
+      options.MakeOnboardOptions(options.LightConfig(encoder));
+  onboard.predefined_light = true;
   for (const PreparedScenario& s : scenarios) {
-    auto heavy = learner.AdaptToScenario(s.train);
-    ALT_CHECK(heavy.ok()) << heavy.status().ToString();
-    if (set.run_meh) {
-      results.meh.push_back(train::EvaluateAuc(heavy.value().get(), s.test));
-    }
-
-    if (set.run_mel) {
-      Rng rng(options.seed * 211 + static_cast<uint64_t>(s.scenario_id));
-      auto light = models::BuildBaseModel(light_config, &rng);
-      ALT_CHECK(light.ok());
-      train::TrainOptions distill_options = train_options;
-      distill_options.seed =
-          options.seed * 31 + static_cast<uint64_t>(s.scenario_id);
-      ALT_CHECK(train::TrainWithDistillation(light.value().get(),
-                                             heavy.value().get(), s.train,
-                                             /*delta=*/1.0f, distill_options)
-                    .ok());
-      results.mel.push_back(train::EvaluateAuc(light.value().get(), s.test));
-      light_flops_total +=
-          static_cast<double>(light.value()->FlopsPerSample());
-    }
-
-    if (set.run_ours) {
-      nas::NasSearchOptions nas_options;
-      nas_options.supernet.num_layers = options.nas_layers;
-      nas_options.search_epochs = options.nas_search_epochs;
-      nas_options.batch_size = options.batch_size;
-      nas_options.weight_lr = options.learning_rate;
-      nas_options.flops_budget = budget;
-      nas_options.final_train = train_options;
-      nas_options.seed =
-          options.seed * 977 + static_cast<uint64_t>(s.scenario_id);
-      nas::NasSearchReport report;
-      auto ours = nas::SearchLightModel(light_config, heavy.value().get(),
-                                        s.train, nas_options, &report);
-      ALT_CHECK(ours.ok()) << ours.status().ToString();
-      results.ours.push_back(train::EvaluateAuc(ours.value().get(), s.test));
-      results.archs.push_back(report.arch);
-      ours_flops_total +=
-          static_cast<double>(ours.value()->FlopsPerSample());
-    }
-
-    heavy_flops_total += static_cast<double>(heavy.value()->FlopsPerSample());
-    ++flops_count;
-  }
-  if (flops_count > 0) {
-    results.heavy_flops = heavy_flops_total / flops_count;
-    if (set.run_mel) results.light_flops = light_flops_total / flops_count;
-    if (set.run_ours) results.ours_flops = ours_flops_total / flops_count;
+    auto onboarded =
+        core::OnboardScenario(learner.get(), s.train, s.test, onboard);
+    ALT_CHECK(onboarded.ok()) << onboarded.status().ToString();
+    const core::OnboardResult& r = onboarded.value();
+    results.meh.push_back(r.artifacts.heavy_test_auc);
+    results.mel.push_back(r.predefined_light_test_auc);
+    results.ours.push_back(r.artifacts.light_test_auc);
   }
   return results;
 }

@@ -3,13 +3,15 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "src/core/onboard.h"
 #include "src/data/synthetic.h"
 #include "src/feature/data_preparation.h"
+#include "src/meta/meta_learner.h"
 #include "src/models/model_config.h"
-#include "src/nas/arch.h"
 
 namespace alt {
 namespace bench {
@@ -52,14 +54,22 @@ struct BenchOptions {
   int64_t nas_layers = 3;
   uint64_t seed = 2023;
 
-  /// Reads --scale, --seq_len, --epochs, --initial, --seed, --full from
-  /// flags. --full=1 switches to paper-sized sequences (128) and a larger
-  /// sample scale.
+  /// Reads --full, --scale, --seq_len, --initial, --epochs, --lr,
+  /// --nas_epochs, --nas_layers and --seed from flags. --full=1 switches to
+  /// paper-sized sequences (128), a larger sample scale, 5 epochs and lr
+  /// 1e-3; the other flags then override those.
   void ApplyFlags(const Flags& flags);
 
   data::SyntheticConfig MakeDataConfig() const;
   models::ModelConfig HeavyConfig(models::EncoderKind kind) const;
   models::ModelConfig LightConfig(models::EncoderKind kind) const;
+  /// f0's training and each scenario's Eq. 1 fine-tune (half the epochs).
+  meta::MetaOptions MakeMetaOptions() const;
+  /// Onboarding onto `light_config`: the NAS settings above, its Eq. 4
+  /// budget (core::LightEncoderFlops), and the light models' training.
+  /// MeL is off; benches that report it turn it on.
+  core::OnboardOptions MakeOnboardOptions(
+      const models::ModelConfig& light_config) const;
 };
 
 /// One prepared scenario: processed train/test parts.
@@ -77,27 +87,26 @@ std::vector<int64_t> PickInitialScenarios(const BenchOptions& options,
                                           int64_t num_scenarios,
                                           uint64_t repeat = 0);
 
-/// Per-scenario AUC of the four compared strategies (Sec. V-A2), plus
-/// efficiency info for Table V and the searched architectures for Fig. 9.
+/// A meta learner for `encoder` with MakeMetaOptions(), f0 trained on the
+/// `initial` scenarios' train parts.
+std::unique_ptr<meta::MetaLearner> InitializeLearner(
+    const BenchOptions& options,
+    const std::vector<PreparedScenario>& scenarios,
+    const std::vector<int64_t>& initial, models::EncoderKind encoder);
+
+/// Per-scenario AUC of the four compared strategies (Sec. V-A2).
 struct StrategyResults {
   std::vector<double> sinh;  // Single-Heavy
   std::vector<double> meh;   // Meta-Heavy
   std::vector<double> mel;   // Meta-Light (predefined light + distill)
   std::vector<double> ours;  // budget-limited NAS light + distill
-  /// FLOPs per sample (model-level) averaged over scenarios.
-  double heavy_flops = 0.0;
-  double light_flops = 0.0;
-  double ours_flops = 0.0;
-  /// Architectures searched per scenario (index-aligned).
-  std::vector<nas::Architecture> archs;
 };
 
 /// Which strategies to run (all four by default).
 struct StrategySet {
   bool run_sinh = true;
-  bool run_meh = true;
-  bool run_mel = true;
-  bool run_ours = true;
+  /// MeH, MeL and Ours: one core::OnboardScenario per scenario.
+  bool run_meta = true;
 };
 
 /// Runs the full comparison of Sec. V-B1 for one encoder family.

@@ -12,8 +12,6 @@
 #include <cstdio>
 
 #include "bench/bench_common.h"
-#include "src/meta/meta_learner.h"
-#include "src/nas/nas_search.h"
 #include "src/serving/online_simulator.h"
 #include "src/train/trainer.h"
 #include "src/util/table_printer.h"
@@ -84,23 +82,14 @@ int main(int argc, char** argv) {
   light_config.learning_rate = options.learning_rate;
 
   // Meta learner over the first 8 scenarios (the platform's history).
-  meta::MetaOptions meta_options;
-  meta_options.init_train.epochs = options.epochs;
-  meta_options.init_train.learning_rate = options.learning_rate;
-  meta_options.finetune.epochs = std::max<int64_t>(1, options.epochs / 2);
-  meta_options.finetune.learning_rate = options.learning_rate;
-  meta_options.seed = options.seed;
-  meta::MetaLearner learner(heavy_config, meta_options);
+  meta::MetaLearner learner(heavy_config, options.MakeMetaOptions());
   std::vector<data::ScenarioData> initial;
   for (int64_t s = 0; s < std::min<int64_t>(8, num_scenarios); ++s) {
     initial.push_back(generator.GenerateScenario(s));
   }
   ALT_CHECK(learner.Initialize(initial).ok());
-
-  Rng rng(options.seed);
-  auto light_ref = models::BuildBaseModel(light_config, &rng);
-  const int64_t budget =
-      light_ref.value()->behavior_encoder()->Flops(dc.seq_len);
+  core::OnboardOptions onboard = options.MakeOnboardOptions(light_config);
+  onboard.predefined_light = true;
 
   serving::OnlineSimOptions sim;
   sim.days = days;
@@ -132,36 +121,18 @@ int main(int argc, char** argv) {
                                 train_options)
                   .ok());
 
-    // Meta-adapted heavy teacher.
-    auto heavy = learner.AdaptToScenario(scenario_train);
-    ALT_CHECK(heavy.ok());
-
-    // MeL: predefined light distilled from the teacher.
-    Rng mel_rng(options.seed * 73 + static_cast<uint64_t>(s));
-    auto mel = models::BuildBaseModel(light_config, &mel_rng);
-    ALT_CHECK(mel.ok());
-    ALT_CHECK(train::TrainWithDistillation(mel.value().get(),
-                                           heavy.value().get(),
-                                           scenario_train, 1.0f,
-                                           train_options)
-                  .ok());
-
-    // Ours: budget-limited NAS + distillation.
-    nas::NasSearchOptions nas_options;
-    nas_options.supernet.num_layers = options.nas_layers;
-    nas_options.search_epochs = options.nas_search_epochs;
-    nas_options.weight_lr = options.learning_rate;
-    nas_options.flops_budget = budget;
-    nas_options.final_train = train_options;
-    nas_options.seed = options.seed * 79 + static_cast<uint64_t>(s);
-    auto ours = nas::SearchLightModel(light_config, heavy.value().get(),
-                                      scenario_train, nas_options, nullptr);
-    ALT_CHECK(ours.ok()) << ours.status().ToString();
+    // MeL and Ours: the system's onboarding step, whose meta-adapted heavy
+    // teacher is distilled into the predefined light model (MeL) and into
+    // the budget-limited NAS light model (Ours).
+    auto onboarded = core::OnboardScenario(&learner, scenario_train,
+                                           data::ScenarioData(), onboard);
+    ALT_CHECK(onboarded.ok()) << onboarded.status().ToString();
+    models::BaseModel* mel = onboarded.value().predefined_light.get();
+    models::BaseModel* ours = onboarded.value().light.get();
 
     for (auto [model, daily] :
          {std::pair{baseline.value().get(), &base_daily},
-          std::pair{mel.value().get(), &mel_daily},
-          std::pair{ours.value().get(), &ours_daily}}) {
+          std::pair{mel, &mel_daily}, std::pair{ours, &ours_daily}}) {
       auto series = serving::RunOnlineSimulation(
           generator, s, bench::PolicyFor(model), sim);
       ALT_CHECK(series.ok());

@@ -6,10 +6,7 @@
 #include <cstdio>
 
 #include "bench/bench_common.h"
-#include "src/meta/meta_learner.h"
 #include "src/nas/derived_encoder.h"
-#include "src/nas/nas_search.h"
-#include "src/train/trainer.h"
 
 namespace alt {
 namespace bench {
@@ -47,27 +44,14 @@ int main(int argc, char** argv) {
   std::printf("=== Fig. 9: searched architectures (Dataset A) ===\n\n");
   auto scenarios = bench::PrepareWorkload(options);
 
-  // Train a teacher from pooled initial scenarios so the search follows the
-  // system pipeline (heavy teacher -> budget-limited NAS + distillation).
+  // Onboard both scenarios as the system does: a meta-adapted heavy
+  // teacher, then the budget-limited NAS with distillation.
   auto initial = bench::PickInitialScenarios(
       options, static_cast<int64_t>(scenarios.size()));
-  meta::MetaOptions meta_options;
-  meta_options.init_train.epochs = options.epochs;
-  meta_options.init_train.learning_rate = options.learning_rate;
-  meta_options.seed = options.seed;
-  meta::MetaLearner learner(
-      options.HeavyConfig(models::EncoderKind::kLstm), meta_options);
-  std::vector<data::ScenarioData> initial_train;
-  for (int64_t idx : initial) {
-    initial_train.push_back(scenarios[static_cast<size_t>(idx)].train);
-  }
-  ALT_CHECK(learner.Initialize(initial_train).ok());
-
-  Rng rng(options.seed);
-  auto light_ref = models::BuildBaseModel(
-      options.LightConfig(models::EncoderKind::kLstm), &rng);
-  const int64_t budget =
-      light_ref.value()->behavior_encoder()->Flops(options.seq_len);
+  std::unique_ptr<meta::MetaLearner> learner = bench::InitializeLearner(
+      options, scenarios, initial, models::EncoderKind::kLstm);
+  const core::OnboardOptions onboard = options.MakeOnboardOptions(
+      options.LightConfig(models::EncoderKind::kLstm));
 
   // Paper Fig. 9: scenario 4 (large, 875k samples) vs 15 (small, 47k).
   nas::Architecture arch_large;
@@ -77,34 +61,21 @@ int main(int argc, char** argv) {
         std::tuple{"Scenario 15 (small sample size)", size_t{14},
                    &arch_small}}) {
     const bench::PreparedScenario& scenario = scenarios[index];
-    auto teacher = learner.AdaptToScenario(scenario.train);
-    ALT_CHECK(teacher.ok());
-    nas::NasSearchOptions nas_options;
-    nas_options.supernet.num_layers = options.nas_layers;
-    nas_options.search_epochs = options.nas_search_epochs;
-    nas_options.weight_lr = options.learning_rate;
-    nas_options.flops_budget = budget;
-    nas_options.final_train.epochs = options.epochs;
-    nas_options.final_train.learning_rate = options.learning_rate;
-    nas_options.seed = options.seed + index;
-    nas::NasSearchReport report;
-    auto model =
-        nas::SearchLightModel(options.LightConfig(models::EncoderKind::kLstm),
-                              teacher.value().get(), scenario.train,
-                              nas_options, &report);
-    ALT_CHECK(model.ok()) << model.status().ToString();
-    *out = report.arch;
+    auto onboarded = core::OnboardScenario(learner.get(), scenario.train,
+                                           scenario.test, onboard);
+    ALT_CHECK(onboarded.ok()) << onboarded.status().ToString();
+    const core::ScenarioArtifacts& a = onboarded.value().artifacts;
+    *out = a.arch;
     std::printf("--- %s (train n=%lld) ---\n%s", label,
                 static_cast<long long>(scenario.train.num_samples()),
-                report.arch.ToString().c_str());
+                a.arch.ToString().c_str());
     std::printf("encoder FLOPs: %lld (budget %lld)  parameters: %lld  "
                 "avg kernel: %.2f  test AUC: %.3f\n\n",
-                static_cast<long long>(report.arch.Flops(options.seq_len)),
-                static_cast<long long>(budget),
-                static_cast<long long>(bench::CountParameters(report.arch)),
-                bench::AverageKernel(report.arch),
-                train::EvaluateAuc(model.value().get(), scenario.test));
-    std::printf("JSON: %s\n\n", report.arch.ToJson().Dump().c_str());
+                static_cast<long long>(a.arch.Flops(options.seq_len)),
+                static_cast<long long>(onboard.nas.flops_budget),
+                static_cast<long long>(bench::CountParameters(a.arch)),
+                bench::AverageKernel(a.arch), a.light_test_auc);
+    std::printf("JSON: %s\n\n", a.arch.ToJson().Dump().c_str());
   }
   std::printf(
       "Paper's observation: the large-sample architecture is more complex\n"

@@ -18,24 +18,7 @@ int main(int argc, char** argv) {
   options.ApplyFlags(flags);
 
   std::printf("=== Table III: AUC on Dataset A (18 scenarios) ===\n");
-  std::printf("scale=%.5f seq_len=%lld epochs=%lld initial=%lld\n\n",
-              options.scale, static_cast<long long>(options.seq_len),
-              static_cast<long long>(options.epochs),
-              static_cast<long long>(options.initial_count));
-
-  auto scenarios = bench::PrepareWorkload(options);
-  auto initial = bench::PickInitialScenarios(
-      options, static_cast<int64_t>(scenarios.size()));
-
-  bench::StrategyResults lstm = bench::RunStrategies(
-      options, scenarios, initial, models::EncoderKind::kLstm);
-  bench::StrategyResults bert = bench::RunStrategies(
-      options, scenarios, initial, models::EncoderKind::kBert);
-
-  bench::PrintStrategyTable(lstm, bert);
-  std::printf("\n");
-  bench::PrintShapeSummary("LSTM-based", lstm);
-  bench::PrintShapeSummary("BERT-based", bert);
+  bench::RunStrategyTables(options);
   std::printf(
       "\nPaper Table III AVG reference: LSTM SinH=0.743 MeH=0.751 MeL=0.741 "
       "Ours=0.750 | BERT SinH=0.745 MeH=0.756 MeL=0.746 Ours=0.754\n");

@@ -16,24 +16,7 @@ int main(int argc, char** argv) {
   options.ApplyFlags(flags);
 
   std::printf("=== Table IV: AUC on Dataset B (32 scenarios) ===\n");
-  std::printf("scale=%.5f seq_len=%lld epochs=%lld initial=%lld\n\n",
-              options.scale, static_cast<long long>(options.seq_len),
-              static_cast<long long>(options.epochs),
-              static_cast<long long>(options.initial_count));
-
-  auto scenarios = bench::PrepareWorkload(options);
-  auto initial = bench::PickInitialScenarios(
-      options, static_cast<int64_t>(scenarios.size()));
-
-  bench::StrategyResults lstm = bench::RunStrategies(
-      options, scenarios, initial, models::EncoderKind::kLstm);
-  bench::StrategyResults bert = bench::RunStrategies(
-      options, scenarios, initial, models::EncoderKind::kBert);
-
-  bench::PrintStrategyTable(lstm, bert);
-  std::printf("\n");
-  bench::PrintShapeSummary("LSTM-based", lstm);
-  bench::PrintShapeSummary("BERT-based", bert);
+  bench::RunStrategyTables(options);
   std::printf(
       "\nPaper Table IV AVG reference: LSTM SinH=0.784 MeH=0.805 MeL=0.786 "
       "Ours=0.799 | BERT SinH=0.786 MeH=0.808 MeL=0.788 Ours=0.803\n");

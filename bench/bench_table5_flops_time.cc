@@ -2,17 +2,15 @@
 // the heavy / predefined light / NAS-searched ("Ours") models on both
 // datasets and both encoder families.
 //
-// The "Ours" column runs the budget-limited NAS on a few representative
-// scenarios and averages the resulting model FLOPs; inference time is the
-// median of repeated single-sample predictions.
+// The "Ours" column onboards two representative scenarios with the
+// system's step (meta-adapted teacher, budget-limited NAS, distillation) and
+// averages the searched models' FLOPs; inference time is the median of
+// repeated single-sample predictions.
 
 #include <algorithm>
 #include <cstdio>
 
 #include "bench/bench_common.h"
-#include "src/meta/meta_learner.h"
-#include "src/nas/nas_search.h"
-#include "src/train/trainer.h"
 #include "src/util/table_printer.h"
 
 namespace alt {
@@ -68,29 +66,25 @@ Row Measure(BenchOptions options, models::EncoderKind kind, int64_t reps,
   row.light_ms =
       MedianInferenceMs(light.value().get(), scenarios[0].test, reps);
 
-  // "Ours": searched architectures on two representative scenarios (one
-  // large, one small).
-  const int64_t budget =
-      light.value()->behavior_encoder()->Flops(options.seq_len);
+  // "Ours": onboarding of two representative scenarios (one large, one
+  // small).
+  std::unique_ptr<meta::MetaLearner> learner = InitializeLearner(
+      options, scenarios,
+      PickInitialScenarios(options, static_cast<int64_t>(scenarios.size())),
+      kind);
+  const core::OnboardOptions onboard =
+      options.MakeOnboardOptions(options.LightConfig(kind));
   std::vector<size_t> picks = {0, scenarios.size() - 3};
   double flops_total = 0.0;
   double ms_total = 0.0;
   for (size_t pick : picks) {
-    nas::NasSearchOptions nas_options;
-    nas_options.supernet.num_layers = options.nas_layers;
-    nas_options.search_epochs = 1;
-    nas_options.flops_budget = budget;
-    nas_options.final_train.epochs = 1;
-    nas_options.final_train.learning_rate = options.learning_rate;
-    nas_options.weight_lr = options.learning_rate;
-    nas_options.seed = options.seed + pick;
-    auto ours = nas::SearchLightModel(options.LightConfig(kind), nullptr,
-                                      scenarios[pick].train, nas_options,
-                                      nullptr);
-    ALT_CHECK(ours.ok()) << ours.status().ToString();
-    flops_total += static_cast<double>(ours.value()->FlopsPerSample());
-    MaybeQuantize(ours.value().get(), quantize);
-    ms_total += MedianInferenceMs(ours.value().get(), scenarios[pick].test,
+    auto onboarded = core::OnboardScenario(
+        learner.get(), scenarios[pick].train, data::ScenarioData(), onboard);
+    ALT_CHECK(onboarded.ok()) << onboarded.status().ToString();
+    models::BaseModel* ours = onboarded.value().light.get();
+    flops_total += static_cast<double>(ours->FlopsPerSample());
+    MaybeQuantize(ours, quantize);
+    ms_total += MedianInferenceMs(ours, scenarios[pick].test,
                                   static_cast<int>(reps));
   }
   row.ours_flops = flops_total / static_cast<double>(picks.size());

@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
 
   // SinH does not depend on the initial scenarios; run it once.
   bench::StrategySet sinh_only;
-  sinh_only.run_meh = sinh_only.run_mel = sinh_only.run_ours = false;
+  sinh_only.run_meta = false;
   bench::StrategyResults sinh_results = bench::RunStrategies(
       options, scenarios, {}, models::EncoderKind::kBert, sinh_only);
   const double sinh_avg = bench::Mean(sinh_results.sinh);

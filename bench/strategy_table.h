@@ -3,6 +3,7 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "bench/bench_common.h"
 #include "src/util/table_printer.h"
@@ -15,25 +16,17 @@ inline void PrintStrategyTable(const StrategyResults& lstm,
                                const StrategyResults& bert) {
   TablePrinter table({"ID", "SinH(L)", "MeH(L)", "MeL(L)", "Ours(L)",
                       "SinH(B)", "MeH(B)", "MeL(B)", "Ours(B)"});
+  const std::vector<const std::vector<double>*> columns = {
+      &lstm.sinh, &lstm.meh, &lstm.mel, &lstm.ours,
+      &bert.sinh, &bert.meh, &bert.mel, &bert.ours};
   const size_t n = lstm.sinh.size();
-  for (size_t i = 0; i < n; ++i) {
-    table.AddRow({std::to_string(i + 1), TablePrinter::Num(lstm.sinh[i]),
-                  TablePrinter::Num(lstm.meh[i]),
-                  TablePrinter::Num(lstm.mel[i]),
-                  TablePrinter::Num(lstm.ours[i]),
-                  TablePrinter::Num(bert.sinh[i]),
-                  TablePrinter::Num(bert.meh[i]),
-                  TablePrinter::Num(bert.mel[i]),
-                  TablePrinter::Num(bert.ours[i])});
+  for (size_t i = 0; i <= n; ++i) {  // Row n is the average.
+    std::vector<std::string> row = {i < n ? std::to_string(i + 1) : "AVG"};
+    for (const std::vector<double>* column : columns) {
+      row.push_back(TablePrinter::Num(i < n ? (*column)[i] : Mean(*column)));
+    }
+    table.AddRow(row);
   }
-  table.AddRow({"AVG", TablePrinter::Num(Mean(lstm.sinh)),
-                TablePrinter::Num(Mean(lstm.meh)),
-                TablePrinter::Num(Mean(lstm.mel)),
-                TablePrinter::Num(Mean(lstm.ours)),
-                TablePrinter::Num(Mean(bert.sinh)),
-                TablePrinter::Num(Mean(bert.meh)),
-                TablePrinter::Num(Mean(bert.mel)),
-                TablePrinter::Num(Mean(bert.ours))});
   table.Print();
 }
 
@@ -50,6 +43,26 @@ inline void PrintShapeSummary(const char* name, const StrategyResults& r) {
       "  shape: MeH-SinH=%+.3f (paper: positive)  Ours-MeL=%+.3f (paper: "
       "positive)  MeH-Ours=%+.3f (paper: small positive)\n",
       name, sinh, meh, mel, ours, meh - sinh, ours - mel, meh - ours);
+}
+
+/// Tables III and IV: every strategy for both encoder families on
+/// `options`' workload, printed as a table and as shape summaries.
+inline void RunStrategyTables(const BenchOptions& options) {
+  std::printf("scale=%.5f seq_len=%lld epochs=%lld initial=%lld\n\n",
+              options.scale, static_cast<long long>(options.seq_len),
+              static_cast<long long>(options.epochs),
+              static_cast<long long>(options.initial_count));
+  const std::vector<PreparedScenario> scenarios = PrepareWorkload(options);
+  const std::vector<int64_t> initial = PickInitialScenarios(
+      options, static_cast<int64_t>(scenarios.size()));
+  const StrategyResults lstm = RunStrategies(options, scenarios, initial,
+                                             models::EncoderKind::kLstm);
+  const StrategyResults bert = RunStrategies(options, scenarios, initial,
+                                             models::EncoderKind::kBert);
+  PrintStrategyTable(lstm, bert);
+  std::printf("\n");
+  PrintShapeSummary("LSTM-based", lstm);
+  PrintShapeSummary("BERT-based", bert);
 }
 
 }  // namespace bench

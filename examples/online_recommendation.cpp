@@ -11,9 +11,8 @@
 
 #include <cstdio>
 
+#include "src/core/onboard.h"
 #include "src/data/synthetic.h"
-#include "src/meta/meta_learner.h"
-#include "src/nas/nas_search.h"
 #include "src/serving/serving_client.h"
 #include "src/serving/online_simulator.h"
 #include "src/train/trainer.h"
@@ -42,9 +41,7 @@ int main() {
   // Meta learner over 5 historical scenarios; scenario 5 is the target.
   meta::MetaOptions meta_options;
   meta_options.init_train.epochs = 4;
-  meta_options.init_train.learning_rate = 0.01f;
   meta_options.finetune.epochs = 2;
-  meta_options.finetune.learning_rate = 0.01f;
   meta::MetaLearner learner(heavy_config, meta_options);
   std::vector<data::ScenarioData> history;
   for (int64_t s = 0; s < 5; ++s) {
@@ -67,28 +64,24 @@ int main() {
   train::TrainModel(baseline.value().get(), target_data, train_options)
       .ok();
 
-  // Teacher + MeL.
-  auto teacher = learner.AdaptToScenario(target_data);
-  auto mel = models::BuildBaseModel(light_config, &rng);
-  train::TrainWithDistillation(mel.value().get(), teacher.value().get(),
-                               target_data, 1.0f, train_options)
-      .ok();
-
-  // ALT: budget-limited NAS light model.
-  auto light_ref = models::BuildBaseModel(light_config, &rng);
-  nas::NasSearchOptions nas_options;
-  nas_options.flops_budget =
-      light_ref.value()->behavior_encoder()->Flops(data_config.seq_len);
-  nas_options.search_epochs = 3;
-  nas_options.weight_lr = 0.01f;
-  nas_options.final_train = train_options;
-  nas::NasSearchReport report;
-  auto alt_model = nas::SearchLightModel(light_config, teacher.value().get(),
-                                         target_data, nas_options, &report);
-  if (!alt_model.ok()) {
-    std::printf("NAS failed: %s\n", alt_model.status().ToString().c_str());
+  // MeL and ALT from one onboarding step: the meta-adapted teacher is
+  // distilled into the predefined light model and into the budget-limited
+  // NAS light model.
+  core::OnboardOptions onboard;
+  onboard.light_config = light_config;
+  onboard.nas.flops_budget = core::LightEncoderFlops(light_config);
+  onboard.nas.search_epochs = 3;
+  onboard.nas.weight_lr = 0.01f;
+  onboard.nas.final_train = train_options;
+  onboard.predefined_light = true;
+  auto onboarded = core::OnboardScenario(&learner, target_data,
+                                         data::ScenarioData(), onboard);
+  if (!onboarded.ok()) {
+    std::printf("onboarding failed: %s\n",
+                onboarded.status().ToString().c_str());
     return 1;
   }
+  core::OnboardResult& result = onboarded.value();
 
   // 7-day CTR simulation; identical candidate streams for all policies.
   serving::OnlineSimOptions sim;
@@ -105,8 +98,8 @@ int main() {
         .value();
   };
   auto base_ctr = run(baseline.value().get());
-  auto mel_ctr = run(mel.value().get());
-  auto alt_ctr = run(alt_model.value().get());
+  auto mel_ctr = run(result.predefined_light.get());
+  auto alt_ctr = run(result.light.get());
 
   std::printf("day  baseline   MeL        ALT\n");
   for (int64_t d = 0; d < sim.days; ++d) {
@@ -125,7 +118,7 @@ int main() {
 
   // Deploy the ALT model and show serving latency.
   serving::ServingClient client;
-  client.Deploy("recs", std::move(alt_model).value()).ok();
+  client.Deploy("recs", std::move(result.light)).ok();
   for (int i = 0; i < 50; ++i) {
     data::ScenarioData users = generator.GenerateExtra(target, 1, 5000 + i);
     client.Predict("recs", MakeFullBatch(users)).ok();
@@ -135,6 +128,7 @@ int main() {
               "ms\n",
               static_cast<long long>(stats.num_requests), stats.p50_ms,
               stats.p99_ms);
-  std::printf("searched encoder:\n%s", report.arch.ToString().c_str());
+  std::printf("searched encoder:\n%s",
+              result.artifacts.arch.ToString().c_str());
   return 0;
 }

@@ -14,15 +14,10 @@ namespace core {
 
 AltSystem::AltSystem(AltSystemOptions options)
     : options_(std::move(options)), client_(options_.serving) {
-  // The NAS budget equals the predefined light model's encoder FLOPs.
-  Rng rng(options_.seed);
-  auto light = models::BuildBaseModel(options_.light_config, &rng);
-  ALT_CHECK(light.ok()) << light.status().ToString();
-  flops_budget_ =
-      light.value()->behavior_encoder() != nullptr
-          ? light.value()->behavior_encoder()->Flops(
-                options_.light_config.seq_len)
-          : 0;
+  onboard_.light_config = options_.light_config;
+  onboard_.nas = options_.nas;
+  onboard_.nas.flops_budget = LightEncoderFlops(options_.light_config);
+  onboard_.seed = options_.seed;
   meta_ = std::make_unique<meta::MetaLearner>(
       options_.heavy_config, options_.meta,
       // The agnostic model may later adopt a NAS architecture, so cloning
@@ -152,38 +147,17 @@ Result<ScenarioArtifacts> AltSystem::OnScenarioArrival(
   ALT_ASSIGN_OR_RETURN(feature::PreparedData prepared,
                        feature::PrepareScenarioData(raw, options_.prep));
 
-  // Scenario specific heavy model (Eq. 1) with feedback to f0 (Eq. 2).
-  ALT_ASSIGN_OR_RETURN(std::unique_ptr<models::BaseModel> heavy,
-                       meta_->AdaptToScenario(prepared.train));
-
-  // Scenario specific light model: budget-limited NAS + distillation.
-  nas::NasSearchOptions nas_options = options_.nas;
-  nas_options.flops_budget = flops_budget_;
-  nas_options.seed =
-      options_.seed * 389 + static_cast<uint64_t>(raw.scenario_id) * 7 + 1;
-  if (!options_.distill) nas_options.distill_delta = 0.0f;
-  nas::NasSearchReport nas_report;
   ALT_ASSIGN_OR_RETURN(
-      std::unique_ptr<models::BaseModel> light,
-      nas::SearchLightModel(options_.light_config, heavy.get(),
-                            prepared.train, nas_options, &nas_report));
-
-  ScenarioArtifacts artifacts;
-  artifacts.scenario_id = raw.scenario_id;
+      OnboardResult onboarded,
+      OnboardScenario(meta_.get(), prepared.train, prepared.test, onboard_));
+  ScenarioArtifacts artifacts = std::move(onboarded.artifacts);
   artifacts.deployment_name =
       "scenario_" + std::to_string(raw.scenario_id);
-  artifacts.heavy_flops = heavy->FlopsPerSample();
-  artifacts.light_flops = light->FlopsPerSample();
-  artifacts.arch = nas_report.arch;
-  if (prepared.test.num_samples() > 0) {
-    artifacts.heavy_test_auc = train::EvaluateAuc(heavy.get(), prepared.test);
-    artifacts.light_test_auc = train::EvaluateAuc(light.get(), prepared.test);
-  }
 
   // Deploy the light model for online serving (with retry: a transient
   // deploy failure should not discard the scenario's NAS + training work).
-  ALT_RETURN_IF_ERROR(
-      DeployWithRetry(artifacts.deployment_name, std::move(light)));
+  ALT_RETURN_IF_ERROR(DeployWithRetry(artifacts.deployment_name,
+                                      std::move(onboarded.light)));
   return artifacts;
 }
 

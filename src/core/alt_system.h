@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "src/core/onboard.h"
 #include "src/feature/data_preparation.h"
 #include "src/hpo/model_search.h"
 #include "src/meta/meta_learner.h"
@@ -25,6 +26,9 @@ struct AltSystemOptions {
   /// to be the same as the light models").
   models::ModelConfig light_config;
   meta::MetaOptions meta;
+  /// The light half of onboarding (OnboardOptions::nas). Its flops_budget
+  /// is replaced by LightEncoderFlops(light_config); distill_delta = 0
+  /// trains the light model on hard labels only.
   nas::NasSearchOptions nas;
   feature::DataPreparationConfig prep;
   /// Initialization strategy (Fig. 4): when enabled, the pre-designed
@@ -35,8 +39,6 @@ struct AltSystemOptions {
   hpo::ModelSearchOptions hpo;
   /// Maximum scenarios processed concurrently by OnScenariosArrival.
   int64_t parallel_scenarios = 2;
-  /// Use distillation when building the light model (Eq. 5).
-  bool distill = true;
   /// Backoff schedule for light-model deployment: transient deploy
   /// failures (e.g. injected serving/deploy faults) retry before the
   /// scenario pipeline surfaces an error.
@@ -56,23 +58,12 @@ struct AltSystemOptions {
   uint64_t seed = 123;
 };
 
-/// Artifacts produced for one scenario.
-struct ScenarioArtifacts {
-  int64_t scenario_id = 0;
-  std::string deployment_name;
-  double heavy_test_auc = 0.0;
-  double light_test_auc = 0.0;
-  int64_t heavy_flops = 0;
-  int64_t light_flops = 0;
-  nas::Architecture arch;
-};
-
 /// End-to-end orchestration of the ALT pipeline:
 ///   Initialize(): data preparation -> scenario agnostic heavy model
 ///     (optionally picking the better of plain preset vs HPO-tuned preset).
-///   OnScenarioArrival(): data preparation -> scenario specific heavy model
-///     (Eq. 1, with Eq. 2 feedback) -> budget-limited NAS + distillation ->
-///     scenario specific light model -> deployment to the model server.
+///   OnScenarioArrival(): data preparation -> OnboardScenario (Eq. 1-2
+///     heavy model, then budget-limited NAS + distillation into the light
+///     model) -> deployment of the light model to the model server.
 /// Multiple scenarios can be processed in parallel; the meta learner's
 /// asynchronous feedback (Eq. 3) keeps the agnostic model consistent.
 class AltSystem {
@@ -120,7 +111,7 @@ class AltSystem {
 
   /// Encoder FLOPs budget used for the NAS (from the predefined light
   /// architecture).
-  int64_t LightEncoderFlopsBudget() const { return flops_budget_; }
+  int64_t LightEncoderFlopsBudget() const { return onboard_.nas.flops_budget; }
 
  private:
   /// Deploys under the deploy_retry policy (DeployOptions::retry_transient:
@@ -129,12 +120,12 @@ class AltSystem {
                          std::unique_ptr<models::BaseModel> model);
 
   // Thread safety: AltSystem owns no mutex of its own. options_,
-  // flops_budget_ and the component pointers are written once during
+  // onboard_ and the component pointers are written once during
   // construction; all concurrent state lives inside the internally
   // synchronized members (meta_, client_, telemetry_), and concurrent
   // scenario arrivals coordinate through their futures.
   AltSystemOptions options_;
-  int64_t flops_budget_ = 0;
+  OnboardOptions onboard_;
   std::unique_ptr<meta::MetaLearner> meta_;
   serving::ServingClient client_;
   std::unique_ptr<obs::TelemetryServer> telemetry_;

@@ -1,0 +1,80 @@
+#ifndef ALT_SRC_CORE_ONBOARD_H_
+#define ALT_SRC_CORE_ONBOARD_H_
+
+#include <cstdint>
+#include <memory>
+#include <string>
+
+#include "src/data/dataset.h"
+#include "src/meta/meta_learner.h"
+#include "src/models/base_model.h"
+#include "src/nas/nas_search.h"
+
+namespace alt {
+namespace core {
+
+/// Options of one scenario's onboarding after data preparation (Fig. 7).
+struct OnboardOptions {
+  /// Predefined light architecture: the NAS's input dims, width and
+  /// seq_len, and the MeL student's architecture.
+  models::ModelConfig light_config;
+  /// Budget-limited NAS (Eq. 4) with Eq. 5 distillation. The caller fills
+  /// `flops_budget` (the paper's is LightEncoderFlops(light_config)); its
+  /// `seed` is unread. MeL trains with `final_train` and `distill_delta`.
+  nas::NasSearchOptions nas;
+  /// MeL: also distill the teacher into light_config's predefined encoder.
+  bool predefined_light = false;
+  /// Base of every per-scenario seed.
+  uint64_t seed = 123;
+};
+
+/// Artifacts produced for one scenario.
+struct ScenarioArtifacts {
+  int64_t scenario_id = 0;
+  std::string deployment_name;
+  double heavy_test_auc = 0.0;
+  double light_test_auc = 0.0;
+  int64_t heavy_flops = 0;
+  int64_t light_flops = 0;
+  nas::Architecture arch;
+};
+
+/// The models one scenario's onboarding trained, with their numbers: test
+/// AUCs (0 on an empty test split), FLOPs and the searched architecture.
+/// `artifacts.deployment_name` is left to whoever deploys.
+struct OnboardResult {
+  std::unique_ptr<models::BaseModel> heavy;  // Eq. 1; null from OnboardLight
+  std::unique_ptr<models::BaseModel> light;  // searched by the NAS
+  std::unique_ptr<models::BaseModel> predefined_light;  // MeL, when asked
+  ScenarioArtifacts artifacts;
+  double predefined_light_test_auc = 0.0;
+};
+
+/// Eq. 4's budget: the encoder FLOPs of `light_config`'s model at its
+/// seq_len ("the upper bound of the FLOPs for the searched architectures is
+/// set to be the same as the light models"); 0 without a behavior encoder.
+/// Aborts when `light_config` does not build.
+int64_t LightEncoderFlops(const models::ModelConfig& light_config);
+
+/// The light half of onboarding: the budget-limited NAS distilled from
+/// `teacher`, plus MeL when asked. With id = train_data.scenario_id, the
+/// NAS seed is `seed*389 + id*7 + 1`, MeL's model seed `seed*211 + id` and
+/// its training seed `seed*31 + id`.
+Result<OnboardResult> OnboardLight(models::BaseModel* teacher,
+                                   const data::ScenarioData& train_data,
+                                   const data::ScenarioData& test_data,
+                                   const OnboardOptions& options);
+
+/// Onboards one scenario from its prepared parts: `learner` fine-tunes a
+/// copy of f0 (Eq. 1) and feeds the query gradient back into f0 (Eq. 2),
+/// then OnboardLight distills that heavy model. Concurrent calls on one
+/// learner are safe; their Eq. 2 updates land in completion order (Eq. 3).
+Result<OnboardResult> OnboardScenario(meta::MetaLearner* learner,
+                                      const data::ScenarioData& train_data,
+                                      const data::ScenarioData& test_data,
+                                      const OnboardOptions& options);
+
+}  // namespace core
+}  // namespace alt
+
+#endif  // ALT_SRC_CORE_ONBOARD_H_

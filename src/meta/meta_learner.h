@@ -25,8 +25,11 @@ using ModelBuilder = std::function<Result<std::unique_ptr<models::BaseModel>>(
 /// machinery (Sec. III-B/C).
 struct MetaOptions {
   /// Training of the initial agnostic model on pooled scenarios (Fig. 4).
+  /// Its learning_rate is unread: the heavy config's rate replaces it.
   train::TrainOptions init_train;
   /// Fine-tuning of the per-scenario copy on the support split (Eq. 1).
+  /// Its learning_rate and seed are unread: the heavy config's rate and a
+  /// per-scenario seed replace them.
   train::TrainOptions finetune;
   /// Fraction of a scenario's data held out as the query set D_u^q.
   double query_fraction = 0.3;

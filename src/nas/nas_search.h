@@ -35,7 +35,8 @@ struct NasSearchOptions {
   /// Gumbel temperature annealing: tau from tau_start to tau_end.
   double tau_start = 2.0;
   double tau_end = 0.3;
-  /// Final training of the derived model.
+  /// Final training of the derived model. Its seed is unread: one derived
+  /// from `seed` replaces it.
   train::TrainOptions final_train;
   /// Checkpoint/resume of the supernet search (same contract as
   /// train::TrainOptions): with a non-empty `checkpoint_path`, the search

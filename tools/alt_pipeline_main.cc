@@ -159,9 +159,7 @@ int Run(int argc, char** argv) {
   options.heavy_config.learning_rate = lr;
   options.light_config.learning_rate = lr;
   options.meta.init_train.epochs = epochs;
-  options.meta.init_train.learning_rate = lr;
   options.meta.finetune.epochs = std::max<int64_t>(1, epochs / 2);
-  options.meta.finetune.learning_rate = lr;
   options.nas.final_train.epochs = epochs;
   options.nas.final_train.learning_rate = lr;
   options.nas.weight_lr = lr;
