@@ -64,8 +64,7 @@ InitResult RunOnce(const BenchOptions& options,
   nas_options.seed = options.seed * 17 + repeat;
   models::ModelConfig nas_base =
       options.HeavyConfig(models::EncoderKind::kLstm);
-  auto nas_model =
-      nas::SearchLightModel(nas_base, nullptr, fit, nas_options, nullptr);
+  auto nas_model = nas::SearchLightModel(nas_base, fit, nas_options, nullptr);
   ALT_CHECK(nas_model.ok()) << nas_model.status().ToString();
   result.nas = train::EvaluateAuc(nas_model.value().get(), val);
   return result;

@@ -112,8 +112,10 @@ Status AltSystem::Initialize(
   ALT_ASSIGN_OR_RETURN(auto plain,
                        models::BuildBaseModel(options_.heavy_config,
                                               &model_rng));
+  // Both candidates train with a seed derived from the system's.
   train::TrainOptions init_train = options_.meta.init_train;
   init_train.learning_rate = options_.heavy_config.learning_rate;
+  init_train.seed = options_.seed * 17 + 1;
   ALT_RETURN_IF_ERROR(
       train::TrainModel(plain.get(), fit_part, init_train).status());
   const double plain_auc = train::EvaluateAuc(plain.get(), val_part);
@@ -127,7 +129,7 @@ Status AltSystem::Initialize(
   if (search.best_auc > plain_auc) {
     ALT_ASSIGN_OR_RETURN(auto tuned, models::BuildBaseModel(
                                          search.best_config, &model_rng));
-    train::TrainOptions tuned_train = options_.meta.init_train;
+    train::TrainOptions tuned_train = init_train;
     tuned_train.learning_rate = search.best_config.learning_rate;
     ALT_RETURN_IF_ERROR(
         train::TrainModel(tuned.get(), pooled, tuned_train).status());
@@ -149,7 +151,8 @@ Result<ScenarioArtifacts> AltSystem::OnScenarioArrival(
 
   ALT_ASSIGN_OR_RETURN(
       OnboardResult onboarded,
-      OnboardScenario(meta_.get(), prepared.train, prepared.test, onboard_));
+      OnboardScenario(meta_.get(), std::move(prepared.train), prepared.test,
+                      onboard_));
   ScenarioArtifacts artifacts = std::move(onboarded.artifacts);
   artifacts.deployment_name =
       "scenario_" + std::to_string(raw.scenario_id);

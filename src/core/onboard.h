@@ -20,7 +20,8 @@ struct OnboardOptions {
   models::ModelConfig light_config;
   /// Budget-limited NAS (Eq. 4) with Eq. 5 distillation. The caller fills
   /// `flops_budget` (the paper's is LightEncoderFlops(light_config)); its
-  /// `seed` is unread. MeL trains with `final_train` and `distill_delta`.
+  /// `seed` is unread. MeL trains with `final_train`; both students read
+  /// the soft labels scored when `distill_delta` > 0 (OnboardLight).
   nas::NasSearchOptions nas;
   /// MeL: also distill the teacher into light_config's predefined encoder.
   bool predefined_light = false;
@@ -57,11 +58,15 @@ struct OnboardResult {
 int64_t LightEncoderFlops(const models::ModelConfig& light_config);
 
 /// The light half of onboarding: the budget-limited NAS distilled from
-/// `teacher`, plus MeL when asked. With id = train_data.scenario_id, the
+/// `teacher`, plus MeL when asked. The teacher is scored here only, once per
+/// training row into `train_data`'s soft-label column (so a caller done
+/// with its split moves it in), and not at all when
+/// `options.nas.distill_delta` <= 0; a null teacher is then allowed, and
+/// otherwise InvalidArgument. With id = train_data.scenario_id, the
 /// NAS seed is `seed*389 + id*7 + 1`, MeL's model seed `seed*211 + id` and
 /// its training seed `seed*31 + id`.
 Result<OnboardResult> OnboardLight(models::BaseModel* teacher,
-                                   const data::ScenarioData& train_data,
+                                   data::ScenarioData train_data,
                                    const data::ScenarioData& test_data,
                                    const OnboardOptions& options);
 
@@ -70,7 +75,7 @@ Result<OnboardResult> OnboardLight(models::BaseModel* teacher,
 /// then OnboardLight distills that heavy model. Concurrent calls on one
 /// learner are safe; their Eq. 2 updates land in completion order (Eq. 3).
 Result<OnboardResult> OnboardScenario(meta::MetaLearner* learner,
-                                      const data::ScenarioData& train_data,
+                                      data::ScenarioData train_data,
                                       const data::ScenarioData& test_data,
                                       const OnboardOptions& options);
 

@@ -19,6 +19,7 @@ ScenarioData ScenarioData::Subset(const std::vector<size_t>& indices) const {
   out.scenario_id = scenario_id;
   out.profile_dim = profile_dim;
   out.seq_len = seq_len;
+  ALT_CHECK(soft_labels.empty() || soft_labels.size() == labels.size());
   const int64_t n = static_cast<int64_t>(indices.size());
   out.profiles = Tensor({n, profile_dim});
   out.behaviors.resize(static_cast<size_t>(n * seq_len));
@@ -36,6 +37,9 @@ ScenarioData ScenarioData::Subset(const std::vector<size_t>& indices) const {
     }
     out.labels[static_cast<size_t>(r)] = labels[src];
   }
+  if (!soft_labels.empty()) {
+    for (size_t src : indices) out.soft_labels.push_back(soft_labels[src]);
+  }
   return out;
 }
 
@@ -48,6 +52,10 @@ Batch MakeBatch(const ScenarioData& scenario_data,
   batch.behaviors.resize(
       static_cast<size_t>(batch.batch_size * batch.seq_len));
   batch.labels = Tensor({batch.batch_size, 1});
+  const bool soft = !scenario_data.soft_labels.empty();
+  ALT_CHECK(!soft || scenario_data.soft_labels.size() ==
+                         scenario_data.labels.size());
+  if (soft) batch.soft_labels = Tensor({batch.batch_size, 1});
   for (int64_t r = 0; r < batch.batch_size; ++r) {
     const size_t src = indices[static_cast<size_t>(r)];
     for (int64_t j = 0; j < scenario_data.profile_dim; ++j) {
@@ -61,6 +69,7 @@ Batch MakeBatch(const ScenarioData& scenario_data,
                          static_cast<size_t>(t)];
     }
     batch.labels.at(r, 0) = scenario_data.labels[src];
+    if (soft) batch.soft_labels.at(r, 0) = scenario_data.soft_labels[src];
   }
   return batch;
 }

@@ -26,6 +26,9 @@ struct ScenarioData {
   std::vector<int64_t> behaviors;
   /// Binary labels, one per sample.
   std::vector<float> labels;
+  /// The teacher's predicted probability per sample (Eq. 5's y_soft), or
+  /// empty when no teacher scored this scenario.
+  std::vector<float> soft_labels;
 
   int64_t num_samples() const { return static_cast<int64_t>(labels.size()); }
 
@@ -41,6 +44,7 @@ struct Batch {
   Tensor profiles;                 // [B, profile_dim]
   std::vector<int64_t> behaviors;  // row-major [B, seq_len]
   Tensor labels;                   // [B, 1]
+  Tensor soft_labels;              // [B, 1]; empty without the column
   int64_t batch_size = 0;
   int64_t seq_len = 0;
 };

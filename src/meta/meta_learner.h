@@ -25,7 +25,9 @@ using ModelBuilder = std::function<Result<std::unique_ptr<models::BaseModel>>(
 /// machinery (Sec. III-B/C).
 struct MetaOptions {
   /// Training of the initial agnostic model on pooled scenarios (Fig. 4).
-  /// Its learning_rate is unread: the heavy config's rate replaces it.
+  /// Its learning_rate and seed are unread: the heavy config's rate and a
+  /// seed derived from `seed` (from AltSystemOptions::seed when
+  /// AltSystem::Initialize picks f0 among HPO candidates) replace them.
   train::TrainOptions init_train;
   /// Fine-tuning of the per-scenario copy on the support split (Eq. 1).
   /// Its learning_rate and seed are unread: the heavy config's rate and a

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
+#include <utility>
 
 #include "src/analysis/graph_audit.h"
 #include "src/autograd/ops.h"
@@ -17,7 +19,7 @@ namespace alt {
 namespace nas {
 
 Result<std::unique_ptr<models::BaseModel>> SearchLightModel(
-    const models::ModelConfig& light_base, models::BaseModel* teacher,
+    const models::ModelConfig& light_base,
     const data::ScenarioData& train_data, const NasSearchOptions& options,
     NasSearchReport* report) {
   if (train_data.num_samples() < 8) {
@@ -80,39 +82,22 @@ Result<std::unique_ptr<models::BaseModel>> SearchLightModel(
   const bool checkpointing = !options.checkpoint_path.empty();
   const int64_t checkpoint_every =
       std::max<int64_t>(1, options.checkpoint_every_epochs);
+  const resilience::LoopState state = {
+      "nas_search",
+      model.get(),
+      {{"weight_opt", &weight_opt}, {"arch_opt", &arch_opt}},
+      {{"batch_rng", &batch_rng},
+       {"dropout_rng", &dropout_rng},
+       {"sample_rng", &supernet_ptr->sample_rng()}}};
   int64_t start_epoch = 0;
   if (checkpointing && options.resume) {
-    Result<resilience::CheckpointReader> loaded =
-        resilience::CheckpointReader::ReadFromFile(options.checkpoint_path);
-    if (loaded.ok()) {
-      const resilience::CheckpointReader& ckpt = loaded.value();
-      if (!ckpt.meta().contains("kind") ||
-          ckpt.meta().at("kind").as_string() != "nas_search") {
-        return Status::InvalidArgument("not a nas_search checkpoint");
-      }
-      ALT_ASSIGN_OR_RETURN(std::string weights, ckpt.blob("weights"));
-      ALT_RETURN_IF_ERROR(
-          resilience::RestoreModuleWeights(model.get(), weights));
-      ALT_ASSIGN_OR_RETURN(std::string w_opt, ckpt.blob("weight_opt"));
-      ALT_RETURN_IF_ERROR(resilience::RestoreAdamState(&weight_opt, w_opt));
-      ALT_ASSIGN_OR_RETURN(std::string a_opt, ckpt.blob("arch_opt"));
-      ALT_RETURN_IF_ERROR(resilience::RestoreAdamState(&arch_opt, a_opt));
-      ALT_ASSIGN_OR_RETURN(std::string batch_state, ckpt.blob("batch_rng"));
-      ALT_ASSIGN_OR_RETURN(std::string dropout_state,
-                           ckpt.blob("dropout_rng"));
-      ALT_ASSIGN_OR_RETURN(std::string sample_state, ckpt.blob("sample_rng"));
-      if (!batch_rng.LoadState(batch_state) ||
-          !dropout_rng.LoadState(dropout_state) ||
-          !supernet_ptr->sample_rng().LoadState(sample_state)) {
-        return Status::InvalidArgument("corrupt RNG state in checkpoint");
-      }
-      start_epoch = ckpt.meta().at("next_epoch").as_int();
-      step = ckpt.meta().at("step").as_int();
-      ALT_LOG(Info) << "resumed NAS search from " << options.checkpoint_path
-                    << " at epoch " << start_epoch;
-    } else if (loaded.status().code() != StatusCode::kNotFound) {
-      // A missing checkpoint means a clean start; a corrupt one is an error.
-      return loaded.status();
+    ALT_ASSIGN_OR_RETURN(std::optional<Json> progress,
+                         resilience::RestoreLoopCheckpoint(
+                             options.checkpoint_path, state,
+                             {"next_epoch", "step"}));
+    if (progress.has_value()) {
+      start_epoch = progress->at("next_epoch").as_int();
+      step = progress->at("step").as_int();
     }
   }
 
@@ -137,8 +122,7 @@ Result<std::unique_ptr<models::BaseModel>> SearchLightModel(
         data::Batch train_batch = MakeBatch(w_train, train_idx);
         model->ZeroGrad();
         ag::Variable train_loss = train::DistillationLoss(
-            model.get(), teacher, train_batch, options.distill_delta,
-            &dropout_rng);
+            model.get(), train_batch, options.distill_delta, &dropout_rng);
         if (options.audit_graph && step == 1) {
           // Structural checks only: Gumbel sampling legitimately leaves the
           // unsampled candidates' weights out of any single step's graph,
@@ -165,9 +149,8 @@ Result<std::unique_ptr<models::BaseModel>> SearchLightModel(
           MakeBatch(w_val, val_batches[val_cursor % val_batches.size()]);
       ++val_cursor;
       model->ZeroGrad();
-      ag::Variable val_loss =
-          train::DistillationLoss(model.get(), teacher, val_batch,
-                                  options.distill_delta, &dropout_rng);
+      ag::Variable val_loss = train::DistillationLoss(
+          model.get(), val_batch, options.distill_delta, &dropout_rng);
       val_loss =
           ag::Add(val_loss,
                   ag::ScalarMul(
@@ -180,33 +163,11 @@ Result<std::unique_ptr<models::BaseModel>> SearchLightModel(
 
     if (checkpointing && ((epoch + 1) % checkpoint_every == 0 ||
                           epoch + 1 == options.search_epochs)) {
-      const Status saved = [&]() -> Status {
-        resilience::CheckpointBuilder builder;
-        Json& meta = builder.mutable_meta();
-        meta["kind"] = "nas_search";
-        meta["next_epoch"] = epoch + 1;
-        meta["step"] = step;
-        ALT_ASSIGN_OR_RETURN(std::string weights,
-                             resilience::ModuleWeightsBlob(model.get()));
-        builder.AddBlob("weights", std::move(weights));
-        ALT_ASSIGN_OR_RETURN(std::string w_opt,
-                             resilience::AdamStateBlob(weight_opt));
-        builder.AddBlob("weight_opt", std::move(w_opt));
-        ALT_ASSIGN_OR_RETURN(std::string a_opt,
-                             resilience::AdamStateBlob(arch_opt));
-        builder.AddBlob("arch_opt", std::move(a_opt));
-        builder.AddBlob("batch_rng", batch_rng.SaveState());
-        builder.AddBlob("dropout_rng", dropout_rng.SaveState());
-        builder.AddBlob("sample_rng",
-                        supernet_ptr->sample_rng().SaveState());
-        return builder.WriteToFile(options.checkpoint_path);
-      }();
-      // A failed save must not kill the search; the previous checkpoint
-      // (if any) is still whole on disk thanks to the atomic write.
-      if (!saved.ok()) {
-        ALT_LOG(Warning) << "NAS checkpoint save failed (continuing): "
-                         << saved.ToString();
-      }
+      Json progress;
+      progress["next_epoch"] = epoch + 1;
+      progress["step"] = step;
+      resilience::SaveLoopCheckpoint(options.checkpoint_path, state,
+                                     std::move(progress));
     }
   }
   model->SetTraining(false);
@@ -265,15 +226,9 @@ Result<std::unique_ptr<models::BaseModel>> SearchLightModel(
   final_train.audit_graph = options.audit_graph;
   {
     ALT_TRACE_SPAN(final_train_span, "nas/final_train");
-    if (teacher != nullptr && options.distill_delta > 0.0f) {
-      ALT_RETURN_IF_ERROR(
-          TrainWithDistillation(final_model.get(), teacher, train_data,
-                                options.distill_delta, final_train)
-              .status());
-    } else {
-      ALT_RETURN_IF_ERROR(
-          TrainModel(final_model.get(), train_data, final_train).status());
-    }
+    ALT_RETURN_IF_ERROR(train::TrainModel(final_model.get(), train_data,
+                                          final_train, options.distill_delta)
+                            .status());
   }
   return final_model;
 }

@@ -28,7 +28,8 @@ struct NasSearchOptions {
   /// FLOPs budget for the derived architecture; <= 0 disables. The paper
   /// sets this to the predefined light model's FLOPs.
   int64_t flops_budget = 0;
-  /// Distillation weight delta of Eq. 5 (0 = hard labels only).
+  /// Distillation weight delta of Eq. 5 on the train data's soft-label
+  /// column (0, or no column, = hard labels only).
   float distill_delta = 1.0f;
   /// Fraction of the train data held out as the NAS validation split.
   double val_fraction = 0.3;
@@ -64,15 +65,16 @@ struct NasSearchReport {
 
 /// Runs the budget-limited NAS for one scenario:
 ///  1. trains the supernet on `train_data` (weights on the train split with
-///     the distillation loss of Eq. 5 when `teacher` != null; architecture
-///     logits on the validation split with the FLOPs regularizer, Eq. 4);
+///     the distillation loss of Eq. 5; architecture logits on the
+///     validation split with it plus the FLOPs regularizer, Eq. 4);
 ///  2. derives the max-joint-probability architecture under the budget;
 ///  3. trains a fresh model with the derived encoder (again distilling);
 ///  4. returns the trained scenario specific light model.
+/// Eq. 5 reads `train_data`'s soft-label column (hard labels without it).
 /// `light_base` supplies input dims, hidden width, and seq_len; its encoder
 /// kind is ignored (replaced by the searched encoder).
 Result<std::unique_ptr<models::BaseModel>> SearchLightModel(
-    const models::ModelConfig& light_base, models::BaseModel* teacher,
+    const models::ModelConfig& light_base,
     const data::ScenarioData& train_data, const NasSearchOptions& options,
     NasSearchReport* report);
 

@@ -7,6 +7,7 @@
 #include "src/nn/serialize.h"
 #include "src/obs/memory_tracker.h"
 #include "src/util/atomic_file.h"
+#include "src/util/logging.h"
 
 namespace alt {
 namespace resilience {
@@ -115,26 +116,69 @@ Result<std::string> CheckpointReader::blob(const std::string& name) const {
   return it->second;
 }
 
-Result<std::string> ModuleWeightsBlob(nn::Module* module) {
-  std::ostringstream out;
-  ALT_RETURN_IF_ERROR(nn::SaveWeights(module, &out));
-  return out.str();
+void SaveLoopCheckpoint(const std::string& path, const LoopState& state,
+                        Json progress) {
+  const Status saved = [&]() -> Status {
+    CheckpointBuilder builder;
+    progress["kind"] = state.kind;
+    builder.set_meta(std::move(progress));
+    std::ostringstream weights;
+    ALT_RETURN_IF_ERROR(nn::SaveWeights(state.model, &weights));
+    builder.AddBlob("weights", weights.str());
+    for (const auto& [name, adam] : state.optimizers) {
+      std::ostringstream moments;
+      ALT_RETURN_IF_ERROR(adam->SaveState(&moments));
+      builder.AddBlob(name, moments.str());
+    }
+    for (const auto& [name, rng] : state.rngs) {
+      builder.AddBlob(name, rng->SaveState());
+    }
+    return builder.WriteToFile(path);
+  }();
+  if (!saved.ok()) {
+    ALT_LOG(Warning) << state.kind << " checkpoint save failed (continuing): "
+                     << saved.ToString();
+  }
 }
 
-Status RestoreModuleWeights(nn::Module* module, const std::string& blob) {
-  std::istringstream in(blob);
-  return nn::LoadWeights(module, &in);
-}
-
-Result<std::string> AdamStateBlob(const opt::Adam& adam) {
-  std::ostringstream out;
-  ALT_RETURN_IF_ERROR(adam.SaveState(&out));
-  return out.str();
-}
-
-Status RestoreAdamState(opt::Adam* adam, const std::string& blob) {
-  std::istringstream in(blob);
-  return adam->LoadState(&in);
+Result<std::optional<Json>> RestoreLoopCheckpoint(
+    const std::string& path, const LoopState& state,
+    const std::vector<std::string>& progress_keys) {
+  Result<CheckpointReader> loaded = CheckpointReader::ReadFromFile(path);
+  if (!loaded.ok()) {
+    if (loaded.status().code() == StatusCode::kNotFound) {
+      return std::optional<Json>();  // A clean start.
+    }
+    return loaded.status();
+  }
+  const CheckpointReader& ckpt = loaded.value();
+  const Json& kind = ckpt.meta().at("kind");
+  if (!kind.is_string() || kind.as_string() != state.kind) {
+    return Status::InvalidArgument(path + " is not a " + state.kind +
+                                   " checkpoint");
+  }
+  for (const std::string& key : progress_keys) {
+    if (!ckpt.meta().at(key).is_number()) {
+      return Status::InvalidArgument("checkpoint has no progress " + key);
+    }
+  }
+  ALT_ASSIGN_OR_RETURN(std::string weights, ckpt.blob("weights"));
+  std::istringstream weights_in(weights);
+  ALT_RETURN_IF_ERROR(nn::LoadWeights(state.model, &weights_in));
+  for (const auto& [name, adam] : state.optimizers) {
+    ALT_ASSIGN_OR_RETURN(std::string moments, ckpt.blob(name));
+    std::istringstream moments_in(moments);
+    ALT_RETURN_IF_ERROR(adam->LoadState(&moments_in));
+  }
+  for (const auto& [name, rng] : state.rngs) {
+    ALT_ASSIGN_OR_RETURN(std::string stream, ckpt.blob(name));
+    if (!rng->LoadState(stream)) {
+      return Status::InvalidArgument("corrupt RNG state " + name +
+                                     " in checkpoint");
+    }
+  }
+  ALT_LOG(Info) << "resumed " << state.kind << " from " << path;
+  return std::optional<Json>(ckpt.meta());
 }
 
 }  // namespace resilience

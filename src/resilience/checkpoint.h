@@ -2,11 +2,15 @@
 #define ALT_SRC_RESILIENCE_CHECKPOINT_H_
 
 #include <map>
+#include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/nn/module.h"
 #include "src/opt/optimizer.h"
 #include "src/util/json.h"
+#include "src/util/rng.h"
 #include "src/util/status.h"
 
 namespace alt {
@@ -58,16 +62,29 @@ class CheckpointReader {
   std::map<std::string, std::string> blobs_;
 };
 
-/// Blob helpers shared by the Trainer / NasSearch checkpoints ----------------
+/// One training loop's checkpoint step, shared by train::TrainModel and
+/// nas::SearchLightModel: the model's weights (blob "weights"), each named
+/// Adam's moments and each named RNG stream, under a progress header whose
+/// "kind" names the loop, so one loop's file never restores into another.
+struct LoopState {
+  std::string kind;
+  nn::Module* model = nullptr;
+  std::vector<std::pair<std::string, opt::Adam*>> optimizers;
+  std::vector<std::pair<std::string, Rng*>> rngs;
+};
 
-/// Model weights in the nn::SaveWeights (ALTW) format.
-Result<std::string> ModuleWeightsBlob(nn::Module* module);
-Status RestoreModuleWeights(nn::Module* module, const std::string& blob);
+/// Atomically overwrites `path` with `state` under `progress` plus "kind".
+/// A failed save is logged and the loop runs on; the previous file is whole.
+void SaveLoopCheckpoint(const std::string& path, const LoopState& state,
+                        Json progress);
 
-/// Adam moments (Adam::SaveState format). The optimizer must hold the same
-/// parameter list it was saved with.
-Result<std::string> AdamStateBlob(const opt::Adam& adam);
-Status RestoreAdamState(opt::Adam* adam, const std::string& blob);
+/// Restores `state` from `path` and returns its progress header, or nullopt
+/// when no file is there (a clean start). An unreadable file, another
+/// loop's kind, a missing number of `progress_keys`, and a missing or
+/// corrupt blob return an error; none aborts.
+Result<std::optional<Json>> RestoreLoopCheckpoint(
+    const std::string& path, const LoopState& state,
+    const std::vector<std::string>& progress_keys);
 
 }  // namespace resilience
 }  // namespace alt

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
+#include <utility>
 
 #include "src/analysis/graph_audit.h"
 #include "src/autograd/ops.h"
@@ -16,72 +18,23 @@
 namespace alt {
 namespace train {
 
-namespace {
-
-/// Everything a resumed run must restore for bit-exact continuation:
-/// weights, Adam moments, both RNG streams, and the progress counters.
-Status SaveTrainerCheckpoint(const std::string& path,
-                             models::BaseModel* model,
-                             const opt::Adam& optimizer, const Rng& rng,
-                             const Rng& dropout_rng, int64_t next_epoch,
-                             const TrainReport& report, double best_loss,
-                             int64_t bad_epochs) {
-  resilience::CheckpointBuilder builder;
-  Json& meta = builder.mutable_meta();
-  meta["kind"] = "trainer";
-  meta["next_epoch"] = next_epoch;
-  meta["epochs_run"] = report.epochs_run;
-  meta["first_epoch_loss"] = report.first_epoch_loss;
-  meta["final_epoch_loss"] = report.final_epoch_loss;
-  meta["bad_epochs"] = bad_epochs;
-  // Infinity (no finite loss yet) is not representable in JSON; absence
-  // of the key means "still infinite".
-  if (std::isfinite(best_loss)) meta["best_loss"] = best_loss;
-  ALT_ASSIGN_OR_RETURN(std::string weights,
-                       resilience::ModuleWeightsBlob(model));
-  builder.AddBlob("weights", std::move(weights));
-  ALT_ASSIGN_OR_RETURN(std::string adam, resilience::AdamStateBlob(optimizer));
-  builder.AddBlob("adam", std::move(adam));
-  builder.AddBlob("rng", rng.SaveState());
-  builder.AddBlob("dropout_rng", dropout_rng.SaveState());
-  return builder.WriteToFile(path);
+ag::Variable DistillationLoss(models::BaseModel* student,
+                              const data::Batch& batch, float delta,
+                              Rng* dropout_rng) {
+  ag::Variable logits = student->Forward(batch, dropout_rng);
+  ag::Variable hard = ag::Variable::Constant(batch.labels);
+  ag::Variable loss = ag::BCEWithLogits(logits, hard);
+  if (delta > 0.0f && batch.soft_labels.numel() > 0) {
+    ag::Variable soft = ag::Variable::Constant(batch.soft_labels);
+    loss = ag::Add(loss, ag::ScalarMul(ag::BCEWithLogits(logits, soft), delta));
+  }
+  return loss;
 }
 
-Status RestoreTrainerCheckpoint(const resilience::CheckpointReader& ckpt,
-                                models::BaseModel* model,
-                                opt::Adam* optimizer, Rng* rng,
-                                Rng* dropout_rng, int64_t* next_epoch,
-                                TrainReport* report, double* best_loss,
-                                int64_t* bad_epochs) {
-  if (!ckpt.meta().contains("kind") ||
-      ckpt.meta().at("kind").as_string() != "trainer") {
-    return Status::InvalidArgument("not a trainer checkpoint");
-  }
-  ALT_ASSIGN_OR_RETURN(std::string weights, ckpt.blob("weights"));
-  ALT_RETURN_IF_ERROR(resilience::RestoreModuleWeights(model, weights));
-  ALT_ASSIGN_OR_RETURN(std::string adam, ckpt.blob("adam"));
-  ALT_RETURN_IF_ERROR(resilience::RestoreAdamState(optimizer, adam));
-  ALT_ASSIGN_OR_RETURN(std::string rng_state, ckpt.blob("rng"));
-  ALT_ASSIGN_OR_RETURN(std::string dropout_state, ckpt.blob("dropout_rng"));
-  if (!rng->LoadState(rng_state) || !dropout_rng->LoadState(dropout_state)) {
-    return Status::InvalidArgument("corrupt RNG state in checkpoint");
-  }
-  *next_epoch = ckpt.meta().at("next_epoch").as_int();
-  report->epochs_run = ckpt.meta().at("epochs_run").as_int();
-  report->first_epoch_loss = ckpt.meta().at("first_epoch_loss").as_number();
-  report->final_epoch_loss = ckpt.meta().at("final_epoch_loss").as_number();
-  *bad_epochs = ckpt.meta().at("bad_epochs").as_int();
-  if (ckpt.meta().contains("best_loss")) {
-    *best_loss = ckpt.meta().at("best_loss").as_number();
-  }
-  return Status::OK();
-}
-
-/// Shared epoch loop; `loss_fn` maps a batch to the scalar training loss.
-template <typename LossFn>
-Result<TrainReport> RunTraining(models::BaseModel* model,
-                                const data::ScenarioData& train_data,
-                                const TrainOptions& options, LossFn loss_fn) {
+Result<TrainReport> TrainModel(models::BaseModel* model,
+                               const data::ScenarioData& train_data,
+                               const TrainOptions& options,
+                               float distill_delta) {
   if (train_data.num_samples() == 0) {
     return Status::InvalidArgument("empty training data");
   }
@@ -101,23 +54,32 @@ Result<TrainReport> RunTraining(models::BaseModel* model,
   const bool checkpointing = !options.checkpoint_path.empty();
   const int64_t checkpoint_every = std::max<int64_t>(
       1, options.checkpoint_every_epochs);
+  const resilience::LoopState state = {
+      "trainer", model, {{"adam", &optimizer}},
+      {{"rng", &rng}, {"dropout_rng", &dropout_rng}}};
   int64_t start_epoch = 0;
   if (checkpointing && options.resume) {
-    Result<resilience::CheckpointReader> loaded =
-        resilience::CheckpointReader::ReadFromFile(options.checkpoint_path);
-    if (loaded.ok()) {
-      ALT_RETURN_IF_ERROR(RestoreTrainerCheckpoint(
-          loaded.value(), model, &optimizer, &rng, &dropout_rng, &start_epoch,
-          &report, &best_loss, &bad_epochs));
-      ALT_LOG(Info) << "resumed training from " << options.checkpoint_path
-                    << " at epoch " << start_epoch;
+    ALT_ASSIGN_OR_RETURN(
+        std::optional<Json> progress,
+        resilience::RestoreLoopCheckpoint(
+            options.checkpoint_path, state,
+            {"next_epoch", "epochs_run", "first_epoch_loss",
+             "final_epoch_loss", "bad_epochs"}));
+    if (progress.has_value()) {
+      start_epoch = progress->at("next_epoch").as_int();
+      report.epochs_run = progress->at("epochs_run").as_int();
+      report.first_epoch_loss = progress->at("first_epoch_loss").as_number();
+      report.final_epoch_loss = progress->at("final_epoch_loss").as_number();
+      bad_epochs = progress->at("bad_epochs").as_int();
+      // Infinity (no finite loss yet) is not representable in JSON; absence
+      // of the key means "still infinite".
+      if (progress->at("best_loss").is_number()) {
+        best_loss = progress->at("best_loss").as_number();
+      }
       if (start_epoch >= options.epochs) {
         model->SetTraining(false);
         return report;
       }
-    } else if (loaded.status().code() != StatusCode::kNotFound) {
-      // A missing checkpoint means a clean start; a corrupt one is an error.
-      return loaded.status();
     }
   }
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
@@ -139,7 +101,8 @@ Result<TrainReport> RunTraining(models::BaseModel* model,
       steps_total->Add(1);
       data::Batch batch = MakeBatch(train_data, indices);
       optimizer.ZeroGrad();
-      ag::Variable loss = loss_fn(batch, &dropout_rng);
+      ag::Variable loss =
+          DistillationLoss(model, batch, distill_delta, &dropout_rng);
       if (options.audit_graph && !audited) {
         audited = true;
         analysis::GraphReport audit =
@@ -175,62 +138,20 @@ Result<TrainReport> RunTraining(models::BaseModel* model,
     }
     if (checkpointing && ((epoch + 1) % checkpoint_every == 0 ||
                           epoch + 1 == options.epochs || stop_early)) {
-      const Status saved = SaveTrainerCheckpoint(
-          options.checkpoint_path, model, optimizer, rng, dropout_rng,
-          epoch + 1, report, best_loss, bad_epochs);
-      // A failed save must not kill the run: training state is intact and
-      // the previous checkpoint (if any) is still whole on disk.
-      if (!saved.ok()) {
-        ALT_LOG(Warning) << "checkpoint save failed (continuing): "
-                         << saved.ToString();
-      }
+      Json progress;
+      progress["next_epoch"] = epoch + 1;
+      progress["epochs_run"] = report.epochs_run;
+      progress["first_epoch_loss"] = report.first_epoch_loss;
+      progress["final_epoch_loss"] = report.final_epoch_loss;
+      progress["bad_epochs"] = bad_epochs;
+      if (std::isfinite(best_loss)) progress["best_loss"] = best_loss;
+      resilience::SaveLoopCheckpoint(options.checkpoint_path, state,
+                                     std::move(progress));
     }
     if (stop_early) break;
   }
   model->SetTraining(false);
   return report;
-}
-
-}  // namespace
-
-ag::Variable DistillationLoss(models::BaseModel* student,
-                              models::BaseModel* teacher,
-                              const data::Batch& batch, float delta,
-                              Rng* dropout_rng) {
-  ag::Variable logits = student->Forward(batch, dropout_rng);
-  ag::Variable hard = ag::Variable::Constant(batch.labels);
-  ag::Variable loss = ag::BCEWithLogits(logits, hard);
-  if (teacher != nullptr && delta > 0.0f) {
-    ag::Variable soft = ag::Variable::Constant(Tensor::FromVector(
-        {batch.batch_size, 1}, teacher->PredictProbs(batch)));
-    loss = ag::Add(loss, ag::ScalarMul(ag::BCEWithLogits(logits, soft), delta));
-  }
-  return loss;
-}
-
-Result<TrainReport> TrainModel(models::BaseModel* model,
-                               const data::ScenarioData& train_data,
-                               const TrainOptions& options) {
-  return RunTraining(
-      model, train_data, options,
-      [model](const data::Batch& batch, Rng* dropout_rng) {
-        return DistillationLoss(model, nullptr, batch, 0.0f, dropout_rng);
-      });
-}
-
-Result<TrainReport> TrainWithDistillation(models::BaseModel* student,
-                                          models::BaseModel* teacher,
-                                          const data::ScenarioData& train_data,
-                                          float delta,
-                                          const TrainOptions& options) {
-  if (teacher == nullptr) {
-    return Status::InvalidArgument("teacher must not be null");
-  }
-  return RunTraining(
-      student, train_data, options,
-      [student, teacher, delta](const data::Batch& batch, Rng* dropout_rng) {
-        return DistillationLoss(student, teacher, batch, delta, dropout_rng);
-      });
 }
 
 std::vector<float> Predict(models::BaseModel* model,

@@ -52,25 +52,20 @@ struct TrainReport {
 /// The loss of Eq. 5 on one batch, the one every training loop builds:
 ///   L = CE(y', y_hard) + delta * CE(y'_soft, y_soft)
 /// where y' is `student`'s forward pass (dropout from `dropout_rng`) and
-/// y_soft the teacher's predicted probability, scored in eval mode with no
-/// gradient. A null teacher or delta <= 0 leaves the hard-label term alone.
+/// y_soft the batch's soft-label column: the teacher's predicted
+/// probabilities, which the caller scored once, in eval mode, into
+/// data::ScenarioData::soft_labels. A batch without the column, or
+/// delta <= 0, leaves the hard-label term alone.
 ag::Variable DistillationLoss(models::BaseModel* student,
-                              models::BaseModel* teacher,
                               const data::Batch& batch, float delta,
                               Rng* dropout_rng);
 
-/// Trains `model` with binary cross-entropy on hard labels (Adam).
+/// Trains `model` (Adam) with DistillationLoss at `distill_delta`; the
+/// default 0 trains on the hard labels alone.
 Result<TrainReport> TrainModel(models::BaseModel* model,
                                const data::ScenarioData& train_data,
-                               const TrainOptions& options);
-
-/// Trains `student` with DistillationLoss (Eq. 5). The teacher must not be
-/// null; it is used in eval mode and receives no gradient.
-Result<TrainReport> TrainWithDistillation(models::BaseModel* student,
-                                          models::BaseModel* teacher,
-                                          const data::ScenarioData& train_data,
-                                          float delta,
-                                          const TrainOptions& options);
+                               const TrainOptions& options,
+                               float distill_delta = 0.0f);
 
 /// Eval-mode predictions for the whole dataset, batched to bound memory.
 std::vector<float> Predict(models::BaseModel* model,

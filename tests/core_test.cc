@@ -209,17 +209,18 @@ TEST(OnboardTest, PredefinedLightIsTrainedOnlyWhenAsked) {
             train::EvaluateAuc(on.predefined_light.get(), test_part));
 
   // MeL is light_config's model distilled from the returned teacher, with
-  // the documented seeds: the same recipe by hand gives the same scores.
+  // the documented seeds: the same recipe by hand (the teacher scored into
+  // the soft-label column) gives the same scores.
   const uint64_t id = static_cast<uint64_t>(train_part.scenario_id);
   Rng rng(options.seed * 211 + id);
   auto by_hand = models::BuildBaseModel(options.light_config, &rng);
   ASSERT_TRUE(by_hand.ok());
   train::TrainOptions mel_train = options.nas.final_train;
   mel_train.seed = options.seed * 31 + id;
-  ASSERT_TRUE(train::TrainWithDistillation(by_hand.value().get(),
-                                           on.heavy.get(), train_part,
-                                           options.nas.distill_delta,
-                                           mel_train)
+  data::ScenarioData labelled = train_part;
+  labelled.soft_labels = train::Predict(on.heavy.get(), train_part, 64);
+  ASSERT_TRUE(train::TrainModel(by_hand.value().get(), labelled, mel_train,
+                                options.nas.distill_delta)
                   .ok());
   EXPECT_EQ(train::Predict(by_hand.value().get(), test_part),
             train::Predict(on.predefined_light.get(), test_part));
@@ -234,14 +235,32 @@ TEST(OnboardTest, PredefinedLightIsTrainedOnlyWhenAsked) {
 
 TEST(AltSystemTest, HpoInitializationPath) {
   data::SyntheticGenerator gen(CoreDataConfig());
-  AltSystemOptions options = FastOptions();
-  options.use_hpo_init = true;
-  options.hpo.tune.max_trials = 3;
-  options.hpo.tune.parallelism = 1;
-  options.hpo.train.epochs = 1;
-  AltSystem system(options);
-  ASSERT_TRUE(system.Initialize({gen.GenerateScenario(0)}).ok());
-  EXPECT_TRUE(system.initialized());
+  // f0's weights after an HPO initialization with `init_seed` as
+  // meta.init_train's seed.
+  auto f0_weights = [&](uint64_t init_seed) {
+    AltSystemOptions options = FastOptions();
+    options.use_hpo_init = true;
+    options.hpo.tune.max_trials = 3;
+    options.hpo.tune.parallelism = 1;
+    options.hpo.train.epochs = 1;
+    options.meta.init_train.seed = init_seed;
+    AltSystem system(options);
+    EXPECT_TRUE(system.Initialize({gen.GenerateScenario(0)}).ok());
+    EXPECT_TRUE(system.initialized());
+    std::vector<float> weights;
+    for (ag::Variable* p :
+         system.meta_learner()->agnostic_model()->Parameters()) {
+      const Tensor& value = p->value();
+      weights.insert(weights.end(), value.data(),
+                     value.data() + value.numel());
+    }
+    return weights;
+  };
+  // The system seed alone seeds the candidates' training; init_train's seed
+  // is unread.
+  const std::vector<float> f0 = f0_weights(1);
+  EXPECT_FALSE(f0.empty());
+  EXPECT_EQ(f0_weights(2), f0);
 }
 
 }  // namespace

@@ -9,7 +9,14 @@ namespace alt {
 namespace data {
 namespace {
 
-ScenarioData MakeToyScenario(int64_t n, int64_t p_dim = 3, int64_t t_len = 4) {
+/// Row i's soft label in a toy scenario that carries the column.
+float ToySoftLabel(int64_t i) { return 0.05f * static_cast<float>(i) + 0.02f; }
+
+/// Row i has profile (10i, 10i + 1, ...), events i % 5 and label 1 for even
+/// i; with `soft_labels`, also the soft label ToySoftLabel(i).
+ScenarioData MakeToyScenario(int64_t n, bool soft_labels = false) {
+  constexpr int64_t p_dim = 3;
+  constexpr int64_t t_len = 4;
   ScenarioData d;
   d.scenario_id = 7;
   d.profile_dim = p_dim;
@@ -25,43 +32,75 @@ ScenarioData MakeToyScenario(int64_t n, int64_t p_dim = 3, int64_t t_len = 4) {
       d.behaviors[static_cast<size_t>(i * t_len + t)] = i % 5;
     }
     d.labels[static_cast<size_t>(i)] = (i % 2 == 0) ? 1.0f : 0.0f;
+    if (soft_labels) d.soft_labels.push_back(ToySoftLabel(i));
   }
   return d;
 }
 
 TEST(DatasetTest, SubsetCopiesRows) {
-  ScenarioData d = MakeToyScenario(6);
-  ScenarioData s = d.Subset({1, 3});
-  EXPECT_EQ(s.num_samples(), 2);
-  EXPECT_EQ(s.profiles.at(0, 0), 10.0f);
-  EXPECT_EQ(s.profiles.at(1, 0), 30.0f);
-  EXPECT_EQ(s.behaviors[0], 1);
-  EXPECT_EQ(s.labels[1], 0.0f);
-  EXPECT_EQ(s.scenario_id, 7);
+  for (bool soft : {false, true}) {
+    ScenarioData d = MakeToyScenario(6, soft);
+    ScenarioData s = d.Subset({1, 3});
+    EXPECT_EQ(s.num_samples(), 2);
+    EXPECT_EQ(s.profiles.at(0, 0), 10.0f);
+    EXPECT_EQ(s.profiles.at(1, 0), 30.0f);
+    EXPECT_EQ(s.behaviors[0], 1);
+    EXPECT_EQ(s.labels[1], 0.0f);
+    EXPECT_EQ(s.scenario_id, 7);
+    const std::vector<float> want =
+        soft ? std::vector<float>{ToySoftLabel(1), ToySoftLabel(3)}
+             : std::vector<float>();
+    EXPECT_EQ(s.soft_labels, want);
+  }
 }
 
 TEST(DatasetTest, MakeBatchMaterializesRows) {
-  ScenarioData d = MakeToyScenario(5);
-  Batch b = MakeBatch(d, {4, 0});
-  EXPECT_EQ(b.batch_size, 2);
-  EXPECT_EQ(b.profiles.at(0, 1), 41.0f);
-  EXPECT_EQ(b.labels.at(0, 0), 1.0f);
-  EXPECT_EQ(b.behaviors[0], 4);
+  for (bool soft : {false, true}) {
+    ScenarioData d = MakeToyScenario(5, soft);
+    Batch b = MakeBatch(d, {4, 0});
+    EXPECT_EQ(b.batch_size, 2);
+    EXPECT_EQ(b.profiles.at(0, 1), 41.0f);
+    EXPECT_EQ(b.labels.at(0, 0), 1.0f);
+    EXPECT_EQ(b.behaviors[0], 4);
+    if (soft) {
+      ASSERT_TRUE(b.soft_labels.SameShape(b.labels));
+      EXPECT_EQ(b.soft_labels.at(0, 0), ToySoftLabel(4));
+      EXPECT_EQ(b.soft_labels.at(1, 0), ToySoftLabel(0));
+    } else {
+      EXPECT_EQ(b.soft_labels.numel(), 0);
+    }
+  }
 }
 
 TEST(DatasetTest, SplitTrainTestPartitionsAll) {
-  ScenarioData d = MakeToyScenario(10);
-  Rng rng(1);
-  auto [train, test] = SplitTrainTest(d, 0.2, &rng);
-  EXPECT_EQ(train.num_samples(), 8);
-  EXPECT_EQ(test.num_samples(), 2);
-  // Union of first profile column must equal originals.
-  std::multiset<float> values;
-  for (int64_t i = 0; i < 8; ++i) values.insert(train.profiles.at(i, 0));
-  for (int64_t i = 0; i < 2; ++i) values.insert(test.profiles.at(i, 0));
-  EXPECT_EQ(values.size(), 10u);
-  for (int64_t i = 0; i < 10; ++i) {
-    EXPECT_EQ(values.count(static_cast<float>(i * 10)), 1u);
+  for (bool soft : {false, true}) {
+    ScenarioData d = MakeToyScenario(10, soft);
+    Rng rng(1);
+    auto [train, test] = SplitTrainTest(d, 0.2, &rng);
+    EXPECT_EQ(train.num_samples(), 8);
+    EXPECT_EQ(test.num_samples(), 2);
+    // Union of first profile column must equal originals, and each row keeps
+    // its own label and soft label.
+    std::multiset<float> values;
+    for (const ScenarioData* part : {&train, &test}) {
+      EXPECT_EQ(part->soft_labels.size(),
+                soft ? static_cast<size_t>(part->num_samples()) : 0u);
+      for (int64_t r = 0; r < part->num_samples(); ++r) {
+        const float first = part->profiles.at(r, 0);
+        values.insert(first);
+        const int64_t i = static_cast<int64_t>(first) / 10;
+        EXPECT_EQ(part->labels[static_cast<size_t>(r)],
+                  i % 2 == 0 ? 1.0f : 0.0f);
+        if (soft) {
+          EXPECT_EQ(part->soft_labels[static_cast<size_t>(r)],
+                    ToySoftLabel(i));
+        }
+      }
+    }
+    EXPECT_EQ(values.size(), 10u);
+    for (int64_t i = 0; i < 10; ++i) {
+      EXPECT_EQ(values.count(static_cast<float>(i * 10)), 1u);
+    }
   }
 }
 

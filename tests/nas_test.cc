@@ -297,8 +297,8 @@ TEST(NasSearchTest, EndToEndProducesBudgetedModel) {
   options.flops_budget =
       light_ref.value()->behavior_encoder()->Flops(8);
   NasSearchReport report;
-  auto model = SearchLightModel(TinyLightConfig(), /*teacher=*/nullptr,
-                                train_data, options, &report);
+  auto model =
+      SearchLightModel(TinyLightConfig(), train_data, options, &report);
   ASSERT_TRUE(model.ok()) << model.status().ToString();
   EXPECT_EQ(model.value()->config().encoder, models::EncoderKind::kNas);
   EXPECT_LE(report.encoder_flops, options.flops_budget);
@@ -325,9 +325,8 @@ TEST(NasSearchTest, ArchitectureStepStartsWithTheWeightStepsLiveBytes) {
   obs::Gauge* carry = obs::MetricsRegistry::Global().gauge(
       "nas/nas_search/weight_step_carry_bytes");
   carry->Set(-1.0);
-  ASSERT_TRUE(SearchLightModel(TinyLightConfig(), /*teacher=*/nullptr,
-                               train_data, options, nullptr)
-                  .ok());
+  ASSERT_TRUE(
+      SearchLightModel(TinyLightConfig(), train_data, options, nullptr).ok());
   EXPECT_EQ(carry->value(), 0.0);
 }
 
@@ -360,9 +359,8 @@ TEST(NasSearchTest, TooFewSamplesRejected) {
   tiny.profile_dim = 6;
   tiny.seq_len = 8;
   NasSearchOptions options;
-  EXPECT_FALSE(SearchLightModel(TinyLightConfig(), nullptr, tiny, options,
-                                nullptr)
-                   .ok());
+  EXPECT_FALSE(
+      SearchLightModel(TinyLightConfig(), tiny, options, nullptr).ok());
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -696,8 +698,7 @@ TEST(NasResumeTest, ResumedSearchDerivesSameArchitecture) {
   base.tau_start = base.tau_end = 1.0;
 
   nas::NasSearchReport full_report;
-  auto full = nas::SearchLightModel(light, nullptr, scenario, base,
-                                    &full_report);
+  auto full = nas::SearchLightModel(light, scenario, base, &full_report);
   ASSERT_TRUE(full.ok()) << full.status().ToString();
 
   const std::string path = ::testing::TempDir() + "/alt_nas_resume.altc";
@@ -708,15 +709,14 @@ TEST(NasResumeTest, ResumedSearchDerivesSameArchitecture) {
   first_half.checkpoint_path = path;
   nas::NasSearchReport ignored;
   ASSERT_TRUE(
-      nas::SearchLightModel(light, nullptr, scenario, first_half, &ignored)
-          .ok());
+      nas::SearchLightModel(light, scenario, first_half, &ignored).ok());
 
   nas::NasSearchOptions second_half = base;
   second_half.checkpoint_path = path;
   second_half.resume = true;
   nas::NasSearchReport resumed_report;
-  auto resumed = nas::SearchLightModel(light, nullptr, scenario, second_half,
-                                       &resumed_report);
+  auto resumed =
+      nas::SearchLightModel(light, scenario, second_half, &resumed_report);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
 
   EXPECT_EQ(resumed_report.arch.ToJson().Dump(),
@@ -732,6 +732,111 @@ TEST(NasResumeTest, ResumedSearchDerivesSameArchitecture) {
     EXPECT_FLOAT_EQ(p_full[i], p_resumed[i]) << "sample " << i;
   }
   std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Checkpoint/resume: what the shared loop step rejects
+// ---------------------------------------------------------------------------
+
+/// One training loop as the checkpoint step sees it: its kind, its blobs,
+/// and a one-epoch run that checkpoints to `path` (resuming from it when
+/// asked).
+struct CheckpointedLoop {
+  std::string kind;
+  std::vector<std::string> blobs;
+  std::function<Status(const std::string& path, bool resume)> run;
+};
+
+std::vector<CheckpointedLoop> CheckpointedLoops() {
+  const data::ScenarioData scenario =
+      data::SyntheticGenerator(SmallDataConfig()).GenerateScenario(0);
+  CheckpointedLoop trainer{
+      "trainer",
+      {"weights", "adam", "rng", "dropout_rng"},
+      [scenario](const std::string& path, bool resume) {
+        train::TrainOptions options;
+        options.epochs = 1;
+        options.batch_size = 32;
+        options.checkpoint_path = path;
+        options.resume = resume;
+        return train::TrainModel(SmallModel(7).get(), scenario, options)
+            .status();
+      }};
+  CheckpointedLoop search{
+      "nas_search",
+      {"weights", "weight_opt", "arch_opt", "batch_rng", "dropout_rng",
+       "sample_rng"},
+      [scenario](const std::string& path, bool resume) {
+        nas::NasSearchOptions options;
+        options.supernet.num_layers = 2;
+        options.search_epochs = 1;
+        options.batch_size = 32;
+        options.final_train.epochs = 1;
+        options.checkpoint_path = path;
+        options.resume = resume;
+        return nas::SearchLightModel(SmallModelConfig(), scenario, options,
+                                     nullptr)
+            .status();
+      }};
+  return {trainer, search};
+}
+
+/// Rewrites the checkpoint at `path` with blob `name` set to `bytes`, or
+/// without it when `bytes` is nullopt; `blobs` names every blob it has.
+void RewriteBlob(const std::string& path,
+                 const std::vector<std::string>& blobs,
+                 const std::string& name,
+                 const std::optional<std::string>& bytes) {
+  auto reader = CheckpointReader::ReadFromFile(path);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  CheckpointBuilder builder;
+  builder.set_meta(reader.value().meta());
+  for (const std::string& blob : blobs) {
+    if (blob != name) {
+      builder.AddBlob(blob, reader.value().blob(blob).value());
+    } else if (bytes.has_value()) {
+      builder.AddBlob(blob, *bytes);
+    }
+  }
+  ASSERT_TRUE(builder.WriteToFile(path).ok());
+}
+
+TEST(LoopCheckpointTest, SaveFailureLeavesTheRunGoing) {
+  for (const CheckpointedLoop& loop : CheckpointedLoops()) {
+    EXPECT_TRUE(loop.run("/nonexistent/dir/ckpt.altc", false).ok())
+        << loop.kind;
+  }
+}
+
+TEST(LoopCheckpointTest, RestoreRejectsBadCheckpointsWithAStatus) {
+  const std::vector<CheckpointedLoop> loops = CheckpointedLoops();
+  for (const CheckpointedLoop& loop : loops) {
+    const std::string path =
+        ::testing::TempDir() + "/alt_loop_" + loop.kind + ".altc";
+    std::remove(path.c_str());
+    ASSERT_TRUE(loop.run(path, false).ok()) << loop.kind;
+    ASSERT_TRUE(loop.run(path, true).ok()) << loop.kind;
+    // Another loop's file.
+    for (const CheckpointedLoop& other : loops) {
+      if (other.kind == loop.kind) continue;
+      EXPECT_EQ(other.run(path, true).code(), StatusCode::kInvalidArgument)
+          << loop.kind << " checkpoint resumed by " << other.kind;
+    }
+    auto reader = CheckpointReader::ReadFromFile(path);
+    ASSERT_TRUE(reader.ok());
+    for (const std::string& blob : loop.blobs) {
+      const std::string whole = reader.value().blob(blob).value();
+      // A corrupt blob (an RNG stream that does not parse, weights or Adam
+      // moments without their magic), then a missing one.
+      RewriteBlob(path, loop.blobs, blob, std::string("not a state"));
+      EXPECT_FALSE(loop.run(path, true).ok()) << loop.kind << " " << blob;
+      RewriteBlob(path, loop.blobs, blob, std::nullopt);
+      EXPECT_FALSE(loop.run(path, true).ok()) << loop.kind << " " << blob;
+      RewriteBlob(path, loop.blobs, blob, whole);
+      EXPECT_TRUE(loop.run(path, true).ok()) << loop.kind << " " << blob;
+    }
+    std::remove(path.c_str());
+  }
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Tensor storage recycling (obs::ScopedTensorRecycling): which buffers a
 // scope keeps, when it lets them go, the bound on what it holds, and that
-// a fixed-shape training run reuses every large buffer after its first step.
+// a fixed-shape training run, distilled or not, reuses every large buffer
+// after its first step.
 
 #include <algorithm>
 #include <cstdint>
@@ -195,21 +196,35 @@ data::SyntheticConfig FixedShapeData(int64_t samples) {
 }
 
 /// Requests of a page or more that a TrainModel run served from the heap.
-int64_t TrainingMisses(int64_t steps, int64_t epochs) {
+/// With `distill_delta` > 0 the student is distilled (Eq. 5) from a
+/// soft-label column that a BERT teacher, whose tensors have other sizes
+/// than the LSTM student's, scored before the run.
+int64_t TrainingMisses(int64_t steps, int64_t epochs,
+                       float distill_delta = 0.0f) {
   constexpr int64_t kBatch = 32;
   data::SyntheticGenerator gen(FixedShapeData(steps * kBatch));
-  const data::ScenarioData train_data = gen.GenerateScenario(0);
+  data::ScenarioData train_data = gen.GenerateScenario(0);
   models::ModelConfig config =
       models::ModelConfig::Heavy(models::EncoderKind::kLstm, 6, 8, 12);
   config.encoder_layers = 2;
   Rng rng(1);
   auto model = models::BuildBaseModel(config, &rng);
   EXPECT_TRUE(model.ok());
+  if (distill_delta > 0.0f) {
+    models::ModelConfig teacher_config = config;
+    teacher_config.encoder = models::EncoderKind::kBert;
+    auto teacher = models::BuildBaseModel(teacher_config, &rng);
+    EXPECT_TRUE(teacher.ok());
+    train_data.soft_labels =
+        train::Predict(teacher.value().get(), train_data, 64);
+  }
   train::TrainOptions options;
   options.epochs = epochs;
   options.batch_size = kBatch;
   RecycleDelta delta;
-  EXPECT_TRUE(train::TrainModel(model.value().get(), train_data, options).ok());
+  EXPECT_TRUE(train::TrainModel(model.value().get(), train_data, options,
+                                distill_delta)
+                  .ok());
   EXPECT_EQ(delta.kept(), 0);
   return delta.misses();
 }
@@ -217,9 +232,14 @@ int64_t TrainingMisses(int64_t steps, int64_t epochs) {
 TEST_F(TensorRecycleTest, FixedShapeTrainingTakesNoFreshBufferAfterItsFirstStep) {
   // The first run in a process also grows the thread's scratch arena.
   TrainingMisses(1, 1);
-  const int64_t first_step = TrainingMisses(1, 1);
-  EXPECT_GT(first_step, 0);
-  EXPECT_EQ(TrainingMisses(4, 2), first_step);
+  // A distilled student reads its soft labels from the batch, so it
+  // recycles as hard-label training does.
+  for (float distill_delta : {0.0f, 1.0f}) {
+    const int64_t first_step = TrainingMisses(1, 1, distill_delta);
+    EXPECT_GT(first_step, 0);
+    EXPECT_EQ(TrainingMisses(4, 2, distill_delta), first_step)
+        << "distill_delta " << distill_delta;
+  }
 }
 
 #if defined(__SANITIZE_ADDRESS__)

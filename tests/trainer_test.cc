@@ -111,18 +111,6 @@ TEST(TrainerTest, PredictBatchesMatchFullEvaluation) {
   }
 }
 
-TEST(TrainerTest, DistillationRequiresTeacher) {
-  data::SyntheticGenerator gen(TestDataConfig());
-  data::ScenarioData train_data = gen.GenerateScenario(0);
-  Rng rng(8);
-  auto student = models::BuildBaseModel(models::ModelConfig::ProfileOnly(6),
-                                        &rng);
-  TrainOptions options;
-  EXPECT_FALSE(TrainWithDistillation(student.value().get(), nullptr,
-                                     train_data, 1.0f, options)
-                   .ok());
-}
-
 TEST(TrainerTest, DistilledStudentTracksTeacher) {
   // A student distilled with a large delta should end up closer to the
   // teacher's predictions than a student trained on hard labels only.
@@ -139,30 +127,26 @@ TEST(TrainerTest, DistilledStudentTracksTeacher) {
   teacher_options.epochs = 4;
   ASSERT_TRUE(
       TrainModel(teacher.value().get(), train_data, teacher_options).ok());
+  // The teacher scores each training row once, into the soft-label column.
+  data::ScenarioData labelled = train_data;
+  labelled.soft_labels = Predict(teacher.value().get(), train_data, 64);
 
-  auto train_student = [&](float delta, uint64_t seed) {
-    Rng rng(seed);
+  auto train_student = [&](const data::ScenarioData& data, float delta) {
+    Rng rng(11);
     auto student = models::BuildBaseModel(
         models::ModelConfig::ProfileOnly(6), &rng);
     TrainOptions options;
     options.epochs = 4;
-    options.seed = seed;
-    if (delta > 0.0f) {
-      EXPECT_TRUE(TrainWithDistillation(student.value().get(),
-                                        teacher.value().get(), train_data,
-                                        delta, options)
-                      .ok());
-    } else {
-      EXPECT_TRUE(TrainModel(student.value().get(), train_data, options).ok());
-    }
-    return std::move(student).value();
+    options.seed = 11;
+    EXPECT_TRUE(TrainModel(student.value().get(), data, options, delta).ok());
+    return Predict(student.value().get(), test_data);
   };
-  auto distilled = train_student(4.0f, 11);
-  auto plain = train_student(0.0f, 11);
+  const std::vector<float> distilled_probs = train_student(labelled, 4.0f);
+  const std::vector<float> plain_probs = train_student(labelled, 0.0f);
+  // Without the column a positive delta leaves the hard labels alone.
+  EXPECT_EQ(train_student(train_data, 4.0f), plain_probs);
 
   auto teacher_probs = Predict(teacher.value().get(), test_data);
-  auto distilled_probs = Predict(distilled.get(), test_data);
-  auto plain_probs = Predict(plain.get(), test_data);
   double dist_d = 0.0;
   double dist_p = 0.0;
   for (size_t i = 0; i < teacher_probs.size(); ++i) {

@@ -26,9 +26,10 @@
 #                warm rejoin and scale-up with zero lost requests, the join
 #                movement bound, the queue cap's shed/recover, and
 #                placements that never leave a replica without its version
-#   simd-parity  kernel/parity/quant/autograd/nn/models/meta tests rerun
-#                with ALT_SIMD=off (the guaranteed scalar contract) in the
-#                release tree
+#   simd-parity  kernel/parity/quant/autograd/nn/models/meta tests, plus
+#                the Eq. 5 loss and both training loops' checkpoint/resume
+#                (trainer/resilience), rerun with ALT_SIMD=off (the
+#                guaranteed scalar contract) in the release tree
 #   telemetry    a breaker-driven /healthz probe flips to 503 under injected
 #                serving faults
 #   ubsan        Release + -fsanitize=undefined + ALT_DCHECKS=ON, full ctest
@@ -233,11 +234,13 @@ if wants simd-parity; then
   # kernel/quant/autograd surface, the fused LSTM layer's composition
   # reference and its recompute identity (nn_test), the batch-composition
   # property of every model preset (models_test) and the heavy preset's
-  # recomputed Eq. 2 feedback gradients (meta_test) still pass when SIMD is
-  # off entirely (the fallback every non-x86 or ALT_SIMD=off deployment
-  # runs).
-  SIMD_PARITY_TESTS="kernels_test|kernel_parity_test|quant_test|autograd_test|nn_test|models_test|meta_test"
-  echo "==> simd-parity stage (ALT_SIMD=off over kernel-layer tests)"
+  # recomputed Eq. 2 feedback gradients (meta_test), the Eq. 5 loss on a
+  # soft-label column (trainer_test), and both training loops' "resume
+  # equals an uninterrupted run" contract through their shared checkpoint
+  # step (resilience_test) still pass when SIMD is off entirely (the
+  # fallback every non-x86 or ALT_SIMD=off deployment runs).
+  SIMD_PARITY_TESTS="kernels_test|kernel_parity_test|quant_test|autograd_test|nn_test|models_test|meta_test|trainer_test|resilience_test"
+  echo "==> simd-parity stage (ALT_SIMD=off over kernel-layer and training-loop tests)"
   ALT_SIMD=off ctest --test-dir build --output-on-failure \
     -R "^(${SIMD_PARITY_TESTS})$"
 fi
