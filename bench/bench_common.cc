@@ -166,7 +166,8 @@ std::unique_ptr<meta::MetaLearner> InitializeLearner(
   for (int64_t idx : initial) {
     initial_train.push_back(scenarios[static_cast<size_t>(idx)].train);
   }
-  const Status initialized = learner->Initialize(initial_train);
+  const Status initialized =
+      core::InitializeAgnostic(learner.get(), initial_train);
   ALT_CHECK(initialized.ok()) << initialized.ToString();
   return learner;
 }

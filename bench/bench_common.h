@@ -87,8 +87,8 @@ std::vector<int64_t> PickInitialScenarios(const BenchOptions& options,
                                           int64_t num_scenarios,
                                           uint64_t repeat = 0);
 
-/// A meta learner for `encoder` with MakeMetaOptions(), f0 trained on the
-/// `initial` scenarios' train parts.
+/// A meta learner for `encoder` with MakeMetaOptions(), f0 built by
+/// core::InitializeAgnostic from the `initial` scenarios' train parts.
 std::unique_ptr<meta::MetaLearner> InitializeLearner(
     const BenchOptions& options,
     const std::vector<PreparedScenario>& scenarios,

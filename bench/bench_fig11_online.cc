@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
   for (int64_t s = 0; s < std::min<int64_t>(8, num_scenarios); ++s) {
     initial.push_back(generator.GenerateScenario(s));
   }
-  ALT_CHECK(learner.Initialize(initial).ok());
+  ALT_CHECK(core::InitializeAgnostic(&learner, initial).ok());
   core::OnboardOptions onboard = options.MakeOnboardOptions(light_config);
   onboard.predefined_light = true;
 

@@ -47,7 +47,7 @@ int main() {
   for (int64_t s = 0; s < 5; ++s) {
     history.push_back(generator.GenerateScenario(s));
   }
-  if (!learner.Initialize(history).ok()) {
+  if (!core::InitializeAgnostic(&learner, history).ok()) {
     std::printf("meta init failed\n");
     return 1;
   }

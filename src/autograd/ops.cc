@@ -1117,13 +1117,12 @@ Variable LstmLayer(const Variable& x, const Variable& w_x,
   const bool record = !InferenceGuard::active() &&
                       (x.requires_grad() || w_x.requires_grad() ||
                        w_h.requires_grad() || bias.requires_grad());
-  Tensor out;
-  LstmSaved saved = LstmLayerForward(xv, wx, wh, bv, record, &out);
-  // Under a RecomputeGuard the node keeps no saved state: its backward
-  // reruns this same forward for it, and drops the rerun's output, which
-  // equals the node's value bit for bit.
+  // Under a RecomputeGuard the forward saves nothing; the backward reruns
+  // it recording and drops the rerun's output, which has the same bits.
   const bool recompute = RecomputeGuard::active();
-  if (recompute) saved = LstmSaved();
+  Tensor out;
+  LstmSaved saved =
+      LstmLayerForward(xv, wx, wh, bv, record && !recompute, &out);
   const int64_t flops = batch * LstmLayerFlops(in, h, seq);
   auto xn = x.node();
   auto wxn = w_x.node();

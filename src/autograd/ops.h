@@ -120,8 +120,9 @@ Variable Dropout(const Variable& x, float p, Rng* rng, bool training);
 /// per block of 256 rows of them. When the node records no backward (no
 /// input requires grad, or an InferenceGuard is open) only one step's h/c
 /// state is kept, rolling; otherwise the per-step activations are saved for
-/// backward, unless a RecomputeGuard is open: then the backward reruns the
-/// recording forward for them first, with the same bits.
+/// backward, unless a RecomputeGuard is open: then the forward keeps only
+/// the rolling state too, and the backward reruns the recording forward
+/// for the activations first, with the same bits.
 Variable LstmLayer(const Variable& x, const Variable& w_x,
                    const Variable& w_h, const Variable& bias);
 /// Forward FLOPs of LstmLayer for one sample of length `seq_len`.

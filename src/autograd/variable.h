@@ -134,10 +134,10 @@ class InferenceGuard {
 
 /// Scoped, thread-local recompute mode. While a RecomputeGuard is open on a
 /// thread, ops still record the graph, but the fused LSTM layer (LstmLayer,
-/// ops.h) keeps none of its per-step activations: its backward first reruns
-/// the same recording forward into fresh buffers. Values and gradients are
-/// unchanged, bit for bit; an LSTM node holds only its output, for one more
-/// LSTM forward per layer in the backward. Only the ops built while the
+/// ops.h) runs its forward without per-step activations: its backward first
+/// reruns the recording forward into fresh buffers. Values and gradients
+/// are unchanged, bit for bit; an LSTM node holds only its output, for one
+/// more LSTM forward per layer in the backward. Only the ops built while the
 /// guard is open are affected, whenever their backward runs. Guards nest,
 /// restore the enclosing state when they close, and never affect other
 /// threads.

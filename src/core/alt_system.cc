@@ -86,9 +86,6 @@ AltSystem::AltSystem(AltSystemOptions options)
 
 Status AltSystem::Initialize(
     const std::vector<data::ScenarioData>& initial_raw) {
-  if (initial_raw.empty()) {
-    return Status::InvalidArgument("need at least one initial scenario");
-  }
   // Data preparation per scenario; pooled train parts initialize f0.
   std::vector<data::ScenarioData> train_parts;
   for (const data::ScenarioData& raw : initial_raw) {
@@ -96,49 +93,9 @@ Status AltSystem::Initialize(
                          feature::PrepareScenarioData(raw, options_.prep));
     train_parts.push_back(std::move(prepared.train));
   }
-
-  if (!options_.use_hpo_init) {
-    return meta_->Initialize(train_parts);
-  }
-
-  // Fig. 4: compare the plain preset against the HPO-tuned preset on a
-  // shared validation split, keep the better one.
-  data::ScenarioData pooled = data::ConcatScenarios(train_parts);
-  Rng split_rng(options_.seed * 13 + 5);
-  auto [fit_part, val_part] = data::SplitTrainTest(
-      pooled, options_.hpo.validation_fraction, &split_rng);
-
-  Rng model_rng(options_.seed * 29 + 3);
-  ALT_ASSIGN_OR_RETURN(auto plain,
-                       models::BuildBaseModel(options_.heavy_config,
-                                              &model_rng));
-  // Both candidates train with a seed derived from the system's.
-  train::TrainOptions init_train = options_.meta.init_train;
-  init_train.learning_rate = options_.heavy_config.learning_rate;
-  init_train.seed = options_.seed * 17 + 1;
-  ALT_RETURN_IF_ERROR(
-      train::TrainModel(plain.get(), fit_part, init_train).status());
-  const double plain_auc = train::EvaluateAuc(plain.get(), val_part);
-
-  ALT_ASSIGN_OR_RETURN(
-      hpo::ModelSearchReport search,
-      hpo::TuneModelConfig(options_.heavy_config, pooled, options_.hpo));
-  ALT_LOG(Info) << "init candidates: preset AUC=" << plain_auc
-                << ", HPO-tuned AUC=" << search.best_auc;
-
-  if (search.best_auc > plain_auc) {
-    ALT_ASSIGN_OR_RETURN(auto tuned, models::BuildBaseModel(
-                                         search.best_config, &model_rng));
-    train::TrainOptions tuned_train = init_train;
-    tuned_train.learning_rate = search.best_config.learning_rate;
-    ALT_RETURN_IF_ERROR(
-        train::TrainModel(tuned.get(), pooled, tuned_train).status());
-    return meta_->AdoptInitialModel(std::move(tuned));
-  }
-  // Re-train the preset on the full pooled data before adopting.
-  ALT_RETURN_IF_ERROR(
-      train::TrainModel(plain.get(), pooled, init_train).status());
-  return meta_->AdoptInitialModel(std::move(plain));
+  InitCandidates candidates;
+  if (options_.use_hpo_init) candidates.hpo = options_.hpo;
+  return InitializeAgnostic(meta_.get(), train_parts, candidates);
 }
 
 Result<ScenarioArtifacts> AltSystem::OnScenarioArrival(

@@ -31,13 +31,12 @@ struct AltSystemOptions {
   /// trains the light model on hard labels only.
   nas::NasSearchOptions nas;
   feature::DataPreparationConfig prep;
-  /// Initialization strategy (Fig. 4): when enabled, the pre-designed
-  /// architecture is auto-tuned with AntTune-style HPO and compared against
-  /// the plain preset on a validation split; the better candidate becomes
-  /// the scenario agnostic heavy model.
+  /// Initialization strategy (Fig. 4): when enabled, the preset tuned by
+  /// AntTune-style HPO (`hpo`) also competes for f0 (InitializeAgnostic).
   bool use_hpo_init = false;
   hpo::ModelSearchOptions hpo;
-  /// Maximum scenarios processed concurrently by OnScenariosArrival.
+  /// Maximum scenarios processed concurrently by OnScenariosArrival; above
+  /// 1, the outputs depend on the order the arrivals finish in.
   int64_t parallel_scenarios = 2;
   /// Backoff schedule for light-model deployment: transient deploy
   /// failures (e.g. injected serving/deploy faults) retry before the
@@ -59,13 +58,13 @@ struct AltSystemOptions {
 };
 
 /// End-to-end orchestration of the ALT pipeline:
-///   Initialize(): data preparation -> scenario agnostic heavy model
-///     (optionally picking the better of plain preset vs HPO-tuned preset).
+///   Initialize(): data preparation -> InitializeAgnostic (f0, optionally
+///     the better of the plain preset and the HPO-tuned preset).
 ///   OnScenarioArrival(): data preparation -> OnboardScenario (Eq. 1-2
 ///     heavy model, then budget-limited NAS + distillation into the light
 ///     model) -> deployment of the light model to the model server.
-/// Multiple scenarios can be processed in parallel; the meta learner's
-/// asynchronous feedback (Eq. 3) keeps the agnostic model consistent.
+/// OnScenariosArrival runs arrivals in parallel: their Eq. 2 feedback lands
+/// in f0 in completion order (Eq. 3), so outputs then depend on timing.
 class AltSystem {
  public:
   explicit AltSystem(AltSystemOptions options);

@@ -3,15 +3,60 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "src/data/dataset.h"
+#include "src/hpo/model_search.h"
 #include "src/meta/meta_learner.h"
 #include "src/models/base_model.h"
 #include "src/nas/nas_search.h"
 
 namespace alt {
 namespace core {
+
+/// Fig. 4's candidates for f0 beside the learner's preset, each generated
+/// from the fit rows alone with its own options (its seed included).
+struct InitCandidates {
+  std::vector<models::ModelConfig> presets;  // more expert architectures
+  std::optional<hpo::ModelSearchOptions> hpo;  // the preset tuned by HPO
+  /// The library NAS search from the preset's dims, with no FLOPs budget
+  /// and no teacher (`flops_budget` and `distill_delta` are unread). A
+  /// learner that adopts its f0 must clone through nas::BuildModel.
+  std::optional<nas::NasSearchOptions> nas;
+};
+
+/// A compared candidate and the held-out AUC of its training on fit rows.
+struct InitCandidate {
+  models::ModelConfig config;
+  double auc = 0.0;
+};
+
+/// The one f0 training: `config`'s model (nas::BuildModel) built from an
+/// Rng seeded with `meta.seed`, trained on `rows` with `meta.init_train` at
+/// `config.learning_rate` and seed `meta.seed*17 + 1`.
+Result<std::unique_ptr<models::BaseModel>> TrainInitialModel(
+    const models::ModelConfig& config, const data::ScenarioData& rows,
+    const meta::MetaOptions& meta);
+
+/// Fig. 4's comparison: splits `pooled` once, 0.25 held out (Rng seeded
+/// with `meta.seed*13 + 5`), generates the candidates from the fit rows,
+/// trains each by TrainInitialModel on the fit rows and scores it on the
+/// held-out rows. Returns `preset`, `candidates.presets`, HPO's, then
+/// NAS's; InvalidArgument when a part of the split is empty.
+Result<std::vector<InitCandidate>> CompareInitialCandidates(
+    const models::ModelConfig& preset, const data::ScenarioData& pooled,
+    const InitCandidates& candidates, const meta::MetaOptions& meta);
+
+/// Builds f0 into `learner`, in the `meta/initialize` span and the `meta`
+/// memory tag: TrainInitialModel on the initial train parts' pooled rows,
+/// of learner->config() when it is the only candidate (nothing is split or
+/// scored), else of the best of CompareInitialCandidates (the earliest on
+/// a tie).
+Status InitializeAgnostic(meta::MetaLearner* learner,
+                          const std::vector<data::ScenarioData>& initial_train,
+                          const InitCandidates& candidates = {});
 
 /// Options of one scenario's onboarding after data preparation (Fig. 7).
 struct OnboardOptions {

@@ -77,7 +77,6 @@ Result<ModelSearchReport> TuneModelConfig(const models::ModelConfig& base,
 
   ModelSearchReport report;
   report.best_config = ApplyTrialConfig(base, tune_report.best_config);
-  report.best_auc = tune_report.best_objective;
   report.tune_report = std::move(tune_report);
   return report;
 }

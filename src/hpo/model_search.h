@@ -31,7 +31,6 @@ models::ModelConfig ApplyTrialConfig(const models::ModelConfig& base,
 /// Result of a model search.
 struct ModelSearchReport {
   models::ModelConfig best_config;
-  double best_auc = 0.0;
   TuneReport tune_report;
 };
 

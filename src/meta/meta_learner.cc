@@ -18,28 +18,6 @@ MetaLearner::MetaLearner(models::ModelConfig config, MetaOptions options,
       builder_(builder ? std::move(builder) : &models::BuildBaseModel),
       rng_(options_.seed) {}
 
-Status MetaLearner::Initialize(
-    const std::vector<data::ScenarioData>& initial_scenarios) {
-  if (initial_scenarios.empty()) {
-    return Status::InvalidArgument("need at least one initial scenario");
-  }
-  ALT_TRACE_SPAN(init_span, "meta/initialize");
-  obs::ScopedMemoryTag memory_tag("meta");
-  data::ScenarioData pooled = data::ConcatScenarios(initial_scenarios);
-  std::unique_ptr<models::BaseModel> model;
-  {
-    MutexLock lock(mu_);
-    ALT_ASSIGN_OR_RETURN(model, builder_(config_, &rng_));
-  }
-  train::TrainOptions init = options_.init_train;
-  init.learning_rate = config_.learning_rate;
-  init.seed = options_.seed * 17 + 1;
-  ALT_RETURN_IF_ERROR(train::TrainModel(model.get(), pooled, init).status());
-  MutexLock lock(mu_);
-  agnostic_ = std::move(model);
-  return Status::OK();
-}
-
 Status MetaLearner::AdoptInitialModel(
     std::unique_ptr<models::BaseModel> model) {
   if (model == nullptr) {

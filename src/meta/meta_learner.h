@@ -24,10 +24,9 @@ using ModelBuilder = std::function<Result<std::unique_ptr<models::BaseModel>>(
 /// Options of the scenario agnostic / scenario specific heavy model
 /// machinery (Sec. III-B/C).
 struct MetaOptions {
-  /// Training of the initial agnostic model on pooled scenarios (Fig. 4).
-  /// Its learning_rate and seed are unread: the heavy config's rate and a
-  /// seed derived from `seed` (from AltSystemOptions::seed when
-  /// AltSystem::Initialize picks f0 among HPO candidates) replace them.
+  /// Training of the initial agnostic model, and of each Fig. 4 candidate
+  /// (core::TrainInitialModel). Its learning_rate and seed are unread: the
+  /// model config's rate and a seed derived from `seed` replace them.
   train::TrainOptions init_train;
   /// Fine-tuning of the per-scenario copy on the support split (Eq. 1).
   /// Its learning_rate and seed are unread: the heavy config's rate and a
@@ -47,9 +46,8 @@ struct MetaOptions {
 
 /// Owns the scenario agnostic heavy model f0 and implements the meta
 /// learning loop of the paper:
-///  - Initialize() trains f0 on the pooled initial scenarios, or
-///    AdoptInitialModel() installs an externally-constructed candidate
-///    (e.g. the HPO- or NAS-initialized model, whichever validated better).
+///  - AdoptInitialModel() installs f0, which core::InitializeAgnostic builds
+///    from the pooled initial scenarios (Fig. 4).
 ///  - AdaptToScenario() copies f0, fine-tunes the copy on the scenario's
 ///    support split (Eq. 1), and — first-order approximation — applies the
 ///    query-split gradient of the adapted model back onto f0 scaled by the
@@ -61,9 +59,6 @@ class MetaLearner {
  public:
   MetaLearner(models::ModelConfig config, MetaOptions options,
               ModelBuilder builder = nullptr);
-
-  /// Trains f0 from scratch on the pooled initial scenarios.
-  Status Initialize(const std::vector<data::ScenarioData>& initial_scenarios);
 
   /// Installs an externally built/trained f0 (must match `config`'s input
   /// schema; its config replaces the learner's).

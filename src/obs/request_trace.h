@@ -42,7 +42,6 @@ namespace segment {
 inline constexpr const char* kRoute = "route";          // p2c replica ranking
 inline constexpr const char* kQueueWait = "queue_wait";  // shard queue
 inline constexpr const char* kCompute = "compute";       // engine call
-inline constexpr const char* kRetryBackoff = "retry_backoff";  // retry sleeps
 inline constexpr const char* kFailover = "failover";  // failed attempts + rebalance
 inline constexpr const char* kShedRequeue = "shed_requeue";  // shed attempts
 }  // namespace segment

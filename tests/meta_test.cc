@@ -7,6 +7,7 @@
 
 #include "gtest/gtest.h"
 #include "src/autograd/ops.h"
+#include "src/core/onboard.h"
 #include "src/data/synthetic.h"
 #include "src/obs/memory_tracker.h"
 #include "src/util/thread_pool.h"
@@ -52,15 +53,14 @@ TEST(MetaLearnerTest, RequiresInitialization) {
   EXPECT_FALSE(learner.CloneAgnostic().ok());
   data::SyntheticGenerator gen(MetaDataConfig());
   EXPECT_FALSE(learner.AdaptToScenario(gen.GenerateScenario(0)).ok());
-  EXPECT_FALSE(learner.Initialize({}).ok());
 }
 
 TEST(MetaLearnerTest, InitializeTrainsAgnosticModel) {
   data::SyntheticGenerator gen(MetaDataConfig());
   MetaLearner learner(MetaModelConfig(), FastMetaOptions());
-  std::vector<data::ScenarioData> initial = {gen.GenerateScenario(0),
-                                             gen.GenerateScenario(1)};
-  ASSERT_TRUE(learner.Initialize(initial).ok());
+  ASSERT_TRUE(core::InitializeAgnostic(&learner, {gen.GenerateScenario(0),
+                                                 gen.GenerateScenario(1)})
+                  .ok());
   EXPECT_TRUE(learner.initialized());
   // The initialized model beats chance on a held-out scenario from the same
   // family (knowledge sharing).
@@ -72,7 +72,8 @@ TEST(MetaLearnerTest, InitializeTrainsAgnosticModel) {
 TEST(MetaLearnerTest, CloneAgnosticMatchesAndIsIndependent) {
   data::SyntheticGenerator gen(MetaDataConfig());
   MetaLearner learner(MetaModelConfig(), FastMetaOptions());
-  ASSERT_TRUE(learner.Initialize({gen.GenerateScenario(0)}).ok());
+  ASSERT_TRUE(
+      core::InitializeAgnostic(&learner, {gen.GenerateScenario(0)}).ok());
   auto clone = learner.CloneAgnostic();
   ASSERT_TRUE(clone.ok());
   data::ScenarioData probe = gen.GenerateScenario(1);
@@ -84,10 +85,9 @@ TEST(MetaLearnerTest, CloneAgnosticMatchesAndIsIndependent) {
 TEST(MetaLearnerTest, AdaptImprovesScenarioFit) {
   data::SyntheticGenerator gen(MetaDataConfig());
   MetaLearner learner(MetaModelConfig(), FastMetaOptions());
-  ASSERT_TRUE(learner
-                  .Initialize({gen.GenerateScenario(0),
-                               gen.GenerateScenario(1),
-                               gen.GenerateScenario(2)})
+  ASSERT_TRUE(core::InitializeAgnostic(&learner, {gen.GenerateScenario(0),
+                                                 gen.GenerateScenario(1),
+                                                 gen.GenerateScenario(2)})
                   .ok());
   Rng split_rng(1);
   auto [train_part, test_part] =
@@ -104,7 +104,8 @@ TEST(MetaLearnerTest, AdaptImprovesScenarioFit) {
 TEST(MetaLearnerTest, FeedbackUpdatesAgnosticModel) {
   data::SyntheticGenerator gen(MetaDataConfig());
   MetaLearner learner(MetaModelConfig(), FastMetaOptions());
-  ASSERT_TRUE(learner.Initialize({gen.GenerateScenario(0)}).ok());
+  ASSERT_TRUE(
+      core::InitializeAgnostic(&learner, {gen.GenerateScenario(0)}).ok());
   data::ScenarioData probe = gen.GenerateScenario(1);
   auto before = train::Predict(learner.agnostic_model(), probe);
   ASSERT_TRUE(learner.AdaptToScenario(gen.GenerateScenario(3),
@@ -121,7 +122,8 @@ TEST(MetaLearnerTest, FeedbackUpdatesAgnosticModel) {
 TEST(MetaLearnerTest, NoFeedbackLeavesAgnosticUntouched) {
   data::SyntheticGenerator gen(MetaDataConfig());
   MetaLearner learner(MetaModelConfig(), FastMetaOptions());
-  ASSERT_TRUE(learner.Initialize({gen.GenerateScenario(0)}).ok());
+  ASSERT_TRUE(
+      core::InitializeAgnostic(&learner, {gen.GenerateScenario(0)}).ok());
   data::ScenarioData probe = gen.GenerateScenario(1);
   auto before = train::Predict(learner.agnostic_model(), probe);
   ASSERT_TRUE(learner.AdaptToScenario(gen.GenerateScenario(3),
@@ -138,7 +140,8 @@ TEST(MetaLearnerTest, ParallelAdaptationIsSafe) {
   // learner must stay consistent and all adaptations must succeed.
   data::SyntheticGenerator gen(MetaDataConfig());
   MetaLearner learner(MetaModelConfig(), FastMetaOptions());
-  ASSERT_TRUE(learner.Initialize({gen.GenerateScenario(0)}).ok());
+  ASSERT_TRUE(
+      core::InitializeAgnostic(&learner, {gen.GenerateScenario(0)}).ok());
   ThreadPool pool(3);
   std::vector<std::future<bool>> futures;
   for (int64_t s = 1; s < 6; ++s) {
@@ -229,7 +232,8 @@ TEST(MetaLearnerTest, AdoptInitialModelValidatesSchema) {
 TEST(MetaLearnerTest, PeriodicRefreshSwapsModel) {
   data::SyntheticGenerator gen(MetaDataConfig());
   MetaLearner learner(MetaModelConfig(), FastMetaOptions());
-  ASSERT_TRUE(learner.Initialize({gen.GenerateScenario(0)}).ok());
+  ASSERT_TRUE(
+      core::InitializeAgnostic(&learner, {gen.GenerateScenario(0)}).ok());
   train::TrainOptions refresh;
   refresh.epochs = 1;
   ASSERT_TRUE(learner

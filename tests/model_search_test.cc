@@ -64,7 +64,7 @@ TEST(ModelSearchTest, TuneModelConfigRunsAndReturnsValidConfig) {
   options.train.epochs = 2;
   auto report = TuneModelConfig(SearchBase(), SearchData(), options);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_GT(report.value().best_auc, 0.5);
+  EXPECT_GT(report.value().tune_report.best_objective, 0.5);
   EXPECT_EQ(report.value().tune_report.trials.size(), 4u);
   // The winning config must be buildable.
   Rng rng(1);
@@ -80,16 +80,19 @@ TEST(ModelSearchTest, EarlyStoppingPathWorks) {
   options.train.epochs = 3;
   auto report = TuneModelConfig(SearchBase(), SearchData(), options);
   ASSERT_TRUE(report.ok());
-  EXPECT_GT(report.value().best_auc, 0.5);
+  EXPECT_GT(report.value().tune_report.best_objective, 0.5);
 }
 
 TEST(ModelSearchTest, TinyDatasetRejected) {
-  data::ScenarioData tiny = SearchData().Subset({0, 1});
-  ModelSearchOptions options;
-  options.validation_fraction = 0.9;
-  auto report = TuneModelConfig(SearchBase(), tiny, options);
-  // Either rejected outright or fails cleanly — never crashes.
-  if (!report.ok()) SUCCEED();
+  // A split that leaves a part empty is rejected before any trial: two rows
+  // hold out floor(0.25 * 2) = 0 of them, and no rows leave both parts
+  // empty.
+  const data::ScenarioData data = SearchData();
+  for (const data::ScenarioData& tiny : {data.Subset({0, 1}), data.Subset({})}) {
+    auto report = TuneModelConfig(SearchBase(), tiny, ModelSearchOptions());
+    ASSERT_FALSE(report.ok()) << tiny.num_samples() << " rows";
+    EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 }  // namespace

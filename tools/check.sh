@@ -35,8 +35,8 @@
 #   ubsan        Release + -fsanitize=undefined + ALT_DCHECKS=ON, full ctest
 #   tsan         Release + -fsanitize=thread, threading-related targets only
 #                (kernels, obs, autograd, tensor recycling, parallel meta
-#                adaptation, parallel onboarding, and the whole serving
-#                plane)
+#                adaptation, parallel onboarding, parallel HPO trials, and
+#                the whole serving plane)
 #
 # ALT_SIMD set in the environment is inherited by every stage (including the
 # asan/tsan ctest runs), so e.g. `ALT_SIMD=off tools/check.sh asan` sweeps
@@ -275,7 +275,9 @@ if wants tsan; then
   # thread-local recompute guard on each of them), onboarding
   # (core_test's ParallelScenarioArrivals runs core::OnboardScenario on 2
   # pool threads against one meta learner and deploys to the serving
-  # plane), and the serving plane:
+  # plane), HPO trials that train real models on 2 tune-service threads
+  # over one shared fit part (model_search_test; hpo_test's objectives are
+  # toy functions), and the serving plane:
   # shard worker threads that run the failover and degradation
   # continuations (breakers, fallbacks, the client's tracer and SLO
   # tracker) and a dead shard's rebalance, kill/rejoin under load, and the
@@ -285,7 +287,7 @@ if wants tsan; then
   # and the rest of the suite is single-threaded.
   TSAN_TARGETS=(parallel_for_test kernel_parity_test util_test hpo_test
                 obs_test obs_export_test autograd_test nn_test
-                tensor_recycle_test meta_test core_test
+                tensor_recycle_test meta_test core_test model_search_test
                 shard_test serving_client_test serving_test
                 serving_trace_test resilience_test resilience_chaos_test)
   echo "==> configuring build-tsan (-DALT_SANITIZE=thread -DALT_DCHECKS=ON)"
