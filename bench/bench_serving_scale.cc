@@ -7,8 +7,8 @@
 // into engine calls of up to 16 requests. A third of the way in, one shard
 // is killed: the run asserts the rebalance on its death fires
 // (serving/rebalance_events >= 1) while replicas absorb its traffic. At two
-// thirds, the shard warm re-joins (models re-deployed from cached bundles,
-// then its vnodes back onto the ring): the run asserts the rejoined shard is
+// thirds, the shard warm re-joins (models re-deployed from the
+// coordinator's scenario table, then its vnodes back onto the ring): the run asserts the rejoined shard is
 // back in the replica groups of >= 90% of the pre-kill requests it was a
 // replica for, and that it serves again. ZERO requests may be lost anywhere
 // — every future must resolve ok across kill, failover, and re-join.
@@ -306,8 +306,8 @@ int Run(int argc, char** argv) {
       client.tracer()->set_sample_rate(trace_sample);
     }
     if (!rejoined && sent >= rejoin_at) {
-      // Warm re-join under live traffic: cached bundles re-deploy first,
-      // then the ring re-admits the shard's vnodes in staged batches.
+      // Warm re-join under live traffic: the table's models deploy first,
+      // then the shard's vnodes re-enter the ring.
       drain();
       const double now = bench::MonotonicSeconds();
       degraded.requests = sent - pre.requests;

@@ -52,10 +52,12 @@ ag::Variable BaseModel::Forward(const data::Batch& batch, Rng* dropout_rng) {
 
 std::vector<float> BaseModel::PredictProbs(const data::Batch& batch) {
   ag::InferenceGuard no_graph;
+  // A model already in eval mode is only read, so threads may score one
+  // model at once (the serving plane's replicas share theirs).
   const bool was_training = training();
-  SetTraining(false);
+  if (was_training) SetTraining(false);
   Tensor logits = Forward(batch).value();
-  SetTraining(was_training);
+  if (was_training) SetTraining(true);
   std::vector<float> probs(static_cast<size_t>(logits.numel()));
   for (int64_t i = 0; i < logits.numel(); ++i) {
     const float z = logits[i];

@@ -33,7 +33,9 @@ class BaseModel : public nn::Module {
   /// Eval-mode predicted probabilities for a batch. The forward runs under
   /// an ag::InferenceGuard, so no graph is kept: serving, train::EvaluateAuc,
   /// distillation teachers, NAS evaluation and int8 calibration all go
-  /// through here.
+  /// through here. On a model in eval mode it writes nothing to the model,
+  /// so concurrent calls are safe; a model in training mode is switched to
+  /// eval mode for the call and back.
   std::vector<float> PredictProbs(const data::Batch& batch);
 
   /// Approximate inference FLOPs for one sample (the paper's efficiency

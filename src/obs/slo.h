@@ -95,10 +95,14 @@ class SloTracker {
   static constexpr double kInfiniteBurn = 1e9;
 
  private:
+  /// One bucket_ms of one scenario's requests. 32-bit counts keep a bucket
+  /// at 16 bytes, so the default 601-bucket ring is 9.6 KiB per scenario;
+  /// they would wrap only past 4e9 requests in one bucket. Lifetime totals
+  /// and window sums stay 64-bit.
   struct Bucket {
     int64_t index = -1;  // now_ms / bucket_ms; -1 = empty slot.
-    int64_t total = 0;
-    int64_t bad = 0;
+    uint32_t total = 0;
+    uint32_t bad = 0;
   };
   struct Scenario {
     SloObjective objective;

@@ -1,7 +1,6 @@
 #include "src/serving/model_server.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "src/obs/memory_tracker.h"
 #include "src/obs/trace.h"
@@ -74,95 +73,58 @@ data::Batch MergeRows(const std::vector<const data::Batch*>& requests,
 
 }  // namespace
 
-ModelServer::ModelServer(obs::MetricsRegistry* registry)
-    : registry_(registry != nullptr ? registry
-                                    : &obs::MetricsRegistry::Global()) {}
-
 Status ModelServer::Deploy(const std::string& scenario,
-                           std::unique_ptr<models::BaseModel> model,
-                           const DeployOptions& options, uint64_t version) {
+                           std::shared_ptr<models::BaseModel> model,
+                           uint64_t version) {
   if (model == nullptr) return Status::InvalidArgument("null model");
-  model->SetTraining(false);
-  if (options.quantize_int8) {
-    // Score the calibration batch with the fp32 weights first: those probs
-    // are the distillation soft labels the quantized model is checked
-    // against.
-    std::vector<float> soft_labels;
-    if (options.calibration != nullptr) {
-      soft_labels = model->PredictProbs(*options.calibration);
-    }
-    model->QuantizeForServing();
-    registry_->counter("serving/quantized_deploys")->Add();
-    if (options.calibration != nullptr) {
-      const std::vector<float> int8_probs =
-          model->PredictProbs(*options.calibration);
-      double max_delta = 0.0;
-      for (size_t i = 0; i < soft_labels.size(); ++i) {
-        max_delta = std::max(
-            max_delta, std::fabs(static_cast<double>(int8_probs[i]) -
-                                 static_cast<double>(soft_labels[i])));
-      }
-      registry_
-          ->gauge("serving/quantization/max_prob_delta/" + scenario)
-          ->Set(max_delta);
-    }
-  }
-  std::shared_ptr<Deployment> deployment;
-  {
-    MutexLock lock(registry_mu_);
-    auto it = deployments_.find(scenario);
-    if (it == deployments_.end()) {
-      deployment = std::make_shared<Deployment>();
-      deployments_[scenario] = deployment;
-    } else {
-      deployment = it->second;
-    }
-  }
+  // A prepared model is already in eval mode, and then nothing here writes
+  // to it: other engines may be scoring it.
+  if (model->training()) model->SetTraining(false);
+  MutexLock lock(mu_);
   // The gate and the swap are one critical section, so a concurrent newer
   // install can never be overwritten by an older one.
-  MutexLock model_lock(deployment->mu);
-  if (version < deployment->version) {
+  Installed& installed = installed_[scenario];
+  if (version < installed.version) {
     return Status::FailedPrecondition(
         "stale deploy of " + scenario + " v" + std::to_string(version) +
-        " (have v" + std::to_string(deployment->version) + ")");
+        " (have v" + std::to_string(installed.version) + ")");
   }
-  deployment->model = std::move(model);
-  deployment->version = version;
+  installed.model = std::move(model);
+  installed.version = version;
   return Status::OK();
 }
 
 Status ModelServer::Undeploy(const std::string& scenario) {
-  MutexLock lock(registry_mu_);
-  if (deployments_.erase(scenario) == 0) {
+  MutexLock lock(mu_);
+  if (installed_.erase(scenario) == 0) {
     return Status::NotFound("scenario " + scenario);
   }
   return Status::OK();
 }
 
 uint64_t ModelServer::DeployedVersion(const std::string& scenario) const {
-  std::shared_ptr<Deployment> deployment = FindDeployment(scenario);
-  if (deployment == nullptr) return 0;
-  MutexLock model_lock(deployment->mu);
-  return deployment->version;
+  MutexLock lock(mu_);
+  auto it = installed_.find(scenario);
+  return it == installed_.end() ? 0 : it->second.version;
 }
 
 bool ModelServer::IsDeployed(const std::string& scenario) const {
-  MutexLock lock(registry_mu_);
-  return deployments_.count(scenario) > 0;
+  MutexLock lock(mu_);
+  return installed_.count(scenario) > 0;
 }
 
 std::vector<std::string> ModelServer::Scenarios() const {
-  MutexLock lock(registry_mu_);
+  MutexLock lock(mu_);
   std::vector<std::string> out;
-  for (const auto& [name, deployment] : deployments_) out.push_back(name);
+  for (const auto& [name, installed] : installed_) out.push_back(name);
   return out;
 }
 
-std::shared_ptr<ModelServer::Deployment> ModelServer::FindDeployment(
+std::shared_ptr<models::BaseModel> ModelServer::FindModel(
     const std::string& scenario) const {
-  MutexLock lock(registry_mu_);
-  auto it = deployments_.find(scenario);
-  return it == deployments_.end() ? nullptr : it->second;
+  MutexLock lock(mu_);
+  auto it = installed_.find(scenario);
+  return it == installed_.end() ? nullptr : it->second.model;
 }
 
 Result<std::vector<float>> ModelServer::Predict(const std::string& scenario,
@@ -176,17 +138,15 @@ std::vector<Result<std::vector<float>>> ModelServer::PredictEach(
   std::vector<Result<std::vector<float>>> results(
       requests.size(), Status::NotFound("scenario " + scenario +
                                         " not deployed"));
-  std::shared_ptr<Deployment> deployment = FindDeployment(scenario);
-  if (deployment == nullptr) return results;
-  // Per-deployment lock: the model's forward pass mutates training-mode
-  // state, so concurrent requests to one scenario serialize here.
-  MutexLock model_lock(deployment->mu);
-  models::BaseModel* model = deployment->model.get();
+  // The reference keeps the model alive across a concurrent redeploy or
+  // undeploy. An eval-mode forward writes nothing to the model, so it runs
+  // outside the lock.
+  const std::shared_ptr<models::BaseModel> model = FindModel(scenario);
   if (model == nullptr) return results;
   std::vector<size_t> valid;
   std::vector<const data::Batch*> batches;
   for (size_t i = 0; i < requests.size(); ++i) {
-    Status status = CheckRequest(model, *requests[i]);
+    Status status = CheckRequest(model.get(), *requests[i]);
     if (status.ok()) {
       valid.push_back(i);
       batches.push_back(requests[i]);
@@ -217,17 +177,6 @@ std::vector<Result<std::vector<float>>> ModelServer::PredictEach(
     row += n;
   }
   return results;
-}
-
-Result<int64_t> ModelServer::FlopsPerSample(
-    const std::string& scenario) const {
-  std::shared_ptr<Deployment> deployment = FindDeployment(scenario);
-  if (deployment == nullptr) return Status::NotFound("scenario " + scenario);
-  MutexLock model_lock(deployment->mu);
-  if (deployment->model == nullptr) {
-    return Status::NotFound("scenario " + scenario + " has no model");
-  }
-  return deployment->model->FlopsPerSample();
 }
 
 }  // namespace serving

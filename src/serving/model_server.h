@@ -8,7 +8,6 @@
 
 #include "src/data/dataset.h"
 #include "src/models/base_model.h"
-#include "src/obs/metrics.h"
 #include "src/obs/slo.h"
 #include "src/resilience/retry.h"
 #include "src/util/mutex.h"
@@ -18,12 +17,16 @@
 namespace alt {
 namespace serving {
 
-/// Per-deploy configuration (plain Deploy == all defaults).
+/// Per-deploy configuration (plain Deploy == all defaults). The sharded
+/// plane (ServingClient/ShardCoordinator) reads every field; ModelServer
+/// takes a model that is ready to serve and reads none.
 struct DeployOptions {
   /// Post-training int8 quantization of the model's Linear layers at
   /// deploy time (symmetric scheme, src/tensor/quant.h). The serving
   /// Predict path then runs the int8 GEMM; the fp32 weights stay intact
-  /// inside the model. Counted in `serving/quantized_deploys`.
+  /// inside the model. The coordinator quantizes once per deploy and every
+  /// replica serves that one model, so `serving/quantized_deploys` counts
+  /// deploys, not replicas.
   bool quantize_int8 = false;
   /// Optional calibration batch, scored with the fp32 model right before
   /// quantization — its fp32 probabilities are the distillation soft
@@ -33,51 +36,47 @@ struct DeployOptions {
   /// cost of every quantized deploy is measured, not assumed. Ignored
   /// unless quantize_int8 is set. Must outlive the Deploy call only.
   const data::Batch* calibration = nullptr;
-  /// Hot scenario: the sharded serving plane (ServingClient/ShardCoordinator)
-  /// deploys it to the larger `hot_replication` replica group so head
-  /// traffic fans out over more workers. A plain ModelServer ignores it.
+  /// Hot scenario: the plane deploys it to the larger `hot_replication`
+  /// replica group so head traffic fans out over more workers.
   bool hot = false;
   /// Retry transient deploy failures (e.g. injected serving/deploy faults)
-  /// under `retry` before giving up: the sharded plane's coordinator retries
-  /// each replica's copy step. The model survives failed attempts and is
-  /// consumed only on success or once the schedule is exhausted. A plain
-  /// ModelServer ignores it.
+  /// under `retry` before giving up: the coordinator retries each
+  /// replica's copy step.
   bool retry_transient = false;
   resilience::RetryOptions retry;
-  /// Per-scenario SLO: latency target + availability objective. A plain
-  /// ModelServer ignores it; ServingClient registers it with its SloTracker
-  /// so the scenario's burn rate shows up on /slo and the alt_slo_* gauges.
+  /// Per-scenario SLO: latency target + availability objective.
+  /// ServingClient registers it with its SloTracker so the scenario's burn
+  /// rate shows up on /slo and the alt_slo_* gauges.
   obs::SloObjective slo;
 };
 
 /// The Model Serving module (Sec. IV-E): the per-scenario model registry
 /// of one serving engine, with thread-safe prediction. Deploys are
 /// version-gated atomic swaps, so scenarios can be re-deployed while
-/// serving. Each WorkerShard owns one; placing models on shards (copies,
-/// retries, the serving/deploy fault point) belongs to ShardCoordinator,
-/// and degradation (breakers, deadlines, fallbacks) and per-request latency
-/// to ServingClient, not to the engine.
+/// serving. Each WorkerShard owns one; preparing a model (eval mode, int8
+/// quantization) and placing it on shards (retries, the serving/deploy
+/// fault point) belong to ShardCoordinator, and degradation (breakers,
+/// deadlines, fallbacks) and per-request latency to ServingClient, not to
+/// the engine.
 ///
-/// Observability: quantized deploys count into the constructor's registry
-/// as `serving/quantized_deploys` and
-/// `serving/quantization/max_prob_delta/<scenario>`.
+/// Installed models are shared and immutable: the coordinator hands every
+/// replica of a scenario version the same model, and a forward runs
+/// outside the engine's lock on a reference taken under it, so predicts
+/// never wait for each other or for a deploy. A replaced or undeployed
+/// model is freed once the last request holding it has finished.
 class ModelServer {
  public:
-  /// `registry == nullptr` selects obs::MetricsRegistry::Global(). Tests
-  /// pass a private registry for isolation; the registry must outlive the
-  /// server.
-  explicit ModelServer(obs::MetricsRegistry* registry = nullptr);
-
-  /// Installs (or replaces) the serving model of `scenario` at `version`:
-  /// int8-quantizes it when DeployOptions::quantize_int8 asks, then swaps it
-  /// in. The version gate and the swap are one critical section under the
-  /// scenario's model lock: a version older than the installed one is
-  /// FailedPrecondition, and an equal or newer one replaces it. Past a null
-  /// model (InvalidArgument) nothing else fails, so a caller that made the
-  /// model can install it on a live engine without a failure path.
+  /// Installs (or replaces) the serving model of `scenario` at `version`.
+  /// The version gate and the swap are one critical section: a version
+  /// older than the installed one is FailedPrecondition, and an equal or
+  /// newer one replaces it. Nothing may change `model` while it is
+  /// installed; one still in training mode is switched to eval mode first.
+  /// Past a null model (InvalidArgument) nothing else fails, so a caller
+  /// that made the model can install it on a live engine without a failure
+  /// path.
   Status Deploy(const std::string& scenario,
-                std::unique_ptr<models::BaseModel> model,
-                const DeployOptions& options = {}, uint64_t version = 0);
+                std::shared_ptr<models::BaseModel> model,
+                uint64_t version = 0);
 
   Status Undeploy(const std::string& scenario);
   /// The version `scenario`'s model was installed at; 0 when none is.
@@ -85,11 +84,11 @@ class ModelServer {
   bool IsDeployed(const std::string& scenario) const;
   std::vector<std::string> Scenarios() const;
 
-  /// Scores a request batch with `scenario`'s model. Thread-safe; requests
-  /// to the same scenario are serialized on that scenario's lock. Hosts the
-  /// `serving/predict` fault point. A request whose shape or ids do not fit
-  /// the model is InvalidArgument: requests are outside input, and the
-  /// model's own checks abort.
+  /// Scores a request batch with `scenario`'s model. Thread-safe, and
+  /// concurrent requests run concurrently. Hosts the `serving/predict`
+  /// fault point. A request whose shape or ids do not fit the model is
+  /// InvalidArgument: requests are outside input, and the model's own
+  /// checks abort.
   Result<std::vector<float>> Predict(const std::string& scenario,
                                      const data::Batch& batch);
 
@@ -102,27 +101,19 @@ class ModelServer {
       const std::string& scenario,
       const std::vector<const data::Batch*>& requests);
 
-  /// Inference FLOPs per sample of the deployed model.
-  Result<int64_t> FlopsPerSample(const std::string& scenario) const;
-
  private:
-  struct Deployment {
-    Mutex mu;
-    /// The serving model; swapped atomically by Deploy, serialized per
-    /// scenario by Predict.
-    std::unique_ptr<models::BaseModel> model ALT_GUARDED_BY(mu);
-    /// The installed model's version, which Deploy's gate compares.
-    uint64_t version ALT_GUARDED_BY(mu) = 0;
+  struct Installed {
+    std::shared_ptr<models::BaseModel> model;
+    /// The model's version, which Deploy's gate compares.
+    uint64_t version = 0;
   };
 
-  std::shared_ptr<Deployment> FindDeployment(const std::string& scenario) const;
+  /// `scenario`'s model, or null when none is installed.
+  std::shared_ptr<models::BaseModel> FindModel(
+      const std::string& scenario) const;
 
-  /// Deployments are shared_ptrs so an in-flight Predict keeps its
-  /// deployment alive across a concurrent Undeploy.
-  obs::MetricsRegistry* registry_;
-  mutable Mutex registry_mu_;
-  std::map<std::string, std::shared_ptr<Deployment>> deployments_
-      ALT_GUARDED_BY(registry_mu_);
+  mutable Mutex mu_;
+  std::map<std::string, Installed> installed_ ALT_GUARDED_BY(mu_);
 };
 
 }  // namespace serving

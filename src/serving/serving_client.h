@@ -77,7 +77,7 @@ struct ServingResilienceOptions {
 /// same API. The shard lifecycle has one path: KillShard, after which the
 /// dead shard's own worker rebalances the plane when the first request
 /// reaches it (or the next deploy does); then RejoinShard or AddShard,
-/// which deploy from cached bundles before the shard enters the ring.
+/// which deploy the coordinator's models before the shard enters the ring.
 ///
 /// Batching happens where the model runs: every request, from Predict or
 /// EnqueuePredict, takes one path — p2c routing onto a replica's shard
@@ -222,7 +222,8 @@ class ServingClient {
   /// NotFound unless `scenario` is deployed.
   Result<LatencyStats> GetLatencyStats(const std::string& scenario) const;
   Result<int64_t> FlopsPerSample(const std::string& scenario) const;
-  /// Writes the scenario's current bundle to `path`, crash-safely.
+  /// Writes the scenario's current model as an ALTM bundle to `path`,
+  /// crash-safely.
   Status ExportBundle(const std::string& scenario,
                       const std::string& path) const;
 
@@ -232,9 +233,9 @@ class ServingClient {
   /// rebalances on the next requests against it.
   Status KillShard(const std::string& shard_id);
 
-  /// Warm re-join of a killed shard: models re-deploy from the
-  /// coordinator's cached bundles before its virtual nodes re-enter the
-  /// ring. See ShardCoordinator::RejoinShard.
+  /// Warm re-join of a killed shard: the coordinator's models re-deploy
+  /// before its virtual nodes re-enter the ring. See
+  /// ShardCoordinator::RejoinShard.
   Status RejoinShard(const std::string& shard_id);
 
   /// Elastic scale-up: adds a brand-new shard through the same warm

@@ -1,10 +1,10 @@
 #include "src/serving/shard/coordinator.h"
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
 #include <future>
 #include <limits>
-#include <sstream>
 #include <utility>
 
 #include "src/resilience/fault_injection.h"
@@ -89,11 +89,6 @@ WorkerShard* ShardCoordinator::FindShard(const std::string& shard_id) const {
   return it == shards_by_id_.end() ? nullptr : it->second;
 }
 
-WorkerShard* ShardCoordinator::LiveShard(const std::string& shard_id) const {
-  WorkerShard* worker = FindShard(shard_id);
-  return (worker == nullptr || worker->dead()) ? nullptr : worker;
-}
-
 int ShardCoordinator::ReplicasWanted(const ScenarioEntry& entry) const {
   if (entry.everywhere) return std::numeric_limits<int>::max();
   return entry.options.hot ? options_.hot_replication : options_.replication;
@@ -122,11 +117,6 @@ Status ShardCoordinator::Broadcast(const std::string& scenario,
   entry.options = options;
   entry.options.calibration = nullptr;  // Dangling after this call.
   entry.everywhere = everywhere;
-  {
-    std::ostringstream out;
-    ALT_RETURN_IF_ERROR(SaveModelBundle(model.get(), &out));
-    entry.bundle = out.str();
-  }
   std::vector<std::string> targets;
   {
     MutexLock state(state_mu_);
@@ -138,64 +128,84 @@ Status ShardCoordinator::Broadcast(const std::string& scenario,
     return Status::Unavailable("no live shards to deploy " + scenario);
   }
   obs::ScopedTimerMs timer(broadcast_ms_);
+  PrepareModel(scenario, options, model.get());
+  entry.model = std::move(model);
   // No shard holds the new version yet, so every target gets a copy, and a
   // failed copy fails the deploy before any shard swaps: the table and
   // every replica stay at the previous version.
   ALT_ASSIGN_OR_RETURN(entry.replicas,
-                       PlaceLocked(scenario, entry, targets, std::move(model),
-                                   options, /*all_or_nothing=*/true));
+                       PlaceLocked(scenario, entry, targets,
+                                   /*all_or_nothing=*/true));
   MutexLock state(state_mu_);
   table_[scenario] = std::move(entry);
   PublishImbalanceLocked();
   return Status::OK();
 }
 
-Result<std::unique_ptr<models::BaseModel>> ShardCoordinator::CopyModel(
-    const std::string& scenario, const ScenarioEntry& entry,
-    std::unique_ptr<models::BaseModel>* original) {
-  const std::function<Result<std::unique_ptr<models::BaseModel>>()> attempt =
-      [&]() -> Result<std::unique_ptr<models::BaseModel>> {
+void ShardCoordinator::PrepareModel(const std::string& scenario,
+                                    const DeployOptions& options,
+                                    models::BaseModel* model) const {
+  model->SetTraining(false);
+  if (!options.quantize_int8) return;
+  // Score the calibration batch with the fp32 weights first: those probs
+  // are the distillation soft labels the quantized model is checked
+  // against.
+  std::vector<float> soft_labels;
+  if (options.calibration != nullptr) {
+    soft_labels = model->PredictProbs(*options.calibration);
+  }
+  model->QuantizeForServing();
+  registry_->counter("serving/quantized_deploys")->Add();
+  if (options.calibration == nullptr) return;
+  const std::vector<float> int8_probs =
+      model->PredictProbs(*options.calibration);
+  double max_delta = 0.0;
+  for (size_t i = 0; i < soft_labels.size(); ++i) {
+    max_delta = std::max(max_delta,
+                         std::fabs(static_cast<double>(int8_probs[i]) -
+                                   static_cast<double>(soft_labels[i])));
+  }
+  registry_->gauge("serving/quantization/max_prob_delta/" + scenario)
+      ->Set(max_delta);
+}
+
+Status ShardCoordinator::CopyModel(const std::string& scenario,
+                                   const ScenarioEntry& entry) {
+  const std::function<Status()> attempt = [] {
     ALT_FAULT_RETURN_IF("serving/deploy");
-    // Moved out only by a successful attempt, so every retry still has it.
-    if (*original != nullptr) return std::move(*original);
-    std::istringstream in(entry.bundle);
-    return LoadModelBundle(&in);
+    return Status::OK();
   };
   if (!entry.options.retry_transient) return attempt();
   resilience::RetryPolicy policy(entry.options.retry);
-  return policy.RunResult("serving deploy " + scenario, attempt);
+  return policy.Run("serving deploy " + scenario, attempt);
 }
 
 Result<std::vector<std::string>> ShardCoordinator::PlaceLocked(
     const std::string& scenario, const ScenarioEntry& entry,
-    const std::vector<std::string>& route,
-    std::unique_ptr<models::BaseModel> original, const DeployOptions& options,
-    bool all_or_nothing) {
+    const std::vector<std::string>& route, bool all_or_nothing) {
   std::vector<std::string> group;
-  std::vector<std::pair<WorkerShard*, std::unique_ptr<models::BaseModel>>>
-      copies;
+  std::vector<WorkerShard*> targets;
   for (const std::string& id : route) {
     if (!Contains(entry.replicas, id)) {
-      Result<std::unique_ptr<models::BaseModel>> copy =
-          CopyModel(scenario, entry, &original);
-      if (!copy.ok()) {
-        if (all_or_nothing) return copy.status();
+      const Status copied = CopyModel(scenario, entry);
+      if (!copied.ok()) {
+        if (all_or_nothing) return copied;
         ALT_LOG(Warning) << "copy of " << scenario << " v" << entry.version
                          << " for " << id << " failed, so " << id
                          << " stays out of its replica group: "
-                         << copy.status().ToString();
+                         << copied.ToString();
         continue;
       }
-      copies.emplace_back(FindShard(id), std::move(copy).value());
+      targets.push_back(FindShard(id));
     }
     group.push_back(id);
   }
-  for (auto& [worker, model] : copies) {
+  for (WorkerShard* worker : targets) {
     // Fails only on a shard that died since its copy. It stays in the
     // group: the rebalance its death triggers re-homes the scenario from
     // the committed entry.
     const Status installed =
-        worker->Deploy(scenario, std::move(model), options, entry.version);
+        worker->Deploy(scenario, entry.model, entry.version);
     if (!installed.ok()) {
       ALT_LOG(Warning) << "install of " << scenario << " v" << entry.version
                        << " failed: " << installed.ToString();
@@ -224,10 +234,9 @@ Status ShardCoordinator::RegroupLocked(HashRing ring, bool all_or_nothing) {
   // Copies run outside state_mu_ so routing stays readable; control_mu_
   // keeps the table stable meanwhile.
   for (Move& move : moves) {
-    ALT_ASSIGN_OR_RETURN(
-        move.entry.replicas,
-        PlaceLocked(move.scenario, move.entry, move.route, nullptr,
-                    move.entry.options, all_or_nothing));
+    ALT_ASSIGN_OR_RETURN(move.entry.replicas,
+                         PlaceLocked(move.scenario, move.entry, move.route,
+                                     all_or_nothing));
   }
   MutexLock state(state_mu_);
   ring_ = std::move(ring);
@@ -635,32 +644,33 @@ double ShardCoordinator::RoutingImbalance() const {
   return ImbalanceLocked();
 }
 
+std::shared_ptr<models::BaseModel> ShardCoordinator::ModelOf(
+    const std::string& scenario) const {
+  MutexLock state(state_mu_);
+  auto it = table_.find(scenario);
+  return it == table_.end() ? nullptr : it->second.model;
+}
+
 Result<int64_t> ShardCoordinator::FlopsPerSample(
     const std::string& scenario) const {
-  for (const std::string& id : ReplicasOf(scenario)) {
-    const WorkerShard* worker = LiveShard(id);
-    if (worker == nullptr) continue;
-    Result<int64_t> flops = worker->engine()->FlopsPerSample(scenario);
-    if (flops.ok()) return flops;
+  const std::shared_ptr<models::BaseModel> model = ModelOf(scenario);
+  if (model == nullptr) {
+    return Status::NotFound("scenario " + scenario + " not deployed");
   }
-  return Status::NotFound("scenario " + scenario +
-                          " has no live replica with a model");
+  return model->FlopsPerSample();
 }
 
 Status ShardCoordinator::ExportBundle(const std::string& scenario,
                                       const std::string& path) const {
-  std::string bundle;
-  {
-    MutexLock state(state_mu_);
-    auto it = table_.find(scenario);
-    if (it == table_.end()) {
-      return Status::NotFound("scenario " + scenario + " not deployed");
-    }
-    bundle = it->second.bundle;
+  // The reference keeps the model alive across a concurrent redeploy.
+  // Serializing only reads it, so workers keep scoring it meanwhile.
+  const std::shared_ptr<models::BaseModel> model = ModelOf(scenario);
+  if (model == nullptr) {
+    return Status::NotFound("scenario " + scenario + " not deployed");
   }
-  // The cached broadcast bundle is byte-identical to SaveModelBundleToFile
-  // output (same serializer), and is written the same crash-safe way.
-  return AtomicWriteFile(path, bundle);
+  return AtomicWriteFile(path, [&model](std::ostream* out) {
+    return SaveModelBundle(model.get(), out);
+  });
 }
 
 }  // namespace shard

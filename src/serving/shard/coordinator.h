@@ -41,18 +41,23 @@ struct CoordinatorOptions {
 
 /// Control plane of the sharded serving plane. Owns N WorkerShards, the
 /// consistent-hash ring that maps scenario ids to shards, and the scenario
-/// table (version, replica group, cached fp32 bundle) that makes
+/// table (version, replica group, and the version's model) that makes
 /// rebalancing possible.
 ///
+/// Each deployed scenario version is one immutable model: Deploy prepares
+/// the caller's model once (eval mode, int8 quantization when asked), and
+/// every replica serves that same model while the table keeps it as the
+/// copy that rebalances and admissions place. Shards are threads of one
+/// process, so nothing is cloned or serialized between them; ExportBundle
+/// serializes the model on demand.
+///
 /// A model reaches a shard one way — for a broadcast deploy, a rebalance
-/// and a warm admission alike — in two steps. The copy step makes each
-/// target's model (the caller's original for a broadcast's first target,
-/// clones of the cached bundle otherwise) and runs everything that can fail,
-/// before any shard swaps; the install step swaps the copies in at the
-/// scenario's version and fails only on a dead shard. A shard joins a
-/// replica group only once it holds the group's version, so every replica a
-/// request can reach serves the same model. Deploy serializes the model
-/// once, and a failed deploy installs nothing and consumes no version.
+/// and a warm admission alike — in two steps. The copy step runs, for each
+/// target, everything that can fail before any shard swaps; the install
+/// step hands the targets the model at the scenario's version and fails
+/// only on a dead shard. A shard joins a replica group only once it holds
+/// the group's version, so every replica a request can reach serves the
+/// same model. A failed deploy installs nothing and consumes no version.
 ///
 /// Predict balances over the scenario's live replicas with
 /// power-of-two-choices on shard queue depth and fails over to the
@@ -66,8 +71,8 @@ struct CoordinatorOptions {
 /// Shard lifecycle: KillShard marks a shard dead. The first requests that
 /// reach it make its own worker thread rebalance the plane
 /// (HandleShardDeath) before it answers them Unavailable: the shard leaves
-/// the ring and its scenarios are placed from cached bundles onto their new
-/// ring owners — only keys the ring moved, which is the consistent-hash
+/// the ring and the table's models are placed onto their new ring owners —
+/// only keys the ring moved, which is the consistent-hash
 /// minimal-disruption guarantee. A new owner whose copy fails stays out of
 /// the group, which runs one replica short until a later placement. So no
 /// caller's thread and no live shard's worker runs a rebalance or blocks on
@@ -81,8 +86,9 @@ struct CoordinatorOptions {
 /// Locking: `control_mu_` serializes control-plane operations
 /// (Deploy/Undeploy/rebalance) and is never held while scoring; `state_mu_`
 /// guards brief ring/table reads on the data plane. Order: control_mu_
-/// before state_mu_; bundle (de)serialization and engine deploys run
-/// outside state_mu_ so routing stays readable during a rebalance.
+/// before state_mu_; model preparation and engine deploys run outside
+/// state_mu_ so routing stays readable during a rebalance, and
+/// ExportBundle serializes outside both.
 ///
 /// Obs (shared registry):
 ///   serving/rebalance_events                    counter
@@ -95,6 +101,8 @@ struct CoordinatorOptions {
 ///   serving/admission/accepted                  counter: requests served
 ///   serving/coordinator/routing_imbalance       gauge: max/mean owner share
 ///   serving/coordinator/broadcast_ms            histogram: deploy fan-out
+///   serving/quantized_deploys                   counter: int8 deploys
+///   serving/quantization/max_prob_delta/<s>     gauge: calibration cost
 ///   (plus per-shard queue depth / request counters from WorkerShard)
 class ShardCoordinator {
  public:
@@ -134,8 +142,9 @@ class ShardCoordinator {
   ShardCoordinator& operator=(const ShardCoordinator&) = delete;
 
   /// Broadcasts `model` to the scenario's replica group (ring owner first):
-  /// copies for every replica, then installs, then commits the next
-  /// version; a failed copy returns its error with nothing installed.
+  /// prepares it (DeployOptions::quantize_int8 with its calibration gauge),
+  /// runs the copy step for every replica, then installs, then commits the
+  /// next version; a failed copy returns its error with nothing installed.
   /// DeployOptions::hot widens the group to hot_replication;
   /// DeployOptions::retry_transient retries each replica's copy. Like
   /// DeployEverywhere, RejoinShard and AddShard, it first rebalances away
@@ -190,8 +199,8 @@ class ShardCoordinator {
   Status KillShard(const std::string& shard_id);
 
   /// Warm re-join of a killed shard: revives the worker (clearing stale
-  /// serving state), places every scenario the ring with it will assign to
-  /// it from the cached bundles at current versions, and only then adds its
+  /// serving state), places the table's model of every scenario the ring
+  /// with it will assign to it, at current versions, and only then adds its
   /// virtual nodes to the ring and recomputes the replica groups — routing
   /// shifts at most ~2/N of the key space, and no key ever routes to a shard
   /// that does not already hold its model. A failed copy aborts it with the
@@ -229,8 +238,10 @@ class ShardCoordinator {
   double RoutingImbalance() const;
 
   Result<int64_t> FlopsPerSample(const std::string& scenario) const;
-  /// Writes the scenario's cached bundle to `path` atomically
+  /// Writes the scenario's model as an ALTM bundle to `path` atomically
   /// (util::AtomicWriteFile): a crash mid-export leaves the previous file.
+  /// The bytes are SaveModelBundle's for the model the caller deployed,
+  /// int8 or not: quantization keeps the fp32 weights.
   Status ExportBundle(const std::string& scenario,
                       const std::string& path) const;
 
@@ -240,10 +251,10 @@ class ShardCoordinator {
  private:
   struct ScenarioEntry {
     uint64_t version = 0;
-    /// Serialized fp32 bundle; every copy but a broadcast's first clones it.
-    std::string bundle;
+    /// The prepared model every replica of `version` serves.
+    std::shared_ptr<models::BaseModel> model;
     /// Deploy options minus the calibration pointer (dangling after the
-    /// original call; later copies re-quantize without re-calibrating).
+    /// original call).
     DeployOptions options;
     /// DeployEverywhere: the group wants every shard (ReplicasWanted).
     bool everywhere = false;
@@ -263,7 +274,8 @@ class ShardCoordinator {
   /// Runs the request's `done` with its answer.
   void Finish(Request* request, Result<std::vector<float>> result);
 
-  WorkerShard* LiveShard(const std::string& shard_id) const
+  /// The table's model of `scenario`; null when it is not deployed.
+  std::shared_ptr<models::BaseModel> ModelOf(const std::string& scenario) const
       ALT_EXCLUDES(state_mu_);
   /// The worker registered under `shard_id` (dead or alive); nullptr when
   /// unknown. Takes state_mu_ briefly: the shard maps grow at runtime via
@@ -305,24 +317,26 @@ class ShardCoordinator {
                    std::unique_ptr<models::BaseModel> model,
                    const DeployOptions& options, bool everywhere)
       ALT_EXCLUDES(control_mu_, state_mu_);
-  /// The copy step: the model one more shard will serve at `entry`'s
-  /// version — `*original` while it is set, else a clone of the cached
-  /// bundle. Hosts the serving/deploy fault point, retried under the
-  /// entry's DeployOptions::retry_transient.
-  Result<std::unique_ptr<models::BaseModel>> CopyModel(
-      const std::string& scenario, const ScenarioEntry& entry,
-      std::unique_ptr<models::BaseModel>* original);
-  /// The one way a model reaches shards. Copies to every shard of `route`
-  /// outside entry.replicas (the shards that already hold entry.version),
-  /// the first of them taking `original` when set; then installs every copy
-  /// with `options`. A failed copy returns its error with nothing installed
-  /// when `all_or_nothing`, and otherwise is logged and leaves its shard out.
-  /// Returns the new group: `route` minus the shards whose copy failed.
+  /// Readies the caller's model of a deploy to serve: eval mode, then int8
+  /// quantization when `options` asks, calibrated against the fp32 scores
+  /// of options.calibration when set. Runs once per deploy, whatever the
+  /// group size.
+  void PrepareModel(const std::string& scenario, const DeployOptions& options,
+                    models::BaseModel* model) const;
+  /// The copy step of one more shard that will serve `entry`'s version:
+  /// what can fail before the install. The shard shares entry.model, so
+  /// that is the serving/deploy fault point, retried under the entry's
+  /// DeployOptions::retry_transient.
+  Status CopyModel(const std::string& scenario, const ScenarioEntry& entry);
+  /// The one way a model reaches shards. Runs the copy step for every shard
+  /// of `route` outside entry.replicas (the shards that already hold
+  /// entry.version), then installs entry.model on each. A failed copy
+  /// returns its error with nothing installed when `all_or_nothing`, and
+  /// otherwise is logged and leaves its shard out. Returns the new group:
+  /// `route` minus the shards whose copy failed.
   Result<std::vector<std::string>> PlaceLocked(
       const std::string& scenario, const ScenarioEntry& entry,
-      const std::vector<std::string>& route,
-      std::unique_ptr<models::BaseModel> original,
-      const DeployOptions& options, bool all_or_nothing)
+      const std::vector<std::string>& route, bool all_or_nothing)
       ALT_REQUIRES(control_mu_) ALT_EXCLUDES(state_mu_);
   /// Moves every replica group to its route on `ring` through PlaceLocked,
   /// then makes `ring` the live ring and commits the groups in one step. An

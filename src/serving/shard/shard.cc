@@ -13,7 +13,6 @@ WorkerShard::WorkerShard(std::string id, obs::MetricsRegistry* registry,
       registry_(registry != nullptr ? registry
                                     : &obs::MetricsRegistry::Global()),
       on_death_(std::move(on_death)),
-      engine_(registry_),
       queue_depth_gauge_(
           registry_->gauge("serving/shard/queue_depth/" + id_)),
       requests_total_(registry_->counter("serving/shard/requests/" + id_)),
@@ -35,12 +34,12 @@ void WorkerShard::Stop() {
 }
 
 Status WorkerShard::Deploy(const std::string& scenario,
-                           std::unique_ptr<models::BaseModel> model,
-                           const DeployOptions& options, uint64_t version) {
+                           std::shared_ptr<models::BaseModel> model,
+                           uint64_t version) {
   if (dead()) {
     return Status::Unavailable("shard " + id_ + " is dead");
   }
-  return engine_.Deploy(scenario, std::move(model), options, version);
+  return engine_.Deploy(scenario, std::move(model), version);
 }
 
 Status WorkerShard::SubmitPredict(const std::string& scenario,
@@ -110,7 +109,7 @@ Status WorkerShard::Revive() {
     return Status::FailedPrecondition("shard " + id_ + " is not dead");
   }
   // Drop all stale serving state: the coordinator re-deploys every assigned
-  // scenario from its cached bundles at current versions, and anything the
+  // scenario from its table at current versions, and anything the
   // engine held from before the failure could conflict with scenarios
   // re-created at restarted versions while this shard was out.
   for (const std::string& scenario : engine_.Scenarios()) {

@@ -36,11 +36,12 @@ inline constexpr int64_t kMaxMergedRows = 16;
 /// dedicated serving thread. The coordinator talks to a shard through two
 /// planes:
 ///   - control plane: Deploy/Undeploy. Deploy is the install step of the
-///     coordinator's placements: it installs a copy the coordinator already
-///     made, and fails only on a dead shard. The engine gates the version
-///     and swaps the model in one critical section, so a stale copy can
-///     never overwrite a newer model, and readers see the old model or the
-///     new one, never a torn mix;
+///     coordinator's placements: it installs the scenario version's shared
+///     model, which the coordinator already prepared, and fails only on a
+///     dead shard. The engine gates the version and swaps the model in one
+///     critical section, so a stale placement can never overwrite a newer
+///     model, and readers see the old model or the new one, never a torn
+///     mix;
 ///   - data plane: SubmitPredict enqueues onto the shard's queue. The worker
 ///     thread is the plane's only batcher: as soon as it is free it takes
 ///     the front request plus every later queued request of the same
@@ -57,7 +58,7 @@ inline constexpr int64_t kMaxMergedRows = 16;
 /// shard. Kill() itself runs neither, so it is safe to call under the
 /// coordinator's locks. Revive() undoes a Kill for warm re-join: the worker
 /// serves again, with all serving state cleared so the coordinator can
-/// re-deploy current versions from its cached bundles.
+/// re-deploy current versions from its scenario table.
 ///
 /// Overload: with `max_queue_depth` set, a submission that finds the queue
 /// full is rejected with Status::ResourceExhausted, never enqueued and never
@@ -84,13 +85,11 @@ class WorkerShard {
 
   const std::string& id() const { return id_; }
 
-  /// Installs `model` at `version` through the engine's Deploy (quantize if
-  /// asked, then the gated swap). A dead shard is Unavailable; a version
-  /// older than the installed one is FailedPrecondition (an equal version
-  /// replaces it).
+  /// Installs `model` at `version` through the engine's gated swap. A dead
+  /// shard is Unavailable; a version older than the installed one is
+  /// FailedPrecondition (an equal version replaces it).
   Status Deploy(const std::string& scenario,
-                std::unique_ptr<models::BaseModel> model,
-                const DeployOptions& options, uint64_t version);
+                std::shared_ptr<models::BaseModel> model, uint64_t version);
 
   Status Undeploy(const std::string& scenario) {
     return engine_.Undeploy(scenario);
@@ -122,7 +121,7 @@ class WorkerShard {
   bool dead() const { return dead_.load(std::memory_order_acquire); }
 
   /// Undoes Kill() for warm re-join: clears every deployment and version
-  /// (the coordinator re-deploys current versions from its cached bundles)
+  /// (the coordinator re-deploys current versions from its scenario table)
   /// and re-opens admission. FailedPrecondition unless the shard is dead.
   Status Revive();
 
@@ -152,11 +151,6 @@ class WorkerShard {
   void set_max_queue_depth(int64_t depth) {
     max_queue_depth_.store(depth, std::memory_order_relaxed);
   }
-
-  /// The shard-local engine. Exposed for control-plane reads only
-  /// (FlopsPerSample) — predictions go through SubmitPredict so they run on
-  /// the shard's thread.
-  const ModelServer* engine() const { return &engine_; }
 
  private:
   struct Task {

@@ -1,7 +1,8 @@
 // End-to-end tests for the int8 quantized serving path: quantized Linear
 // accuracy against the analytic quantization error bound, model-level AUC
-// parity with fp32, the ModelServer deploy option with its calibration
-// telemetry, and merged single-row requests over a quantized deployment.
+// parity with fp32, the deploy option with its calibration telemetry (the
+// shard coordinator quantizes once per deploy, for every replica), and
+// merged single-row requests over a quantized deployment.
 
 #include "src/tensor/quant.h"
 
@@ -15,8 +16,8 @@
 #include "src/data/synthetic.h"
 #include "src/nn/linear.h"
 #include "src/obs/metrics.h"
-#include "src/serving/model_server.h"
 #include "src/serving/serving_client.h"
+#include "src/serving/shard/coordinator.h"
 #include "src/tensor/cpu_features.h"
 #include "src/train/trainer.h"
 
@@ -187,6 +188,14 @@ TEST(QuantTest, QuantizeForServingIdempotent) {
 // ---------------------------------------------------------------------------
 // Serving level
 
+/// Two shards that both serve every scenario: a deploy reaches two replicas.
+serving::shard::CoordinatorOptions TwoReplicas() {
+  serving::shard::CoordinatorOptions options;
+  options.num_shards = 2;
+  options.replication = 2;
+  return options;
+}
+
 TEST(QuantTest, DeployQuantizedRecordsCalibrationTelemetry) {
   data::SyntheticGenerator gen(QuantDataConfig());
   const data::ScenarioData scenario = gen.GenerateScenario(0);
@@ -198,19 +207,22 @@ TEST(QuantTest, DeployQuantizedRecordsCalibrationTelemetry) {
   const std::vector<float> fp32_probs = fp32_model->PredictProbs(batch);
 
   obs::MetricsRegistry registry;
-  serving::ModelServer server(&registry);
+  serving::shard::ShardCoordinator coordinator(TwoReplicas(), &registry);
   serving::DeployOptions options;
   options.quantize_int8 = true;
   options.calibration = &batch;
-  ASSERT_TRUE(server.Deploy("tail_a", std::move(int8_model), options).ok());
+  ASSERT_TRUE(
+      coordinator.Deploy("tail_a", std::move(int8_model), options).ok());
 
+  // One quantization for the deploy, though two replicas serve it.
+  EXPECT_EQ(coordinator.ReplicasOf("tail_a").size(), 2u);
   EXPECT_EQ(registry.counter("serving/quantized_deploys")->value(), 1);
   const double max_delta =
       registry.gauge("serving/quantization/max_prob_delta/tail_a")->value();
   EXPECT_GT(max_delta, 0.0) << "int8 path apparently not engaged";
   EXPECT_LT(max_delta, 0.05);
 
-  auto probs = server.Predict("tail_a", batch);
+  auto probs = coordinator.Predict("tail_a", batch);
   ASSERT_TRUE(probs.ok());
   ASSERT_EQ(probs.value().size(), fp32_probs.size());
   double served_delta = 0.0;
@@ -225,17 +237,17 @@ TEST(QuantTest, DeployQuantizedRecordsCalibrationTelemetry) {
 
 TEST(QuantTest, DeployWithoutCalibrationStillQuantizes) {
   obs::MetricsRegistry registry;
-  serving::ModelServer server(&registry);
+  serving::shard::ShardCoordinator coordinator(TwoReplicas(), &registry);
   serving::DeployOptions options;
   options.quantize_int8 = true;  // No calibration batch.
-  ASSERT_TRUE(server.Deploy("tail_b", MakeModel(24), options).ok());
+  ASSERT_TRUE(coordinator.Deploy("tail_b", MakeModel(24), options).ok());
   EXPECT_EQ(registry.counter("serving/quantized_deploys")->value(), 1);
   EXPECT_EQ(registry.gauge("serving/quantization/max_prob_delta/tail_b")
                 ->value(),
             0.0);
   data::SyntheticGenerator gen(QuantDataConfig());
   data::Batch batch = MakeFullBatch(gen.GenerateScenario(0));
-  auto probs = server.Predict("tail_b", batch);
+  auto probs = coordinator.Predict("tail_b", batch);
   ASSERT_TRUE(probs.ok());
   for (float p : probs.value()) {
     EXPECT_GE(p, 0.0f);

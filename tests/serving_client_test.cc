@@ -3,17 +3,22 @@
 // requests, shutdown with queued work, and the elastic lifecycle surface
 // (warm re-join, runtime AddShard, the shard-state HealthReport).
 
+#include <atomic>
 #include <chrono>
 #include <future>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "src/obs/memory_tracker.h"
 #include "src/obs/metrics.h"
 #include "src/resilience/clock.h"
 #include "src/resilience/fault_injection.h"
 #include "src/serving/model_store.h"
 #include "src/serving/serving_client.h"
+#include "src/tensor/scratch.h"
 
 namespace alt {
 namespace serving {
@@ -477,6 +482,69 @@ TEST(ServingClientTest, ExportBundleWritesServableArtifact) {
   std::remove(path.c_str());
 }
 
+/// Tracked tensor bytes outside the threads' scratch arenas: while no
+/// forward runs, the bytes of the models alive.
+int64_t ModelTensorBytes() {
+  return obs::MemoryTracker::Global().live_bytes() - ScratchReservedBytes();
+}
+
+TEST(ServingClientTest, ReplicasShareOneModelPerScenarioVersion) {
+  if (!obs::MemoryTracker::Global().enabled()) {
+    GTEST_SKIP() << "tensor memory accounting is off (ALT_OBS=off)";
+  }
+  obs::MetricsRegistry registry;
+  ServingClient client(SmallTopology(3, 2), &registry);
+  const data::Batch batch = OneSample(40);
+  const int64_t before = ModelTensorBytes();
+
+  // K light scenarios, then f0 (the last model).
+  constexpr int kScenarios = 6;
+  std::vector<std::unique_ptr<models::BaseModel>> models;
+  int64_t built = 0;
+  for (int s = 0; s <= kScenarios; ++s) {
+    models.push_back(TinyModel(50 + static_cast<uint64_t>(s)));
+    built += models.back()->NumParameters() *
+             static_cast<int64_t>(sizeof(float));
+  }
+  ASSERT_EQ(ModelTensorBytes() - before, built);
+  for (int s = 0; s < kScenarios; ++s) {
+    ASSERT_TRUE(client
+                    .Deploy("s" + std::to_string(s),
+                            std::move(models[static_cast<size_t>(s)]))
+                    .ok());
+  }
+  ASSERT_TRUE(client.DeployEverywhere("f0", std::move(models.back())).ok());
+  EXPECT_EQ(client.coordinator()->ReplicasOf("s0").size(), 2u);
+  EXPECT_EQ(client.coordinator()->ReplicasOf("f0").size(), 3u);
+  // 2K + 3 replicas serve K + 1 models, and hold them once.
+  EXPECT_EQ(ModelTensorBytes() - before, built);
+
+  // Redeploys under traffic: a request scores the version it took, and
+  // once no request holds an old version, only the newest is left.
+  const Result<std::vector<float>> first = client.Predict("s0", batch);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  std::atomic<bool> stop{false};
+  std::thread traffic([&] {
+    while (!stop.load()) {
+      const Result<std::vector<float>> scores = client.Predict("s0", batch);
+      ASSERT_TRUE(scores.ok()) << scores.status().ToString();
+      EXPECT_EQ(scores.value(), first.value());
+    }
+  });
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_TRUE(client.Deploy("s0", TinyModel(50)).ok());
+  }
+  stop.store(true);
+  traffic.join();
+  EXPECT_EQ(client.coordinator()->VersionOf("s0"), 9u);
+  EXPECT_EQ(ModelTensorBytes() - before, built);
+
+  for (const std::string& scenario : client.Scenarios()) {
+    ASSERT_TRUE(client.Undeploy(scenario).ok());
+  }
+  EXPECT_EQ(ModelTensorBytes() - before, 0);
+}
+
 // ---------------------------------------------------------------------------
 // Elastic shard lifecycle through the facade.
 // ---------------------------------------------------------------------------
@@ -517,8 +585,8 @@ TEST(ServingClientTest, KillRejoinLosesNoBatchRequests) {
   EXPECT_EQ(registry.counter_value("serving/coordinator/no_replica_available"),
             0);
   EXPECT_GE(registry.counter_value("serving/coordinator/rejoins"), 1);
-  // The rejoined shard serves again: its model came back from the cached
-  // bundle at the current version.
+  // The rejoined shard serves again: its model came back from the
+  // coordinator's table at the current version.
   EXPECT_GE(client.coordinator()->shard(owner)->DeployedVersion("s"), 1u);
 }
 

@@ -372,7 +372,7 @@ TEST(ServingSloTest, KillWindowBurnsAndRejoinRecoversOnFakeClock) {
   EXPECT_GT(during.burn_short, 1.0);
   EXPECT_GE(client.GetStats().scenarios_burning, 1);
 
-  // Re-join and recover: models re-deploy from cached bundles, traffic
+  // Re-join and recover: models re-deploy from the scenario table, traffic
   // succeeds again, and once the bad buckets age out of the short window
   // the burn drops back under 1.
   for (const std::string& id : client.ShardIds()) {

@@ -9,10 +9,13 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <fstream>
 #include <functional>
 #include <future>
 #include <map>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,6 +24,7 @@
 #include "src/data/synthetic.h"
 #include "src/obs/metrics.h"
 #include "src/resilience/fault_injection.h"
+#include "src/serving/model_store.h"
 #include "src/serving/shard/coordinator.h"
 #include "src/serving/shard/hash_ring.h"
 #include "src/serving/shard/shard.h"
@@ -181,23 +185,22 @@ std::future<Result<std::vector<float>>> Submit(WorkerShard* shard,
 TEST(WorkerShardTest, VersionGateRejectsStaleAcceptsEqual) {
   obs::MetricsRegistry registry;
   WorkerShard shard("shard-0", &registry);
-  DeployOptions options;
-  ASSERT_TRUE(shard.Deploy("s", TinyModel(1), options, 5).ok());
+  ASSERT_TRUE(shard.Deploy("s", TinyModel(1), 5).ok());
   EXPECT_EQ(shard.DeployedVersion("s"), 5u);
   // A stale broadcast (rebalance racing a newer deploy) must not clobber.
-  Status stale = shard.Deploy("s", TinyModel(2), options, 4);
+  Status stale = shard.Deploy("s", TinyModel(2), 4);
   EXPECT_EQ(stale.code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(shard.DeployedVersion("s"), 5u);
   // Equal versions are idempotent rebalance copies.
-  EXPECT_TRUE(shard.Deploy("s", TinyModel(3), options, 5).ok());
-  EXPECT_TRUE(shard.Deploy("s", TinyModel(4), options, 7).ok());
+  EXPECT_TRUE(shard.Deploy("s", TinyModel(3), 5).ok());
+  EXPECT_TRUE(shard.Deploy("s", TinyModel(4), 7).ok());
   EXPECT_EQ(shard.DeployedVersion("s"), 7u);
 }
 
 TEST(WorkerShardTest, KillDrainsQueueWithUnavailable) {
   obs::MetricsRegistry registry;
   WorkerShard shard("shard-0", &registry);
-  ASSERT_TRUE(shard.Deploy("s", TinyModel(1), DeployOptions{}, 1).ok());
+  ASSERT_TRUE(shard.Deploy("s", TinyModel(1), 1).ok());
   const data::Batch batch = OneSample(2);
   EXPECT_TRUE(Submit(&shard, "s", batch).get().ok());
   // Requests queued at the kill fail with Unavailable on the shard's own
@@ -224,7 +227,7 @@ TEST(WorkerShardTest, KillDrainsQueueWithUnavailable) {
   auto result = Submit(&shard, "s", batch).get();
   EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
   // Deploys against a dead shard fail fast too.
-  EXPECT_EQ(shard.Deploy("t", TinyModel(2), DeployOptions{}, 1).code(),
+  EXPECT_EQ(shard.Deploy("t", TinyModel(2), 1).code(),
             StatusCode::kUnavailable);
   shard.Kill();  // Idempotent.
 }
@@ -245,7 +248,7 @@ TEST(ShardCoordinatorTest, BroadcastDeploysIdenticalReplicas) {
   std::vector<std::string> replicas = coordinator.ReplicasOf("s");
   ASSERT_EQ(replicas.size(), 2u);
 
-  // Every replica serves the same scores: the bundle clone is exact.
+  // Every replica serves the same scores: they share one model.
   const data::Batch batch = OneSample(3);
   std::vector<float> expected;
   for (const std::string& id : replicas) {
@@ -495,7 +498,7 @@ TEST(ShardCoordinatorTest, UndeployClearsDisplacedReplicas) {
 TEST(WorkerShardTest, HardQueueCapStillRejectsTraffic) {
   obs::MetricsRegistry registry;
   WorkerShard shard("shard-0", &registry);
-  ASSERT_TRUE(shard.Deploy("s", TinyModel(32), DeployOptions{}, 1).ok());
+  ASSERT_TRUE(shard.Deploy("s", TinyModel(32), 1).ok());
   shard.set_max_queue_depth(2);
   shard.PauseDispatchForTesting(true);
 
@@ -590,7 +593,8 @@ TEST(ShardCoordinatorTest, RejoinShardRedeploysAtCurrentVersions) {
 
   // Post-rejoin invariants: every scenario's replica set is consistent with
   // the ring, and every replica serves the CURRENT version — the rejoined
-  // shard warm-started from cached bundles, not from stale pre-kill state.
+  // shard warm-started from the scenario table, not from stale pre-kill
+  // state.
   for (int s = 0; s < kScenarios; ++s) {
     const std::string scenario = "scenario_" + std::to_string(s);
     for (const std::string& id : coordinator.ReplicasOf(scenario)) {
@@ -862,6 +866,93 @@ TEST(ShardCoordinatorTest, LiveWorkersNeverWaitForARebalance) {
     }
   }
   faults.Reset();
+}
+
+// ---------------------------------------------------------------------------
+// One shared model per scenario version
+// ---------------------------------------------------------------------------
+
+/// `rows` well-formed rows for TinyModel.
+data::Batch Rows(uint64_t seed, int64_t rows) {
+  Rng rng(seed);
+  data::Batch batch;
+  batch.batch_size = rows;
+  batch.seq_len = 5;
+  batch.profiles = Tensor::Randn({rows, 4}, &rng);
+  for (int64_t i = 0; i < rows * 5; ++i) {
+    batch.behaviors.push_back(rng.UniformInt(0, 7));
+  }
+  batch.labels = Tensor({rows, 1});
+  return batch;
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+TEST(ShardCoordinatorTest, ReplicasScoreOneSharedModelConcurrently) {
+  obs::MetricsRegistry registry;
+  CoordinatorOptions options = SmallCoordinator(3, 1);
+  options.hot_replication = 3;
+  ShardCoordinator coordinator(options, &registry);
+  DeployOptions hot;
+  hot.hot = true;
+  ASSERT_TRUE(coordinator.Deploy("hot", TinyModel(60), hot).ok());
+  const std::vector<std::string> replicas = coordinator.ReplicasOf("hot");
+  ASSERT_EQ(replicas.size(), 3u);
+
+  // A reference copy of the same weights, scored on this thread.
+  const std::unique_ptr<models::BaseModel> reference = TinyModel(60);
+  const data::Batch one = Rows(61, 1);
+  const data::Batch wide = Rows(62, 64);
+  const std::vector<float> want_one = reference->PredictProbs(one);
+  const std::vector<float> want_wide = reference->PredictProbs(wide);
+  std::ostringstream want_bundle;
+  ASSERT_TRUE(SaveModelBundle(reference.get(), &want_bundle).ok());
+
+  // Beside the traffic, one thread redeploys identical weights and another
+  // serializes the model the workers are scoring.
+  std::atomic<bool> stop{false};
+  std::thread redeployer([&] {
+    while (!stop.load()) {
+      EXPECT_TRUE(coordinator.Deploy("hot", TinyModel(60), hot).ok());
+    }
+  });
+  std::thread exporter([&] {
+    const std::string path = ::testing::TempDir() + "/shard_test_hot.altm";
+    while (!stop.load()) {
+      ASSERT_TRUE(coordinator.ExportBundle("hot", path).ok());
+      EXPECT_EQ(ReadFile(path), want_bundle.str());
+    }
+    std::remove(path.c_str());
+  });
+  // Every shard scores the scenario at once, 1-row and 64-row requests.
+  for (int round = 0; round < 40; ++round) {
+    std::vector<std::future<Result<std::vector<float>>>> ones;
+    std::vector<std::future<Result<std::vector<float>>>> wides;
+    for (const std::string& id : replicas) {
+      ones.push_back(Submit(coordinator.shard(id), "hot", one));
+      wides.push_back(Submit(coordinator.shard(id), "hot", wide));
+    }
+    // EXPECT, not ASSERT: the test must reach the joins below.
+    for (auto& answer : ones) {
+      const Result<std::vector<float>> scores = answer.get();
+      EXPECT_TRUE(scores.ok() && scores.value() == want_one)
+          << scores.status().ToString();
+    }
+    for (auto& answer : wides) {
+      const Result<std::vector<float>> scores = answer.get();
+      EXPECT_TRUE(scores.ok() && scores.value() == want_wide)
+          << scores.status().ToString();
+    }
+  }
+  stop.store(true);
+  redeployer.join();
+  exporter.join();
+  EXPECT_GT(coordinator.VersionOf("hot"), 1u);
 }
 
 }  // namespace

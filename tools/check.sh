@@ -280,16 +280,19 @@ if wants tsan; then
   # toy functions), and the serving plane:
   # shard worker threads that run the failover and degradation
   # continuations (breakers, fallbacks, the client's tracer and SLO
-  # tracker) and a dead shard's rebalance, kill/rejoin under load, and the
+  # tracker) and a dead shard's rebalance, kill/rejoin under load, the
   # request context crossing caller and worker threads in the traced chaos
-  # suite. Only the
+  # suite, and the one model every replica of a scenario version shares:
+  # shard workers score it at once while redeploys swap it and
+  # ExportBundle serializes it (shard_test, export_bundle_test). Only the
   # threading-related targets are built and run: TSan slows everything ~10x
   # and the rest of the suite is single-threaded.
   TSAN_TARGETS=(parallel_for_test kernel_parity_test util_test hpo_test
                 obs_test obs_export_test autograd_test nn_test
                 tensor_recycle_test meta_test core_test model_search_test
                 shard_test serving_client_test serving_test
-                serving_trace_test resilience_test resilience_chaos_test)
+                serving_trace_test export_bundle_test resilience_test
+                resilience_chaos_test)
   echo "==> configuring build-tsan (-DALT_SANITIZE=thread -DALT_DCHECKS=ON)"
   cmake -B build-tsan -S . -DALT_SANITIZE=thread -DALT_DCHECKS=ON >/dev/null
   echo "==> building build-tsan (${TSAN_TARGETS[*]})"
